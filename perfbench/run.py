@@ -6,18 +6,22 @@ rings, timed end to end, checked, and (with --trace 1) broken down by layer.
 A run is a closed loop of passes, one at a time: each pass is a fresh
 worker interpreter (worker.py) that builds the workload's inputs for the
 seed and runs its whole query list in one thread.  New passes start until
---seconds have gone by.  Before the passes, a few set-up-only workers
-sample the set-up time.  Times are reported in reference seconds: wall
-seconds scaled by the machine speed measured next to them (reference.py);
-the wall seconds and speed factors are printed too.  With --trace 1, untraced and traced passes
-alternate, the per-layer metrics come from the traced ones, and the
-tracing overhead is the difference of the two medians of solve time.
+--seconds have gone by.  Before each pass, set-up-only workers add
+set-up samples, so that they spread over the run.  Times are reported in reference seconds: wall seconds
+scaled by the machine speed measured next to them (reference.py); the
+wall seconds and speed factors are printed too.  With --trace 1, untraced
+and traced passes alternate, the per-layer metrics come from the traced
+ones, and the tracing overhead is the difference of the two medians of
+solve time.
 
 The last line of stdout is one JSON object: correct, attempted, failed and
 the metrics (end-to-end with --trace 0, per-layer with --trace 1).  The
 lines before it print every metric with its unit, including fail_frac and
 open_points, the per-query times and the definable workload's refusal
-probe.  The exit code is 0 only when a result was printed.
+probe.  `correct` is false if any timed query fails (a clean refusal
+too: only the untimed probe may refuse), leaves more points open than
+its ceiling, or if open points or a work counter differ between passes.
+The exit code is 0 only when a result was printed.
 """
 
 from __future__ import annotations
@@ -32,10 +36,8 @@ import sys
 import time
 from pathlib import Path
 
-import reference
-
 HERE = Path(__file__).resolve().parent
-SETUP_SAMPLES = 5
+SETUPS_PER_PASS = 3
 WORKER_TIMEOUT_S = 150
 
 SPEC = json.loads((HERE.parent / "BENCHMARK.json").read_text())
@@ -51,21 +53,19 @@ class BenchError(RuntimeError):
 
 def spawn(workload, seed, mode, trace=0, spans=None):
     """Run one worker to completion; returns (set-up seconds, result dict
-    or None in setup mode).  Set-up time runs from process start to READY,
-    in reference seconds, with the speed measured just before the start."""
-    speed = reference.speed([reference.chunk() for _ in range(3)])
+    or None in setup mode).  The worker times its own set-up, in reference
+    seconds, and prints it on its READY line."""
     cmd = [sys.executable, str(HERE / "worker.py"), "--workload", workload,
            "--seed", str(seed), "--mode", mode, "--trace", str(trace)]
     if spans:
         cmd += ["--spans", str(spans)]
     env = dict(os.environ, PYTHONHASHSEED="0")
-    start = time.perf_counter()
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=env)
     try:
-        ready = proc.stdout.readline()
-        setup_s = (time.perf_counter() - start) * speed
-        if ready.strip() != "READY":
+        ready = proc.stdout.readline().split()
+        if len(ready) != 2 or ready[0] != "READY":
             raise BenchError(f"{mode} worker for {workload} did not start")
+        setup_s = float(ready[1])
         out, _ = proc.communicate(timeout=WORKER_TIMEOUT_S)
     except subprocess.TimeoutExpired as exc:
         raise BenchError(f"{mode} worker for {workload} timed out") from exc
@@ -91,15 +91,15 @@ def quartiles(values):
 
 
 def run(workload, seed, seconds, trace):
-    setups = [spawn(workload, seed, "setup")[0] for _ in range(SETUP_SAMPLES)]
     spans = None
     if trace:
         out_dir = HERE / "out"
         out_dir.mkdir(exist_ok=True)
         spans = out_dir / f"spans-{workload}-seed{seed}.jsonl"
-    plain, traced = [], []
+    setups, plain, traced = [], [], []
     start = time.perf_counter()
     while True:
+        setups += [spawn(workload, seed, "setup")[0] for _ in range(SETUPS_PER_PASS)]
         traced_pass = bool(trace) and len(plain) > len(traced)
         setup_s, result = spawn(workload, seed, "pass", int(traced_pass),
                                 spans if traced_pass else None)
@@ -116,9 +116,8 @@ def summarize(workload, seed, setups, plain, traced, probe):
     verdicts = [q for r in passes for q in r["queries"]]
     attempted = len(verdicts)
     failed = sum(q["failed"] for q in verdicts)
-    wrong = [q for q in verdicts if q["wrong"]]
     open_counts = {sum(q["open"] for q in r["queries"]) for r in passes}
-    correct = not wrong and len(open_counts) == 1
+    correct = not failed and len(open_counts) == 1
     solve = [r["solve_s"] for r in plain]
 
     lines = [f"workload {workload}  seed {seed}  passes {len(plain)} untraced, "
@@ -144,8 +143,9 @@ def summarize(workload, seed, setups, plain, traced, probe):
         status = "ok" if not q["failed"] else ("REFUSED" if q["refused"] else "FAILED")
         lines.append(f"    {median(times):9.4f} s  {status:7s} open {q['open']:<5d} "
                      f"{q['name']}")
-    for q in wrong:
-        lines.append(f"  WRONG: {q['name']}: {q['note']}")
+    for name, refused, note in dict.fromkeys(
+            (q["name"], q["refused"], q["note"]) for q in verdicts if q["failed"]):
+        lines.append(f"  {'REFUSED' if refused else 'WRONG'}: {name}: {note}")
     if len(open_counts) != 1:
         lines.append(f"  WRONG: open points differ between passes: {sorted(open_counts)}")
     if probe is not None:
@@ -165,7 +165,8 @@ def summarize(workload, seed, setups, plain, traced, probe):
                                                else 1) for r in traced]
                 layers[name] = median(values)
                 if unit == "count" and len(set(values)) != 1:
-                    lines.append(f"  WARNING: counter {name} differs between passes: {values}")
+                    correct = False
+                    lines.append(f"  WRONG: counter {name} differs between passes: {values}")
         layers["open_points"] = min(open_counts)
         layers["trace_overhead_s"] = (median([r["solve_s"] for r in traced])
                                       - median(solve))

@@ -1,14 +1,14 @@
 """Steadiness check: run the benchmark on several seeds per workload and
 report, for each end-to-end metric, the median, the quartiles, the sample
 count and the quartile spread as a share of the median, next to the
-metric's bound from BENCHMARK.json.
+metric's bound from BENCHMARK.json.  Every workload runs for
+BENCHMARK.json's run_seconds.
 
   python3 perfbench/steady.py --seeds 10 --out perfbench/baseline.json
-  python3 perfbench/steady.py --workloads lift --seeds 5
 
 Seeds run in the outer loop and workloads in the inner one, so slow drift
 of the machine spreads over every workload alike.  A spread at or above a
-third of its bound is flagged; setup_s has no spread gate but is reported.
+third of its bound is flagged, and the exit code is then 1.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds):
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} exited {proc.returncode}: {proc.stderr}")
@@ -38,16 +38,14 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", nargs="+", default=names, choices=names)
     parser.add_argument("--seeds", type=int, default=10, help="seeds 1..N")
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--out", help="write the samples and summary as JSON")
     args = parser.parse_args(argv)
 
-    samples = {w: [] for w in args.workloads}
+    samples = {w: [] for w in names}
     for seed in range(1, args.seeds + 1):
-        for w in args.workloads:
-            result = run_once(w, seed, args.seconds, 0)
+        for w in names:
+            result = run_once(w, seed, spec["run_seconds"])
             if not result["correct"]:
                 raise SystemExit(f"{w} seed {seed}: a check failed")
             samples[w].append({"seed": seed, "attempted": result["attempted"],
@@ -65,7 +63,7 @@ def main(argv=None):
             values = [r[name] for r in rows]
             q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
             spread = (q3 - q1) / med
-            steady = name == "setup_s" or spread < bound / 3
+            steady = spread < bound / 3
             flagged |= not steady
             summary[w][name] = {"median": med, "q1": q1, "q3": q3, "n": len(values),
                                 "spread": spread, "bound": bound}
@@ -77,7 +75,7 @@ def main(argv=None):
         Path(args.out).write_text(json.dumps({
             "machine": f"{platform.machine()}, {platform.python_implementation()} "
                        f"{platform.python_version()}",
-            "seconds": args.seconds,
+            "seconds": spec["run_seconds"],
             "summary": summary,
             "samples": samples,
         }, indent=1) + "\n")

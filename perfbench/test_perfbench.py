@@ -3,7 +3,9 @@
   python3 -m pytest -q perfbench/test_perfbench.py
 """
 
+import dataclasses
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 import padicstacks as ps  # noqa: E402
 import pytest  # noqa: E402
+import reference  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
@@ -61,6 +64,37 @@ def test_refusal_must_name_its_bound():
     assert named["failed"] and named["refused"] and not named["wrong"]
     vague = judge(q, None, ps.EnumerationBound("too large"))
     assert vague["refused"] and vague["wrong"]
+    # a timed query may not refuse, even cleanly; only the untimed probe may
+    lines, result = run.summarize("definable", 1, [0.1], [_pass([named])], [], None)
+    assert (result["failed"], result["correct"]) == (1, False)
+    assert any(ln.startswith("  REFUSED: ") for ln in lines)
+    probe = {"queries": [dict(named, s=2.0)]}
+    _, [(answer, error, *_)] = run_queries([q])
+    ok = judge(q, answer, error)
+    _, result = run.summarize("definable", 1, [0.1], [_pass([ok])], [], probe)
+    assert (result["failed"], result["correct"]) == (0, True)
+
+
+def test_more_open_points_than_the_seed_commit_is_wrong():
+    q = _query("ring", "eval_formula")
+    _, [(answer, error, *_)] = run_queries([q])
+    verdict = judge(q, answer, error)
+    assert verdict["open"] == q.open_max == 36 and not verdict["failed"]
+    tighter = judge(dataclasses.replace(q, open_max=35), answer, None)
+    assert tighter["failed"] and tighter["wrong"] and "36 points left open" in tighter["note"]
+
+
+def test_counter_that_differs_between_traced_passes_is_wrong():
+    ok = {"name": "q", "failed": False, "refused": False, "wrong": False,
+          "open": 0, "note": ""}
+    layers = tracer.Tracer().metrics()
+    traced = [dict(_pass([ok]), layers=layers),
+              dict(_pass([ok]), layers=dict(layers, **{"polyscheme.poly_evals": 1}))]
+    lines, result = run.summarize("lift", 1, [0.1], [_pass([ok])], traced, None)
+    assert not result["correct"]
+    assert any("counter polyscheme.poly_evals differs" in ln for ln in lines)
+    _, result = run.summarize("lift", 1, [0.1], [_pass([ok])], traced[:1] * 2, None)
+    assert result["correct"]
 
 
 def _bindings():
@@ -111,6 +145,27 @@ def test_counters_repeat_and_layers_separate():
     m = t.metrics()
     assert m["rings.elem_ops"] == 0 and m["witt.sym_ops"] == 0
     assert m["polyscheme.cert_calls"] > 0 and m["polyscheme.lift_evals"] > 0
+
+
+def test_import_chunk_leaves_the_module_table_as_it_was():
+    before = dict(sys.modules)
+    assert reference.import_chunk() > 0
+    assert sys.modules == before
+
+
+def test_sampler_measures_during_a_region_and_takes_its_time_off():
+    sampler = reference.Sampler()
+    sampler.install()
+    try:
+        start = time.perf_counter()
+        with sampler:
+            while time.perf_counter() - start < 0.3:
+                pass
+        wall = time.perf_counter() - start
+    finally:
+        sampler.remove()
+    assert len(sampler.samples) >= 3
+    assert sampler.seconds == pytest.approx(wall - sum(sampler.samples), abs=0.01)
 
 
 def test_benchmark_json_matches_the_command():

@@ -1,9 +1,11 @@
 """One pass of a workload in a fresh interpreter, as one CLI invocation
 would run it: import padicstacks and build the inputs (set-up), print
-READY, run the query list in order in this one thread (each query starts
-when the previous one returns), then check every answer and print one JSON
-line.  A chunk of reference work (reference.py) runs before each query and
-after the last, outside the query times, to measure the machine's speed.
+READY and the set-up time, run the query list in order in this one thread
+(each query starts when the previous one returns), then check every answer
+and print one JSON line.  Chunks of reference work (reference.py) run
+to measure the machine's speed: two import chunks before and two after
+the set-up, ten loop chunks before each query and after the last, and
+loop chunks sampled during each query, whose time is taken off it.
 
   python3 perfbench/worker.py --workload lift --seed 1 --mode pass --trace 0
 
@@ -27,47 +29,50 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
-import padicstacks as ps  # noqa: E402
+# neither imports padicstacks: importing it is part of the timed set-up
 import reference  # noqa: E402
-import workloads  # noqa: E402
 from oracle import WrongAnswer  # noqa: E402
 
-REFUSALS = (ps.BoundExceeded, ps.EnumerationBound)
 NAMES_BOUND = re.compile(r"bound \d+")
 
 
 def run_queries(queries, tracer=None):
-    """Run every query in order, with a reference chunk before each query
-    and after the last; returns (peak RSS in kB, [(answer, exception, wall
-    seconds, reference seconds)])."""
+    """Run every query in order, with ten reference chunks before each query
+    and after the last, and more sampled during each query; returns (peak
+    RSS in kB, [(answer, exception, wall seconds, reference seconds)])."""
     outcomes = []
-    chunks = []
+    ends = []
+    sampler = reference.Sampler()
+    sampler.install()
     if tracer is not None:
         tracer.install()
     try:
         for q in queries:
-            chunks.append(reference.chunk())
-            t = time.perf_counter()
-            try:
-                answer, error = q.run(), None
-            except Exception as exc:  # recorded as a failed query
-                answer, error = None, exc
-            outcomes.append([answer, error, time.perf_counter() - t])
-        chunks.append(reference.chunk())
+            ends.append(reference.chunks())
+            with sampler:
+                try:
+                    answer, error = q.run(), None
+                except Exception as exc:  # recorded as a failed query
+                    answer, error = None, exc
+            outcomes.append([answer, error, sampler.seconds, sampler.samples])
+        ends.append(reference.chunks())
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     finally:
         if tracer is not None:
             tracer.remove()
+        sampler.remove()
     for i, outcome in enumerate(outcomes):
-        outcome.append(reference.bracketed(outcome[2], chunks[i], chunks[i + 1]))
+        outcome[3] = reference.scaled(outcome[2], ends[i] + outcome[3] + ends[i + 1])
     return rss_kb, outcomes
 
 
 def judge(query, answer, error):
     """Verdict for one answer: failed, refused, wrong, open points, note."""
+    from padicstacks import BoundExceeded, EnumerationBound
+
     verdict = {"name": query.name, "failed": False, "refused": False,
                "wrong": False, "open": 0, "note": ""}
-    if isinstance(error, REFUSALS):
+    if isinstance(error, (BoundExceeded, EnumerationBound)):
         verdict.update(failed=True, refused=True, note=str(error))
         # a clean refusal names the bound it exceeded
         verdict["wrong"] = not NAMES_BOUND.search(str(error))
@@ -77,6 +82,9 @@ def judge(query, answer, error):
     else:
         try:
             verdict["open"] = query.check(answer)
+            if verdict["open"] > query.open_max:
+                raise WrongAnswer(f"{verdict['open']} points left open, "
+                                  f"at most {query.open_max} expected")
         except WrongAnswer as exc:
             verdict.update(failed=True, wrong=True, note=str(exc))
     return verdict
@@ -84,18 +92,25 @@ def judge(query, answer, error):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.BUILDERS))
+    parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--mode", choices=("setup", "pass", "probe"), default="pass")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--spans", help="file for the traced pass's spans")
     args = parser.parse_args(argv)
 
+    chunks = [reference.import_chunk(), reference.import_chunk()]
+    start = time.perf_counter()
+    import workloads
+
     if args.mode == "probe":
-        queries = [workloads.refusal_probe(ps.load_project(workloads.PROJECT))]
+        queries = [workloads.refusal_probe()]
     else:
         queries = workloads.build(args.workload, args.seed)
-    print("READY", flush=True)
+    setup_s = time.perf_counter() - start
+    chunks += [reference.import_chunk(), reference.import_chunk()]
+    setup_s = reference.setup_seconds(setup_s, chunks)
+    print(f"READY {setup_s!r}", flush=True)
     if args.mode == "setup":
         return 0
 

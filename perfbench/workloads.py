@@ -10,7 +10,10 @@ a seed nobody tuned for.
 Every query carries its check.  A check returns the number of points the
 answer leaves undecided, or raises `WrongAnswer`.  Checks use a closed form
 where one exists, otherwise an independent path of the same size (see
-oracle.py); a fast path is never checked only by itself.
+oracle.py); a fast path is never checked only by itself.  A query also
+carries `open_max`, the number of points the seed commit leaves undecided
+(the same for every seed); an answer that leaves more is wrong, so that
+skipped certificate work cannot pass as a correct, faster answer.
 
 Library calls go through the package namespace (`ps.series`, ...) at call
 time, so the traced passes see the wrappers installed by tracer.py.
@@ -52,6 +55,7 @@ class Query:
     name: str
     run: Callable[[], object]
     check: Callable[[object], int]
+    open_max: int = 0
 
 
 def build(workload, seed):
@@ -84,11 +88,12 @@ def _diagonal_quadric(rng, p, variables):
 # lift: unramified prime rings, scheme targets
 
 
-def _p_series_query(name, X, spec, terms, level_truth, kind="p"):
+def _p_series_query(name, X, spec, terms, level_truth, open_max, kind="p"):
     return Query(
         name,
         lambda: ps.series(X, spec, kind, terms),
         lambda tbl: check_bounds(tbl, level_truth(terms)),
+        open_max,
     )
 
 
@@ -138,7 +143,7 @@ def _lift(pj, rng):
     ))
     _, cusp_truth = _cusp_type(1, 5)
     queries.append(_p_series_query(
-        "series(cusp, Z_5, p, 5)", pj.scheme("cusp"), z5, 5, cusp_truth))
+        "series(cusp, Z_5, p, 5)", pj.scheme("cusp"), z5, 5, cusp_truth, 132))
 
     _, node_truth = _node_type(1, 5)
 
@@ -146,7 +151,7 @@ def _lift(pj, rng):
         # Q = P(X) - P(Sing X); Sing X(Z_5) is the node alone
         return [x - 1 for x in node_truth(terms)]
     queries.append(_p_series_query(
-        "series(node, Z_5, q, 5)", pj.scheme("node"), z5, 5, node_q_truth, "q"))
+        "series(node, Z_5, q, 5)", pj.scheme("node"), z5, 5, node_q_truth, 32, "q"))
 
     closed = {
         "A1": lambda p, level: p ** (level + 1),
@@ -202,11 +207,11 @@ def _lift(pj, rng):
             check_smooth,
         ))
     b = rng.randrange(1, 5)
-    for i, (f, truth) in enumerate((_cusp_type(rng.randrange(1, 5), 5),
-                                    _node_type(b * b % 5, 5))):
+    for i, ((f, truth), open_max) in enumerate(((_cusp_type(rng.randrange(1, 5), 5), 7),
+                                                (_node_type(b * b % 5, 5), 2))):
         queries.append(_p_series_query(
             f"series({f.text()}, Z_5, p, 4)", _scheme(f"singular{i}", f, 1), z5, 4,
-            truth))
+            truth, open_max))
     return queries
 
 
@@ -262,6 +267,7 @@ def _ring(pj, rng):
         "eval_formula(ord(x*y - t) == INFINITY, ram3 level 2)",
         lambda: ps.eval_formula(pj.formula("xy_t").formula, pj.scheme("A2"), ram3n2),
         check_eval,
+        36,
     ))
 
     def check_measure(res):
@@ -386,7 +392,9 @@ def _definable(pj, rng):
 REFUSAL_PROBE = "measure_formula(xy_t, Z_5, max_level 4)"
 
 
-def refusal_probe(pj):
+def refusal_probe():
+    pj = ps.load_project(PROJECT)
+
     def check(res):
         expect(res.status == "STABILIZED" and res.value == Fraction(8, 5),
                f"{REFUSAL_PROBE}: {res.value} ({res.status}), expected 8/5")
