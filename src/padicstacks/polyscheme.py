@@ -517,44 +517,177 @@ def count_points(X, ring, bound=None):
     return sum(1 for _ in enumerate_points(X, ring, bound))
 
 
+def _solve_mod_p(rows, rhs, p, n_vars):
+    """Every solution of rows . delta = rhs over F_p, in lexicographic order.
+
+    Gauss-Jordan elimination runs over the columns from last to first, so
+    each pivot unknown depends only on free unknowns to its left; listing
+    the free unknowns lexicographically then lists the solutions
+    lexicographically.
+    """
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivot_cols = []
+    for c in reversed(range(n_vars)):
+        r = len(pivot_cols)
+        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = pow(aug[r][c], -1, p)
+        aug[r] = [a * inv % p for a in aug[r]]
+        for i, row in enumerate(aug):
+            if i != r and row[c]:
+                f = row[c]
+                aug[i] = [(a - f * b) % p for a, b in zip(row, aug[r])]
+        pivot_cols.append(c)
+    if any(row[n_vars] for row in aug[len(pivot_cols):]):
+        return ()
+    free = [c for c in range(n_vars) if c not in pivot_cols]
+    solutions = []
+    for values in itertools.product(range(p), repeat=len(free)):
+        delta = [0] * n_vars
+        for c, v in zip(free, values):
+            delta[c] = v
+        for c, row in zip(pivot_cols, aug):
+            delta[c] = (row[n_vars] - sum(row[j] * delta[j] for j in free)) % p
+        solutions.append(tuple(delta))
+    return tuple(solutions)
+
+
+class _Lifter:
+    """Level-by-level lifting of common zeros of an integer system over
+    Z/p^(k+1), by Hensel linearisation.
+
+    For k >= 1 and a zero x of the system mod p^k, Taylor expansion gives
+    f(x + p^k delta) = f(x) + p^k J(x) delta (mod p^(k+1)), and J(x) mod p
+    depends only on x0 = x mod p.  So the level-k lifts of x are the
+    x + p^k delta with J(x0) delta = -f(x)/p^k over F_p: none, or exactly
+    p^(N - rank J(x0)) of them.  The solution set is cached per
+    (x0, f(x)/p^k) pair; the Jacobian is compiled on first use.
+    """
+
+    def __init__(self, gens, n_vars, p):
+        self.gens = tuple(gens)
+        self.n_vars = n_vars
+        self.p = p
+        self._gen_evals = {}
+        self._jac_evals = None
+        self._solutions = {}
+
+    def evals_at(self, modulus):
+        if modulus not in self._gen_evals:
+            self._gen_evals[modulus] = [g.compile_int(modulus) for g in self.gens]
+        return self._gen_evals[modulus]
+
+    def is_smooth(self, x0):
+        """rank J(x0) equals the number of generators: x0 lifts to exactly
+        p^(N - g) points at every level."""
+        g = len(self.gens)
+        if g > self.n_vars:
+            return False
+        zero = (0,) * g
+        return len(self._deltas(x0, zero)) == self.p ** (self.n_vars - g)
+
+    def residue_points(self):
+        """Common zeros over F_p, in lexicographic order."""
+        evals = self.evals_at(self.p)
+        return [
+            pt
+            for pt in itertools.product(range(self.p), repeat=self.n_vars)
+            if all(ev(pt) == 0 for ev in evals)
+        ]
+
+    def _deltas(self, x0, rhs):
+        key = (x0, rhs)
+        if key not in self._solutions:
+            if self._jac_evals is None:
+                self._jac_evals = [
+                    [g.partial(v).compile_int(self.p) for v in g.variables]
+                    for g in self.gens
+                ]
+            rows = [[ev(x0) for ev in row] for row in self._jac_evals]
+            self._solutions[key] = _solve_mod_p(rows, rhs, self.p, self.n_vars)
+        return self._solutions[key]
+
+    def lifts(self, point, k):
+        """Level-k lifts (k >= 1) of a zero mod p^k, in the lexicographic
+        order of their digit vectors delta."""
+        p = self.p
+        step = p**k
+        rhs = tuple(-(ev(point) // step) % p for ev in self.evals_at(step * p))
+        x0 = tuple(x % p for x in point)
+        return [
+            tuple(x + d * step for x, d in zip(point, delta))
+            for delta in self._deltas(x0, rhs)
+        ]
+
+    def lift_frontier(self, frontier, k, limit, counted=0):
+        """Level-k lifts of every point of a level-(k-1) frontier, in
+        frontier order; raises once they and `counted` other level-k points
+        exceed `limit`."""
+        new_frontier = []
+        for pt in frontier:
+            new_frontier.extend(self.lifts(pt, k))
+            if counted + len(new_frontier) > limit:
+                raise BoundExceeded(f"lift frontier exceeds bound {limit}")
+        return new_frontier
+
+
+def _check_residue_bound(p, n_vars, limit):
+    if p**n_vars > limit:
+        raise BoundExceeded(f"level-0 enumeration exceeds bound {limit}")
+
+
 def enumerate_points_lifted(X, p, n, bound=None):
     """Points of X over Z/p^(n+1) by successive lifting from level 0.
 
-    Equivalent to enumerate_points over the unramified prime ring but only
-    explores lifts of actual solutions, which is what makes deep levels
-    reachable.  Returns a sorted list of integer tuples.
+    Level 0 is a search over F_p^N; every later level solves one linear
+    system over F_p per point (Hensel linearisation, see `_Lifter`), so
+    only real points are ever built.  Returns the same list as
+    enumerate_points over the unramified prime ring: every point, sorted
+    lexicographically.  Raises BoundExceeded when a level holds more than
+    `bound` points.
     """
     limit = bound if bound is not None else DEFAULT_ENUM_BOUND
-    nv = X.n_vars
-    if p**nv > limit:
-        raise BoundExceeded(f"level-0 enumeration exceeds bound {limit}")
-    evals = [g.compile_int(p) for g in X.generators]
-    frontier = [
-        pt
-        for pt in itertools.product(range(p), repeat=nv)
-        if all(ev(pt) == 0 for ev in evals)
-    ]
+    _check_residue_bound(p, X.n_vars, limit)
+    lifter = _Lifter(X.generators, X.n_vars, p)
+    frontier = lifter.residue_points()
     for k in range(1, n + 1):
-        modulus = p ** (k + 1)
-        step = p**k
-        evals = [g.compile_int(modulus) for g in X.generators]
-        new_frontier = []
-        for pt in frontier:
-            for delta in itertools.product(range(p), repeat=nv):
-                cand = tuple(x + d * step for x, d in zip(pt, delta))
-                if all(ev(cand) == 0 for ev in evals):
-                    new_frontier.append(cand)
-            if len(new_frontier) > limit:
-                raise BoundExceeded(f"lift frontier exceeds bound {limit}")
-        frontier = new_frontier
+        frontier = lifter.lift_frontier(frontier, k, limit)
     frontier.sort()
     return frontier
 
 
 def count_points_lifted(X, p, n, bound=None):
+    """|X(Z/p^(n+1))|, in closed form where Hensel's lemma allows it.
+
+    A residue point x0 where rank J(x0) equals the number g <= N of
+    generators lifts to exactly p^(N-g) points at each level, so it
+    contributes p^(n(N-g)) points without being enumerated.  Only the other
+    residue points are lifted level by level, as in
+    enumerate_points_lifted.  The bound applies to the whole would-be
+    frontier at each level, so the refusals match enumerate_points_lifted.
+    """
+    nv = X.n_vars
     if not X.generators:
-        return p ** ((n + 1) * X.n_vars)
-    return len(enumerate_points_lifted(X, p, n, bound))
+        return p ** ((n + 1) * nv)
+    limit = bound if bound is not None else DEFAULT_ENUM_BOUND
+    _check_residue_bound(p, nv, limit)
+    lifter = _Lifter(X.generators, nv, p)
+    frontier = []
+    smooth = 0
+    for x0 in lifter.residue_points():
+        if lifter.is_smooth(x0):
+            smooth += 1
+        else:
+            frontier.append(x0)
+    fiber = p ** (nv - len(X.generators)) if smooth else 0
+    for k in range(1, n + 1):
+        smooth *= fiber  # level-k points over the smooth residue points
+        if smooth > limit:
+            raise BoundExceeded(f"lift frontier exceeds bound {limit}")
+        frontier = lifter.lift_frontier(frontier, k, limit, smooth)
+    return smooth + len(frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +794,16 @@ class LiftAnalyzer:
     minor route needs g <= N; refutation (empty lift frontier up to level
     n+slack) is always available.
 
+    The frontier grows by the Hensel-linearised lifting behind
+    enumerate_points_lifted (one linear system over F_p per point, see
+    `_Lifter`), and the lifts of each point come in the lexicographic
+    order of their digit vectors.  So a frontier capped at
+    `frontier_bound` keeps the same points as a search over all p^N digit
+    vectors would, and the outcome does not depend on the method.
+
     Symbolic minors are computed once per instance; evaluators are cached
-    per modulus, so batch classification of many points is cheap.
+    per modulus, and the Jacobian is compiled only when a frontier is first
+    lifted, so batch classification of many points is cheap.
     """
 
     def __init__(self, gens, n_vars, p):
@@ -681,13 +822,8 @@ class LiftAnalyzer:
             ]
         else:
             self.minors = []
-        self._gen_evals = {}
+        self._lifter = _Lifter(self.gens, n_vars, p)
         self._minor_evals = {}
-
-    def _gens_at(self, modulus):
-        if modulus not in self._gen_evals:
-            self._gen_evals[modulus] = [g.compile_int(modulus) for g in self.gens]
-        return self._gen_evals[modulus]
 
     def _minors_at(self, modulus):
         if modulus not in self._minor_evals:
@@ -717,25 +853,19 @@ class LiftAnalyzer:
         if not self.gens:
             return LiftStatus.CERTIFIED_LIFTABLE
         point = tau_point(point, p, n)
-        modulus = p ** (n + 1)
-        if any(ev(point) != 0 for ev in self._gens_at(modulus)):
+        if any(ev(point) != 0 for ev in self._lifter.evals_at(p ** (n + 1))):
             return LiftStatus.CERTIFIED_NOT
         if self._minor_certificate(point, n, n):
             return LiftStatus.CERTIFIED_LIFTABLE
         frontier = [point]
         capped = False
         for m in range(n + 1, n + slack + 1):
-            step = p**m
-            modulus = p ** (m + 1)
-            evals = self._gens_at(modulus)
             new_frontier = []
             for pt in frontier:
-                for delta in itertools.product(range(p), repeat=self.n_vars):
-                    cand = tuple(x + d * step for x, d in zip(pt, delta))
-                    if all(ev(cand) == 0 for ev in evals):
-                        if self._minor_certificate(cand, m, n):
-                            return LiftStatus.CERTIFIED_LIFTABLE
-                        new_frontier.append(cand)
+                for cand in self._lifter.lifts(pt, m):
+                    if self._minor_certificate(cand, m, n):
+                        return LiftStatus.CERTIFIED_LIFTABLE
+                    new_frontier.append(cand)
                 if len(new_frontier) > frontier_bound:
                     capped = True
                     new_frontier = new_frontier[:frontier_bound]
@@ -744,12 +874,6 @@ class LiftAnalyzer:
                 return LiftStatus.CERTIFIED_NOT
             frontier = new_frontier
         return LiftStatus.UNKNOWN
-
-
-def certify_zero(gens, point, p, n, slack=DEFAULT_SLACK,
-                 frontier_bound=DEFAULT_FRONTIER_BOUND):
-    """Liftability of a level-n common zero of the full system `gens`."""
-    return LiftAnalyzer(gens, len(point), p).status(point, n, slack, frontier_bound)
 
 
 def lift_analyzer_for_scheme(X, p):

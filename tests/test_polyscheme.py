@@ -4,8 +4,10 @@ import random
 import pytest
 
 from padicstacks.polyscheme import (
+    DEFAULT_SLACK,
     AffineScheme,
     BoundExceeded,
+    LiftAnalyzer,
     LiftStatus,
     MultiPoly,
     PolyParseError,
@@ -16,9 +18,11 @@ from padicstacks.polyscheme import (
     hensel_liftable,
     jacobian,
     jacobian_minors,
+    lift_analyzer_for_scheme,
     parse_poly,
     singular_locus,
     tau_point,
+    _solve_mod_p,
 )
 
 V2 = ("x", "y")
@@ -200,6 +204,142 @@ def test_lifted_points_are_reduction_compatible():
         assert tau_point(pt, 3, 1) in pts1
 
 
+def node():
+    return AffineScheme.from_text("node", V2, ["y^2 - x^2 - x^3"], 1)
+
+
+def lift_battery():
+    """Smooth and singular targets for the lift engine, each with the
+    generator count it exercises: 0, 1, 2 and 3."""
+    return [
+        conic(),
+        cusp(),
+        node(),
+        hyperbola3(),
+        AffineScheme.from_text("xx7", ("x",), ["x^2 - 7"], 0),
+        # parabola (t, t^2, t) meeting the line x = y = 0 at the origin
+        AffineScheme.from_text(
+            "two_gen", ("x", "y", "z"), ["y - x^2", "x^2*z - x^3"], 1
+        ),
+        # a Jacobian whose elimination rewrites an earlier pivot row
+        AffineScheme.from_text(
+            "plane_hyperbola", ("x", "y", "z"), ["x + y + z", "y*z - 1"], 1
+        ),
+        singular_locus(cusp()),  # more generators than variables
+        AffineScheme.affine_space("A1", ("x",)),
+    ]
+
+
+def test_lift_engine_agrees_with_brute_enumeration():
+    # the Hensel-linearised engine against brute enumerate_points, which
+    # tries every tuple and shares no lifting code with it
+    cases = 0
+    for X in lift_battery():
+        for p in (2, 3, 5):
+            for n in (0, 1, 2):
+                m = p ** (n + 1)
+                if m**X.n_vars > 100_000:
+                    continue
+                brute = list(enumerate_points(X, _PrimeRing(m)))
+                assert enumerate_points_lifted(X, p, n) == brute, (X.name, p, n)
+                count = count_points_lifted(X, p, n)
+                assert type(count) is int, (X.name, p, n)
+                assert count == len(brute), (X.name, p, n)
+                cases += 1
+    assert cases == 79
+
+
+def test_solve_mod_p_matches_brute():
+    rng = random.Random(11)
+    for _ in range(500):
+        p = rng.choice((2, 3, 5))
+        n_vars = rng.randint(1, 4)
+        rows = [[rng.randrange(p) for _ in range(n_vars)]
+                for _ in range(rng.randint(0, 4))]
+        rhs = tuple(rng.randrange(p) for _ in rows)
+        brute = tuple(
+            d for d in itertools.product(range(p), repeat=n_vars)
+            if all(sum(a * x for a, x in zip(row, d)) % p == b
+                   for row, b in zip(rows, rhs))
+        )
+        assert _solve_mod_p(rows, rhs, p, n_vars) == brute, (p, rows, rhs)
+
+
+def test_count_points_lifted_refuses_over_bound():
+    # conic over Z/5^4: every residue point is smooth, so the closed form
+    # needs no lifting, yet the level-3 frontier would hold 500 > 100 points
+    for f in (count_points_lifted, enumerate_points_lifted):
+        with pytest.raises(BoundExceeded, match="bound 100$"):
+            f(conic(), 5, 3, bound=100)
+    assert count_points_lifted(conic(), 5, 3, bound=500) == 500
+
+
+class _DeltaLoopAnalyzer(LiftAnalyzer):
+    """Reference certificates: the frontier is grown by trying all p^N
+    digit vectors delta for every point, in itertools.product order."""
+
+    def status(self, point, n, slack=DEFAULT_SLACK, frontier_bound=50_000):
+        p = self.p
+        if not self.gens:
+            return LiftStatus.CERTIFIED_LIFTABLE
+        point = tau_point(point, p, n)
+        modulus = p ** (n + 1)
+        if any(g.eval_int(point, modulus) for g in self.gens):
+            return LiftStatus.CERTIFIED_NOT
+        if self._minor_certificate(point, n, n):
+            return LiftStatus.CERTIFIED_LIFTABLE
+        frontier = [point]
+        capped = False
+        for m in range(n + 1, n + slack + 1):
+            step = p**m
+            modulus = p ** (m + 1)
+            new_frontier = []
+            for pt in frontier:
+                for delta in itertools.product(range(p), repeat=self.n_vars):
+                    cand = tuple(x + d * step for x, d in zip(pt, delta))
+                    if all(g.eval_int(cand, modulus) == 0 for g in self.gens):
+                        if self._minor_certificate(cand, m, n):
+                            return LiftStatus.CERTIFIED_LIFTABLE
+                        new_frontier.append(cand)
+                if len(new_frontier) > frontier_bound:
+                    capped = True
+                    new_frontier = new_frontier[:frontier_bound]
+                    break
+            if not new_frontier and not capped:
+                return LiftStatus.CERTIFIED_NOT
+            frontier = new_frontier
+        return LiftStatus.UNKNOWN
+
+
+def test_certificates_match_delta_loop_reference():
+    # a capped frontier keeps its first frontier_bound lifts, so equal
+    # outcomes need the engine to visit lifts in the reference's order
+    xy5 = AffineScheme.from_text("xy5", V2, ["x*y - 5"], 1)
+    outcomes = set()
+    for X in (cusp(), node(), xy5):
+        for p in (3, 5):
+            engine = lift_analyzer_for_scheme(X, p)
+            reference = _DeltaLoopAnalyzer(X.generators, X.n_vars, p)
+            for n in (0, 1, 2):
+                for pt in enumerate_points(X, _PrimeRing(p ** (n + 1))):
+                    for slack in (1, 2, 3):
+                        for fb in (1, 3, 50_000):
+                            got = engine.status(pt, n, slack, fb)
+                            want = reference.status(pt, n, slack, fb)
+                            assert got is want, (X.name, p, pt, n, slack, fb)
+                            outcomes.add(got)
+    assert outcomes == set(LiftStatus)
+
+
+def test_analyzer_compiles_jacobian_only_when_lifting():
+    analyzer = LiftAnalyzer(hyperbola3().generators, 2, 3)
+    assert analyzer.status((1, 1), 0) is LiftStatus.CERTIFIED_NOT
+    assert analyzer.status((1, 3), 0) is LiftStatus.CERTIFIED_LIFTABLE
+    assert analyzer._lifter._jac_evals is None
+    assert analyzer.status((0, 0), 0) is LiftStatus.CERTIFIED_NOT
+    assert analyzer._lifter._jac_evals is not None
+
+
 # ---------------------------------------------------------------------------
 # jacobian / singular locus
 
@@ -265,9 +405,9 @@ def test_hensel_agrees_with_deep_enumeration():
     # certificate soundness against a brute lift search four levels up
     X = cusp()
     p, n, deep = 3, 0, 4
-    deep_points = enumerate_points_lifted(X, p, deep)
+    deep_points = enumerate_points(X, _PrimeRing(p ** (deep + 1)))
     liftable_at_deep = {tau_point(pt, p, n) for pt in deep_points}
-    for pt in enumerate_points_lifted(X, p, n):
+    for pt in enumerate_points(X, _PrimeRing(p ** (n + 1))):
         status = hensel_liftable(X, pt, p, n, slack=2)
         if status is LiftStatus.CERTIFIED_LIFTABLE:
             assert pt in liftable_at_deep
