@@ -26,13 +26,11 @@ from .measures import (
     rational_fit,
     ring_at_level,
     series,
-    tau,
     tau_image_count,
     tau_image_profile,
 )
 from .polyscheme import (
     AffineScheme,
-    BoundExceeded,
     LiftStatus,
     MultiPoly,
     PolyParseError,
@@ -49,14 +47,13 @@ from .polyscheme import (
 from .project import ProjectError, ProjectFile, load_project
 from .rings import (
     INFINITY,
-    EnumerationBound,
+    BoundExceeded,
     FFElement,
     FiniteField,
     LocalRingSpec,
     NotInvertible,
     RingConstructionError,
     RingElement,
-    arith,
     make_ring,
 )
 from .stacks import (
@@ -83,5 +80,8 @@ from .witt import (
     verschiebung,
     witt_from_int,
 )
+
+# Former name of BoundExceeded, still imported by perfbench/worker.py.
+EnumerationBound = BoundExceeded
 
 __version__ = "0.1.0"

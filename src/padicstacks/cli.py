@@ -1,8 +1,8 @@
 """Command-line interface: one command per invocation, declarative input
 from a project file, deterministic structured text reports.
 
-Exit codes: 0 success; 2 project or formula parse error; 3 enumeration
-bound exceeded; 4 non-stabilized/inexact result under --strict.
+Exit codes: 0 success; 2 invalid project, formula or command-line value;
+3 size limit exceeded; 4 non-stabilized/inexact result under --strict.
 Exact rationals are serialized as "num/den".
 """
 
@@ -24,22 +24,18 @@ from .measures import (
     FitNotFound,
     padic_measure,
     rational_fit,
+    scheme_count_at_level,
     series,
 )
-from .polyscheme import (
-    BoundExceeded,
-    PolyParseError,
-    count_points,
-    count_points_lifted,
-    singular_locus,
-)
+from .polyscheme import PolyParseError, count_points_lifted, singular_locus
 from .project import ProjectError, load_project
-from .rings import EnumerationBound, FiniteField, RingConstructionError, is_prime
+from .rings import BoundExceeded, FiniteField, RingConstructionError, is_prime
 from .stacks import (
     QuotientStack,
     SpecialGroup,
     UnsupportedStack,
     stacky_count_finite,
+    stacky_count_finite_level,
     stacky_count_special,
 )
 from .witt import structure_polynomials
@@ -75,6 +71,8 @@ def _parse_field(text):
             raise ProjectError(f"field spec must be q=<prime power>, got {text!r}")
         text = value
     q = int(text)
+    if q < 2:
+        raise ProjectError(f"{q} is not a prime power")
     p = 2
     while p * p <= q and q % p != 0:
         p += 1
@@ -90,6 +88,15 @@ def _parse_field(text):
     return FiniteField(p, r)
 
 
+def _stack_count(stack, ring, bound):
+    """Weighted count of a quotient stack over a finite field or ring."""
+    if isinstance(stack.group, SpecialGroup):
+        return stacky_count_special(stack, ring, bound)
+    if isinstance(ring, FiniteField):
+        return stacky_count_finite(stack.action, ring, bound)
+    return stacky_count_finite_level(stack.action, ring, bound)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -97,25 +104,14 @@ def _parse_field(text):
 def _cmd_count(args, project):
     target = project.target(args.target)
     spec = project.ring(args.ring)
-    bound = args.bound or project.defaults.get("bound")
     lines = _header("count")
     lines.append(f"target = {args.target}")
     lines.append(f"ring = {_ring_desc(args.ring, spec)}")
     if isinstance(target, QuotientStack):
-        if isinstance(target.group, SpecialGroup):
-            value = stacky_count_special(target, spec, bound)
-        else:
-            if spec.n != 0:
-                raise UnsupportedStack(
-                    "finite constant groups over positive-level rings are unsupported"
-                )
-            value = stacky_count_finite(target.action, spec.residue_field, bound)
+        value = _stack_count(target, spec, args.bound)
         lines.append(f"count = {_rat(value)}")
     else:
-        if spec.int_modulus is not None:
-            value = count_points_lifted(target, spec.p, spec.n, bound)
-        else:
-            value = count_points(target, spec, bound)
+        value = scheme_count_at_level(target, spec, spec.n, args.bound)
         lines.append(f"count = {value}")
     return lines, EXIT_OK
 
@@ -123,11 +119,10 @@ def _cmd_count(args, project):
 def _cmd_series(args, project):
     target = project.target(args.target)
     spec = project.ring(args.ring)
-    bound = args.bound or project.defaults.get("bound")
     terms = args.terms or project.defaults.get("terms", 8)
     slack = args.slack or project.defaults.get("slack", 2)
     kind = {"tilde": "tilde", "p": "p", "q": "q"}[args.kind]
-    tbl = series(target, spec, kind, terms, slack, bound)
+    tbl = series(target, spec, kind, terms, slack, args.bound)
     lines = _header("series")
     lines.append(f"target = {args.target}")
     lines.append(f"ring = {_ring_desc(args.ring, spec)}")
@@ -166,7 +161,6 @@ def _cmd_series(args, project):
 
 def _cmd_measure(args, project):
     max_level = args.max_level or project.defaults.get("max_level", 6)
-    bound = args.bound or project.defaults.get("bound")
     slack = args.slack or project.defaults.get("slack", 2)
     lines = _header("measure")
     if args.set:
@@ -189,7 +183,9 @@ def _cmd_measure(args, project):
         spec = project.ring(args.ring)
         lines.append(f"target = {target.name}")
         lines.append(f"ring = {_ring_desc(args.ring, spec)}")
-        res = measure_formula(formula, target, dim, spec, max_level, slack, bound)
+        res = measure_formula(
+            formula, target, dim, spec, max_level, slack, args.bound
+        )
         for n, lo, up in zip(res.levels, res.lower, res.upper):
             lines.append(f"level[{n}] = {_rat(lo)} .. {_rat(up)}")
     else:
@@ -197,7 +193,7 @@ def _cmd_measure(args, project):
         spec = project.ring(args.ring)
         lines.append(f"target = {args.target}")
         lines.append(f"ring = {_ring_desc(args.ring, spec)}")
-        res = padic_measure(target, spec, max_level, bound)
+        res = padic_measure(target, spec, max_level, args.bound)
         for n, c in zip(res.levels, res.counts):
             lines.append(f"level[{n}] = {_rat(c)}")
     lines.append(f"status = {res.status}")
@@ -216,9 +212,8 @@ def _cmd_greenberg(args, project):
         raise UnsupportedStack("digit expansion needs an unramified prime ring")
     level = args.level if args.level is not None else spec.n
     G = greenberg_transform(target, spec.p, level)
-    bound = args.bound or project.defaults.get("bound")
-    expansion_count = G.count_points(bound)
-    source_count = count_points_lifted(target, spec.p, level, bound)
+    expansion_count = G.count_points(args.bound)
+    source_count = count_points_lifted(target, spec.p, level, args.bound)
     lines = _header("greenberg")
     lines.append(f"target = {args.target}")
     lines.append(f"p = {spec.p}")
@@ -245,11 +240,7 @@ def _cmd_singular(args, project):
         lines.append(f"gen[{i}] = {g.to_text()}")
     if args.ring:
         spec = project.ring(args.ring)
-        bound = args.bound or project.defaults.get("bound")
-        if spec.int_modulus is not None:
-            cnt = count_points_lifted(sing, spec.p, spec.n, bound)
-        else:
-            cnt = count_points(sing, spec, bound)
+        cnt = scheme_count_at_level(sing, spec, spec.n, args.bound)
         lines.append(f"ring = {_ring_desc(args.ring, spec)}")
         lines.append(f"count = {cnt}")
     return lines, EXIT_OK
@@ -278,28 +269,15 @@ def _cmd_stack_count(args, project):
     stack = project.stack(args.stack)
     lines = _header("stack-count")
     lines.append(f"stack = {args.stack}")
-    bound = args.bound or project.defaults.get("bound")
     if args.field:
-        fld = _parse_field(args.field)
-        lines.append(f"field = q={fld.size}")
-        if isinstance(stack.group, SpecialGroup):
-            value = stacky_count_special(stack, fld, bound)
-        else:
-            value = stacky_count_finite(stack.action, fld, bound)
+        ring = _parse_field(args.field)
+        lines.append(f"field = q={ring.size}")
     elif args.ring:
-        spec = project.ring(args.ring)
-        lines.append(f"ring = {_ring_desc(args.ring, spec)}")
-        if isinstance(stack.group, SpecialGroup):
-            value = stacky_count_special(stack, spec, bound)
-        elif spec.n == 0:
-            value = stacky_count_finite(stack.action, spec.residue_field, bound)
-        else:
-            raise UnsupportedStack(
-                "finite constant groups over positive-level rings are unsupported"
-            )
+        ring = project.ring(args.ring)
+        lines.append(f"ring = {_ring_desc(args.ring, ring)}")
     else:
         raise ProjectError("stack-count needs --field or --ring")
-    lines.append(f"count = {_rat(value)}")
+    lines.append(f"count = {_rat(_stack_count(stack, ring, args.bound))}")
     return lines, EXIT_OK
 
 
@@ -310,7 +288,6 @@ def _cmd_specialize(args, project):
         raise UnsupportedStack("formula measures need a scheme target")
     primes = tuple(int(p) for p in args.primes.split(","))
     max_level = args.max_level or project.defaults.get("max_level", 6)
-    bound = args.bound or project.defaults.get("bound")
     verdicts = specialize_primes(
         entry.formula,
         target,
@@ -319,7 +296,7 @@ def _cmd_specialize(args, project):
         args.expect,
         bad_primes=entry.bad_primes,
         max_level=max_level,
-        bound=bound,
+        bound=args.bound,
     )
     lines = _header("specialize")
     lines.append(f"formula = {args.formula} ({entry.text})")
@@ -429,16 +406,20 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "bound", None) is not None and args.bound < 1:
+        parser.error(f"--bound must be at least 1, got {args.bound}")
     try:
         project = None
         if getattr(args, "project", None):
             project = load_project(args.project)
+            if args.bound is None:
+                args.bound = project.defaults.get("bound")
         lines, status = _COMMANDS[args.command](args, project)
     except (ProjectError, FormulaSyntaxError, PolyParseError,
             RingConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROJECT
-    except (BoundExceeded, EnumerationBound) as exc:
+    except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except (UnsupportedStack, FitNotFound, ValueError) as exc:

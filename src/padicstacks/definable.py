@@ -461,9 +461,6 @@ def parse_formula(text, variables):
     return node
 
 
-DPFormula = Formula
-
-
 # ---------------------------------------------------------------------------
 # specialization
 
@@ -982,11 +979,14 @@ def specialize_primes(formula, target, d, primes, expression,
     for p in primes:
         if p in bad_primes:
             raise ValueError(f"prime {p} is declared bad for this formula")
+        try:
+            expected = expect(Fraction(p))
+        except ZeroDivisionError:
+            raise ValueError(f"expression undefined at q={p}") from None
         base_spec = LocalRingSpec(p)
         res = measure_formula(
             formula, target, d, base_spec, max_level, slack, bound
         )
-        expected = expect(Fraction(p))
         if res.status != "STABILIZED":
             verdicts.append(PrimeVerdict(p, expected, None, "INCONCLUSIVE"))
         elif res.value == expected:

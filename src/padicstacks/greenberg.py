@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .polyscheme import AffineScheme, BoundExceeded, MultiPoly
+from .polyscheme import AffineScheme, MultiPoly
+from .rings import BoundExceeded, size_limit
 from .witt import (
     DEFAULT_LENGTH_BOUND,
     int_from_witt,
@@ -19,8 +20,6 @@ from .witt import (
     witt_from_int,
     witt_mul_sym,
 )
-
-DEFAULT_GR_BOUND = 4_000_000
 
 
 def digit_variables(variables, length):
@@ -121,7 +120,7 @@ class GreenbergScheme:
         assignments can be pruned as soon as a visible component fails.
         Returns a sorted list of coordinate tuples (scheme variable order).
         """
-        limit = bound if bound is not None else DEFAULT_GR_BOUND
+        limit = size_limit(bound)
         p = self.p
         L = self.length
         nv = len(self.source.variables)
@@ -180,7 +179,7 @@ def greenberg_transform(X, p, n, length_bound=DEFAULT_LENGTH_BOUND):
     """Expand every generator of X into its n+1 digit components over F_p."""
     length = n + 1
     if length > length_bound:
-        raise ValueError(f"digit length {length} exceeds bound {length_bound}")
+        raise BoundExceeded(f"digit length {length} exceeds bound {length_bound}")
     names = digit_variables(X.variables, length)
     per_gen = [expand_poly(f, p, length, names) for f in X.generators]
     flat = tuple(component for comps in per_gen for component in comps)

@@ -72,11 +72,6 @@ def scheme_count_at_level(X, base_spec, n, bound=None):
 # truncation maps
 
 
-def tau(point, p, n):
-    """Digitwise reduction of an integer point to level n."""
-    return tau_point(point, p, n)
-
-
 @dataclass
 class TauImageProfile:
     """Per-level certificate bookkeeping for the truncation image."""

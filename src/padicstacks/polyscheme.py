@@ -16,13 +16,10 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-DEFAULT_ENUM_BOUND = 4_000_000
+from .rings import BoundExceeded, size_limit
+
 DEFAULT_SLACK = 2
 DEFAULT_FRONTIER_BOUND = 50_000
-
-
-class BoundExceeded(RuntimeError):
-    """An enumeration would exceed the configured size bound."""
 
 
 class PolyParseError(ValueError):
@@ -480,18 +477,10 @@ def _int_modulus(ring):
     return getattr(ring, "int_modulus", None)
 
 
-def _check_bound(ring, n_vars, bound):
-    total = ring.size**n_vars
-    limit = bound if bound is not None else DEFAULT_ENUM_BOUND
-    if total > limit:
-        raise BoundExceeded(
-            f"enumeration of {total} tuples exceeds bound {limit}"
-        )
-
-
 def enumerate_points(X, ring, bound=None):
     """Yield every point of X over the ring, in lexicographic order."""
-    _check_bound(ring, X.n_vars, bound)
+    total = ring.size**X.n_vars
+    size_limit(bound, total, f"enumeration of {total} tuples")
     m = _int_modulus(ring)
     if m is not None:
         evals = [g.compile_int(m) for g in X.generators]
@@ -633,11 +622,6 @@ class _Lifter:
         return new_frontier
 
 
-def _check_residue_bound(p, n_vars, limit):
-    if p**n_vars > limit:
-        raise BoundExceeded(f"level-0 enumeration exceeds bound {limit}")
-
-
 def enumerate_points_lifted(X, p, n, bound=None):
     """Points of X over Z/p^(n+1) by successive lifting from level 0.
 
@@ -648,8 +632,7 @@ def enumerate_points_lifted(X, p, n, bound=None):
     lexicographically.  Raises BoundExceeded when a level holds more than
     `bound` points.
     """
-    limit = bound if bound is not None else DEFAULT_ENUM_BOUND
-    _check_residue_bound(p, X.n_vars, limit)
+    limit = size_limit(bound, p**X.n_vars, "level-0 enumeration")
     lifter = _Lifter(X.generators, X.n_vars, p)
     frontier = lifter.residue_points()
     for k in range(1, n + 1):
@@ -671,8 +654,7 @@ def count_points_lifted(X, p, n, bound=None):
     nv = X.n_vars
     if not X.generators:
         return p ** ((n + 1) * nv)
-    limit = bound if bound is not None else DEFAULT_ENUM_BOUND
-    _check_residue_bound(p, nv, limit)
+    limit = size_limit(bound, p**nv, "level-0 enumeration")
     lifter = _Lifter(X.generators, nv, p)
     frontier = []
     smooth = 0
@@ -684,8 +666,7 @@ def count_points_lifted(X, p, n, bound=None):
     fiber = p ** (nv - len(X.generators)) if smooth else 0
     for k in range(1, n + 1):
         smooth *= fiber  # level-k points over the smooth residue points
-        if smooth > limit:
-            raise BoundExceeded(f"lift frontier exceeds bound {limit}")
+        size_limit(limit, smooth, "lift frontier")
         frontier = lifter.lift_frontier(frontier, k, limit, smooth)
     return smooth + len(frontier)
 

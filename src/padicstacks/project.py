@@ -322,4 +322,6 @@ def load_project(path):
                 project.defaults[key] = int(defaults[key])
             except ValueError:
                 raise ProjectError(f"[defaults] {key} must be an integer") from None
+    if project.defaults.get("bound", 1) < 1:
+        raise ProjectError("[defaults] bound must be at least 1")
     return project

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-DEFAULT_ENUM_BOUND = 4_000_000
+DEFAULT_BOUND = 4_000_000
 
 
 class NotInvertible(ArithmeticError):
@@ -27,8 +27,18 @@ class RingConstructionError(ValueError):
     """Invalid parameters for a ring or field constructor."""
 
 
-class EnumerationBound(RuntimeError):
-    """Ring too large for exhaustive enumeration."""
+class BoundExceeded(RuntimeError):
+    """An exact computation would exceed its size limit; the message names
+    the limit as "bound <N>"."""
+
+
+def size_limit(bound, size=0, what=""):
+    """The limit in force (`bound`, or DEFAULT_BOUND when it is None);
+    raises BoundExceeded when `size` is over it."""
+    limit = DEFAULT_BOUND if bound is None else bound
+    if size > limit:
+        raise BoundExceeded(f"{what} exceeds bound {limit}")
+    return limit
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +591,7 @@ class LocalRingSpec:
 
     def elements(self, bound=None):
         """Every element exactly once, lexicographic on digit sequences."""
-        limit = bound if bound is not None else DEFAULT_ENUM_BOUND
-        if self.size > limit:
-            raise EnumerationBound(f"ring size {self.size} exceeds bound {limit}")
+        size_limit(bound, self.size, f"ring size {self.size}")
         for digits in itertools.product(self._digit_values(), repeat=self.n + 1):
             yield RingElement(self, digits)
 
@@ -760,14 +768,3 @@ class RingElement:
 
     def __repr__(self):
         return f"RingElement{self.digits}"
-
-
-def arith(x, y, op):
-    """Dispatch helper: op in {'add', 'mul', 'neg'} (neg ignores y)."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    raise ValueError(f"unknown op {op!r}")

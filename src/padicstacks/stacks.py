@@ -16,14 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyscheme import (
-    BoundExceeded,
-    DEFAULT_ENUM_BOUND,
-    MultiPoly,
-    count_points,
-    enumerate_points,
-)
-from .rings import FiniteField, LocalRingSpec
+from .polyscheme import MultiPoly, count_points, enumerate_points
+from .rings import FiniteField, LocalRingSpec, size_limit
 
 
 class UnsupportedStack(ValueError):
@@ -215,22 +209,17 @@ class SpecialGroup:
 
     def elements_over(self, ring, bound=None):
         """Enumerate G(R) for orbit computations (small rings only)."""
-        limit = bound if bound is not None else DEFAULT_ENUM_BOUND
         m = getattr(ring, "int_modulus", None)
         if m is None:
             raise UnsupportedStack("group enumeration needs a prime ring")
+        total = m**self.dim
+        size_limit(bound, total, f"group enumeration of {total} tuples")
         p = ring.p
         if self.kind == "Ga":
-            if m > limit:
-                raise BoundExceeded("group too large")
             return [(a,) for a in range(m)]
         if self.kind == "Gm":
-            if m > limit:
-                raise BoundExceeded("group too large")
             return [(a,) for a in range(m) if a % p != 0]
         k = self.k
-        if m ** (k * k) > limit:
-            raise BoundExceeded("group too large")
         out = []
         for entries in itertools.product(range(m), repeat=k * k):
             if _det_int(entries, k, m) % p != 0:
@@ -389,22 +378,24 @@ class QuotientStack:
 # twisted-sector counting for finite constant groups over F_q
 
 
-def twisted_sector_count(action, fld, g, bound=None):
-    """|{x in X(F_(q^d)) : Frob_q(x) = g^(-1) . x}| with d = ord(g)."""
-    group = action.group
-    d = group.element_order(g)
-    ext = FiniteField(fld.p, fld.degree * d)
+def _twisted_points(action, fld, g, ext, bound):
+    """Yield the x in X(ext) with Frob_q(x) = g^(-1) . x, as tuples of
+    ext elements; ext is F_(q^d) with d = ord(g)."""
     q = fld.size
-    ginv = group.inverse[g]
-    count = 0
+    ginv = action.group.inverse[g]
     for x in enumerate_points(action.scheme, ext, bound):
         boxed = tuple(ext.from_int(c) if isinstance(c, int) else c for c in x)
         frob = tuple(c**q for c in boxed)
         if frob == tuple(
             p.eval_elements(boxed, ext.from_int) for p in action.polys[ginv]
         ):
-            count += 1
-    return count
+            yield boxed
+
+
+def twisted_sector_count(action, fld, g, bound=None):
+    """|{x in X(F_(q^d)) : Frob_q(x) = g^(-1) . x}| with d = ord(g)."""
+    ext = FiniteField(fld.p, fld.degree * action.group.element_order(g))
+    return sum(1 for _ in _twisted_points(action, fld, g, ext, bound))
 
 
 def stacky_count_finite(action, fld, bound=None):
@@ -431,18 +422,9 @@ def groupoid_classes_finite(action, fld, bound=None):
         d = group.element_order(g)
         if d not in ext_cache:
             ext_cache[d] = FiniteField(fld.p, fld.degree * d)
-        ext = ext_cache[d]
-        q = fld.size
-        ginv = group.inverse[g]
-        for x in enumerate_points(action.scheme, ext, bound):
-            boxed = tuple(
-                ext.from_int(c) if isinstance(c, int) else c for c in x
-            )
-            frob = tuple(c**q for c in boxed)
-            if frob == tuple(
-                p.eval_elements(boxed, ext.from_int) for p in action.polys[ginv]
-            ):
-                objects.append((g, boxed))
+        objects.extend(
+            (g, x) for x in _twisted_points(action, fld, g, ext_cache[d], bound)
+        )
 
     def act(h, obj):
         g, x = obj

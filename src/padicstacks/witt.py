@@ -12,6 +12,7 @@ structure polynomials).
 from __future__ import annotations
 
 from .polyscheme import MultiPoly
+from .rings import BoundExceeded, is_prime
 
 DEFAULT_LENGTH_BOUND = 5
 
@@ -179,12 +180,16 @@ _structure_cache = {}
 def structure_polynomials(p, length, bound=DEFAULT_LENGTH_BOUND):
     """Structure polynomials for (p, length), computed once and cached.
 
-    The cache is write-once/read-many; results are safe to share.
+    The cache is write-once/read-many; results are safe to share.  Raises
+    BoundExceeded when length is over `bound` and ValueError for a
+    non-prime p.
     """
     if length > bound:
-        raise ValueError(f"length {length} exceeds bound {bound}")
+        raise BoundExceeded(f"length {length} exceeds bound {bound}")
     key = (p, length)
     if key not in _structure_cache:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         _structure_cache[key] = StructurePolys(p, length)
     return _structure_cache[key]
 

@@ -2,7 +2,9 @@
 line with its headline numbers.  Runtime budgets are asserted where the
 criterion states one."""
 
+import hashlib
 import itertools
+import json
 import pathlib
 import random
 import time
@@ -45,6 +47,7 @@ from padicstacks.witt import (
 )
 
 DEMO = str(pathlib.Path(__file__).parent / "data" / "demo.project")
+DIGESTS = pathlib.Path(__file__).parent / "data" / "cli_digests.json"
 
 A1 = AffineScheme.affine_space("A1", ("x",))
 A2 = AffineScheme.affine_space("A2", ("x", "y"))
@@ -347,8 +350,14 @@ def test_criterion_7_definable_specialization():
 
 
 def test_criterion_8_determinism(capsys):
+    # exit codes and stdout digests pinned in tests/data/cli_digests.json,
+    # keyed by the argv with the demo project path written "demo.project"
+    pinned = json.loads(DIGESTS.read_text())
     commands = [
         ["count", "--project", DEMO, "--target", "X_conic", "--ring", "p5n0"],
+        ["count", "--project", DEMO, "--target", "X_conic", "--ring", "ram3"],
+        ["count", "--project", DEMO, "--target", "X_conic", "--ring", "p5n3",
+         "--bound", "100"],
         ["series", "--project", DEMO, "--target", "A1", "--ring", "p3n0",
          "--terms", "8", "--fit"],
         ["series", "--project", DEMO, "--target", "BGm", "--ring", "p5n0",
@@ -366,18 +375,22 @@ def test_criterion_8_determinism(capsys):
         ["specialize", "--project", DEMO, "--formula", "xy_t", "--primes", "3,5",
          "--expect", "2*(1-1/q)", "--max-level", "3"],
     ]
+    assert len(pinned) == len(commands)
     first_pass = []
     for argv in commands:
         code = cli_main(list(argv))
         out = capsys.readouterr().out
-        assert code == 0, argv
-        first_pass.append(out)
+        key = " ".join("demo.project" if a == DEMO else a for a in argv)
+        assert code == pinned[key]["exit"], argv
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == pinned[key]["stdout_sha256"], f"report drift for {argv}"
+        first_pass.append((code, out))
     for argv, expected in zip(commands, first_pass):
         code = cli_main(list(argv))
         out = capsys.readouterr().out
-        assert code == 0
-        assert out == expected, f"report drift for {argv}"
+        assert (code, out) == expected, f"report drift for {argv}"
     print(
         f"ACCEPTANCE 8 determinism: PASS "
-        f"({len(commands)} commands, byte-identical reports on repeat runs)"
+        f"({len(commands)} commands, exit codes and reports match the pinned "
+        f"digests and repeat byte for byte)"
     )

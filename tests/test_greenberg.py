@@ -11,6 +11,7 @@ from padicstacks.polyscheme import (
     AffineScheme,
     parse_poly,
 )
+from padicstacks.rings import BoundExceeded
 
 
 def brute_count_mod(X, m):
@@ -172,5 +173,13 @@ def test_emit_equations_deterministic():
 
 def test_level_bound():
     A1 = AffineScheme.affine_space("A1", ("x",))
-    with pytest.raises(ValueError):
+    with pytest.raises(BoundExceeded, match="bound 5$"):
         greenberg_transform(A1, 2, 9)
+
+
+def test_digit_frontier_bound():
+    # the level-0 digit frontier of A2 over F_3 holds 9 points
+    G = greenberg_transform(AffineScheme.affine_space("A2", ("x", "y")), 3, 0)
+    assert G.count_points(bound=9) == 9
+    with pytest.raises(BoundExceeded, match="digit frontier exceeds bound 8$"):
+        G.count_points(bound=8)

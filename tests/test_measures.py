@@ -12,11 +12,10 @@ from padicstacks.measures import (
     rational_fit,
     scheme_count_at_level,
     series,
-    tau,
     tau_image_count,
     tau_image_profile,
 )
-from padicstacks.polyscheme import AffineScheme, parse_poly
+from padicstacks.polyscheme import AffineScheme, parse_poly, tau_point
 from padicstacks.rings import make_ring
 from padicstacks.stacks import GroupAction, QuotientStack, SpecialGroup
 
@@ -59,7 +58,7 @@ def brute_tau_image(X, p, n, deep):
 
 
 def test_tau_reduces_digitwise():
-    assert tau((17, 22), 3, 1) == (8, 4)
+    assert tau_point((17, 22), 3, 1) == (8, 4)
 
 
 def test_tau_image_affine_line():

@@ -182,7 +182,7 @@ def test_enumeration_order_deterministic():
 
 def test_bound_exceeded():
     A2 = AffineScheme.affine_space("A2", V2)
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="81 tuples exceeds bound 10$"):
         list(enumerate_points(A2, _PrimeRing(9), bound=10))
 
 

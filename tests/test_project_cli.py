@@ -249,6 +249,55 @@ def test_cli_exit_code_bound(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["witt", "--p", "3", "--length", "7"], 5),
+        (["greenberg", "--project", DEMO, "--target", "X_conic",
+          "--ring", "p3n2", "--level", "9"], 5),
+    ],
+)
+def test_cli_length_limits_exit_3(capsys, argv, bound):
+    assert main(argv) == 3
+    assert f"exceeds bound {bound}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stack-count", "--project", DEMO, "--stack", "BS3", "--field", "q=1"],
+         "1 is not a prime power"),
+        (["stack-count", "--project", DEMO, "--stack", "BS3", "--field", "q=0"],
+         "0 is not a prime power"),
+        (["witt", "--p", "4", "--length", "2"], "4 is not prime"),
+        (["witt", "--p", "1", "--length", "2"], "1 is not prime"),
+        (["specialize", "--project", DEMO, "--formula", "xy_t", "--primes", "3",
+          "--expect", "1/0", "--max-level", "1"], "expression undefined at q=3"),
+    ],
+)
+def test_cli_bad_input_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_bound_below_one_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--project", DEMO, "--target", "X_conic",
+              "--ring", "p5n0", "--bound", value])
+    assert exc.value.code == 2
+    assert "--bound must be at least 1" in capsys.readouterr().err
+
+
+def test_project_bound_below_one_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.project"
+    bad.write_text("[defaults]\nbound = 0\n\n[ring r]\np = 3\n")
+    with pytest.raises(ProjectError, match="bound must be at least 1"):
+        load_project(bad)
+    assert main(["count", "--project", str(bad), "--target", "x",
+                 "--ring", "r"]) == 2
+
+
 def test_cli_strict_partial(capsys):
     code, out = run(
         capsys,

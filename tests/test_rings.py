@@ -2,16 +2,18 @@ import itertools
 
 import pytest
 
+import padicstacks
 from padicstacks.rings import (
+    DEFAULT_BOUND,
     INFINITY,
-    EnumerationBound,
+    BoundExceeded,
     FiniteField,
     NotInvertible,
     RingConstructionError,
-    arith,
     find_irreducible,
     is_prime,
     make_ring,
+    size_limit,
 )
 
 
@@ -66,7 +68,6 @@ def test_find_irreducible_degree2_mod2():
 def test_add_in_z9():
     R = Z9()
     assert R.from_int(5) + R.from_int(7) == R.from_int(3)
-    assert arith(R.from_int(5), R.from_int(7), "add") == R.from_int(3)
 
 
 def test_mul_in_f4():
@@ -208,8 +209,16 @@ def test_enumeration_unique_and_deterministic():
 
 def test_enumeration_bound():
     R = make_ring(2, n=11)
-    with pytest.raises(EnumerationBound):
+    with pytest.raises(BoundExceeded, match="bound 1000"):
         list(R.elements(bound=1000))
+
+
+def test_one_default_bound():
+    # 2^23 elements: over the default bound, refused before any is built
+    assert size_limit(None) == DEFAULT_BOUND == 4_000_000
+    with pytest.raises(BoundExceeded, match="bound 4000000$"):
+        next(make_ring(2, n=22).elements())
+    assert padicstacks.EnumerationBound is padicstacks.BoundExceeded
 
 
 def test_unit_group_size_unramified():

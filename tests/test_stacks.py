@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padicstacks.polyscheme import AffineScheme, MultiPoly, enumerate_points, parse_poly
-from padicstacks.rings import FiniteField, make_ring
+from padicstacks.rings import BoundExceeded, FiniteField, make_ring
 from padicstacks.stacks import (
     FiniteGroupData,
     GroupAction,
@@ -220,6 +220,16 @@ def test_special_group_sizes():
 
 def test_gl2_f3_by_enumeration():
     assert count_invertible_matrices(2, FiniteField(3)) == 48
+
+
+def test_special_group_elements_bound():
+    R = make_ring(5, n=0)
+    assert len(SpecialGroup("GL", 2).elements_over(R, bound=625)) == 480
+    with pytest.raises(BoundExceeded, match="625 tuples exceeds bound 624$"):
+        SpecialGroup("GL", 2).elements_over(R, bound=624)
+    for kind in ("Ga", "Gm"):
+        with pytest.raises(BoundExceeded, match="25 tuples exceeds bound 24$"):
+            SpecialGroup(kind).elements_over(make_ring(5, n=1), bound=24)
 
 
 def test_point_mod_gm():

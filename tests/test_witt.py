@@ -4,6 +4,7 @@ import random
 import pytest
 
 from padicstacks.polyscheme import MultiPoly, parse_poly
+from padicstacks.rings import BoundExceeded
 from padicstacks.witt import (
     WittVector,
     frobenius_modp,
@@ -108,8 +109,14 @@ def test_structure_polys_agree_with_numeric_law():
 
 
 def test_structure_poly_length_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(BoundExceeded, match="bound 5$"):
         structure_polynomials(2, 7)
+
+
+def test_structure_polys_reject_non_prime():
+    for p in (1, 4):
+        with pytest.raises(ValueError, match="not prime"):
+            structure_polynomials(p, 2)
 
 
 # ---------------------------------------------------------------------------
