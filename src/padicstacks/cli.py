@@ -20,6 +20,8 @@ from .definable import (
 )
 from .greenberg import greenberg_transform
 from .measures import (
+    DEFAULT_MAX_LEVEL,
+    DEFAULT_TERMS,
     NORMALIZATION_NOTE,
     FitNotFound,
     padic_measure,
@@ -27,8 +29,13 @@ from .measures import (
     scheme_count_at_level,
     series,
 )
-from .polyscheme import PolyParseError, count_points_lifted, singular_locus
-from .project import ProjectError, load_project
+from .polyscheme import (
+    DEFAULT_SLACK,
+    PolyParseError,
+    count_points_lifted,
+    singular_locus,
+)
+from .project import DEFAULT_MINIMUMS, ProjectError, load_project
 from .rings import BoundExceeded, FiniteField, RingConstructionError, is_prime
 from .stacks import (
     QuotientStack,
@@ -44,6 +51,12 @@ EXIT_OK = 0
 EXIT_PROJECT = 2
 EXIT_BOUND = 3
 EXIT_PARTIAL = 4
+
+# numeric options: the value used when neither the flag nor the project's
+# [defaults] gives one, and the least value accepted
+_FALLBACKS = {"bound": None, "slack": DEFAULT_SLACK,
+              "max_level": DEFAULT_MAX_LEVEL, "terms": DEFAULT_TERMS}
+_MINIMUMS = dict(DEFAULT_MINIMUMS, level=0)
 
 
 def _rat(x):
@@ -119,15 +132,13 @@ def _cmd_count(args, project):
 def _cmd_series(args, project):
     target = project.target(args.target)
     spec = project.ring(args.ring)
-    terms = args.terms or project.defaults.get("terms", 8)
-    slack = args.slack or project.defaults.get("slack", 2)
     kind = {"tilde": "tilde", "p": "p", "q": "q"}[args.kind]
-    tbl = series(target, spec, kind, terms, slack, args.bound)
+    tbl = series(target, spec, kind, args.terms, args.slack, args.bound)
     lines = _header("series")
     lines.append(f"target = {args.target}")
     lines.append(f"ring = {_ring_desc(args.ring, spec)}")
     lines.append(f"kind = {kind}")
-    lines.append(f"terms = {terms}")
+    lines.append(f"terms = {args.terms}")
     lines.append(f"exact = {str(tbl.exact).lower()}")
     for i, c in enumerate(tbl.coefficients):
         lines.append(f"coeff[{i}] = {_rat(c)}")
@@ -160,8 +171,6 @@ def _cmd_series(args, project):
 
 
 def _cmd_measure(args, project):
-    max_level = args.max_level or project.defaults.get("max_level", 6)
-    slack = args.slack or project.defaults.get("slack", 2)
     lines = _header("measure")
     if args.set:
         if args.set in project.formulas:
@@ -184,7 +193,7 @@ def _cmd_measure(args, project):
         lines.append(f"target = {target.name}")
         lines.append(f"ring = {_ring_desc(args.ring, spec)}")
         res = measure_formula(
-            formula, target, dim, spec, max_level, slack, args.bound
+            formula, target, dim, spec, args.max_level, args.slack, args.bound
         )
         for n, lo, up in zip(res.levels, res.lower, res.upper):
             lines.append(f"level[{n}] = {_rat(lo)} .. {_rat(up)}")
@@ -193,7 +202,7 @@ def _cmd_measure(args, project):
         spec = project.ring(args.ring)
         lines.append(f"target = {args.target}")
         lines.append(f"ring = {_ring_desc(args.ring, spec)}")
-        res = padic_measure(target, spec, max_level, args.bound)
+        res = padic_measure(target, spec, args.max_level, args.bound)
         for n, c in zip(res.levels, res.counts):
             lines.append(f"level[{n}] = {_rat(c)}")
     lines.append(f"status = {res.status}")
@@ -287,7 +296,6 @@ def _cmd_specialize(args, project):
     if isinstance(target, QuotientStack):
         raise UnsupportedStack("formula measures need a scheme target")
     primes = tuple(int(p) for p in args.primes.split(","))
-    max_level = args.max_level or project.defaults.get("max_level", 6)
     verdicts = specialize_primes(
         entry.formula,
         target,
@@ -295,7 +303,8 @@ def _cmd_specialize(args, project):
         primes,
         args.expect,
         bad_primes=entry.bad_primes,
-        max_level=max_level,
+        max_level=args.max_level,
+        slack=args.slack,
         bound=args.bound,
     )
     lines = _header("specialize")
@@ -406,14 +415,19 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "bound", None) is not None and args.bound < 1:
-        parser.error(f"--bound must be at least 1, got {args.bound}")
+    for key, least in _MINIMUMS.items():
+        value = getattr(args, key, None)
+        if value is not None and value < least:
+            flag = "--" + key.replace("_", "-")
+            parser.error(f"{flag} must be at least {least}, got {value}")
     try:
         project = None
         if getattr(args, "project", None):
             project = load_project(args.project)
-            if args.bound is None:
-                args.bound = project.defaults.get("bound")
+        defaults = project.defaults if project else {}
+        for key, fallback in _FALLBACKS.items():
+            if getattr(args, key, None) is None:
+                setattr(args, key, defaults.get(key, fallback))
         lines, status = _COMMANDS[args.command](args, project)
     except (ProjectError, FormulaSyntaxError, PolyParseError,
             RingConstructionError) as exc:

@@ -36,6 +36,8 @@ from .polyscheme import (
     LiftAnalyzer,
     LiftStatus,
     MultiPoly,
+    _ExprParser,
+    _PolyParser,
     enumerate_points,
 )
 from .rings import INFINITY, LocalRingSpec
@@ -191,8 +193,8 @@ class ResAtom(Formula):
 #                     | side ('=='|'!=') side
 #           ordrhs   := 'INFINITY' | INT | '-' INT
 #                     | 'ord' '(' poly ')' [('+'|'-') INT]
-#           side     := residue/valuation expression over +,-,*,^ with
-#                       leaves INT, variable, 'ac(poly)', 'red(poly)'
+#           side     := the shared expression grammar (polyscheme) with
+#                       leaves INT, variable, 't', 'ac(poly)', 'red(poly)'
 #
 # a side containing ac/red is residue-sort; otherwise it is a valuation
 # polynomial and the comparison must be an (in)equality against another
@@ -200,62 +202,20 @@ class ResAtom(Formula):
 
 
 _CMP_TOKENS = ("==", "!=", "<=", ">=", "<", ">")
+_FORMULA_SYMBOLS = ("&&", "||", "!", "+", "-", "*", "/", "^", "(", ")") + _CMP_TOKENS
 
 
-def _tokenize_formula(text):
-    tokens = []
-    i = 0
-    two_char = ("&&", "||", "==", "!=", "<=", ">=")
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        pair = text[i : i + 2]
-        if pair in two_char:
-            tokens.append((pair, pair, i))
-            i += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()!<>":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, len(text)))
-    return tokens
+class _FormulaParser(_PolyParser):
+    """Formula grammar on top of the shared expression grammar, whose
+    sides add the leaves ac(poly) and red(poly) and combine by sort."""
 
+    symbols = _FORMULA_SYMBOLS
+    error = FormulaSyntaxError
 
-class _FormulaParser:
     def __init__(self, text, variables):
-        self.tokens = _tokenize_formula(text)
-        self.pos = 0
-        self.variables = tuple(variables)
-        if "t" not in self.variables:
-            self.variables = self.variables + ("t",)
-
-    def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
+        if "t" in variables:
+            raise FormulaSyntaxError("'t' is reserved for the uniformizer")
+        super().__init__(text, tuple(variables) + ("t",))
 
     # -- formula level ------------------------------------------------------
 
@@ -297,13 +257,13 @@ class _FormulaParser:
         kind, value, pos = self.peek()
         if kind == "name" and value == "ord" and self.peek(1)[0] == "(":
             return self.ord_atom()
-        left = self.side()
+        left = self.expr()
         op_kind, op, op_pos = self.take()
         if op_kind not in ("==", "!="):
             raise FormulaSyntaxError(
                 f"only == and != compare non-ord expressions, found {op!r}", op_pos
             )
-        right = self.side()
+        right = self.expr()
         lres = isinstance(left, ResExpr)
         rres = isinstance(right, ResExpr)
         if lres or rres:
@@ -315,9 +275,7 @@ class _FormulaParser:
 
     def ord_atom(self):
         self.take("name")
-        self.take("(")
-        poly = self.poly_expr()
-        self.take(")")
+        poly = self.poly_arg()
         if self.peek()[0] == "name" and self.peek()[1] == "mod":
             self.take()
             kind, modulus, pos = self.take("int")
@@ -341,9 +299,7 @@ class _FormulaParser:
             return ("inf",)
         if kind == "name" and value == "ord":
             self.take()
-            self.take("(")
-            poly = self.poly_expr()
-            self.take(")")
+            poly = self.poly_arg()
             offset = 0
             if self.peek()[0] in ("+", "-"):
                 sign = 1 if self.take()[0] == "+" else -1
@@ -363,66 +319,35 @@ class _FormulaParser:
 
     # -- sides ------------------------------------------------------------
 
-    def poly_expr(self):
-        """A pure valuation-sort polynomial (no ac/red)."""
-        side = self.side()
-        if isinstance(side, ResExpr):
+    def poly_arg(self):
+        """'(' poly ')': the valuation-sort argument of ord, ac and red."""
+        self.take("(")
+        poly = self.expr()
+        if isinstance(poly, ResExpr):
             raise FormulaSyntaxError("residue-sort value where a polynomial is needed")
-        return side
+        self.take(")")
+        return poly
 
-    def side(self):
-        node = self.side_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.side_term()
-            node = _combine(node, rhs, "+" if op == "+" else "-")
-        return node
-
-    def side_term(self):
-        node = self.side_factor()
-        while self.peek()[0] == "*":
+    def leaf(self):
+        kind, value, pos = self.peek()
+        if kind == "name" and value in ("ac", "red") and self.peek(1)[0] == "(":
             self.take()
-            node = _combine(node, self.side_factor(), "*")
-        return node
+            poly = self.poly_arg()
+            return RAc(poly) if value == "ac" else RRed(poly)
+        if kind == "name" and value == "ord":
+            raise FormulaSyntaxError(
+                "ord(...) can only head an atom, not appear inside expressions", pos
+            )
+        return super().leaf()
 
-    def side_factor(self):
-        node = self.side_base()
-        if self.peek()[0] == "^":
-            self.take()
-            kind, k, pos = self.take()
-            if kind != "int" or k < 0:
-                raise FormulaSyntaxError("exponent must be a nonnegative integer", pos)
-            if isinstance(node, ResExpr):
-                return RPow(node, k)
-            return node**k
-        return node
+    def binary(self, op, a, b):
+        return _combine(a, b, op)
 
-    def side_base(self):
-        kind, value, pos = self.take()
-        if kind == "int":
-            return MultiPoly.constant(self.variables, value)
-        if kind == "-":
-            inner = self.side_factor()
-            return RNeg(inner) if isinstance(inner, ResExpr) else -inner
-        if kind == "(":
-            node = self.side()
-            self.take(")")
-            return node
-        if kind == "name":
-            if value in ("ac", "red") and self.peek()[0] == "(":
-                self.take("(")
-                poly = self.poly_expr()
-                self.take(")")
-                return RAc(poly) if value == "ac" else RRed(poly)
-            if value == "ord":
-                raise FormulaSyntaxError(
-                    "ord(...) can only head an atom, not appear inside expressions",
-                    pos,
-                )
-            if value not in self.variables:
-                raise FormulaSyntaxError(f"unbound variable {value!r}", pos)
-            return MultiPoly.variable(self.variables, value)
-        raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
+    def negate(self, a):
+        return RNeg(a) if isinstance(a, ResExpr) else -a
+
+    def power(self, a, k):
+        return RPow(a, k) if isinstance(a, ResExpr) else a**k
 
 
 def _coerce_res(side, pos):
@@ -452,13 +377,9 @@ def _combine(a, b, op):
 
 def parse_formula(text, variables):
     """Parse a quantifier-free condition over the given point variables
-    (plus the uniformizer symbol t)."""
+    (plus the uniformizer symbol t, which no point variable may be named)."""
     parser = _FormulaParser(text, variables)
-    node = parser.formula()
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise FormulaSyntaxError(f"trailing input {value!r}", pos)
-    return node
+    return parser.end(parser.formula())
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +497,6 @@ class _Context:
         if v is INFINITY:
             return (self.n + 1, INFINITY)
         return (v, v)
-
-    def is_zero_visible(self, poly):
-        value = self._value(poly)
-        if self.int_path:
-            return value == 0
-        return value.is_zero()
 
     def ac_value(self, poly):
         """Leading digit as a residue-field element, or None if invisible."""
@@ -743,14 +658,13 @@ class EvalResult:
     undetermined: list
 
 
-def eval_formula(formula, target, spec, tmap=None, bound=None):
+def eval_formula(formula, target, spec, bound=None):
     """Classify every level-n point of the target under the formula.
 
     Pointwise three-valued semantics: atoms whose truth is not determined
     by the visible digits come back undetermined (no lift certificates
     here; see measure_formula for the upgraded counting)."""
-    tmap = tmap or SpecializationMap(spec)
-    ctx = _Context(spec, tmap)
+    ctx = _Context(spec, SpecializationMap(spec))
     ct, cf, ud = [], [], []
     for point in enumerate_points(target, spec, bound):
         ctx.set_point(point)
@@ -845,7 +759,7 @@ class _UpgradeOracle:
 
 
 def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
-                    slack=DEFAULT_SLACK, bound=None, tmap=None):
+                    slack=DEFAULT_SLACK, bound=None):
     """Measure of the subset of target points satisfying the formula,
     normalized as a d-dimensional set.
 
@@ -854,7 +768,7 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     at a common value, on the last three levels."""
     if isinstance(formula, str):
         formula = parse_formula(formula, target.variables)
-    tmap = tmap or SpecializationMap(base_spec)
+    tmap = SpecializationMap(base_spec)
     q = base_spec.p**base_spec.r
     upgrades = (
         _UpgradeOracle(target, tmap, slack)
@@ -871,7 +785,7 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
         for point in enumerate_points(target, spec_n, bound):
             ctx.set_point(point)
             tv = _eval_node(formula, ctx)
-            if tv is TV.UNKNOWN and upgrades is not None and spec_n.int_modulus:
+            if tv is TV.UNKNOWN and upgrades is not None:
                 tv = upgrades.settle(formula, ctx, point, n)
             if tv is TV.TRUE:
                 sure += 1
@@ -894,67 +808,38 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
 # cross-prime comparison
 
 
+class _QParser(_ExprParser):
+    """Leaves: integers and the symbol q; '/' allowed.  Builds a callable
+    Fraction -> Fraction."""
+
+    symbols = _FORMULA_SYMBOLS  # --expect text is tokenized as formula text
+    products = ("*", "/")
+    error = FormulaSyntaxError
+
+    def leaf(self):
+        kind, value, pos = self.take()
+        if kind == "int":
+            return lambda qv, c=Fraction(value): c
+        if kind == "name" and value == "q":
+            return lambda qv: qv
+        raise FormulaSyntaxError(f"unexpected token {value!r}", pos)
+
+    def binary(self, op, a, b):
+        f = super().binary
+        return lambda qv: f(op, a(qv), b(qv))
+
+    def negate(self, a):
+        return lambda qv: -a(qv)
+
+    def power(self, a, k):
+        return lambda qv: a(qv) ** k
+
+
 def parse_q_expression(text):
     """Rational expression in the symbol q: integers, + - * / ^, parens.
     Returns a callable Fraction -> Fraction."""
-    tokens = _tokenize_formula(text)
-
-    def parse(pos):
-        def expr(i):
-            node, i = term(i)
-            while tokens[i][0] in ("+", "-"):
-                op = tokens[i][0]
-                rhs, i = term(i + 1)
-                node = (
-                    (lambda a, b: lambda qv: a(qv) + b(qv))(node, rhs)
-                    if op == "+"
-                    else (lambda a, b: lambda qv: a(qv) - b(qv))(node, rhs)
-                )
-            return node, i
-
-        def term(i):
-            node, i = factor(i)
-            while tokens[i][0] in ("*", "/"):
-                op = tokens[i][0]
-                rhs, i = factor(i + 1)
-                node = (
-                    (lambda a, b: lambda qv: a(qv) * b(qv))(node, rhs)
-                    if op == "*"
-                    else (lambda a, b: lambda qv: a(qv) / b(qv))(node, rhs)
-                )
-            return node, i
-
-        def factor(i):
-            node, i = base(i)
-            if tokens[i][0] == "^":
-                kind, k, p_ = tokens[i + 1]
-                if kind != "int":
-                    raise FormulaSyntaxError("exponent must be an integer", p_)
-                return (lambda a, kk: lambda qv: a(qv) ** kk)(node, k), i + 2
-            return node, i
-
-        def base(i):
-            kind, value, p_ = tokens[i]
-            if kind == "int":
-                return (lambda v: lambda qv: Fraction(v))(value), i + 1
-            if kind == "-":
-                node, i = factor(i + 1)
-                return (lambda a: lambda qv: -a(qv))(node), i
-            if kind == "name" and value == "q":
-                return (lambda qv: qv), i + 1
-            if kind == "(":
-                node, i = expr(i + 1)
-                if tokens[i][0] != ")":
-                    raise FormulaSyntaxError("unbalanced parentheses", tokens[i][2])
-                return node, i + 1
-            raise FormulaSyntaxError(f"unexpected token {value!r}", p_)
-
-        return expr(pos)
-
-    node, i = parse(0)
-    if tokens[i][0] != "end":
-        raise FormulaSyntaxError(f"trailing input {tokens[i][1]!r}", tokens[i][2])
-    return node
+    parser = _QParser(text)
+    return parser.end(parser.expr())
 
 
 @dataclass

@@ -176,7 +176,10 @@ class GreenbergScheme:
 
 
 def greenberg_transform(X, p, n, length_bound=DEFAULT_LENGTH_BOUND):
-    """Expand every generator of X into its n+1 digit components over F_p."""
+    """Expand every generator of X into its n+1 digit components over F_p.
+    Raises ValueError for a negative level n."""
+    if n < 0:
+        raise ValueError(f"level must be at least 0, got {n}")
     length = n + 1
     if length > length_bound:
         raise BoundExceeded(f"digit length {length} exceeds bound {length_bound}")

@@ -35,6 +35,7 @@ from .stacks import QuotientStack, SpecialGroup, UnsupportedStack
 
 STABLE_RUN = 3
 DEFAULT_MAX_LEVEL = 6
+DEFAULT_TERMS = 8
 
 NORMALIZATION_NOTE = (
     "level n = R/(omega^(n+1)); mu_d = lim count(level n)/q^((n+1)d); "
@@ -227,7 +228,7 @@ def _series_tilde(target, base_spec, terms, bound):
 
 def _series_p(target, base_spec, terms, slack, bound):
     X = target.scheme if isinstance(target, QuotientStack) else target
-    if base_spec.int_modulus is None and base_spec.e * base_spec.r > 1:
+    if base_spec.int_modulus is None:
         raise UnsupportedStack(
             "lift-certified series need an unramified prime ring"
         )
@@ -254,8 +255,8 @@ def _series_p(target, base_spec, terms, slack, bound):
     return coeffs, unknown
 
 
-def series(target, base_spec, kind="tilde", terms=8, slack=DEFAULT_SLACK,
-           bound=None):
+def series(target, base_spec, kind="tilde", terms=DEFAULT_TERMS,
+           slack=DEFAULT_SLACK, bound=None):
     """Series table for P-tilde ('tilde'), P ('p') or Q ('q')."""
     name = target.name if hasattr(target, "name") else str(target)
     down = None

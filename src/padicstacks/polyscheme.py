@@ -13,6 +13,7 @@ rings they are tuples of ring elements.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -189,13 +190,6 @@ class MultiPoly:
                 terms[key] = terms.get(key, 0) + coeff * k
         return MultiPoly(self.variables, terms)
 
-    def rename(self, variables):
-        """Same terms over a new variable list of equal length."""
-        variables = tuple(variables)
-        if len(variables) != len(self.variables):
-            raise ValueError("variable count mismatch")
-        return MultiPoly(variables, dict(self.terms))
-
     def extend(self, variables):
         """View this polynomial inside a larger variable list."""
         variables = tuple(variables)
@@ -317,10 +311,22 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# polynomial text syntax: integers, variables, + - * ^, parentheses
+# expression text syntax, shared by polynomials, formula sides and
+# q-expressions:
+#
+#   expr   := term (('+' | '-') term)*
+#   term   := factor ('*' factor)*          ('/' too where a parser allows it)
+#   factor := base ['^' INT]
+#   base   := '-' factor | '(' expr ')' | leaf
+#
+# Each parser supplies its own leaves, and how +, -, *, /, negation and
+# powers combine its values; the default is Python's own operators.
 
+def _tokenize(text, symbols, error):
+    """(kind, value, position) triples ending with ('end', None, len(text)).
 
-def _tokenize_poly(text):
+    Kinds are 'int', 'name' and the one- or two-character symbols listed
+    in `symbols`; any other character raises `error` at its position."""
     tokens = []
     i = 0
     while i < len(text):
@@ -342,85 +348,117 @@ def _tokenize_poly(text):
             tokens.append(("name", text[i:j], i))
             i = j
             continue
-        if ch in "+-*^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
+        symbol = text[i : i + 2] if text[i : i + 2] in symbols else ch
+        if symbol not in symbols:
+            raise error(f"unexpected character {ch!r}", i)
+        tokens.append((symbol, symbol, i))
+        i += len(symbol)
     tokens.append(("end", None, len(text)))
     return tokens
 
 
-class _PolyParser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = tuple(variables)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
 
-    def peek(self):
-        return self.tokens[self.pos]
+
+class _ExprParser:
+    """Recursive descent over the shared grammar.  Subclasses define
+    `leaf()`; they may override `symbols`, `products`, `error` and the
+    combining hooks `binary`, `negate` and `power`."""
+
+    symbols = ("+", "-", "*", "^", "(", ")")
+    products = ("*",)
+    error = PolyParseError
+
+    def __init__(self, text):
+        self.tokens = _tokenize(text, self.symbols, self.error)
+        self.pos = 0
+
+    def peek(self, ahead=0):
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            raise PolyParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         self.pos += 1
         return tok
 
+    def end(self, node):
+        """`node`, after checking that no input is left."""
+        kind, value, pos = self.peek()
+        if kind != "end":
+            raise self.error(f"trailing input {value!r}", pos)
+        return node
+
     def expr(self):
-        if self.peek()[0] == "-":
-            self.take()
-            acc = -self.term()
-        else:
-            acc = self.term()
+        node = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            t = self.term()
-            acc = acc + t if op == "+" else acc - t
-        return acc
+            node = self.binary(op, node, self.term())
+        return node
 
     def term(self):
-        acc = self.factor()
-        while self.peek()[0] == "*":
-            self.take()
-            acc = acc * self.factor()
-        return acc
+        node = self.factor()
+        while self.peek()[0] in self.products:
+            op = self.take()[0]
+            node = self.binary(op, node, self.factor())
+        return node
 
     def factor(self):
-        base = self.atom()
+        node = self.base()
         if self.peek()[0] == "^":
             self.take()
-            kind, value, pos = self.take()
+            kind, k, pos = self.take()
             if kind != "int":
-                raise PolyParseError("exponent must be a nonnegative integer", pos)
-            return base**value
-        return base
+                raise self.error("exponent must be a nonnegative integer", pos)
+            return self.power(node, k)
+        return node
 
-    def atom(self):
+    def base(self):
+        kind = self.peek()[0]
+        if kind == "-":
+            self.take()
+            return self.negate(self.factor())
+        if kind == "(":
+            self.take()
+            node = self.expr()
+            self.take(")")
+            return node
+        return self.leaf()
+
+    def binary(self, op, a, b):
+        return _BINARY[op](a, b)
+
+    def negate(self, a):
+        return -a
+
+    def power(self, a, k):
+        return a**k
+
+
+class _PolyParser(_ExprParser):
+    """Leaves: integers and the given variables, over MultiPoly."""
+
+    def __init__(self, text, variables):
+        super().__init__(text)
+        self.variables = tuple(variables)
+
+    def leaf(self):
         kind, value, pos = self.take()
         if kind == "int":
             return MultiPoly.constant(self.variables, value)
         if kind == "name":
             if value not in self.variables:
-                raise PolyParseError(f"unbound variable {value!r}", pos)
+                raise self.error(f"unbound variable {value!r}", pos)
             return MultiPoly.variable(self.variables, value)
-        if kind == "(":
-            inner = self.expr()
-            self.take(")")
-            return inner
-        if kind == "-":
-            return -self.factor()
-        raise PolyParseError(f"unexpected token {value!r}", pos)
+        raise self.error(f"unexpected token {value!r}", pos)
 
 
 def parse_poly(text, variables):
     """Parse the input-file polynomial syntax over the given variables."""
-    parser = _PolyParser(_tokenize_poly(text), variables)
-    result = parser.expr()
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise PolyParseError(f"trailing input {value!r}", pos)
-    return result
+    parser = _PolyParser(text, variables)
+    return parser.end(parser.expr())
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,10 @@ from .stacks import (
 )
 
 
+# the [defaults] keys and the least value each accepts
+DEFAULT_MINIMUMS = {"bound": 1, "slack": 0, "max_level": 0, "terms": 1}
+
+
 class ProjectError(ValueError):
     """Unresolvable reference or malformed section in a project file."""
 
@@ -316,12 +320,12 @@ def load_project(path):
         project.formulas[name] = _load_formula(
             name, raw, project.schemes, project.stacks
         )
-    for key in ("bound", "slack", "max_level", "terms"):
+    for key, least in DEFAULT_MINIMUMS.items():
         if key in defaults:
             try:
                 project.defaults[key] = int(defaults[key])
             except ValueError:
                 raise ProjectError(f"[defaults] {key} must be an integer") from None
-    if project.defaults.get("bound", 1) < 1:
-        raise ProjectError("[defaults] bound must be at least 1")
+            if project.defaults[key] < least:
+                raise ProjectError(f"[defaults] {key} must be at least {least}")
     return project

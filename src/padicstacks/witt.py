@@ -26,7 +26,8 @@ class ExactDivisionError(ArithmeticError):
 
 
 def ghost_components(coords, p):
-    """w_i = sum_(j<=i) p^j * x_j^(p^(i-j)), for integer coordinates."""
+    """w_i = sum_(j<=i) p^j * x_j^(p^(i-j)), for integer or MultiPoly
+    coordinates."""
     out = []
     for i in range(len(coords)):
         acc = 0
@@ -150,8 +151,8 @@ class StructurePolys:
         self.variables = names
         xs = [MultiPoly.variable(names, f"x_{i}") for i in range(length)]
         ys = [MultiPoly.variable(names, f"y_{i}") for i in range(length)]
-        gx = self._ghost_sym(xs, p)
-        gy = self._ghost_sym(ys, p)
+        gx = ghost_components(xs, p)
+        gy = ghost_components(ys, p)
         self.add_int = _ghost_solve(
             [a + b for a, b in zip(gx, gy)], p, _exact_div_poly
         )
@@ -163,16 +164,6 @@ class StructurePolys:
         self.mul_modp = tuple(s.reduce_coeffs(p) for s in self.mul_int)
         self.neg_modp = tuple(s.reduce_coeffs(p) for s in self.neg_int)
 
-    @staticmethod
-    def _ghost_sym(coords, p):
-        out = []
-        for i in range(len(coords)):
-            acc = MultiPoly(coords[0].variables)
-            for j in range(i + 1):
-                acc = acc + coords[j] ** (p ** (i - j)) * p**j
-            out.append(acc)
-        return out
-
 
 _structure_cache = {}
 
@@ -182,8 +173,10 @@ def structure_polynomials(p, length, bound=DEFAULT_LENGTH_BOUND):
 
     The cache is write-once/read-many; results are safe to share.  Raises
     BoundExceeded when length is over `bound` and ValueError for a
-    non-prime p.
+    length below 1 or a non-prime p.
     """
+    if length < 1:
+        raise ValueError(f"Witt length must be at least 1, got {length}")
     if length > bound:
         raise BoundExceeded(f"length {length} exceeds bound {bound}")
     key = (p, length)

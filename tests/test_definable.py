@@ -75,6 +75,14 @@ def test_parse_errors():
         parse_formula("ord(x) == 1 &&", ("x",))
 
 
+def test_target_variable_t_is_rejected():
+    # t names the uniformizer; a point coordinate called t used to be read
+    # as p by ord(...), so ord(t) >= 1 came out true at all 9 points of
+    # A^2(Z/3) instead of at the 3 with t = 0
+    with pytest.raises(FormulaSyntaxError, match="'t' is reserved for the uniformizer"):
+        parse_formula("ord(t) >= 1", ("x", "t"))
+
+
 def test_parse_negation_and_parens():
     f = parse_formula("!(ord(x) >= 1) || ac(x) == 2", ("x",))
     assert isinstance(f.left, Not)
@@ -272,6 +280,7 @@ def test_q_expression_parser():
     assert parse_q_expression("1/q^2")(Fraction(3)) == Fraction(1, 9)
     with pytest.raises(FormulaSyntaxError):
         parse_q_expression("q +")
+
 
 
 def test_specialize_ord_ge_one():

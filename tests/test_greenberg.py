@@ -177,6 +177,12 @@ def test_level_bound():
         greenberg_transform(A1, 2, 9)
 
 
+def test_negative_level_rejected():
+    A1 = AffineScheme.affine_space("A1", ("x",))
+    with pytest.raises(ValueError, match="level must be at least 0, got -1$"):
+        greenberg_transform(A1, 3, -1)
+
+
 def test_digit_frontier_bound():
     # the level-0 digit frontier of A2 over F_3 holds 9 points
     G = greenberg_transform(AffineScheme.affine_space("A2", ("x", "y")), 3, 0)

@@ -298,6 +298,95 @@ def test_project_bound_below_one_rejected(tmp_path, capsys):
                  "--ring", "r"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value, least",
+    [
+        (["series", "--project", DEMO, "--target", "A1", "--ring", "p3n0"],
+         "--terms", "0", 1),
+        (["series", "--project", DEMO, "--target", "A1", "--ring", "p3n0"],
+         "--terms", "-3", 1),
+        (["series", "--project", DEMO, "--target", "A1", "--ring", "p3n0",
+          "--kind", "p"], "--slack", "-1", 0),
+        (["measure", "--project", DEMO, "--target", "xy3", "--ring", "p3n0"],
+         "--max-level", "-1", 0),
+        (["greenberg", "--project", DEMO, "--target", "X_conic", "--ring", "p3n2"],
+         "--level", "-1", 0),
+    ],
+)
+def test_cli_numeric_option_below_minimum_is_a_usage_error(
+        capsys, argv, flag, value, least):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"{flag} must be at least {least}, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["0", "-2"])
+def test_cli_witt_length_below_one_exits_2(capsys, length):
+    assert main(["witt", "--p", "3", "--length", length]) == 2
+    assert capsys.readouterr().err == (
+        f"error: Witt length must be at least 1, got {length}\n")
+
+
+def test_cli_zero_is_a_value_not_a_fallback(capsys):
+    # --max-level 0 measures level 0 only; it used to fall back to the
+    # project's max_level = 4
+    code, out = run(capsys, "measure", "--project", DEMO, "--target", "A1",
+                    "--ring", "p3n0", "--max-level", "0")
+    assert code == 0
+    assert "level[0]" in out and "level[1]" not in out
+
+
+@pytest.mark.parametrize("key, value, least",
+                         [("slack", -1, 0), ("max_level", -1, 0), ("terms", 0, 1)])
+def test_project_defaults_below_minimum_rejected(tmp_path, key, value, least):
+    bad = tmp_path / "bad.project"
+    bad.write_text(f"[defaults]\n{key} = {value}\n\n[ring r]\np = 3\n")
+    with pytest.raises(ProjectError, match=f"{key} must be at least {least}$"):
+        load_project(bad)
+    assert main(["count", "--project", str(bad), "--target", "x",
+                 "--ring", "r"]) == 2
+
+
+def test_numeric_options_resolve_flag_then_defaults_then_library(
+        tmp_path, capsys, monkeypatch):
+    import padicstacks.cli as cli
+
+    seen = {}
+
+    def fake_specialize(*args, **kwargs):
+        seen.update(kwargs)
+        return []
+
+    monkeypatch.setattr(cli, "specialize_primes", fake_specialize)
+    proj = tmp_path / "slack3.project"
+    proj.write_text(pathlib.Path(DEMO).read_text().replace("slack = 2", "slack = 3"))
+    argv = ["specialize", "--project", str(proj), "--formula", "xy_t",
+            "--primes", "3", "--expect", "1"]
+    assert main(argv) == 0
+    assert (seen["slack"], seen["max_level"]) == (3, 4)
+    assert main(argv + ["--max-level", "0"]) == 0
+    assert seen["max_level"] == 0
+    # no [defaults] at all: the library constants
+    bare = tmp_path / "bare.project"
+    bare.write_text("[ring p3n0]\np = 3\n\n[scheme A1]\nvars = x\n")
+    code, out = run(capsys, "series", "--project", str(bare), "--target", "A1",
+                    "--ring", "p3n0")
+    assert code == 0
+    assert "terms = 8\n" in out and "coeff[7]" in out and "coeff[8]" not in out
+
+
+def test_target_variable_t_rejected_at_load(tmp_path, capsys):
+    bad = tmp_path / "bad.project"
+    bad.write_text("[ring r]\np = 3\n\n[scheme Axt]\nvars = x, t\n\n"
+                   "[formula f]\ntarget = Axt\ntext = ord(t) >= 1\n")
+    with pytest.raises(ProjectError, match="reserved for the uniformizer"):
+        load_project(bad)
+    assert main(["measure", "--project", str(bad), "--ring", "r",
+                 "--set", "f"]) == 2
+    assert "reserved for the uniformizer" in capsys.readouterr().err
+
+
 def test_cli_strict_partial(capsys):
     code, out = run(
         capsys,

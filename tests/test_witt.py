@@ -113,6 +113,12 @@ def test_structure_poly_length_bound():
         structure_polynomials(2, 7)
 
 
+@pytest.mark.parametrize("length", [0, -2])
+def test_structure_poly_length_below_one(length):
+    with pytest.raises(ValueError, match=f"at least 1, got {length}$"):
+        structure_polynomials(3, length)
+
+
 def test_structure_polys_reject_non_prime():
     for p in (1, 4):
         with pytest.raises(ValueError, match="not prime"):
