@@ -24,7 +24,6 @@ from .measures import (
     padic_measure,
     q_coefficient_check,
     rational_fit,
-    ring_at_level,
     series,
     tau_image_count,
     tau_image_profile,

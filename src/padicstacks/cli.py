@@ -56,7 +56,7 @@ EXIT_PARTIAL = 4
 # [defaults] gives one, and the least value accepted
 _FALLBACKS = {"bound": None, "slack": DEFAULT_SLACK,
               "max_level": DEFAULT_MAX_LEVEL, "terms": DEFAULT_TERMS}
-_MINIMUMS = dict(DEFAULT_MINIMUMS, level=0)
+_MINIMUMS = dict(DEFAULT_MINIMUMS, level=0, dim=0)
 
 
 def _rat(x):
@@ -132,12 +132,11 @@ def _cmd_count(args, project):
 def _cmd_series(args, project):
     target = project.target(args.target)
     spec = project.ring(args.ring)
-    kind = {"tilde": "tilde", "p": "p", "q": "q"}[args.kind]
-    tbl = series(target, spec, kind, args.terms, args.slack, args.bound)
+    tbl = series(target, spec, args.kind, args.terms, args.slack, args.bound)
     lines = _header("series")
     lines.append(f"target = {args.target}")
     lines.append(f"ring = {_ring_desc(args.ring, spec)}")
-    lines.append(f"kind = {kind}")
+    lines.append(f"kind = {args.kind}")
     lines.append(f"terms = {args.terms}")
     lines.append(f"exact = {str(tbl.exact).lower()}")
     for i, c in enumerate(tbl.coefficients):

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .measures import (
-    DEFAULT_MAX_LEVEL,
-    MeasureResult,
-    STABLE_RUN,
-    _stabilize,
-    ring_at_level,
-)
+from .measures import DEFAULT_MAX_LEVEL, MeasureResult, STABLE_RUN, _stabilize
 from .polyscheme import (
     DEFAULT_SLACK,
     LiftAnalyzer,
@@ -40,7 +34,7 @@ from .polyscheme import (
     _PolyParser,
     enumerate_points,
 )
-from .rings import INFINITY, LocalRingSpec
+from .rings import INFINITY, LocalRingSpec, is_prime, p_valuation
 
 
 class FormulaSyntaxError(ValueError):
@@ -341,13 +335,15 @@ class _FormulaParser(_PolyParser):
         return super().leaf()
 
     def binary(self, op, a, b):
-        return _combine(a, b, op)
+        if isinstance(a, ResExpr) or isinstance(b, ResExpr):
+            return _combine(a, b, op)
+        return super().binary(op, a, b)
 
     def negate(self, a):
         return RNeg(a) if isinstance(a, ResExpr) else -a
 
     def power(self, a, k):
-        return RPow(a, k) if isinstance(a, ResExpr) else a**k
+        return RPow(a, k) if isinstance(a, ResExpr) else super().power(a, k)
 
 
 def _coerce_res(side, pos):
@@ -363,11 +359,9 @@ def _coerce_res(side, pos):
 
 
 def _combine(a, b, op):
-    ares, bres = isinstance(a, ResExpr), isinstance(b, ResExpr)
-    if not ares and not bres:
-        return {"+": a + b, "-": a - b, "*": a * b}[op]
-    a = a if ares else _coerce_res(a, None)
-    b = b if bres else _coerce_res(b, None)
+    """Residue-sort a op b, where at least one side is residue-sort."""
+    a = _coerce_res(a, None)
+    b = _coerce_res(b, None)
     if op == "+":
         return RAdd(a, b)
     if op == "-":
@@ -399,23 +393,13 @@ class SpecializationMap:
     def prime(self):
         return self.base_spec.p
 
-    def t_int(self):
-        if self.base_spec.e != 1:
-            raise ValueError("integer uniformizer only in the unramified case")
-        return self.base_spec.p
-
-    def t_element(self, spec_n):
-        if spec_n.e == 1:
-            return spec_n.from_int(spec_n.p)
-        return spec_n.uniformizer()
-
     def fold_poly(self, poly, target_vars):
-        """Substitute the integer uniformizer for t (unramified case),
+        """Substitute the integer uniformizer p for t (unramified case),
         producing an integer polynomial over the target variables."""
         mapping = {
             v: MultiPoly.variable(target_vars, v) for v in poly.variables if v != "t"
         }
-        mapping["t"] = MultiPoly.constant(target_vars, self.t_int())
+        mapping["t"] = MultiPoly.constant(target_vars, self.prime)
         return poly.substitute(mapping)
 
 
@@ -425,38 +409,30 @@ class SpecializationMap:
 
 class _Context:
     """Per-point atom evaluation over a level-n ring, caching compiled
-    polynomial evaluators across points."""
+    polynomial evaluators across points and values within a point.  Point
+    coordinates are read only through the ring."""
 
-    def __init__(self, spec, tmap):
+    def __init__(self, spec):
         self.spec = spec
         self.n = spec.n
-        self.p = spec.p
         self.field = spec.residue_field
-        self.int_path = spec.int_modulus is not None
-        self.tmap = tmap
+        self._t = spec.uniformizer_coordinate()
         self._compiled = {}
-        self._point = None
+        self._args = None
         self._values = {}
 
     def set_point(self, point):
-        self._point = point
+        self._args = point + (self._t,)
         self._values = {}
 
     def _value(self, poly):
         key = id(poly)
         if key in self._values:
             return self._values[key]
-        if self.int_path:
-            ev = self._compiled.get(key)
-            if ev is None:
-                ev = poly.compile_int(self.spec.int_modulus)
-                self._compiled[key] = ev
-            out = ev(self._point + (self.tmap.t_int() % self.spec.int_modulus,))
-        else:
-            out = poly.eval_elements(
-                self._point + (self.tmap.t_element(self.spec),), self.spec.from_int
-            )
-        self._values[key] = out
+        ev = self._compiled.get(key)
+        if ev is None:
+            ev = self._compiled[key] = self.spec.compile(poly)
+        out = self._values[key] = ev(self._args)
         return out
 
     def _exact_int_value(self, poly):
@@ -470,30 +446,16 @@ class _Context:
         for expo, coeff in poly.terms.items():
             if any(e for k, e in enumerate(expo) if k != t_idx):
                 return None
-            g += coeff * self.tmap.prime ** expo[t_idx]
+            g += coeff * self.spec.p ** expo[t_idx]
         return g
 
     def ord_interval(self, poly):
         """(lo, hi) for the true valuation; hi may be INFINITY."""
         g = self._exact_int_value(poly)
         if g is not None:
-            if g == 0:
-                return (INFINITY, INFINITY)
-            v = 0
-            while g % self.p == 0:
-                g //= self.p
-                v += 1
+            v = p_valuation(g, self.spec.p)
             return (v, v)
-        value = self._value(poly)
-        if self.int_path:
-            if value == 0:
-                return (self.n + 1, INFINITY)
-            v = 0
-            while value % self.p == 0:
-                value //= self.p
-                v += 1
-            return (v, v)
-        v = value.ord()
+        v = self.spec.valuation(self._value(poly))
         if v is INFINITY:
             return (self.n + 1, INFINITY)
         return (v, v)
@@ -503,21 +465,12 @@ class _Context:
         if poly.is_zero():
             return self.field.zero()
         value = self._value(poly)
-        if self.int_path:
-            if value == 0:
-                return None
-            while value % self.p == 0:
-                value //= self.p
-            return self.field.from_int(value)
-        if value.is_zero():
+        if not value:
             return None
-        return value.ac()
+        return self.spec.ac(value)
 
     def red_value(self, poly):
-        value = self._value(poly)
-        if self.int_path:
-            return self.field.from_int(value % self.p)
-        return value.residue()
+        return self.spec.residue(self._value(poly))
 
 
 def _cmp_intervals(lhs, op, rhs):
@@ -664,7 +617,7 @@ def eval_formula(formula, target, spec, bound=None):
     Pointwise three-valued semantics: atoms whose truth is not determined
     by the visible digits come back undetermined (no lift certificates
     here; see measure_formula for the upgraded counting)."""
-    ctx = _Context(spec, SpecializationMap(spec))
+    ctx = _Context(spec)
     ct, cf, ud = [], [], []
     for point in enumerate_points(target, spec, bound):
         ctx.set_point(point)
@@ -766,20 +719,21 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     Per level the count is sandwiched between the certainly-included and
     possibly-included points; STABILIZED requires the two bounds to agree,
     at a common value, on the last three levels."""
+    if d < 0:
+        raise ValueError(f"dimension must be at least 0, got {d}")
     if isinstance(formula, str):
         formula = parse_formula(formula, target.variables)
-    tmap = SpecializationMap(base_spec)
     q = base_spec.p**base_spec.r
     upgrades = (
-        _UpgradeOracle(target, tmap, slack)
+        _UpgradeOracle(target, SpecializationMap(base_spec), slack)
         if base_spec.int_modulus is not None
         else None
     )
     levels = list(range(max_level + 1))
     lower, upper = [], []
     for n in levels:
-        spec_n = ring_at_level(base_spec, n)
-        ctx = _Context(spec_n, tmap)
+        spec_n = base_spec.at_level(n)
+        ctx = _Context(spec_n)
         sure = 0
         open_count = 0
         for point in enumerate_points(target, spec_n, bound):
@@ -857,6 +811,9 @@ def specialize_primes(formula, target, d, primes, expression,
     each against a single rational expression in q (at q = p).
 
     PARTIAL measures propagate as INCONCLUSIVE, never as a match."""
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
     expect = (
         parse_q_expression(expression) if isinstance(expression, str) else expression
     )

@@ -30,7 +30,6 @@ from .polyscheme import (
     singular_locus,
     tau_point,
 )
-from .rings import LocalRingSpec, make_ring
 from .stacks import QuotientStack, SpecialGroup, UnsupportedStack
 
 STABLE_RUN = 3
@@ -49,21 +48,9 @@ class FitNotFound(ValueError):
     """No linear recurrence of admissible order matches the coefficients."""
 
 
-def ring_at_level(base_spec, n):
-    """Same ring family as base_spec, truncated at level n."""
-    return make_ring(
-        base_spec.p,
-        base_spec.e,
-        base_spec.eisenstein,
-        n,
-        base_spec.r,
-        base_spec.residue_field.modulus,
-    )
-
-
 def scheme_count_at_level(X, base_spec, n, bound=None):
     """|X(R_n)| in the family of base_spec."""
-    spec_n = ring_at_level(base_spec, n)
+    spec_n = base_spec.at_level(n)
     if spec_n.int_modulus is not None:
         return count_points_lifted(X, spec_n.p, n, bound)
     return count_points(X, spec_n, bound)
@@ -212,7 +199,7 @@ class SeriesTable:
 
 def _weighted(count, target, base_spec, n):
     if isinstance(target, QuotientStack):
-        return Fraction(count, target.group.size_over(ring_at_level(base_spec, n)))
+        return Fraction(count, target.group.size_over(base_spec.at_level(n)))
     return Fraction(count)
 
 
@@ -233,7 +220,6 @@ def _series_p(target, base_spec, terms, slack, bound):
             "lift-certified series need an unramified prime ring"
         )
     p = base_spec.p
-    analyzer = lift_analyzer_for_scheme(X, p)
     coeffs = []
     unknown = []
     # coefficient 0: nonemptiness of the Z_p-point set, probed at level 0
@@ -249,7 +235,7 @@ def _series_p(target, base_spec, terms, slack, bound):
         unknown.append(Fraction(1))
     for m in range(1, terms):
         n = m - 1
-        prof = tau_image_profile(X, p, n, slack, bound)
+        prof = prof0 if n == 0 else tau_image_profile(X, p, n, slack, bound)
         coeffs.append(_weighted(prof.certified, target, base_spec, n))
         unknown.append(_weighted(prof.unknown, target, base_spec, n))
     return coeffs, unknown

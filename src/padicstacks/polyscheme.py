@@ -5,9 +5,11 @@ Polynomials keep integer coefficients; reduction into the working ring
 happens at evaluation time, so one scheme definition serves every prime
 and every truncation level.
 
-Points over an unramified prime ring Z/p^(n+1) are represented as plain
-integers in 0..p^(n+1)-1 (tuples thereof); over ramified or extension
-rings they are tuples of ring elements.
+The ring decides how a point coordinate is stored (`coordinates()` and
+`compile(poly)` in rings.py): points over Z/p^(n+1) are tuples of plain
+integers in 0..p^(n+1)-1; over ramified and Galois rings they are tuples
+of RingElements, and over every finite field, prime fields included,
+tuples of FFElements.
 """
 
 from __future__ import annotations
@@ -454,6 +456,24 @@ class _PolyParser(_ExprParser):
             return MultiPoly.variable(self.variables, value)
         raise self.error(f"unexpected token {value!r}", pos)
 
+    def binary(self, op, a, b):
+        if op != "*":
+            return super().binary(op, a, b)
+        # a short text can ask for a huge product: refuse it before it is built
+        size = len(a.terms) * len(b.terms)
+        size_limit(None, size, f"product of {len(a.terms)} by {len(b.terms)} terms")
+        return a * b
+
+    def power(self, a, k):
+        result = MultiPoly.constant(self.variables, 1)
+        while k:
+            if k & 1:
+                result = self.binary("*", result, a)
+            k >>= 1
+            if k:
+                a = self.binary("*", a, a)
+        return result
+
 
 def parse_poly(text, variables):
     """Parse the input-file polynomial syntax over the given variables."""
@@ -505,36 +525,23 @@ class AffineScheme:
 # ---------------------------------------------------------------------------
 # enumeration over finite rings
 #
-# A "ring" argument is any object with .size, .elements(), .from_int(c) and,
-# where applicable, .int_modulus (set to p^(n+1) for unramified prime rings,
-# p for prime fields, None otherwise).  The int fast path keeps points as
-# plain integer tuples.
-
-
-def _int_modulus(ring):
-    return getattr(ring, "int_modulus", None)
+# A "ring" argument is a LocalRingSpec or a FiniteField: it has .size, and
+# it owns its point coordinates through .coordinates() and .compile(poly)
+# (see rings.py).
 
 
 def enumerate_points(X, ring, bound=None):
-    """Yield every point of X over the ring, in lexicographic order."""
+    """Yield every point of X over the ring, in lexicographic order of the
+    ring's coordinates."""
     total = ring.size**X.n_vars
     size_limit(bound, total, f"enumeration of {total} tuples")
-    m = _int_modulus(ring)
-    if m is not None:
-        evals = [g.compile_int(m) for g in X.generators]
-        for point in itertools.product(range(m), repeat=X.n_vars):
-            for ev in evals:
-                if ev(point):
-                    break
-            else:
-                yield point
-    else:
-        elements = list(ring.elements())
-        from_int = ring.from_int
-        zero = from_int(0)
-        for point in itertools.product(elements, repeat=X.n_vars):
-            if all(g.eval_elements(point, from_int) == zero for g in X.generators):
-                yield point
+    evals = [ring.compile(g) for g in X.generators]
+    for point in itertools.product(ring.coordinates(), repeat=X.n_vars):
+        for ev in evals:
+            if ev(point):
+                break
+        else:
+            yield point
 
 
 def count_points(X, ring, bound=None):

@@ -85,6 +85,17 @@ class _InfinityType:
 INFINITY = _InfinityType()
 
 
+def p_valuation(c, p):
+    """Exponent of p in the integer c; INFINITY for c == 0."""
+    if c == 0:
+        return INFINITY
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
 def is_prime(n):
     if n < 2:
         return False
@@ -230,9 +241,18 @@ class FiniteField:
         self.modulus = modulus
         self.size = p**degree
 
-    @property
-    def int_modulus(self):
-        return self.p if self.degree == 1 else None
+    def coordinates(self):
+        """Point coordinates: every FFElement, in elements() order."""
+        return list(self.elements())
+
+    def compile(self, poly):
+        """Evaluator point-tuple -> FFElement for an integer polynomial.  On
+        a prime field it runs compile_int on the elements' integer values
+        instead of FFElement arithmetic."""
+        if self.degree == 1:
+            ev = poly.compile_int(self.p)
+            return lambda point: FFElement(self, (ev([c.coeffs[0] for c in point]),))
+        return lambda point: poly.eval_elements(point, self.from_int)
 
     def element(self, coeffs):
         if isinstance(coeffs, int):
@@ -336,8 +356,12 @@ class FFElement:
         """x -> x^(p^k)."""
         return self ** (self.field.p**k)
 
+    def __bool__(self):
+        """Nonzero test, read as on ints."""
+        return any(self.coeffs)
+
     def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
+        return not self
 
     def to_int(self):
         if self.field.degree != 1:
@@ -399,23 +423,68 @@ class LocalRingSpec:
         self.r = r
         self.residue_field = FiniteField(p, r, residue_modulus)
         self.size = p ** (r * (n + 1))
+        # p^(n+1) when point coordinates are plain ints (Z/p^(n+1)), else None
+        self.int_modulus = p ** (n + 1) if e == 1 and r == 1 else None
         # working precision for the internal free-module representation
         self._big = n + 2
         self._pbig = p**self._big
 
-    @property
-    def int_modulus(self):
-        """p^(n+1) when elements embed as plain integers, else None."""
-        if self.e == 1 and self.r == 1:
-            return self.p ** (self.n + 1)
-        return None
+    def at_level(self, n):
+        """The same ring family truncated at level n (either direction)."""
+        return LocalRingSpec(
+            self.p, self.e, self.eisenstein, n, self.r, self.residue_field.modulus
+        )
 
     def truncated(self, m):
         if m > self.n:
             raise ValueError("can only truncate downward")
-        return LocalRingSpec(
-            self.p, self.e, self.eisenstein, m, self.r, self.residue_field.modulus
-        )
+        return self.at_level(m)
+
+    # -- point coordinates ---------------------------------------------------
+    # How a coordinate is stored is decided here and nowhere else: plain
+    # ints on Z/p^(n+1), RingElements on every other ring.  An evaluator's
+    # value is truthy exactly when it is nonzero, as on ints.
+
+    def coordinates(self):
+        """Point coordinates in enumeration order: the ints 0..p^(n+1)-1 on
+        Z/p^(n+1), else every RingElement in elements() order."""
+        if self.int_modulus is not None:
+            return range(self.int_modulus)
+        return list(self.elements())
+
+    def compile(self, poly):
+        """Evaluator point-tuple -> coordinate value for an integer
+        polynomial, compiled once for this ring."""
+        if self.int_modulus is not None:
+            return poly.compile_int(self.int_modulus)
+        return lambda point: poly.eval_elements(point, self.from_int)
+
+    def uniformizer_coordinate(self):
+        """The uniformizer as a coordinate value."""
+        if self.int_modulus is not None:
+            return self.p % self.int_modulus
+        return self.uniformizer()
+
+    def valuation(self, c):
+        """ord of a coordinate value; INFINITY at zero."""
+        if self.int_modulus is None:
+            return c.ord()
+        return p_valuation(c, self.p)
+
+    def ac(self, c):
+        """Angular component of a coordinate value (its leading digit) as a
+        residue-field element, with ac(0) = 0."""
+        if self.int_modulus is None:
+            return c.ac()
+        while c and c % self.p == 0:
+            c //= self.p
+        return self.residue_field.from_int(c)
+
+    def residue(self, c):
+        """Image of a coordinate value in the residue field."""
+        if self.int_modulus is None:
+            return c.residue()
+        return self.residue_field.from_int(c)
 
     # -- digit plumbing ------------------------------------------------------
 
@@ -454,23 +523,9 @@ class LocalRingSpec:
         return tuple(x * c % m for x in a)
 
     def _base_mul(self, a, b):
-        m = self._pbig
-        r = self.r
-        if r == 1:
-            return (a[0] * b[0] % m,)
-        prod = [0] * (2 * r - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % m
-        f = self.residue_field.modulus
-        for k in range(2 * r - 2, r - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(r):
-                    prod[k - r + j] = (prod[k - r + j] - c * f[j]) % m
-        return tuple(prod[:r])
+        if self.r == 1:
+            return (a[0] * b[0] % self._pbig,)
+        return _poly_mulmod(a, b, self.residue_field.modulus, self._pbig)
 
     def _vec_zero(self):
         return ((0,) * self.r,) * self.e
@@ -694,8 +749,13 @@ class RingElement:
             k >>= 1
         return result
 
+    def __bool__(self):
+        """Nonzero test, read as on ints."""
+        zero = self.spec._digit_zero()
+        return any(d != zero for d in self.digits)
+
     def is_zero(self):
-        return all(d == self.spec._digit_zero() for d in self.digits)
+        return not self
 
     def ord(self):
         """Index of the first nonzero digit; INFINITY for zero."""

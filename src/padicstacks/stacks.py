@@ -208,8 +208,9 @@ class SpecialGroup:
         return q ** (n * k * k) * gl_q
 
     def elements_over(self, ring, bound=None):
-        """Enumerate G(R) for orbit computations (small rings only)."""
-        m = getattr(ring, "int_modulus", None)
+        """Enumerate G(R) over R = Z/p^(n+1) for orbit computations (small
+        rings only)."""
+        m = ring.int_modulus
         if m is None:
             raise UnsupportedStack("group enumeration needs a prime ring")
         total = m**self.dim
@@ -321,9 +322,7 @@ class GroupAction:
     # -- applying the action --------------------------------------------------
 
     def apply_finite_field(self, g, point, fld):
-        """g . point for points over a finite field (FFElement or int)."""
-        if fld.degree == 1 and point and isinstance(point[0], int):
-            return tuple(q.eval_int(point, fld.p) for q in self.polys[g])
+        """g . point for points over a finite field (FFElement tuples)."""
         return tuple(
             q.eval_elements(point, fld.from_int) for q in self.polys[g]
         )
@@ -384,12 +383,8 @@ def _twisted_points(action, fld, g, ext, bound):
     q = fld.size
     ginv = action.group.inverse[g]
     for x in enumerate_points(action.scheme, ext, bound):
-        boxed = tuple(ext.from_int(c) if isinstance(c, int) else c for c in x)
-        frob = tuple(c**q for c in boxed)
-        if frob == tuple(
-            p.eval_elements(boxed, ext.from_int) for p in action.polys[ginv]
-        ):
-            yield boxed
+        if tuple(c**q for c in x) == action.apply_finite_field(ginv, x, ext):
+            yield x
 
 
 def twisted_sector_count(action, fld, g, bound=None):
@@ -430,10 +425,7 @@ def groupoid_classes_finite(action, fld, bound=None):
         g, x = obj
         conj = group.mult[(group.mult[(h, g)], group.inverse[h])]
         ext = ext_cache[group.element_order(g)]
-        hx = tuple(
-            p.eval_elements(x, ext.from_int) for p in action.polys[h]
-        )
-        return (conj, hx)
+        return (conj, action.apply_finite_field(h, x, ext))
 
     classes = []
     seen = set()
@@ -461,12 +453,7 @@ def fiber_decomposition_check(action, fld, bound=None):
     """
     group = action.group
     classes = groupoid_classes_finite(action, fld, bound)
-    base_pts = [
-        tuple(
-            fld.from_int(c) if isinstance(c, int) else c for c in x
-        )
-        for x in enumerate_points(action.scheme, fld, bound)
-    ]
+    base_pts = list(enumerate_points(action.scheme, fld, bound))
     results = []
     for (g, x), _size, aut in classes:
         if g == group.identity:
@@ -478,11 +465,7 @@ def fiber_decomposition_check(action, fld, bound=None):
                         (group.mult[(h, g)], group.inverse[h])
                     ]
                     == group.identity
-                    and tuple(
-                        p.eval_elements(x, fld.from_int)
-                        for p in action.polys[h]
-                    )
-                    == u
+                    and action.apply_finite_field(h, x, fld) == u
                     for h in group.labels
                 )
                 if hit:

@@ -17,7 +17,6 @@ from padicstacks.definable import (
     parse_q_expression,
     specialize_primes,
 )
-from padicstacks.measures import ring_at_level
 from padicstacks.polyscheme import AffineScheme, tau_point
 from padicstacks.rings import make_ring
 
@@ -303,6 +302,13 @@ def test_specialize_negative_control():
         "ord(x*y - t) == INFINITY", A2, 1, (3, 5), "1/q^2", max_level=3
     )
     assert [v.status for v in verdicts] == ["MISMATCH", "MISMATCH"]
+
+
+@pytest.mark.parametrize("prime, expression", [(0, "1/q"), (4, "1/(q-4)")])
+def test_specialize_non_prime_rejected(prime, expression):
+    # a bad prime used to be blamed on the expression
+    with pytest.raises(ValueError, match=f"^{prime} is not prime$"):
+        specialize_primes("ord(x) >= 1", A1, 1, (3, prime), expression)
 
 
 def test_specialize_bad_prime_rejected():

@@ -6,7 +6,6 @@ import pytest
 from padicstacks.measures import (
     FitNotFound,
     RationalFunction,
-    ring_at_level,
     padic_measure,
     q_coefficient_check,
     rational_fit,

@@ -4,11 +4,15 @@ plus a list of malformed texts, parses exactly as pinned in
 tests/data/parse_digests.json."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from padicstacks.definable import parse_formula, parse_q_expression
 from padicstacks.polyscheme import parse_poly
+from padicstacks.rings import BoundExceeded
 
 DIGESTS = Path(__file__).parent / "data" / "parse_digests.json"
 Q_POINTS = (2, 3, 5, 7)
@@ -41,3 +45,12 @@ def test_parse_digests():
     for row in table:
         got = parse_digest(row["kind"], row["text"], row["variables"])
         assert got == row["result"], (row["kind"], row["text"], row["variables"])
+
+
+def test_oversized_products_refused_while_parsing():
+    # (x+y+1)^200 used to be built in full (about 45 s); the squaring
+    # that would reach (x+y+1)^128 is refused before it starts
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match="bound 4000000$"):
+        parse_poly("(x+y+1)^200", ("x", "y"))
+    assert time.perf_counter() - start < 2

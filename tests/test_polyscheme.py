@@ -24,6 +24,7 @@ from padicstacks.polyscheme import (
     tau_point,
     _solve_mod_p,
 )
+from padicstacks.rings import make_ring
 
 V2 = ("x", "y")
 
@@ -135,20 +136,6 @@ def hyperbola3():
     return AffineScheme.from_text("xy3", V2, ["x*y - 3"], 1)
 
 
-class _PrimeRing:
-    """Minimal ring adapter for count tests: Z/m with m = p^(n+1)."""
-
-    def __init__(self, m):
-        self.size = m
-        self.int_modulus = m
-
-    def elements(self):
-        return iter(range(self.size))
-
-    def from_int(self, c):
-        return c % self.size
-
-
 def brute_count(X, m):
     """Independent brute-force oracle over all tuples mod m."""
     count = 0
@@ -161,21 +148,21 @@ def brute_count(X, m):
 def test_count_conic_f5():
     # oracle over 25 tuples: 4 points
     assert brute_count(conic(), 5) == 4
-    assert count_points(conic(), _PrimeRing(5)) == 4
+    assert count_points(conic(), make_ring(5)) == 4
 
 
 def test_count_affine_space():
     A2 = AffineScheme.affine_space("A2", V2)
-    assert count_points(A2, _PrimeRing(9)) == 81
+    assert count_points(A2, make_ring(3, n=1)) == 81
 
 
 def test_count_xy3_mod9():
     assert brute_count(hyperbola3(), 9) == 12
-    assert count_points(hyperbola3(), _PrimeRing(9)) == 12
+    assert count_points(hyperbola3(), make_ring(3, n=1)) == 12
 
 
 def test_enumeration_order_deterministic():
-    pts = list(enumerate_points(conic(), _PrimeRing(5)))
+    pts = list(enumerate_points(conic(), make_ring(5)))
     assert pts == sorted(pts)
     assert len(pts) == 4
 
@@ -183,7 +170,7 @@ def test_enumeration_order_deterministic():
 def test_bound_exceeded():
     A2 = AffineScheme.affine_space("A2", V2)
     with pytest.raises(BoundExceeded, match="81 tuples exceeds bound 10$"):
-        list(enumerate_points(A2, _PrimeRing(9), bound=10))
+        list(enumerate_points(A2, make_ring(3, n=1), bound=10))
 
 
 def test_lifted_counts_match_brute():
@@ -240,7 +227,7 @@ def test_lift_engine_agrees_with_brute_enumeration():
                 m = p ** (n + 1)
                 if m**X.n_vars > 100_000:
                     continue
-                brute = list(enumerate_points(X, _PrimeRing(m)))
+                brute = list(enumerate_points(X, make_ring(p, n=n)))
                 assert enumerate_points_lifted(X, p, n) == brute, (X.name, p, n)
                 count = count_points_lifted(X, p, n)
                 assert type(count) is int, (X.name, p, n)
@@ -321,7 +308,7 @@ def test_certificates_match_delta_loop_reference():
             engine = lift_analyzer_for_scheme(X, p)
             reference = _DeltaLoopAnalyzer(X.generators, X.n_vars, p)
             for n in (0, 1, 2):
-                for pt in enumerate_points(X, _PrimeRing(p ** (n + 1))):
+                for pt in enumerate_points(X, make_ring(p, n=n)):
                     for slack in (1, 2, 3):
                         for fb in (1, 3, 50_000):
                             got = engine.status(pt, n, slack, fb)
@@ -356,18 +343,18 @@ def test_singular_locus_cusp():
     texts = {g.to_text() for g in sing.generators}
     assert texts == {"-x^3 + y^2", "-3*x^2", "2*y"}
     # only point over F_5 is the origin
-    assert list(enumerate_points(sing, _PrimeRing(5))) == [(0, 0)]
+    assert list(enumerate_points(sing, make_ring(5))) == [(0, 0)]
 
 
 def test_singular_locus_smooth_conic_empty():
     sing = singular_locus(conic())
-    assert count_points(sing, _PrimeRing(5)) == 0
+    assert count_points(sing, make_ring(5)) == 0
 
 
 def test_singular_locus_affine_line_empty_by_convention():
     A1 = AffineScheme.affine_space("A1", ("x",))
     sing = singular_locus(A1)
-    assert count_points(sing, _PrimeRing(7)) == 0
+    assert count_points(sing, make_ring(7)) == 0
 
 
 def test_singular_locus_inconsistent_dim():
@@ -405,9 +392,9 @@ def test_hensel_agrees_with_deep_enumeration():
     # certificate soundness against a brute lift search four levels up
     X = cusp()
     p, n, deep = 3, 0, 4
-    deep_points = enumerate_points(X, _PrimeRing(p ** (deep + 1)))
+    deep_points = enumerate_points(X, make_ring(p, n=deep))
     liftable_at_deep = {tau_point(pt, p, n) for pt in deep_points}
-    for pt in enumerate_points(X, _PrimeRing(p ** (n + 1))):
+    for pt in enumerate_points(X, make_ring(p, n=n)):
         status = hensel_liftable(X, pt, p, n, slack=2)
         if status is LiftStatus.CERTIFIED_LIFTABLE:
             assert pt in liftable_at_deep

@@ -273,6 +273,10 @@ def test_cli_length_limits_exit_3(capsys, argv, bound):
         (["witt", "--p", "1", "--length", "2"], "1 is not prime"),
         (["specialize", "--project", DEMO, "--formula", "xy_t", "--primes", "3",
           "--expect", "1/0", "--max-level", "1"], "expression undefined at q=3"),
+        (["specialize", "--project", DEMO, "--formula", "ord_ge_1", "--primes", "0",
+          "--expect", "1/q"], "0 is not prime"),
+        (["specialize", "--project", DEMO, "--formula", "ord_ge_1", "--primes", "3,4",
+          "--expect", "1/(q-4)"], "4 is not prime"),
     ],
 )
 def test_cli_bad_input_exits_2(capsys, argv, message):
@@ -311,6 +315,8 @@ def test_project_bound_below_one_rejected(tmp_path, capsys):
          "--max-level", "-1", 0),
         (["greenberg", "--project", DEMO, "--target", "X_conic", "--ring", "p3n2"],
          "--level", "-1", 0),
+        (["measure", "--project", DEMO, "--ring", "p3n0", "--target", "A1",
+          "--set", "ord(x) >= 1"], "--dim", "-1", 0),
     ],
 )
 def test_cli_numeric_option_below_minimum_is_a_usage_error(
@@ -385,6 +391,26 @@ def test_target_variable_t_rejected_at_load(tmp_path, capsys):
     assert main(["measure", "--project", str(bad), "--ring", "r",
                  "--set", "f"]) == 2
     assert "reserved for the uniformizer" in capsys.readouterr().err
+
+
+def test_project_formula_negative_dim_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.project"
+    bad.write_text("[ring r]\np = 3\n\n[scheme A1]\nvars = x\n\n"
+                   "[formula f]\ntarget = A1\ndim = -1\ntext = ord(x) >= 1\n")
+    assert main(["measure", "--project", str(bad), "--ring", "r", "--set", "f"]) == 2
+    assert capsys.readouterr().err == "error: dimension must be at least 0, got -1\n"
+
+
+def test_cli_oversized_parse_product_exits_3(tmp_path, capsys):
+    big = tmp_path / "big.project"
+    big.write_text("[ring r]\np = 3\n\n[scheme A2]\nvars = x, y\n\n"
+                   "[scheme big]\nvars = x, y\ngens = (x+y+1)^200\ndim = 1\n")
+    assert main(["count", "--project", str(big), "--target", "big",
+                 "--ring", "r"]) == 3
+    assert capsys.readouterr().err.endswith("exceeds bound 4000000\n")
+    assert main(["measure", "--project", DEMO, "--ring", "p3n0", "--target", "A2",
+                 "--set", "ord((x+y+1)^200) >= 1"]) == 3
+    assert capsys.readouterr().err.endswith("exceeds bound 4000000\n")
 
 
 def test_cli_strict_partial(capsys):

@@ -288,3 +288,74 @@ def test_to_int_round_trip():
     R = Z27()
     for a in range(27):
         assert R.from_int(a).to_int() == a
+
+
+# ---------------------------------------------------------------------------
+# point coordinates: each ring's coordinates() and compile() against
+# RingElement / FFElement arithmetic
+
+SEAM_POLYS = ("x^2 + y^2 - 1", "y^2 - x^3", "x*y - 3", "9*x^2*y - 3*x + y^3")
+
+
+def test_int_coordinates_agree_with_ring_elements():
+    for p in (2, 3, 5):
+        for n in (0, 1, 2):
+            spec = make_ring(p, n=n)
+            coords = spec.coordinates()
+            assert list(coords) == list(range(p ** (n + 1)))
+            boxed = {a: spec.from_int(a) for a in coords}
+            assert set(boxed.values()) == set(spec.elements())
+            assert boxed[spec.uniformizer_coordinate()] == spec.uniformizer()
+            # every x, and every y only on the smaller rings
+            ys = coords if len(coords) <= 9 else (0, 1, p, p + 1)
+            points = [(a, b) for a in coords for b in ys]
+            for text in SEAM_POLYS:
+                f = padicstacks.parse_poly(text, ("x", "y"))
+                ev = spec.compile(f)
+                for pt in points:
+                    value = ev(pt)
+                    elem = f.eval_elements(tuple(boxed[a] for a in pt), spec.from_int)
+                    assert boxed[value] == elem, (p, n, text, pt)
+                    assert bool(value) == bool(elem) == (not elem.is_zero())
+                    assert spec.valuation(value) == elem.ord()
+                    assert spec.ac(value) == elem.ac()
+                    assert spec.residue(value) == elem.residue()
+
+
+def test_element_coordinates_compile_to_eval_elements():
+    rings = [
+        make_ring(2, r=2),  # Galois ring GR(4, 1) = F_4
+        make_ring(3, r=2, n=1),  # GR(9, 2), x-only below
+        eisenstein_ring(n=1),
+        FiniteField(5),
+        FiniteField(3, 2),
+    ]
+    for ring in rings:
+        coords = ring.coordinates()
+        assert coords == list(ring.elements())
+        zero = ring.from_int(0)
+        ys = coords if len(coords) <= 9 else coords[:2]
+        for text in SEAM_POLYS:
+            f = padicstacks.parse_poly(text, ("x", "y"))
+            ev = ring.compile(f)
+            for pt in ((a, b) for a in coords for b in ys):
+                value = ev(pt)
+                assert value == f.eval_elements(pt, ring.from_int), (ring, text, pt)
+                assert bool(value) == (value != zero)
+    for spec in rings[:3]:
+        assert spec.uniformizer_coordinate() == spec.uniformizer()
+        for c in spec.coordinates():
+            assert spec.valuation(c) == c.ord()
+            assert spec.ac(c) == c.ac()
+            assert spec.residue(c) == c.residue()
+
+
+def test_at_level_moves_both_ways():
+    assert Z9().at_level(2) == Z27()
+    assert Z27().at_level(0) == make_ring(3)
+    assert eisenstein_ring(1).at_level(3) == eisenstein_ring(3)
+    gr = make_ring(2, r=2, n=1, residue_modulus=(1, 1, 1))
+    assert gr.at_level(3) == make_ring(2, r=2, n=3, residue_modulus=(1, 1, 1))
+    assert Z27().truncated(1) == Z9()
+    with pytest.raises(ValueError, match="downward"):
+        Z9().truncated(2)

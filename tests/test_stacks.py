@@ -129,9 +129,7 @@ def burnside_stable_orbits(action, fld):
     X over the degree-exponent extension."""
     group = action.group
     ext = FiniteField(fld.p, fld.degree * group.exponent())
-    pts = []
-    for x in enumerate_points(action.scheme, ext):
-        pts.append(tuple(ext.from_int(c) if isinstance(c, int) else c for c in x))
+    pts = list(enumerate_points(action.scheme, ext))
     q = fld.size
     orbits = []
     seen = set()
