@@ -184,8 +184,10 @@ def _cmd_measure(args, project):
             if isinstance(target, QuotientStack):
                 raise UnsupportedStack("formula measures need a scheme target")
             formula = parse_formula(args.set, target.variables)
-            dim = args.dim if args.dim is not None else target.dim
+            dim = target.dim
             lines.append(f"formula = (inline) {args.set}")
+        if args.dim is not None:
+            dim = args.dim
         if isinstance(target, QuotientStack):
             raise UnsupportedStack("formula measures need a scheme target")
         spec = project.ring(args.ring)

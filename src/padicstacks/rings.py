@@ -4,10 +4,18 @@ fields F_(p^N).
 A ring spec is either unramified (omega = p, coefficients a Galois ring)
 or Eisenstein-ramified: Z[omega]/(E(omega), omega^(n+1)) with E monic of
 degree e, p dividing every lower coefficient and p^2 not dividing the
-constant one.  Elements live in canonical digit form: n+1 residue-field
-digits, coefficients of 1, omega, ..., omega^n.  Internally, arithmetic
-runs on the free-module presentation (e coefficients over Z/p^BIG with
-BIG = n+2, enough headroom for exact digit extraction) and converts back.
+constant one.
+
+A RingElement is stored as its canonical free-module vector: R is free
+over the Galois ring GR = Z_p[Y]/(f(Y)) with basis 1, omega, ...,
+omega^(e-1), and GR is free over Z_p with basis 1, Y, ..., Y^(r-1), so an
+element is e*r integers.  Write n+1 = q*e + s with 0 <= s < e; then
+(omega^(n+1)) = p^q omega^s R is the lattice of vectors whose omega^i
+slot is divisible by p^(q+1) for i < s and by p^q for i >= s.  Reducing
+each coordinate mod that power gives one vector per element, so
+arithmetic, ==, truth and ord work on vectors alone.  The digit form (n+1
+residue-field digits, the coefficients of 1, omega, ..., omega^n) is read
+only when asked for (digits, ac, hashing, output), once per element.
 
 All values are immutable; every operation is a pure function.
 """
@@ -15,6 +23,7 @@ All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 import itertools
+from operator import add, mod, neg, sub
 
 DEFAULT_BOUND = 4_000_000
 
@@ -214,6 +223,18 @@ def find_irreducible(p, r):
         if _is_irreducible(candidate, p):
             return candidate
     raise RingConstructionError(f"no irreducible of degree {r} over F_{p}")
+
+
+def _power_rows(modpoly, count):
+    """Integer coefficients over 1, X, ..., X^(d-1) of X^j modulo the monic
+    integer polynomial modpoly (low degree first, degree d), for j < count."""
+    row = [1] + [0] * (len(modpoly) - 2)
+    rows = []
+    for _ in range(count):
+        rows.append(row)
+        top = row[-1]
+        row = [x - top * c for x, c in zip([0] + row[:-1], modpoly)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +446,15 @@ class LocalRingSpec:
         self.size = p ** (r * (n + 1))
         # p^(n+1) when point coordinates are plain ints (Z/p^(n+1)), else None
         self.int_modulus = p ** (n + 1) if e == 1 and r == 1 else None
-        # working precision for the internal free-module representation
-        self._big = n + 2
-        self._pbig = p**self._big
+        # canonical vectors (module docstring): the modulus of each
+        # coordinate, omega's relation omega^e = -(c_0 + ... + c_(e-1)
+        # omega^(e-1)) with omega = p when e == 1, and omega^0..omega^n
+        q, s = divmod(n + 1, e)
+        self._mods = tuple(p ** (q + (i < s)) for i in range(e) for _ in range(r))
+        self._omega_poly = (eisenstein if e > 1 else (-p,)) + (1,)
+        self._omega_rows = _power_rows(self._omega_poly, n + 1)
+        self._table = self._mul_table()
+        self._unit_inv = pow(self._omega_poly[0] // p, -1, self._mods[0])
 
     def at_level(self, n):
         """The same ring family truncated at level n (either direction)."""
@@ -454,10 +481,29 @@ class LocalRingSpec:
 
     def compile(self, poly):
         """Evaluator point-tuple -> coordinate value for an integer
-        polynomial, compiled once for this ring."""
+        polynomial, compiled once for this ring.  On element rings each
+        nonzero coefficient is embedded once and each monomial is a run of
+        RingElement products, started at its first variable when the
+        coefficient is 1; the sum starts at the first term."""
         if self.int_modulus is not None:
             return poly.compile_int(self.int_modulus)
-        return lambda point: poly.eval_elements(point, self.from_int)
+        zero, one = self.zero(), self.one()
+        terms = []  # (coefficient, or None when it is 1, variable indices)
+        for expo, c in sorted(poly.terms.items()):
+            coeff = self.from_int(c)
+            if coeff:
+                factors = tuple(i for i, k in enumerate(expo) for _ in range(k))
+                terms.append((None if factors and coeff == one else coeff, factors))
+
+        def ev(point):
+            acc = None
+            for t, factors in terms:
+                for i in factors:
+                    t = point[i] if t is None else t * point[i]
+                acc = t if acc is None else acc + t
+            return zero if acc is None else acc
+
+        return ev
 
     def uniformizer_coordinate(self):
         """The uniformizer as a coordinate value."""
@@ -496,120 +542,90 @@ class LocalRingSpec:
             return range(self.p)
         return itertools.product(range(self.p), repeat=self.r)
 
-    def _digit_to_base(self, d):
-        """Lift a digit to a coefficient of the internal Galois ring."""
-        if self.r == 1:
-            return (d,)
-        return tuple(d)
+    # -- canonical vectors ---------------------------------------------------
+    # Coordinate i*r + k of a vector is the Y^k coefficient of the omega^i
+    # slot (module docstring).  Vectors are tuples of ints reduced by
+    # _mods; every method below takes and returns canonical vectors.
 
-    def _base_residue(self, b):
-        """Reduce an internal coefficient to a digit."""
-        if self.r == 1:
-            return b[0] % self.p
-        return tuple(c % self.p for c in b)
+    def _canon(self, coords):
+        return tuple(map(mod, coords, self._mods))
 
-    # -- internal free-module arithmetic ------------------------------------
+    def _int_vector(self, c):
+        return self._canon((c,) + (0,) * (len(self._mods) - 1))
 
-    def _base_add(self, a, b):
-        m = self._pbig
-        return tuple((x + y) % m for x, y in zip(a, b))
+    def _add(self, u, v):
+        return tuple(map(mod, map(add, u, v), self._mods))
 
-    def _base_neg(self, a):
-        m = self._pbig
-        return tuple((-x) % m for x in a)
+    def _sub(self, u, v):
+        return tuple(map(mod, map(sub, u, v), self._mods))
 
-    def _base_int_mul(self, a, c):
-        m = self._pbig
-        return tuple(x * c % m for x in a)
+    def _neg(self, u):
+        return tuple(map(mod, map(neg, u), self._mods))
 
-    def _base_mul(self, a, b):
-        if self.r == 1:
-            return (a[0] * b[0] % self._pbig,)
-        return _poly_mulmod(a, b, self.residue_field.modulus, self._pbig)
+    def _mul(self, u, v):
+        out = [0] * len(u)
+        table = self._table
+        for a, x in enumerate(u):
+            if x:
+                row = table[a]
+                for b, y in enumerate(v):
+                    if y:
+                        xy = x * y
+                        for c, t in row[b]:
+                            out[c] += xy * t
+        return tuple(map(mod, out, self._mods))
 
-    def _vec_zero(self):
-        return ((0,) * self.r,) * self.e
+    def _mul_table(self):
+        """table[a][b]: the nonzero (c, coefficient) pairs of basis vector a
+        times basis vector b, from omega^e = -(c_0 + ... + c_(e-1)
+        omega^(e-1)) and f(Y) = 0."""
+        e, r = self.e, self.r
+        omega = _power_rows(self._omega_poly, 2 * e - 1)
+        y = _power_rows(self.residue_field.modulus, 2 * r - 1)
+        basis = [(i, k) for i in range(e) for k in range(r)]
+        table = []
+        for i1, k1 in basis:
+            row = []
+            for i2, k2 in basis:
+                entry = []
+                for c, (i, k) in enumerate(basis):
+                    coeff = omega[i1 + i2][i] * y[k1 + k2][k] % self._mods[c]
+                    if coeff:
+                        entry.append((c, coeff))
+                row.append(tuple(entry))
+            table.append(tuple(row))
+        return tuple(table)
 
-    def _vec_add(self, u, v):
-        return tuple(self._base_add(a, b) for a, b in zip(u, v))
+    def _vector(self, digits):
+        """Canonical vector of sum_i lift(d_i) omega^i, where a digit lifts
+        to the GR element with the same coordinates in 0..p-1."""
+        r = self.r
+        out = [0] * len(self._mods)
+        for d, row in zip(digits, self._omega_rows):
+            lift = (d,) if r == 1 else d
+            for i, w in enumerate(row):
+                if w:
+                    for k, x in enumerate(lift):
+                        out[i * r + k] += w * x
+        return self._canon(out)
 
-    def _vec_neg(self, u):
-        return tuple(self._base_neg(a) for a in u)
-
-    def _vec_mul_omega(self, u):
-        if self.e == 1:
-            return (self._base_int_mul(u[0], self.p),)
-        top = u[-1]
-        shifted = [self._base_int_mul(top, -self.eisenstein[0])]
-        for j in range(1, self.e):
-            shifted.append(
-                self._base_add(u[j - 1], self._base_int_mul(top, -self.eisenstein[j]))
-            )
-        return tuple(shifted)
-
-    def _vec_mul(self, u, v):
-        e = self.e
-        if e == 1:
-            return (self._base_mul(u[0], v[0]),)
-        prod = [(0,) * self.r for _ in range(2 * e - 1)]
-        for i, a in enumerate(u):
-            for j, b in enumerate(v):
-                prod[i + j] = self._base_add(prod[i + j], self._base_mul(a, b))
-        # reduce powers omega^k, k >= e, via the monic Eisenstein relation
-        for k in range(2 * e - 2, e - 1, -1):
-            c = prod[k]
-            prod[k] = (0,) * self.r
-            for j in range(e):
-                prod[k - e + j] = self._base_add(
-                    prod[k - e + j], self._base_int_mul(c, -self.eisenstein[j])
-                )
-        return tuple(prod[:e])
-
-    def _to_internal(self, digits):
-        acc = self._vec_zero()
-        omega_pow = tuple(
-            ((1,) + (0,) * (self.r - 1) if i == 0 else (0,) * self.r)
-            for i in range(self.e)
-        )
-        for d in digits:
-            lift = self._digit_to_base(d)
-            term = tuple(self._base_mul(lift, coeff) for coeff in omega_pow)
-            acc = self._vec_add(acc, term)
-            omega_pow = self._vec_mul_omega(omega_pow)
-        return acc
-
-    def _div_omega(self, u):
-        """y with omega * y = u, valid for u in the maximal ideal.
-
-        Costs one p-digit of working precision per call; BIG = n+2 keeps
-        all extracted digits exact.
-        """
-        p = self.p
-        if self.e == 1:
-            a = u[0]
-            return (tuple((x % self._pbig) // p for x in a),)
-        c0 = self.eisenstein[0]
-        unit = c0 // p
-        unit_inv = pow(unit, -1, self._pbig)
-        a0 = u[0]
-        a0_div_p = tuple((x % self._pbig) // p for x in a0)
-        b_top = self._base_int_mul(self._base_int_mul(a0_div_p, unit_inv), -1)
-        out = [None] * self.e
-        out[self.e - 1] = b_top
-        for j in range(1, self.e):
-            out[j - 1] = self._base_add(
-                u[j], self._base_int_mul(b_top, self.eisenstein[j])
-            )
-        return tuple(out)
-
-    def _from_internal(self, vec):
+    def _read_digits(self, vec):
+        """The n+1 digits of a vector: take the residue of the omega^0 slot,
+        subtract its lift and divide by omega, n+1 times.  Dividing by
+        omega needs (c_0/p)^-1, taken mod p^K, the largest coordinate
+        modulus: an error in p^K R lies in omega^(eK) R with eK >= n+1, so it
+        never reaches a digit within the n divisions that follow it."""
+        p, r, m = self.p, self.r, self._mods[0]
+        c, unit_inv = self._omega_poly, self._unit_inv
+        u = list(vec)
         digits = []
         for _ in range(self.n + 1):
-            d = self._base_residue(vec[0])
-            digits.append(d)
-            lift = self._digit_to_base(d)
-            vec = self._vec_add(vec, self._vec_neg((lift,) + ((0,) * self.r,) * (self.e - 1)))
-            vec = self._div_omega(vec)
+            d = [x % p for x in u[:r]]
+            digits.append(d[0] if r == 1 else tuple(d))
+            # omega * y = u - lift(d): slot 0 gives y's top slot, and slot
+            # i > 0 gives y's slot i-1
+            top = [-((x - dx) // p) * unit_inv % m for x, dx in zip(u, d)]
+            u = [x + c[a // r + 1] * top[a % r] for a, x in enumerate(u[r:])] + top
         return tuple(digits)
 
     # -- public construction -------------------------------------------------
@@ -618,21 +634,17 @@ class LocalRingSpec:
         digits = tuple(digits)
         if len(digits) != self.n + 1:
             raise ValueError(f"need exactly {self.n + 1} digits")
-        canon = []
-        for d in digits:
-            if self.r == 1:
-                canon.append(int(d) % self.p)
-            else:
-                canon.append(tuple(int(c) % self.p for c in d))
-        return RingElement(self, tuple(canon))
+        if self.r == 1:
+            canon = tuple(int(d) % self.p for d in digits)
+        else:
+            canon = tuple(tuple(int(c) % self.p for c in d) for d in digits)
+        return RingElement(self, self._vector(canon), canon)
 
     def from_int(self, c):
-        base = (c % self._pbig,) + (0,) * (self.r - 1)
-        vec = (base,) + ((0,) * self.r,) * (self.e - 1)
-        return RingElement(self, self._from_internal(vec))
+        return RingElement(self, self._int_vector(c))
 
     def zero(self):
-        return self.element((self._digit_zero(),) * (self.n + 1))
+        return self.from_int(0)
 
     def one(self):
         return self.from_int(1)
@@ -648,7 +660,7 @@ class LocalRingSpec:
         """Every element exactly once, lexicographic on digit sequences."""
         size_limit(bound, self.size, f"ring size {self.size}")
         for digits in itertools.product(self._digit_values(), repeat=self.n + 1):
-            yield RingElement(self, digits)
+            yield RingElement(self, self._vector(digits), digits)
 
     def __eq__(self, other):
         return isinstance(other, LocalRingSpec) and (
@@ -685,85 +697,83 @@ def make_ring(p, e=1, eisenstein=None, n=0, r=1, residue_modulus=None):
 
 
 class RingElement:
-    """Element of a truncated local ring in canonical digit form.
+    """Element of a truncated local ring, stored as its canonical vector
+    `vec` (see the module docstring).  Two elements are equal iff their
+    vectors are; the digit sequence is read on demand and cached."""
 
-    Two elements are equal iff their digit sequences are equal.
-    """
+    __slots__ = ("spec", "vec", "_digits")
 
-    __slots__ = ("spec", "digits", "_internal")
-
-    def __init__(self, spec, digits):
+    def __init__(self, spec, vec, digits=None):
         self.spec = spec
-        self.digits = tuple(digits)
-        self._internal = None
+        self.vec = vec
+        self._digits = digits
 
-    def internal(self):
-        if self._internal is None:
-            self._internal = self.spec._to_internal(self.digits)
-        return self._internal
+    @property
+    def digits(self):
+        """n+1 residue-field digits, the coefficients of 1, omega, ...,
+        omega^n."""
+        if self._digits is None:
+            self._digits = self.spec._read_digits(self.vec)
+        return self._digits
 
-    def _check(self, other):
-        if not isinstance(other, RingElement) or other.spec != self.spec:
-            raise ValueError("elements of mismatched ring specs")
+    def _operand(self, other):
+        """The vector of an operand: an int is embedded, and an element of
+        another ring is refused."""
+        if isinstance(other, int):
+            return self.spec._int_vector(other)
+        if isinstance(other, RingElement) and (
+            other.spec is self.spec or other.spec == self.spec
+        ):
+            return other.vec
+        raise ValueError("elements of mismatched ring specs")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.spec.from_int(other)
-        self._check(other)
-        vec = self.spec._vec_add(self.internal(), other.internal())
-        return RingElement(self.spec, self.spec._from_internal(vec))
+        return RingElement(self.spec, self.spec._add(self.vec, self._operand(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        vec = self.spec._vec_neg(self.internal())
-        return RingElement(self.spec, self.spec._from_internal(vec))
+        return RingElement(self.spec, self.spec._neg(self.vec))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.spec.from_int(other)
-        return self + (-other)
+        return RingElement(self.spec, self.spec._sub(self.vec, self._operand(other)))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return RingElement(self.spec, self.spec._sub(self._operand(other), self.vec))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.spec.from_int(other)
-        self._check(other)
-        vec = self.spec._vec_mul(self.internal(), other.internal())
-        return RingElement(self.spec, self.spec._from_internal(vec))
+        return RingElement(self.spec, self.spec._mul(self.vec, self._operand(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             return self.inv() ** (-k)
-        result = self.spec.one()
-        base = self
+        spec = self.spec
+        result, base = spec._int_vector(1), self.vec
         while k:
             if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
+                result = spec._mul(result, base)
             k >>= 1
-        return result
+            if k:
+                base = spec._mul(base, base)
+        return RingElement(spec, result)
 
     def __bool__(self):
         """Nonzero test, read as on ints."""
-        zero = self.spec._digit_zero()
-        return any(d != zero for d in self.digits)
+        return any(self.vec)
 
     def is_zero(self):
         return not self
 
     def ord(self):
-        """Index of the first nonzero digit; INFINITY for zero."""
-        zero = self.spec._digit_zero()
-        for i, d in enumerate(self.digits):
-            if d != zero:
-                return i
-        return INFINITY
+        """Index of the first nonzero digit, read off the vector as the
+        least e*v_p(x) + i over the nonzero coordinates x of each omega^i
+        slot; INFINITY for zero."""
+        spec = self.spec
+        e, r, p = spec.e, spec.r, spec.p
+        vals = [e * p_valuation(x, p) + a // r for a, x in enumerate(self.vec) if x]
+        return min(vals) if vals else INFINITY
 
     def ac(self):
         """Angular component: leading digit as a residue-field element,
@@ -776,51 +786,39 @@ class RingElement:
         return field.element((d,) if self.spec.r == 1 else d)
 
     def residue(self):
-        """Image in the residue field (digit 0)."""
-        d = self.digits[0]
-        return self.spec.residue_field.element((d,) if self.spec.r == 1 else d)
+        """Image in the residue field (digit 0: the omega^0 slot mod p)."""
+        spec = self.spec
+        return spec.residue_field.element(self.vec[: spec.r])
 
     def inv(self):
         if self.ord() != 0:
             raise NotInvertible("not a unit (positive valuation)")
         spec = self.spec
-        r0 = self.residue().inv()
-        y = spec.element(
-            (r0.coeffs[0] if spec.r == 1 else r0.coeffs,)
-            + (spec._digit_zero(),) * spec.n
-        )
-        yv = y.internal()
-        xv = self.internal()
-        one = spec.one()
-        for _ in range((spec._big * spec.e).bit_length() + 2):
-            cand = RingElement(spec, spec._from_internal(yv))
-            if self * cand == one:
-                return cand
-            # Newton step y <- y (2 - x y)
-            two_minus = spec._vec_add(
-                spec.from_int(2).internal(), spec._vec_neg(spec._vec_mul(xv, yv))
-            )
-            yv = spec._vec_mul(yv, two_minus)
-        raise NotInvertible("inverse iteration failed to converge")
+        x = self.vec
+        y = spec._canon(self.residue().inv().coeffs + (0,) * (len(x) - spec.r))
+        two = spec._int_vector(2)
+        # Newton's step y <- y (2 - x y) doubles the precision of y; y is
+        # right mod omega, so n.bit_length() steps make it exact
+        for _ in range(spec.n.bit_length()):
+            y = spec._mul(y, spec._sub(two, spec._mul(x, y)))
+        return RingElement(spec, y)
 
     def reduce(self, m):
         """Truncate to level m <= n; a ring homomorphism."""
-        return RingElement(self.spec.truncated(m), self.digits[: m + 1])
+        target = self.spec.truncated(m)
+        return RingElement(target, target._canon(self.vec))
 
     def to_int(self):
         """Integer value for unramified prime rings."""
         if self.spec.int_modulus is None:
             raise ValueError("no canonical integer form for this ring")
-        acc = 0
-        for i, d in enumerate(self.digits):
-            acc += d * self.spec.p**i
-        return acc
+        return self.vec[0]
 
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
-            and self.spec == other.spec
-            and self.digits == other.digits
+            and self.vec == other.vec
+            and (other.spec is self.spec or other.spec == self.spec)
         )
 
     def __hash__(self):

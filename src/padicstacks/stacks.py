@@ -12,12 +12,11 @@ twisted sectors over Galois rings; that case is refused, not approximated.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyscheme import MultiPoly, count_points, enumerate_points
-from .rings import FiniteField, LocalRingSpec, size_limit
+from .rings import FiniteField, LocalRingSpec
 
 
 class UnsupportedStack(ValueError):
@@ -207,48 +206,6 @@ class SpecialGroup:
             gl_q *= q**k - q**i
         return q ** (n * k * k) * gl_q
 
-    def elements_over(self, ring, bound=None):
-        """Enumerate G(R) over R = Z/p^(n+1) for orbit computations (small
-        rings only)."""
-        m = ring.int_modulus
-        if m is None:
-            raise UnsupportedStack("group enumeration needs a prime ring")
-        total = m**self.dim
-        size_limit(bound, total, f"group enumeration of {total} tuples")
-        p = ring.p
-        if self.kind == "Ga":
-            return [(a,) for a in range(m)]
-        if self.kind == "Gm":
-            return [(a,) for a in range(m) if a % p != 0]
-        k = self.k
-        out = []
-        for entries in itertools.product(range(m), repeat=k * k):
-            if _det_int(entries, k, m) % p != 0:
-                out.append(entries)
-        return out
-
-
-def _det_int(entries, k, modulus):
-    if k == 1:
-        return entries[0] % modulus
-    if k == 2:
-        a, b, c, d = entries
-        return (a * d - b * c) % modulus
-    a, b, c, d, e, f, g, h, i = entries
-    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % modulus
-
-
-def count_invertible_matrices(k, fld):
-    """|GL_k(F_q)| by brute enumeration (test oracle for the closed form)."""
-    p = fld.p
-    if fld.degree != 1:
-        raise UnsupportedStack("enumeration oracle works over prime fields")
-    count = 0
-    for entries in itertools.product(range(p), repeat=k * k):
-        if _det_int(entries, k, p) % p != 0:
-            count += 1
-    return count
-
 
 # ---------------------------------------------------------------------------
 # actions
@@ -326,10 +283,6 @@ class GroupAction:
         return tuple(
             q.eval_elements(point, fld.from_int) for q in self.polys[g]
         )
-
-    def apply_special_int(self, gcoords, point, modulus):
-        env = tuple(point) + tuple(gcoords)
-        return tuple(q.eval_int(env, modulus) for q in self.polys)
 
     def check_compatibility(self, fld, bound=None):
         """g.(h.x) == (gh).x on every enumerated point over a probe field."""
@@ -505,36 +458,6 @@ def weighted_subset_count(aut_orders):
             raise ValueError("zero automorphism order")
         total += Fraction(1, a)
     return total
-
-
-def orbit_classes_special(action, spec, bound=None):
-    """Orbits of G(R) on X(R) with stabilizer orders, by enumeration.
-
-    Only for unramified prime rings (integer points).  Returns a sorted
-    list of (representative, orbit_size, stabilizer_order).
-    """
-    group = action.group
-    m = spec.int_modulus
-    if m is None:
-        raise UnsupportedStack("orbit enumeration needs a prime ring")
-    gelems = group.elements_over(spec, bound)
-    pts = list(enumerate_points(action.scheme, spec, bound))
-    seen = set()
-    classes = []
-    for x in pts:
-        if x in seen:
-            continue
-        orbit = set()
-        stab = 0
-        for gco in gelems:
-            gx = action.apply_special_int(gco, x, m)
-            orbit.add(gx)
-            if gx == x:
-                stab += 1
-        seen |= orbit
-        classes.append((x, len(orbit), stab))
-    classes.sort()
-    return classes
 
 
 def stacky_count_finite_level(action, spec, bound=None):

@@ -26,7 +26,6 @@ from padicstacks.stacks import (
     GroupAction,
     QuotientStack,
     SpecialGroup,
-    count_invertible_matrices,
     cyclic_group,
     fiber_decomposition_check,
     klein_four_group,
@@ -35,6 +34,7 @@ from padicstacks.stacks import (
     symmetric_group_3,
     weighted_subset_count,
 )
+from stack_oracles import count_invertible_matrices
 from padicstacks.witt import (
     WittVector,
     frobenius_modp,

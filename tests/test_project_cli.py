@@ -466,3 +466,28 @@ def test_cli_reports_byte_identical(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "normalization = " in out1
+
+
+def test_cli_project_formula_honours_dim(capsys):
+    base = ["measure", "--project", DEMO, "--ring", "p3n0", "--max-level", "2"]
+    _, named = run(capsys, *base, "--set", "ord_ge_1", "--dim", "2")
+    _, inline = run(capsys, *base, "--set", "ord(x) >= 1", "--target", "A1",
+                    "--dim", "2")
+    assert "level[0] = 1/9 .. 1/9" in named
+
+    def body(out):
+        return [line for line in out.splitlines() if not line.startswith("formula =")]
+    assert body(named) == body(inline)
+    # without --dim the formula's own dimension (1) applies
+    _, default = run(capsys, *base, "--set", "ord_ge_1")
+    assert "level[0] = 1/3 .. 1/3" in default
+
+
+def test_cli_galois_ring_brute_measure(tmp_path, capsys):
+    # GR(9) level 0: points are RingElements, counted by brute enumeration
+    project = tmp_path / "gr9.project"
+    project.write_text(pathlib.Path(DEMO).read_text() + "\n[ring gr9n0]\np = 3\nr = 2\n")
+    code, out = run(capsys, "measure", "--project", str(project), "--ring", "gr9n0",
+                    "--target", "X_conic", "--max-level", "1")
+    assert code == 0
+    assert "level[0] = 8/9\nlevel[1] = 8/9\n" in out

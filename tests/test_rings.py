@@ -359,3 +359,237 @@ def test_at_level_moves_both_ways():
     assert Z27().truncated(1) == Z9()
     with pytest.raises(ValueError, match="downward"):
         Z9().truncated(2)
+
+
+# ---------------------------------------------------------------------------
+# canonical vectors against the digit round trip they replaced
+
+
+class _DigitOracle:
+    """The element arithmetic that RingElement used before elements kept
+    their canonical vectors: every operation converts digits to the free
+    module over Z/p^(n+2) and back.  A test-local copy, the independent
+    oracle for the vector arithmetic."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.p, self.e, self.n, self.r = spec.p, spec.e, spec.n, spec.r
+        self.eis = spec.eisenstein
+        self.modulus = spec.residue_field.modulus
+        self.pbig = self.p ** (self.n + 2)
+
+    def _lift(self, d):
+        return (d,) if self.r == 1 else tuple(d)
+
+    def _base_residue(self, b):
+        return b[0] % self.p if self.r == 1 else tuple(c % self.p for c in b)
+
+    def _base_add(self, a, b):
+        return tuple((x + y) % self.pbig for x, y in zip(a, b))
+
+    def _base_int_mul(self, a, c):
+        return tuple(x * c % self.pbig for x in a)
+
+    def _base_mul(self, a, b):
+        if self.r == 1:
+            return (a[0] * b[0] % self.pbig,)
+        prod = [0] * (2 * self.r - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % self.pbig
+        for k in range(len(prod) - 1, self.r - 1, -1):
+            c, prod[k] = prod[k], 0
+            for j in range(self.r):
+                prod[k - self.r + j] = (prod[k - self.r + j] - c * self.modulus[j]) % self.pbig
+        return tuple(prod[: self.r])
+
+    def _vec_add(self, u, v):
+        return tuple(self._base_add(a, b) for a, b in zip(u, v))
+
+    def _vec_neg(self, u):
+        return tuple(self._base_int_mul(a, -1) for a in u)
+
+    def _vec_mul_omega(self, u):
+        if self.e == 1:
+            return (self._base_int_mul(u[0], self.p),)
+        top = u[-1]
+        out = [self._base_int_mul(top, -self.eis[0])]
+        for j in range(1, self.e):
+            out.append(self._base_add(u[j - 1], self._base_int_mul(top, -self.eis[j])))
+        return tuple(out)
+
+    def _vec_mul(self, u, v):
+        e, zero = self.e, (0,) * self.r
+        prod = [zero] * (2 * e - 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                prod[i + j] = self._base_add(prod[i + j], self._base_mul(a, b))
+        for k in range(2 * e - 2, e - 1, -1):
+            c, prod[k] = prod[k], zero
+            for j in range(e):
+                prod[k - e + j] = self._base_add(
+                    prod[k - e + j], self._base_int_mul(c, -self.eis[j]))
+        return tuple(prod[:e])
+
+    def to_internal(self, digits):
+        zero = (0,) * self.r
+        acc = (zero,) * self.e
+        omega_pow = ((1,) + zero[1:],) + (zero,) * (self.e - 1)
+        for d in digits:
+            term = tuple(self._base_mul(self._lift(d), c) for c in omega_pow)
+            acc = self._vec_add(acc, term)
+            omega_pow = self._vec_mul_omega(omega_pow)
+        return acc
+
+    def _div_omega(self, u):
+        p = self.p
+        if self.e == 1:
+            return (tuple((x % self.pbig) // p for x in u[0]),)
+        unit_inv = pow(self.eis[0] // p, -1, self.pbig)
+        a0 = tuple((x % self.pbig) // p for x in u[0])
+        top = self._base_int_mul(self._base_int_mul(a0, unit_inv), -1)
+        out = [self._base_add(u[j], self._base_int_mul(top, self.eis[j]))
+               for j in range(1, self.e)]
+        return tuple(out) + (top,)
+
+    def from_internal(self, vec):
+        digits = []
+        zero = (0,) * self.r
+        for _ in range(self.n + 1):
+            d = self._base_residue(vec[0])
+            digits.append(d)
+            vec = self._vec_add(vec, self._vec_neg((self._lift(d),) + (zero,) * (self.e - 1)))
+            vec = self._div_omega(vec)
+        return tuple(digits)
+
+    def from_int(self, c):
+        base = (c % self.pbig,) + (0,) * (self.r - 1)
+        return self.from_internal((base,) + ((0,) * self.r,) * (self.e - 1))
+
+    def add(self, x, y):
+        return self.from_internal(self._vec_add(self.to_internal(x), self.to_internal(y)))
+
+    def neg(self, x):
+        return self.from_internal(self._vec_neg(self.to_internal(x)))
+
+    def mul(self, x, y):
+        return self.from_internal(self._vec_mul(self.to_internal(x), self.to_internal(y)))
+
+    def pow(self, x, k):
+        out = self.from_int(1)
+        for _ in range(k):
+            out = self.mul(out, x)
+        return out
+
+    def ord(self, x):
+        zero = 0 if self.r == 1 else (0,) * self.r
+        return next((i for i, d in enumerate(x) if d != zero), INFINITY)
+
+    def leading(self, x):
+        v = self.ord(x)
+        return (0,) * self.r if v is INFINITY else self._lift(x[v])
+
+    def hash(self, x):
+        return hash((self.p, self.e, self.n, self.r, x))
+
+
+ORACLE_RINGS = [
+    make_ring(2, n=3),
+    make_ring(5, n=2),
+    make_ring(3, r=2, n=2),
+    make_ring(2, r=3, n=1),
+    eisenstein_ring(3),
+    make_ring(3, e=3, eisenstein=(3, 6, -3), n=4),
+    make_ring(3, e=3, eisenstein=(3, 6, -3), n=1),  # n+1 < e
+    make_ring(5, e=2, eisenstein=(-10, 5), n=2),
+    make_ring(5, e=2, eisenstein=(5, 0), n=0),  # n+1 < e
+    make_ring(2, e=2, eisenstein=(-2, 0), n=2, r=2),
+    make_ring(2, e=3, eisenstein=(2, 2, 0), n=3, r=2),
+]
+
+
+def _random_element(spec, rng):
+    if spec.r == 1:
+        return spec.element([rng.randrange(spec.p) for _ in range(spec.n + 1)])
+    return spec.element([tuple(rng.randrange(spec.p) for _ in range(spec.r))
+                         for _ in range(spec.n + 1)])
+
+
+@pytest.mark.parametrize("spec", ORACLE_RINGS, ids=repr)
+def test_vector_arithmetic_matches_digit_oracle(spec):
+    import random
+
+    rng = random.Random(f"{spec!r}{spec.eisenstein}")
+    oracle = _DigitOracle(spec)
+    field = spec.residue_field
+    for c in (0, 1, -1, spec.p, -spec.p, 7, 10**6 + 3, -(10**5)):
+        assert spec.from_int(c).digits == oracle.from_int(c)
+    for _ in range(60):
+        x, y = _random_element(spec, rng), _random_element(spec, rng)
+        dx, dy = x.digits, y.digits
+        # fresh copies, so that every digit read below goes through the vector
+        fx, fy = (spec.element(d) + 0 for d in (dx, dy))
+        assert fx.digits == dx and fy.digits == dy
+        assert (fx + fy).digits == oracle.add(dx, dy)
+        assert (fx - fy).digits == oracle.add(dx, oracle.neg(dy))
+        assert (fx * fy).digits == oracle.mul(dx, dy)
+        assert (-fx).digits == oracle.neg(dx)
+        assert (3 - fx).digits == oracle.add(oracle.from_int(3), oracle.neg(dx))
+        k = rng.randrange(6)
+        assert (fx**k).digits == oracle.pow(dx, k)
+        prod = fx * fy
+        assert prod.ord() == oracle.ord(oracle.mul(dx, dy))
+        assert prod.ac() == field.element(oracle.leading(oracle.mul(dx, dy)))
+        assert prod.residue() == field.element(oracle._lift(oracle.mul(dx, dy)[0]))
+        assert hash(prod) == oracle.hash(oracle.mul(dx, dy))
+        assert bool(prod) == (oracle.ord(oracle.mul(dx, dy)) is not INFINITY)
+        assert (fx == fy) == (dx == dy)
+        assert (fx * fy == fy * fx) and (fx + fy == spec.element(oracle.add(dx, dy)))
+        if oracle.ord(dx) == 0:
+            inv = fx.inv()
+            assert oracle.mul(dx, inv.digits) == oracle.from_int(1)
+            assert (fx**-2).digits == oracle.pow(inv.digits, 2)
+        else:
+            with pytest.raises(NotInvertible):
+                fx.inv()
+
+
+@pytest.mark.parametrize("spec", ORACLE_RINGS, ids=repr)
+def test_canonical_vectors_distinct_and_round_trip(spec):
+    elems = list(spec.elements())
+    assert len({x.vec for x in elems}) == len(elems) == spec.size
+    oracle = _DigitOracle(spec)
+    for x in elems:
+        # the digits read back off the vector are the ones it was built from
+        assert spec._read_digits(x.vec) == x.digits
+        assert oracle.from_internal(oracle.to_internal(x.digits)) == x.digits
+        assert x.ord() == oracle.ord(x.digits)
+        assert bool(x) == (x.ord() is not INFINITY)
+
+
+@pytest.mark.parametrize("spec", ORACLE_RINGS, ids=repr)
+def test_compile_matches_eval_elements_and_digit_oracle(spec):
+    import random
+
+    rng = random.Random(spec.size)
+    oracle = _DigitOracle(spec)
+    # coefficient-1 monomials, and coefficients that vanish in every ring
+    # here (810000 = 2^4 3^4 5^4), some or all of them
+    extra = ("x^3*y^2 - 5*x*y + 2", "0*x + 0", "x", "x - 3600*y + 1", "810000*x*y")
+    for text in SEAM_POLYS + extra:
+        f = padicstacks.parse_poly(text, ("x", "y"))
+        ev = spec.compile(f)
+        for _ in range(15):
+            pt = (_random_element(spec, rng), _random_element(spec, rng))
+            if spec.int_modulus is None:
+                value = ev(pt)
+            else:  # Z/p^(n+1): coordinates are plain ints
+                value = spec.from_int(ev(tuple(x.to_int() for x in pt)))
+            assert value == f.eval_elements(pt, spec.from_int), (spec, text, pt)
+            want = oracle.from_int(0)
+            for expo, coeff in f.terms.items():
+                term = oracle.from_int(coeff)
+                for d, k in zip(pt, expo):
+                    term = oracle.mul(term, oracle.pow(d.digits, k))
+                want = oracle.add(want, term)
+            assert value.digits == want, (spec, text, pt)

@@ -12,18 +12,22 @@ from padicstacks.stacks import (
     QuotientStack,
     SpecialGroup,
     UnsupportedStack,
-    count_invertible_matrices,
     cyclic_group,
     fiber_decomposition_check,
     groupoid_classes_finite,
     klein_four_group,
-    orbit_classes_special,
     stacky_count_finite,
     stacky_count_finite_level,
     stacky_count_special,
     symmetric_group_3,
     twisted_sector_count,
     weighted_subset_count,
+)
+from stack_oracles import (
+    count_invertible_matrices,
+    group_elements,
+    orbit_classes_special,
+    special_orbits,
 )
 
 POINT = AffineScheme("pt", (), (), 0)
@@ -222,12 +226,12 @@ def test_gl2_f3_by_enumeration():
 
 def test_special_group_elements_bound():
     R = make_ring(5, n=0)
-    assert len(SpecialGroup("GL", 2).elements_over(R, bound=625)) == 480
+    assert len(group_elements(SpecialGroup("GL", 2), R, bound=625)) == 480
     with pytest.raises(BoundExceeded, match="625 tuples exceeds bound 624$"):
-        SpecialGroup("GL", 2).elements_over(R, bound=624)
+        group_elements(SpecialGroup("GL", 2), R, bound=624)
     for kind in ("Ga", "Gm"):
         with pytest.raises(BoundExceeded, match="25 tuples exceeds bound 24$"):
-            SpecialGroup(kind).elements_over(make_ring(5, n=1), bound=24)
+            group_elements(SpecialGroup(kind), make_ring(5, n=1), bound=24)
 
 
 def test_point_mod_gm():
@@ -304,25 +308,7 @@ def test_finite_group_positive_level_unsupported():
 
 def gm_orbit_data(action, spec):
     """Full orbits of the unit-group action with stabilizer orders."""
-    from padicstacks.polyscheme import enumerate_points
-
-    m = spec.int_modulus
-    gelems = action.group.elements_over(spec)
-    seen = set()
-    orbits = []
-    for x in enumerate_points(action.scheme, spec):
-        if x in seen:
-            continue
-        orbit = set()
-        stab = 0
-        for gco in gelems:
-            gx = action.apply_special_int(gco, x, m)
-            orbit.add(gx)
-            if gx == x:
-                stab += 1
-        seen |= orbit
-        orbits.append((orbit, stab))
-    return orbits
+    return [(orbit, stab) for _, orbit, stab in special_orbits(action, spec)]
 
 
 def test_smooth_stack_truncation_fiber_law():
