@@ -64,6 +64,7 @@ from .stacks import (
     cyclic_group,
     fiber_decomposition_check,
     klein_four_group,
+    stacky_count,
     stacky_count_finite,
     stacky_count_special,
     symmetric_group_3,

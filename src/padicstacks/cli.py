@@ -26,24 +26,20 @@ from .measures import (
     FitNotFound,
     padic_measure,
     rational_fit,
-    scheme_count_at_level,
     series,
 )
 from .polyscheme import (
     DEFAULT_SLACK,
     PolyParseError,
-    count_points_lifted,
+    count_points,
     singular_locus,
 )
 from .project import DEFAULT_MINIMUMS, ProjectError, load_project
 from .rings import BoundExceeded, FiniteField, RingConstructionError, is_prime
 from .stacks import (
     QuotientStack,
-    SpecialGroup,
     UnsupportedStack,
-    stacky_count_finite,
-    stacky_count_finite_level,
-    stacky_count_special,
+    stacky_count,
 )
 from .witt import structure_polynomials
 
@@ -101,15 +97,6 @@ def _parse_field(text):
     return FiniteField(p, r)
 
 
-def _stack_count(stack, ring, bound):
-    """Weighted count of a quotient stack over a finite field or ring."""
-    if isinstance(stack.group, SpecialGroup):
-        return stacky_count_special(stack, ring, bound)
-    if isinstance(ring, FiniteField):
-        return stacky_count_finite(stack.action, ring, bound)
-    return stacky_count_finite_level(stack.action, ring, bound)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -121,10 +108,10 @@ def _cmd_count(args, project):
     lines.append(f"target = {args.target}")
     lines.append(f"ring = {_ring_desc(args.ring, spec)}")
     if isinstance(target, QuotientStack):
-        value = _stack_count(target, spec, args.bound)
+        value = stacky_count(target, spec, args.bound)
         lines.append(f"count = {_rat(value)}")
     else:
-        value = scheme_count_at_level(target, spec, spec.n, args.bound)
+        value = count_points(target, spec, args.bound)
         lines.append(f"count = {value}")
     return lines, EXIT_OK
 
@@ -223,7 +210,7 @@ def _cmd_greenberg(args, project):
     level = args.level if args.level is not None else spec.n
     G = greenberg_transform(target, spec.p, level)
     expansion_count = G.count_points(args.bound)
-    source_count = count_points_lifted(target, spec.p, level, args.bound)
+    source_count = count_points(target, spec.at_level(level), args.bound)
     lines = _header("greenberg")
     lines.append(f"target = {args.target}")
     lines.append(f"p = {spec.p}")
@@ -250,7 +237,7 @@ def _cmd_singular(args, project):
         lines.append(f"gen[{i}] = {g.to_text()}")
     if args.ring:
         spec = project.ring(args.ring)
-        cnt = scheme_count_at_level(sing, spec, spec.n, args.bound)
+        cnt = count_points(sing, spec, args.bound)
         lines.append(f"ring = {_ring_desc(args.ring, spec)}")
         lines.append(f"count = {cnt}")
     return lines, EXIT_OK
@@ -287,7 +274,7 @@ def _cmd_stack_count(args, project):
         lines.append(f"ring = {_ring_desc(args.ring, ring)}")
     else:
         raise ProjectError("stack-count needs --field or --ring")
-    lines.append(f"count = {_rat(_stack_count(stack, ring, args.bound))}")
+    lines.append(f"count = {_rat(stacky_count(stack, ring, args.bound))}")
     return lines, EXIT_OK
 
 

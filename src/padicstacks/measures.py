@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyscheme import (
-    DEFAULT_FRONTIER_BOUND,
     DEFAULT_SLACK,
     LiftStatus,
     count_points,
-    count_points_lifted,
     enumerate_points_lifted,
     lift_analyzer_for_scheme,
     singular_locus,
@@ -48,12 +46,16 @@ class FitNotFound(ValueError):
     """No linear recurrence of admissible order matches the coefficients."""
 
 
-def scheme_count_at_level(X, base_spec, n, bound=None):
-    """|X(R_n)| in the family of base_spec."""
-    spec_n = base_spec.at_level(n)
-    if spec_n.int_modulus is not None:
-        return count_points_lifted(X, spec_n.p, n, bound)
-    return count_points(X, spec_n, bound)
+def _atlas(target, what):
+    """The scheme whose points a target counts: the target itself, or X
+    for a special-group quotient [X/G]."""
+    if not isinstance(target, QuotientStack):
+        return target
+    if not isinstance(target.group, SpecialGroup):
+        raise UnsupportedStack(
+            f"{what} of finite-group quotients at positive level are unsupported"
+        )
+    return target.scheme
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +86,11 @@ class TauImageProfile:
         return self.unknown == 0
 
 
-def tau_image_profile(X, p, n, slack=DEFAULT_SLACK, bound=None,
-                      frontier_bound=DEFAULT_FRONTIER_BOUND):
+def tau_image_profile(X, p, n, slack=DEFAULT_SLACK, bound=None):
     analyzer = lift_analyzer_for_scheme(X, p)
     certified = refuted = unknown = 0
     for pt in enumerate_points_lifted(X, p, n, bound):
-        status = analyzer.status(pt, n, slack, frontier_bound)
+        status = analyzer.status(pt, n, slack)
         if status is LiftStatus.CERTIFIED_LIFTABLE:
             certified += 1
         elif status is LiftStatus.CERTIFIED_NOT:
@@ -144,24 +145,16 @@ def padic_measure(target, base_spec, max_level=DEFAULT_MAX_LEVEL, bound=None):
     the result is PARTIAL, never a guess.
     """
     q = base_spec.p**base_spec.r
-    levels = list(range(max_level + 1))
-    counts = []
+    X = _atlas(target, "measures")
+    weight = 1
     if isinstance(target, QuotientStack):
-        group = target.group
-        if not isinstance(group, SpecialGroup):
-            raise UnsupportedStack(
-                "measures of finite-group quotients at positive level are unsupported"
-            )
-        X = target.scheme
-        g_res = group.size_over(base_spec.residue_field)
-        for n in levels:
-            cnt = scheme_count_at_level(X, base_spec, n, bound)
-            counts.append(Fraction(cnt, g_res * q ** ((n + 1) * X.dim)))
-    else:
-        d = target.dim
-        for n in levels:
-            cnt = scheme_count_at_level(target, base_spec, n, bound)
-            counts.append(Fraction(cnt, q ** ((n + 1) * d)))
+        weight = target.group.size_over(base_spec.residue_field)
+    levels = list(range(max_level + 1))
+    counts = [
+        Fraction(count_points(X, base_spec.at_level(n), bound),
+                 weight * q ** ((n + 1) * X.dim))
+        for n in levels
+    ]
     return _stabilize(levels, counts)
 
 
@@ -204,21 +197,21 @@ def _weighted(count, target, base_spec, n):
 
 
 def _series_tilde(target, base_spec, terms, bound):
-    X = target.scheme if isinstance(target, QuotientStack) else target
+    X = _atlas(target, "series")
     coeffs = [Fraction(1)]
     for m in range(1, terms):
         n = m - 1
-        cnt = scheme_count_at_level(X, base_spec, n, bound)
+        cnt = count_points(X, base_spec.at_level(n), bound)
         coeffs.append(_weighted(cnt, target, base_spec, n))
     return coeffs, [Fraction(0)] * terms
 
 
 def _series_p(target, base_spec, terms, slack, bound):
-    X = target.scheme if isinstance(target, QuotientStack) else target
     if base_spec.int_modulus is None:
         raise UnsupportedStack(
             "lift-certified series need an unramified prime ring"
         )
+    X = _atlas(target, "series")
     p = base_spec.p
     coeffs = []
     unknown = []
@@ -251,8 +244,7 @@ def series(target, base_spec, kind="tilde", terms=DEFAULT_TERMS,
     elif kind == "p":
         coeffs, unknown = _series_p(target, base_spec, terms, slack, bound)
     elif kind == "q":
-        X = target.scheme if isinstance(target, QuotientStack) else target
-        sing = singular_locus(X)
+        sing = singular_locus(_atlas(target, "series"))
         if isinstance(target, QuotientStack):
             sing_target = QuotientStack(
                 target.name + "_sing",

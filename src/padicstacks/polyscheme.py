@@ -10,6 +10,11 @@ The ring decides how a point coordinate is stored (`coordinates()` and
 integers in 0..p^(n+1)-1; over ramified and Galois rings they are tuples
 of RingElements, and over every finite field, prime fields included,
 tuples of FFElements.
+
+Over Z/p^(n+1), `LiftAnalyzer` lifts points level by level: it lists
+them (`enumerate_points_lifted`), counts them (`count_points_lifted`)
+and certifies lifts (`status`).  `count_points` counts by lifting there
+and by brute enumeration on every other ring.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .rings import BoundExceeded, size_limit
+from .rings import BoundExceeded, p_valuation, size_limit
 
 DEFAULT_SLACK = 2
-DEFAULT_FRONTIER_BOUND = 50_000
+CERT_FRONTIER_BOUND = 50_000  # points per level of a certificate frontier
 
 
 class PolyParseError(ValueError):
@@ -545,7 +550,11 @@ def enumerate_points(X, ring, bound=None):
 
 
 def count_points(X, ring, bound=None):
-    """Exact number of common zeros of X's generators over the ring."""
+    """Exact number of common zeros of X's generators over the ring: by
+    lifting over Z/p^(n+1) (count_points_lifted), by enumeration over
+    every other ring."""
+    if ring.int_modulus is not None:
+        return count_points_lifted(X, ring.p, ring.n, bound)
     if not X.generators:
         return ring.size**X.n_vars
     return sum(1 for _ in enumerate_points(X, ring, bound))
@@ -588,25 +597,176 @@ def _solve_mod_p(rows, rhs, p, n_vars):
     return tuple(solutions)
 
 
-class _Lifter:
-    """Level-by-level lifting of common zeros of an integer system over
-    Z/p^(k+1), by Hensel linearisation.
+def enumerate_points_lifted(X, p, n, bound=None):
+    """Points of X over Z/p^(n+1) by successive lifting from level 0.
 
-    For k >= 1 and a zero x of the system mod p^k, Taylor expansion gives
-    f(x + p^k delta) = f(x) + p^k J(x) delta (mod p^(k+1)), and J(x) mod p
-    depends only on x0 = x mod p.  So the level-k lifts of x are the
-    x + p^k delta with J(x0) delta = -f(x)/p^k over F_p: none, or exactly
-    p^(N - rank J(x0)) of them.  The solution set is cached per
-    (x0, f(x)/p^k) pair; the Jacobian is compiled on first use.
+    Level 0 is a search over F_p^N; every later level solves one linear
+    system over F_p per point (Hensel linearisation, see `LiftAnalyzer`), so
+    only real points are ever built.  Returns the same list as
+    enumerate_points over the unramified prime ring: every point, sorted
+    lexicographically.  Raises BoundExceeded when a level holds more than
+    `bound` points.
+    """
+    limit = size_limit(bound, p**X.n_vars, "level-0 enumeration")
+    lifter = LiftAnalyzer(X.generators, X.n_vars, p)
+    frontier = lifter.residue_points()
+    for k in range(1, n + 1):
+        frontier = lifter.lift_frontier(frontier, k, limit)
+    frontier.sort()
+    return frontier
+
+
+def count_points_lifted(X, p, n, bound=None):
+    """|X(Z/p^(n+1))|, in closed form where Hensel's lemma allows it.
+
+    A residue point x0 where rank J(x0) equals the number g <= N of
+    generators lifts to exactly p^(N-g) points at each level, so it
+    contributes p^(n(N-g)) points without being enumerated.  Only the other
+    residue points are lifted level by level, as in
+    enumerate_points_lifted.  The bound applies to the whole would-be
+    frontier at each level, so the refusals match enumerate_points_lifted.
+    """
+    nv = X.n_vars
+    if not X.generators:
+        return p ** ((n + 1) * nv)
+    limit = size_limit(bound, p**nv, "level-0 enumeration")
+    lifter = LiftAnalyzer(X.generators, nv, p)
+    frontier = []
+    smooth = 0
+    for x0 in lifter.residue_points():
+        if lifter.is_smooth(x0):
+            smooth += 1
+        else:
+            frontier.append(x0)
+    fiber = p ** (nv - len(X.generators)) if smooth else 0
+    for k in range(1, n + 1):
+        smooth *= fiber  # level-k points over the smooth residue points
+        size_limit(limit, smooth, "lift frontier")
+        frontier = lifter.lift_frontier(frontier, k, limit, smooth)
+    return smooth + len(frontier)
+
+
+# ---------------------------------------------------------------------------
+# Jacobians, minors, singular locus
+
+
+def jacobian(X):
+    """Matrix of formal partials: row per generator, column per variable."""
+    return tuple(
+        tuple(g.partial(v) for v in X.variables) for g in X.generators
+    )
+
+
+def _det(matrix):
+    """Determinant of a small square matrix of MultiPoly, by expansion."""
+    k = len(matrix)
+    if k == 0:
+        return None
+    if k == 1:
+        return matrix[0][0]
+    variables = matrix[0][0].variables
+    acc = MultiPoly(variables)
+    for j in range(k):
+        entry = matrix[0][j]
+        if entry.is_zero():
+            continue
+        sub = [
+            [row[c] for c in range(k) if c != j] for row in matrix[1:]
+        ]
+        cofactor = entry * _det(sub)
+        acc = acc + cofactor if j % 2 == 0 else acc - cofactor
+    return acc
+
+
+def jacobian_minors(X, k):
+    """All k x k minors of the Jacobian, in a deterministic order."""
+    return _minors(jacobian(X), X.n_vars, k)
+
+
+def _minors(jac, n_cols, k):
+    result = []
+    for rsel in itertools.combinations(range(len(jac)), k):
+        for csel in itertools.combinations(range(n_cols), k):
+            result.append(_det([[jac[r][c] for c in csel] for r in rsel]))
+    return result
+
+
+def singular_locus(X):
+    """Closed subscheme where all codim-size Jacobian minors vanish.
+
+    Realizes the Fitting-ideal locus for a presentation with exactly
+    codim-many generators; declared dim of the result is kept at X's (an
+    upper bound).
+    """
+    k = X.codim()
+    if k == 0:
+        # smooth by convention: cut out the empty scheme
+        one = MultiPoly.constant(X.variables, 1)
+        return AffineScheme(X.name + "_sing", X.variables, (one,), X.dim)
+    if k > len(X.generators):
+        raise ValueError(
+            f"codim {k} exceeds generator count {len(X.generators)}; "
+            "declared dim is inconsistent with the presentation"
+        )
+    gens = X.generators + tuple(jacobian_minors(X, k))
+    return AffineScheme(X.name + "_sing", X.variables, gens, X.dim)
+
+
+# ---------------------------------------------------------------------------
+# truncation and Hensel certificates (unramified prime rings; integer points)
+
+
+def tau_point(point, p, n):
+    """Reduce an integer point to level n (i.e. mod p^(n+1))."""
+    m = p ** (n + 1)
+    return tuple(x % m for x in point)
+
+
+class LiftStatus(Enum):
+    CERTIFIED_LIFTABLE = "CERTIFIED_LIFTABLE"
+    CERTIFIED_NOT = "CERTIFIED_NOT"
+    UNKNOWN = "UNKNOWN"
+
+
+class LiftAnalyzer:
+    """Hensel lifting and liftability certificates for the zeros of an
+    integer generator system over Z/p^(k+1).
+
+    Lifting: for k >= 1 and a zero x of the system mod p^k, Taylor
+    expansion gives f(x + p^k delta) = f(x) + p^k J(x) delta (mod p^(k+1)),
+    and J(x) mod p depends only on x0 = x mod p.  So the level-k lifts of x
+    are the x + p^k delta with J(x0) delta = -f(x)/p^k over F_p: none, or
+    exactly p^(N - rank J(x0)) of them, listed in the lexicographic order
+    of delta.  The solution set is cached per (x0, f(x)/p^k) pair.
+
+    Certificates: with g generators in N variables, a g x g minor of
+    valuation v at a level-m lift certifies an exact zero of every
+    generator congruent to the lift mod p^(m+1-v), provided 2v <= m; the
+    zero truncates to the original level-n point when v <= m - n.  This
+    minor route needs 0 < g <= N and `use_minors`, which a caller clears
+    when the presentation does not have exactly codim-many generators.
+    Refutation (an empty lift frontier up to level n+slack) is always
+    available.  The frontier keeps at most CERT_FRONTIER_BOUND points per
+    level; as lifts come in the order of their digit vectors, a capped
+    frontier holds the same points as a search over all p^N digit vectors
+    would.
+
+    The Jacobian, the minors and every evaluator are built on first use
+    and cached (evaluators per modulus), so lifting never builds minors.
     """
 
-    def __init__(self, gens, n_vars, p):
+    def __init__(self, gens, n_vars, p, use_minors=True):
         self.gens = tuple(gens)
         self.n_vars = n_vars
         self.p = p
-        self._gen_evals = {}
+        self.use_minors = use_minors and 0 < len(self.gens) <= n_vars
+        self.minors = None
         self._jac_evals = None
+        self._gen_evals = {}
+        self._minor_evals = {}
         self._solutions = {}
+
+    # -- lifting ---------------------------------------------------------------
 
     def evals_at(self, modulus):
         if modulus not in self._gen_evals:
@@ -666,193 +826,13 @@ class _Lifter:
                 raise BoundExceeded(f"lift frontier exceeds bound {limit}")
         return new_frontier
 
-
-def enumerate_points_lifted(X, p, n, bound=None):
-    """Points of X over Z/p^(n+1) by successive lifting from level 0.
-
-    Level 0 is a search over F_p^N; every later level solves one linear
-    system over F_p per point (Hensel linearisation, see `_Lifter`), so
-    only real points are ever built.  Returns the same list as
-    enumerate_points over the unramified prime ring: every point, sorted
-    lexicographically.  Raises BoundExceeded when a level holds more than
-    `bound` points.
-    """
-    limit = size_limit(bound, p**X.n_vars, "level-0 enumeration")
-    lifter = _Lifter(X.generators, X.n_vars, p)
-    frontier = lifter.residue_points()
-    for k in range(1, n + 1):
-        frontier = lifter.lift_frontier(frontier, k, limit)
-    frontier.sort()
-    return frontier
-
-
-def count_points_lifted(X, p, n, bound=None):
-    """|X(Z/p^(n+1))|, in closed form where Hensel's lemma allows it.
-
-    A residue point x0 where rank J(x0) equals the number g <= N of
-    generators lifts to exactly p^(N-g) points at each level, so it
-    contributes p^(n(N-g)) points without being enumerated.  Only the other
-    residue points are lifted level by level, as in
-    enumerate_points_lifted.  The bound applies to the whole would-be
-    frontier at each level, so the refusals match enumerate_points_lifted.
-    """
-    nv = X.n_vars
-    if not X.generators:
-        return p ** ((n + 1) * nv)
-    limit = size_limit(bound, p**nv, "level-0 enumeration")
-    lifter = _Lifter(X.generators, nv, p)
-    frontier = []
-    smooth = 0
-    for x0 in lifter.residue_points():
-        if lifter.is_smooth(x0):
-            smooth += 1
-        else:
-            frontier.append(x0)
-    fiber = p ** (nv - len(X.generators)) if smooth else 0
-    for k in range(1, n + 1):
-        smooth *= fiber  # level-k points over the smooth residue points
-        size_limit(limit, smooth, "lift frontier")
-        frontier = lifter.lift_frontier(frontier, k, limit, smooth)
-    return smooth + len(frontier)
-
-
-# ---------------------------------------------------------------------------
-# Jacobians, minors, singular locus
-
-
-def jacobian(X):
-    """Matrix of formal partials: row per generator, column per variable."""
-    return tuple(
-        tuple(g.partial(v) for v in X.variables) for g in X.generators
-    )
-
-
-def _det(matrix):
-    """Determinant of a small square matrix of MultiPoly, by expansion."""
-    k = len(matrix)
-    if k == 0:
-        return None
-    if k == 1:
-        return matrix[0][0]
-    variables = matrix[0][0].variables
-    acc = MultiPoly(variables)
-    for j in range(k):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        sub = [
-            [row[c] for c in range(k) if c != j] for row in matrix[1:]
-        ]
-        cofactor = entry * _det(sub)
-        acc = acc + cofactor if j % 2 == 0 else acc - cofactor
-    return acc
-
-
-def jacobian_minors(X, k):
-    """All k x k minors of the Jacobian, in a deterministic order."""
-    jac = jacobian(X)
-    rows = range(len(jac))
-    cols = range(X.n_vars)
-    result = []
-    for rsel in itertools.combinations(rows, k):
-        for csel in itertools.combinations(cols, k):
-            sub = [[jac[r][c] for c in csel] for r in rsel]
-            result.append(_det(sub))
-    return result
-
-
-def singular_locus(X):
-    """Closed subscheme where all codim-size Jacobian minors vanish.
-
-    Realizes the Fitting-ideal locus for a presentation with exactly
-    codim-many generators; declared dim of the result is kept at X's (an
-    upper bound).
-    """
-    k = X.codim()
-    if k == 0:
-        # smooth by convention: cut out the empty scheme
-        one = MultiPoly.constant(X.variables, 1)
-        return AffineScheme(X.name + "_sing", X.variables, (one,), X.dim)
-    if k > len(X.generators):
-        raise ValueError(
-            f"codim {k} exceeds generator count {len(X.generators)}; "
-            "declared dim is inconsistent with the presentation"
-        )
-    gens = X.generators + tuple(jacobian_minors(X, k))
-    return AffineScheme(X.name + "_sing", X.variables, gens, X.dim)
-
-
-# ---------------------------------------------------------------------------
-# truncation and Hensel certificates (unramified prime rings; integer points)
-
-
-def tau_point(point, p, n):
-    """Reduce an integer point to level n (i.e. mod p^(n+1))."""
-    m = p ** (n + 1)
-    return tuple(x % m for x in point)
-
-
-class LiftStatus(Enum):
-    CERTIFIED_LIFTABLE = "CERTIFIED_LIFTABLE"
-    CERTIFIED_NOT = "CERTIFIED_NOT"
-    UNKNOWN = "UNKNOWN"
-
-
-def _ord_int(value, p, cap):
-    """p-adic valuation of value mod p^cap; returns cap when 0 mod p^cap."""
-    value %= p**cap
-    if value == 0:
-        return cap
-    v = 0
-    while value % p == 0:
-        value //= p
-        v += 1
-    return v
-
-
-class LiftAnalyzer:
-    """Liftability certificates for level-n zeros of a generator system.
-
-    Newton window: with g generators in N variables, a g x g minor of
-    valuation v at a level-m lift certifies an exact zero of every
-    generator congruent to the lift mod p^(m+1-v), provided 2v <= m; the
-    zero truncates to the original level-n point when v <= m - n.  The
-    minor route needs g <= N; refutation (empty lift frontier up to level
-    n+slack) is always available.
-
-    The frontier grows by the Hensel-linearised lifting behind
-    enumerate_points_lifted (one linear system over F_p per point, see
-    `_Lifter`), and the lifts of each point come in the lexicographic
-    order of their digit vectors.  So a frontier capped at
-    `frontier_bound` keeps the same points as a search over all p^N digit
-    vectors would, and the outcome does not depend on the method.
-
-    Symbolic minors are computed once per instance; evaluators are cached
-    per modulus, and the Jacobian is compiled only when a frontier is first
-    lifted, so batch classification of many points is cheap.
-    """
-
-    def __init__(self, gens, n_vars, p):
-        self.gens = tuple(gens)
-        self.n_vars = n_vars
-        self.p = p
-        self.use_minors = 0 < len(self.gens) <= n_vars
-        if self.use_minors:
-            jac = [
-                [g.partial(v) for v in g.variables] for g in self.gens
-            ]
-            k = len(self.gens)
-            self.minors = [
-                _det([[jac[r][c] for c in csel] for r in range(k)])
-                for csel in itertools.combinations(range(n_vars), k)
-            ]
-        else:
-            self.minors = []
-        self._lifter = _Lifter(self.gens, n_vars, p)
-        self._minor_evals = {}
+    # -- certificates ------------------------------------------------------------
 
     def _minors_at(self, modulus):
         if modulus not in self._minor_evals:
+            if self.minors is None:
+                jac = [[g.partial(v) for v in g.variables] for g in self.gens]
+                self.minors = _minors(jac, self.n_vars, len(self.gens))
             self._minor_evals[modulus] = [
                 d.compile_int(modulus) for d in self.minors
             ]
@@ -864,22 +844,19 @@ class LiftAnalyzer:
         window = min(m - n, m // 2)
         if window < 0:
             return False
-        cap = m + 1
-        modulus = self.p**cap
-        for ev in self._minors_at(modulus):
-            if _ord_int(ev(point), self.p, cap) <= window:
+        for ev in self._minors_at(self.p ** (m + 1)):
+            if p_valuation(ev(point), self.p) <= window:
                 return True
         return False
 
-    def status(self, point, n, slack=DEFAULT_SLACK,
-               frontier_bound=DEFAULT_FRONTIER_BOUND):
+    def status(self, point, n, slack=DEFAULT_SLACK):
         """Classify a level-n point: certified truncation of a true zero,
         certified not, or unknown."""
         p = self.p
         if not self.gens:
             return LiftStatus.CERTIFIED_LIFTABLE
         point = tau_point(point, p, n)
-        if any(ev(point) != 0 for ev in self._lifter.evals_at(p ** (n + 1))):
+        if any(ev(point) != 0 for ev in self.evals_at(p ** (n + 1))):
             return LiftStatus.CERTIFIED_NOT
         if self._minor_certificate(point, n, n):
             return LiftStatus.CERTIFIED_LIFTABLE
@@ -888,13 +865,13 @@ class LiftAnalyzer:
         for m in range(n + 1, n + slack + 1):
             new_frontier = []
             for pt in frontier:
-                for cand in self._lifter.lifts(pt, m):
+                for cand in self.lifts(pt, m):
                     if self._minor_certificate(cand, m, n):
                         return LiftStatus.CERTIFIED_LIFTABLE
                     new_frontier.append(cand)
-                if len(new_frontier) > frontier_bound:
+                if len(new_frontier) > CERT_FRONTIER_BOUND:
                     capped = True
-                    new_frontier = new_frontier[:frontier_bound]
+                    new_frontier = new_frontier[:CERT_FRONTIER_BOUND]
                     break
             if not new_frontier and not capped:
                 return LiftStatus.CERTIFIED_NOT
@@ -905,15 +882,11 @@ class LiftAnalyzer:
 def lift_analyzer_for_scheme(X, p):
     """Analyzer honoring the declared dimension: the minor criterion is
     only sound when the presentation has exactly codim-many generators."""
-    analyzer = LiftAnalyzer(X.generators, X.n_vars, p)
-    if len(X.generators) != X.codim():
-        analyzer.use_minors = False
-        analyzer.minors = []
-    return analyzer
+    return LiftAnalyzer(X.generators, X.n_vars, p,
+                        use_minors=len(X.generators) == X.codim())
 
 
-def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK,
-                    frontier_bound=DEFAULT_FRONTIER_BOUND):
+def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK):
     """Certify whether a point of X over Z/p^(n+1) is a truncation of a
     Z_p-point.
 
@@ -922,4 +895,4 @@ def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK,
     otherwise only exhaustive refutation can decide, and surviving points
     come back UNKNOWN.
     """
-    return lift_analyzer_for_scheme(X, p).status(point, n, slack, frontier_bound)
+    return lift_analyzer_for_scheme(X, p).status(point, n, slack)

@@ -244,6 +244,8 @@ def _power_rows(modpoly, count):
 class FiniteField:
     """F_(p^N) as coefficient vectors modulo a monic irreducible polynomial."""
 
+    int_modulus = None  # points are FFElements, never plain integers
+
     def __init__(self, p, degree=1, modulus=None):
         if not is_prime(p):
             raise RingConstructionError(f"{p} is not prime")

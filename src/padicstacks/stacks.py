@@ -1,10 +1,13 @@
-"""Homotopy-weighted point counts for quotient stacks [X/G].
+"""Homotopy-weighted point counts for quotient stacks [X/G]; `stacky_count`
+picks the recipe from the group.
 
 Finite constant groups go through twisted sectors with Frobenius descent:
-over F_q the weighted count is (1/|G|) * sum over g of the fixed points of
-Frobenius twisted by g, living in the degree-ord(g) extension.  The
-special groups G_a, G_m, GL_k (k <= 3) admit only trivial torsors, so
-their quotients count as |X(R)| / |G(R)| with closed-form group sizes.
+over F_q (or the residue field of a level-0 ring) the weighted count is
+(1/|G|) * sum over g of the fixed points of Frobenius twisted by g,
+living in the degree-ord(g) extension.  The special groups G_a, G_m,
+GL_k (k <= 3) admit only trivial torsors, so their quotients count as
+|X(R)| / |G(R)|, with |X(R)| from `count_points` and closed-form group
+sizes.
 
 Finite constant groups over truncated rings of positive level would need
 twisted sectors over Galois rings; that case is refused, not approximated.
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyscheme import MultiPoly, count_points, enumerate_points
-from .rings import FiniteField, LocalRingSpec
+from .rings import FiniteField
 
 
 class UnsupportedStack(ValueError):
@@ -438,15 +441,10 @@ def fiber_decomposition_check(action, fld, bound=None):
 
 def stacky_count_special(action_or_stack, ring, bound=None):
     """|X(R)| / |G(R)| for G in {G_a, G_m, GL_k}: only trivial torsors."""
-    action = (
-        action_or_stack.action
-        if isinstance(action_or_stack, QuotientStack)
-        else action_or_stack
-    )
-    group = action.group
+    group = action_or_stack.group  # a stack forwards its action's group and scheme
     if not isinstance(group, SpecialGroup):
         raise UnsupportedStack("special counting needs a special group tag")
-    numerator = count_points(action.scheme, ring, bound)
+    numerator = count_points(action_or_stack.scheme, ring, bound)
     return Fraction(numerator, group.size_over(ring))
 
 
@@ -460,11 +458,15 @@ def weighted_subset_count(aut_orders):
     return total
 
 
-def stacky_count_finite_level(action, spec, bound=None):
-    """Finite constant G over R_n with n > 0 is not supported: the twisted
-    sectors would live over Galois rings and no recipe is implemented."""
-    if spec.n == 0:
-        return stacky_count_finite(action, spec.residue_field, bound)
-    raise UnsupportedStack(
-        "finite constant groups over positive-level rings are unsupported"
-    )
+def stacky_count(stack, ring, bound=None):
+    """Weighted count of a quotient stack over a finite field or a
+    truncated ring."""
+    if isinstance(stack.group, SpecialGroup):
+        return stacky_count_special(stack, ring, bound)
+    if not isinstance(ring, FiniteField):
+        if ring.n > 0:
+            raise UnsupportedStack(
+                "finite constant groups over positive-level rings are unsupported"
+            )
+        ring = ring.residue_field
+    return stacky_count_finite(stack.action, ring, bound)

@@ -9,12 +9,11 @@ from padicstacks.measures import (
     padic_measure,
     q_coefficient_check,
     rational_fit,
-    scheme_count_at_level,
     series,
     tau_image_count,
     tau_image_profile,
 )
-from padicstacks.polyscheme import AffineScheme, parse_poly, tau_point
+from padicstacks.polyscheme import AffineScheme, count_points, parse_poly, tau_point
 from padicstacks.rings import make_ring
 from padicstacks.stacks import GroupAction, QuotientStack, SpecialGroup
 
@@ -141,7 +140,7 @@ def test_count_and_image_sequences_agree_in_the_limit():
         for n in range(0, 4):
             d = X.dim
             q_counts.append(
-                Fraction(scheme_count_at_level(X, make_ring(p), n), p ** ((n + 1) * d))
+                Fraction(count_points(X, make_ring(p, n=n)), p ** ((n + 1) * d))
             )
             prof = tau_image_profile(X, p, n, slack=2)
             assert prof.exact

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from padicstacks import polyscheme
 from padicstacks.polyscheme import (
     DEFAULT_SLACK,
     AffineScheme,
@@ -181,6 +182,7 @@ def test_lifted_counts_match_brute():
                 if m**2 > 100_000:
                     continue
                 assert count_points_lifted(X, p, n) == brute_count(X, m)
+                assert count_points(X, make_ring(p, n=n)) == brute_count(X, m)
 
 
 def test_lifted_points_are_reduction_compatible():
@@ -265,7 +267,8 @@ class _DeltaLoopAnalyzer(LiftAnalyzer):
     """Reference certificates: the frontier is grown by trying all p^N
     digit vectors delta for every point, in itertools.product order."""
 
-    def status(self, point, n, slack=DEFAULT_SLACK, frontier_bound=50_000):
+    def status(self, point, n, slack=DEFAULT_SLACK):
+        frontier_bound = polyscheme.CERT_FRONTIER_BOUND
         p = self.p
         if not self.gens:
             return LiftStatus.CERTIFIED_LIFTABLE
@@ -298,8 +301,8 @@ class _DeltaLoopAnalyzer(LiftAnalyzer):
         return LiftStatus.UNKNOWN
 
 
-def test_certificates_match_delta_loop_reference():
-    # a capped frontier keeps its first frontier_bound lifts, so equal
+def test_certificates_match_delta_loop_reference(monkeypatch):
+    # a capped frontier keeps its first CERT_FRONTIER_BOUND lifts, so equal
     # outcomes need the engine to visit lifts in the reference's order
     xy5 = AffineScheme.from_text("xy5", V2, ["x*y - 5"], 1)
     outcomes = set()
@@ -311,20 +314,33 @@ def test_certificates_match_delta_loop_reference():
                 for pt in enumerate_points(X, make_ring(p, n=n)):
                     for slack in (1, 2, 3):
                         for fb in (1, 3, 50_000):
-                            got = engine.status(pt, n, slack, fb)
-                            want = reference.status(pt, n, slack, fb)
+                            monkeypatch.setattr(polyscheme, "CERT_FRONTIER_BOUND", fb)
+                            got = engine.status(pt, n, slack)
+                            want = reference.status(pt, n, slack)
                             assert got is want, (X.name, p, pt, n, slack, fb)
                             outcomes.add(got)
     assert outcomes == set(LiftStatus)
 
 
-def test_analyzer_compiles_jacobian_only_when_lifting():
+def test_analyzer_compiles_jacobian_only_when_lifting(monkeypatch):
     analyzer = LiftAnalyzer(hyperbola3().generators, 2, 3)
     assert analyzer.status((1, 1), 0) is LiftStatus.CERTIFIED_NOT
     assert analyzer.status((1, 3), 0) is LiftStatus.CERTIFIED_LIFTABLE
-    assert analyzer._lifter._jac_evals is None
+    assert analyzer._jac_evals is None
     assert analyzer.status((0, 0), 0) is LiftStatus.CERTIFIED_NOT
-    assert analyzer._lifter._jac_evals is not None
+    assert analyzer._jac_evals is not None
+    # lifted enumeration and counting never build a minor
+    dets = []
+    real_det = polyscheme._det
+    monkeypatch.setattr(polyscheme, "_det", lambda m: dets.append(m) or real_det(m))
+    for X in (hyperbola3(), cusp(), node()):
+        enumerate_points_lifted(X, 3, 2)
+        count_points_lifted(X, 3, 2)
+    assert dets == []
+    assert LiftAnalyzer(cusp().generators, 2, 3).status((1, 1), 0) is (
+        LiftStatus.CERTIFIED_LIFTABLE
+    )
+    assert dets
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,18 @@ def test_cli_bad_input_exits_2(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "stack, kind", [("BS3", "tilde"), ("pm1_mod_Z2", "p"), ("pm1_mod_Z2", "q")]
+)
+def test_cli_series_of_finite_group_stack_exits_2(capsys, stack, kind):
+    argv = ["series", "--project", DEMO, "--target", stack, "--ring", "p3n0",
+            "--kind", kind, "--terms", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: series of finite-group quotients at positive level are unsupported\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_cli_bound_below_one_is_a_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exc:

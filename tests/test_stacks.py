@@ -16,8 +16,8 @@ from padicstacks.stacks import (
     fiber_decomposition_check,
     groupoid_classes_finite,
     klein_four_group,
+    stacky_count,
     stacky_count_finite,
-    stacky_count_finite_level,
     stacky_count_special,
     symmetric_group_3,
     twisted_sector_count,
@@ -246,6 +246,17 @@ def test_point_mod_gl2():
     assert stacky_count_special(act, FiniteField(3)) == Fraction(1, 48)
 
 
+def test_conic_mod_gm_over_prime_ring_counts_by_lifting():
+    # brute force over Z/5^6 would try 5^12 tuples, over the default bound
+    conic = AffineScheme.from_text("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1)
+    stack = QuotientStack("conic_mod_Gm", GroupAction(SpecialGroup("Gm"), conic))
+    # every residue point of the conic is smooth, so each has 5^5 lifts
+    residue = len(list(enumerate_points(conic, FiniteField(5))))
+    closed_form = Fraction(residue * 5**5, 5**6 - 5**5)  # |conic| / |G_m|
+    assert stacky_count_special(stack, make_ring(5, n=5)) == closed_form == 1
+    assert stacky_count(stack, make_ring(5, n=5)) == 1
+
+
 def test_unsupported_group_tag():
     with pytest.raises(UnsupportedStack):
         SpecialGroup("SL")
@@ -300,10 +311,10 @@ def test_compatibility_probe():
 
 
 def test_finite_group_positive_level_unsupported():
-    act = trivial_action(cyclic_group(2))
-    assert stacky_count_finite_level(act, make_ring(5, n=0)) == 1
+    stack = QuotientStack("BZ2", trivial_action(cyclic_group(2)))
+    assert stacky_count(stack, make_ring(5, n=0)) == 1
     with pytest.raises(UnsupportedStack):
-        stacky_count_finite_level(act, make_ring(5, n=1))
+        stacky_count(stack, make_ring(5, n=1))
 
 
 def gm_orbit_data(action, spec):
