@@ -161,7 +161,7 @@ def _cmd_measure(args, project):
     if args.set:
         if args.set in project.formulas:
             entry = project.formula(args.set)
-            target = project.target(entry.target)
+            target = project.scheme(entry.target)
             formula, dim = entry.formula, entry.dim
             lines.append(f"formula = {args.set} ({entry.text})")
         else:
@@ -175,8 +175,6 @@ def _cmd_measure(args, project):
             lines.append(f"formula = (inline) {args.set}")
         if args.dim is not None:
             dim = args.dim
-        if isinstance(target, QuotientStack):
-            raise UnsupportedStack("formula measures need a scheme target")
         spec = project.ring(args.ring)
         lines.append(f"target = {target.name}")
         lines.append(f"ring = {_ring_desc(args.ring, spec)}")
@@ -280,9 +278,7 @@ def _cmd_stack_count(args, project):
 
 def _cmd_specialize(args, project):
     entry = project.formula(args.formula)
-    target = project.target(entry.target)
-    if isinstance(target, QuotientStack):
-        raise UnsupportedStack("formula measures need a scheme target")
+    target = project.scheme(entry.target)
     primes = tuple(int(p) for p in args.primes.split(","))
     verdicts = specialize_primes(
         entry.formula,

@@ -20,6 +20,7 @@ reach a stabilized measure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -611,24 +612,28 @@ class EvalResult:
     undetermined: list
 
 
+def _truth_values(formula, target, spec, bound, upgrades=None):
+    """Each level-n point of the target with the formula's truth value
+    there; the upgrade oracle, when given, settles undetermined points."""
+    ctx = _Context(spec)
+    for point in enumerate_points(target, spec, bound):
+        ctx.set_point(point)
+        tv = _eval_node(formula, ctx)
+        if tv is TV.UNKNOWN and upgrades is not None:
+            tv = upgrades.settle(formula, ctx, point, spec.n)
+        yield point, tv
+
+
 def eval_formula(formula, target, spec, bound=None):
     """Classify every level-n point of the target under the formula.
 
     Pointwise three-valued semantics: atoms whose truth is not determined
     by the visible digits come back undetermined (no lift certificates
     here; see measure_formula for the upgraded counting)."""
-    ctx = _Context(spec)
-    ct, cf, ud = [], [], []
-    for point in enumerate_points(target, spec, bound):
-        ctx.set_point(point)
-        tv = _eval_node(formula, ctx)
-        if tv is TV.TRUE:
-            ct.append(point)
-        elif tv is TV.FALSE:
-            cf.append(point)
-        else:
-            ud.append(point)
-    return EvalResult(spec.n, ct, cf, ud)
+    points = {TV.TRUE: [], TV.FALSE: [], TV.UNKNOWN: []}
+    for point, tv in _truth_values(formula, target, spec, bound):
+        points[tv].append(point)
+    return EvalResult(spec.n, points[TV.TRUE], points[TV.FALSE], points[TV.UNKNOWN])
 
 
 # ---------------------------------------------------------------------------
@@ -732,22 +737,11 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     levels = list(range(max_level + 1))
     lower, upper = [], []
     for n in levels:
-        spec_n = base_spec.at_level(n)
-        ctx = _Context(spec_n)
-        sure = 0
-        open_count = 0
-        for point in enumerate_points(target, spec_n, bound):
-            ctx.set_point(point)
-            tv = _eval_node(formula, ctx)
-            if tv is TV.UNKNOWN and upgrades is not None:
-                tv = upgrades.settle(formula, ctx, point, n)
-            if tv is TV.TRUE:
-                sure += 1
-            elif tv is TV.UNKNOWN:
-                open_count += 1
+        tally = Counter(tv for _, tv in _truth_values(
+            formula, target, base_spec.at_level(n), bound, upgrades))
         denom = q ** ((n + 1) * d)
-        lower.append(Fraction(sure, denom))
-        upper.append(Fraction(sure + open_count, denom))
+        lower.append(Fraction(tally[TV.TRUE], denom))
+        upper.append(Fraction(tally[TV.TRUE] + tally[TV.UNKNOWN], denom))
     result = _stabilize(levels, lower)
     if result.status == "STABILIZED":
         tail = upper[-STABLE_RUN:]

@@ -86,7 +86,6 @@ class GreenbergScheme:
     p: int
     level: int
     scheme: AffineScheme
-    blocks: tuple
     component_gens: tuple
 
     @property
@@ -189,10 +188,7 @@ def greenberg_transform(X, p, n, length_bound=DEFAULT_LENGTH_BOUND):
     component_gens = tuple(
         tuple(comps[i] for comps in per_gen) for i in range(length)
     )
-    blocks = tuple(
-        tuple(f"{v}_{i}" for i in range(length)) for v in X.variables
-    )
     scheme = AffineScheme(
         f"Gr{n}({X.name})", names, flat, min(length * X.dim, len(names))
     )
-    return GreenbergScheme(X, p, n, scheme, blocks, component_gens)
+    return GreenbergScheme(X, p, n, scheme, component_gens)

@@ -8,14 +8,17 @@ Conventions, fixed once and embedded in every report:
     measure 1.
   * series coefficient 0 is the count over the zero ring (1 for nonempty
     targets); coefficient n >= 1 is the level-(n-1) count.
-  * quotient stacks [X/G] by a special group measure through the atlas:
-    the level-n normalized count is |X(R_n)| / (|G(F_q)| * q^((n+1) dim X)).
-    For the constant-size groups involved this is what makes the level
-    sequence literally constant on the classifying-stack examples.
+  * a target is an atlas X and a divisor w(n): a scheme is its own atlas
+    with w(n) = 1, and a quotient stack [X/G] by a special group has the
+    atlas X and w(n) = |G(R_n)|.  Series coefficient m >= 1 is the
+    level-(m-1) count of X over w(m-1); the level-n measure value is
+    |X(R_n)| / (w(0) * q^((n+1) dim X)), which makes the level sequence
+    literally constant on the classifying-stack examples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,16 +49,18 @@ class FitNotFound(ValueError):
     """No linear recurrence of admissible order matches the coefficients."""
 
 
-def _atlas(target, what):
-    """The scheme whose points a target counts: the target itself, or X
-    for a special-group quotient [X/G]."""
+def _atlas(target, base_spec, what):
+    """(X, weight): the scheme whose points a target counts and the divisor
+    weight(n) of its level-n count; the target itself with weight 1, or X
+    with |G(R_n)| for a special-group quotient [X/G]."""
     if not isinstance(target, QuotientStack):
-        return target
+        return target, lambda n: 1
     if not isinstance(target.group, SpecialGroup):
         raise UnsupportedStack(
             f"{what} of finite-group quotients at positive level are unsupported"
         )
-    return target.scheme
+    group = target.group
+    return target.scheme, lambda n: group.size_over(base_spec.at_level(n))
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +78,6 @@ class TauImageProfile:
     unknown: int
 
     @property
-    def total(self):
-        return self.certified + self.refuted + self.unknown
-
-    @property
     def image_at_slack(self):
         """Points of X(R_n) admitting a lift to R_(n+slack)."""
         return self.certified + self.unknown
@@ -86,18 +87,17 @@ class TauImageProfile:
         return self.unknown == 0
 
 
+def _lift_statuses(analyzer, X, n, slack, bound):
+    """Each point of X(Z/p^(n+1)) with its lift status to level n + slack."""
+    for pt in enumerate_points_lifted(X, analyzer.p, n, bound):
+        yield pt, analyzer.status(pt, n, slack)
+
+
 def tau_image_profile(X, p, n, slack=DEFAULT_SLACK, bound=None):
     analyzer = lift_analyzer_for_scheme(X, p)
-    certified = refuted = unknown = 0
-    for pt in enumerate_points_lifted(X, p, n, bound):
-        status = analyzer.status(pt, n, slack)
-        if status is LiftStatus.CERTIFIED_LIFTABLE:
-            certified += 1
-        elif status is LiftStatus.CERTIFIED_NOT:
-            refuted += 1
-        else:
-            unknown += 1
-    return TauImageProfile(n, slack, certified, refuted, unknown)
+    tally = Counter(s for _, s in _lift_statuses(analyzer, X, n, slack, bound))
+    return TauImageProfile(n, slack, tally[LiftStatus.CERTIFIED_LIFTABLE],
+                           tally[LiftStatus.CERTIFIED_NOT], tally[LiftStatus.UNKNOWN])
 
 
 def tau_image_count(X, p, n, slack=DEFAULT_SLACK, bound=None):
@@ -145,14 +145,12 @@ def padic_measure(target, base_spec, max_level=DEFAULT_MAX_LEVEL, bound=None):
     the result is PARTIAL, never a guess.
     """
     q = base_spec.p**base_spec.r
-    X = _atlas(target, "measures")
-    weight = 1
-    if isinstance(target, QuotientStack):
-        weight = target.group.size_over(base_spec.residue_field)
+    X, weight = _atlas(target, base_spec, "measures")
+    w0 = weight(0)
     levels = list(range(max_level + 1))
     counts = [
         Fraction(count_points(X, base_spec.at_level(n), bound),
-                 weight * q ** ((n + 1) * X.dim))
+                 w0 * q ** ((n + 1) * X.dim))
         for n in levels
     ]
     return _stabilize(levels, counts)
@@ -190,29 +188,16 @@ class SeriesTable:
         return lower, upper
 
 
-def _weighted(count, target, base_spec, n):
-    if isinstance(target, QuotientStack):
-        return Fraction(count, target.group.size_over(base_spec.at_level(n)))
-    return Fraction(count)
-
-
-def _series_tilde(target, base_spec, terms, bound):
-    X = _atlas(target, "series")
+def _series_tilde(X, weight, base_spec, terms, bound):
     coeffs = [Fraction(1)]
     for m in range(1, terms):
         n = m - 1
         cnt = count_points(X, base_spec.at_level(n), bound)
-        coeffs.append(_weighted(cnt, target, base_spec, n))
+        coeffs.append(Fraction(cnt, weight(n)))
     return coeffs, [Fraction(0)] * terms
 
 
-def _series_p(target, base_spec, terms, slack, bound):
-    if base_spec.int_modulus is None:
-        raise UnsupportedStack(
-            "lift-certified series need an unramified prime ring"
-        )
-    X = _atlas(target, "series")
-    p = base_spec.p
+def _series_p(X, weight, p, terms, slack, bound):
     coeffs = []
     unknown = []
     # coefficient 0: nonemptiness of the Z_p-point set, probed at level 0
@@ -229,36 +214,35 @@ def _series_p(target, base_spec, terms, slack, bound):
     for m in range(1, terms):
         n = m - 1
         prof = prof0 if n == 0 else tau_image_profile(X, p, n, slack, bound)
-        coeffs.append(_weighted(prof.certified, target, base_spec, n))
-        unknown.append(_weighted(prof.unknown, target, base_spec, n))
+        coeffs.append(Fraction(prof.certified, weight(n)))
+        unknown.append(Fraction(prof.unknown, weight(n)))
     return coeffs, unknown
 
 
 def series(target, base_spec, kind="tilde", terms=DEFAULT_TERMS,
            slack=DEFAULT_SLACK, bound=None):
-    """Series table for P-tilde ('tilde'), P ('p') or Q ('q')."""
+    """Series table for P-tilde ('tilde'), P ('p') or Q ('q').
+
+    The Q series is the P series of the atlas minus the P series of its
+    singular locus, both over the same divisor."""
+    if kind not in ("tilde", "p", "q"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    if kind != "tilde" and base_spec.int_modulus is None:
+        raise UnsupportedStack(
+            "lift-certified series need an unramified prime ring"
+        )
     name = target.name if hasattr(target, "name") else str(target)
+    X, weight = _atlas(target, base_spec, "series")
     down = None
     if kind == "tilde":
-        coeffs, unknown = _series_tilde(target, base_spec, terms, bound)
-    elif kind == "p":
-        coeffs, unknown = _series_p(target, base_spec, terms, slack, bound)
-    elif kind == "q":
-        sing = singular_locus(_atlas(target, "series"))
-        if isinstance(target, QuotientStack):
-            sing_target = QuotientStack(
-                target.name + "_sing",
-                type(target.action)(target.group, sing, target.action.polys),
-            )
-        else:
-            sing_target = sing
-        cx, ux = _series_p(target, base_spec, terms, slack, bound)
-        cs, us = _series_p(sing_target, base_spec, terms, slack, bound)
-        coeffs = [a - b for a, b in zip(cx, cs)]
-        unknown = ux
-        down = us
+        coeffs, unknown = _series_tilde(X, weight, base_spec, terms, bound)
     else:
-        raise ValueError(f"unknown series kind {kind!r}")
+        coeffs, unknown = _series_p(X, weight, base_spec.p, terms, slack, bound)
+    if kind == "q":
+        cs, down = _series_p(
+            singular_locus(X), weight, base_spec.p, terms, slack, bound
+        )
+        coeffs = [a - b for a, b in zip(coeffs, cs)]
     exact = all(u == 0 for u in unknown) and (
         down is None or all(d == 0 for d in down)
     )
@@ -447,16 +431,14 @@ def q_coefficient_check(X, base_spec, level, max_level=DEFAULT_MAX_LEVEL,
     counts = []
     for ell in levels:
         kept = 0
-        for pt in enumerate_points_lifted(X, p, ell, bound):
-            status = analyzer.status(pt, ell, slack)
+        for pt, status in _lift_statuses(analyzer, X, ell, slack, bound):
             if status is LiftStatus.UNKNOWN:
                 raise UnsupportedStack("unresolved lift certificate")
-            if status is not LiftStatus.CERTIFIED_LIFTABLE:
-                continue
-            down = tau_point(pt, p, level)
-            if all(ev(down) == 0 for ev in sing_evals):
-                continue  # truncation hits the singular locus
-            kept += 1
+            if status is LiftStatus.CERTIFIED_LIFTABLE:
+                down = tau_point(pt, p, level)
+                # kept unless the truncation hits the singular locus
+                if any(ev(down) != 0 for ev in sing_evals):
+                    kept += 1
         counts.append(Fraction(kept, q ** ((ell + 1) * d)))
     result = _stabilize(levels, counts)
     if result.status != "STABILIZED":

@@ -250,20 +250,18 @@ def _load_formula(name, raw, schemes, stacks):
         if key not in raw:
             raise ProjectError(f"[formula {name}] is missing {key!r}")
     tname = raw["target"].strip()
-    if tname in schemes:
-        target = schemes[tname]
-        default_dim = target.dim
-        variables = target.variables
-    elif tname in stacks:
-        target = stacks[tname]
-        default_dim = target.dim
-        variables = target.scheme.variables
-    else:
+    if tname in stacks:
+        raise ProjectError(
+            f"[formula {name}] target {tname!r} is a stack; "
+            "formula measures need a scheme target"
+        )
+    if tname not in schemes:
         raise ProjectError(f"[formula {name}] references unknown target {tname!r}")
-    dim = _int(f"formula {name}", "dim", raw, default_dim)
+    target = schemes[tname]
+    dim = _int(f"formula {name}", "dim", raw, target.dim)
     bad = tuple(int(b) for b in _split_list(raw.get("bad_primes", "")))
     try:
-        formula = parse_formula(raw["text"], variables)
+        formula = parse_formula(raw["text"], target.variables)
     except FormulaSyntaxError as exc:
         raise ProjectError(f"[formula {name}] {exc}") from exc
     return FormulaEntry(name, tname, dim, raw["text"], formula, bad)

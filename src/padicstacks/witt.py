@@ -159,10 +159,8 @@ class StructurePolys:
         self.mul_int = _ghost_solve(
             [a * b for a, b in zip(gx, gy)], p, _exact_div_poly
         )
-        self.neg_int = _ghost_solve([-a for a in gx], p, _exact_div_poly)
         self.add_modp = tuple(s.reduce_coeffs(p) for s in self.add_int)
         self.mul_modp = tuple(s.reduce_coeffs(p) for s in self.mul_int)
-        self.neg_modp = tuple(s.reduce_coeffs(p) for s in self.neg_int)
 
 
 _structure_cache = {}

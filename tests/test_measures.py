@@ -209,6 +209,35 @@ def test_series_q_cusp_bounds_contain_truth():
             assert lo <= t <= up
 
 
+@pytest.mark.parametrize("kind", ["p", "q"])
+def test_series_of_special_group_stack_divides_the_atlas_tables(kind):
+    # [cusp/G_m] with lam.(x, y) = (lam^2 x, lam^3 y): every table of the
+    # stack is the cusp's own, with coefficient m >= 1 (and its slack)
+    # divided by |G_m(Z/5^m)| = 4 * 5^(m-1); the Q series subtracts the
+    # cusp's singular locus, the origin, whose open lift certificates show
+    # as downward slack
+    names = ("x", "y", "lam")
+    stack = QuotientStack("cusp_mod_Gm", GroupAction(
+        SpecialGroup("Gm"), CUSP,
+        (parse_poly("lam^2*x", names), parse_poly("lam^3*y", names)),
+    ))
+    spec, terms = make_ring(5), 4
+    divisors = [1] + [4 * 5**n for n in range(terms - 1)]
+    atlas = series(CUSP, spec, kind, terms=terms)
+    tbl = series(stack, spec, kind, terms=terms)
+    assert not atlas.exact and tbl.exact == atlas.exact
+    for field in ("coefficients", "unknown", "unknown_down"):
+        own = getattr(atlas, field)
+        if own is None:
+            assert getattr(tbl, field) is None
+        else:
+            assert getattr(tbl, field) == [
+                Fraction(c, w) for c, w in zip(own, divisors)
+            ]
+    if kind == "q":
+        assert any(d != 0 for d in tbl.unknown_down)
+
+
 def test_series_p_empty_target():
     X = AffineScheme.from_text("xx3", ("x",), ["x^2 - 3"], 0)
     tbl = series(X, make_ring(3), "p", terms=3)

@@ -50,6 +50,21 @@ def test_bad_formula_reported_with_section(tmp_path):
     assert "formula f" in str(err.value)
 
 
+def test_formula_on_stack_target_rejected_at_load(tmp_path, capsys):
+    bad = tmp_path / "bad.project"
+    bad.write_text(
+        "[ring r]\np = 3\n\n[scheme pt]\nvars =\ndim = 0\n\n"
+        "[group Gm]\nspecial = Gm\n\n[stack BGm]\ngroup = Gm\nscheme = pt\n\n"
+        "[formula f]\ntarget = BGm\ntext = 0 == 0\n"
+    )
+    with pytest.raises(ProjectError) as err:
+        load_project(bad)
+    assert "formula f" in str(err.value)
+    argv = ["count", "--project", str(bad), "--target", "pt", "--ring", "r"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
 def test_duplicate_section_rejected(tmp_path):
     bad = tmp_path / "bad.project"
     bad.write_text("[ring r]\np = 3\n\n[ring  r]\np = 5\n")
@@ -284,16 +299,26 @@ def test_cli_bad_input_exits_2(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+FINITE_GROUP = "series of finite-group quotients at positive level are unsupported"
+PRIME_RING = "lift-certified series need an unramified prime ring"
+
+
 @pytest.mark.parametrize(
-    "stack, kind", [("BS3", "tilde"), ("pm1_mod_Z2", "p"), ("pm1_mod_Z2", "q")]
+    "stack, ring, kind, message",
+    [pytest.param("BS3", "p3n0", "tilde", FINITE_GROUP, id="BS3-tilde"),
+     pytest.param("pm1_mod_Z2", "p3n0", "p", FINITE_GROUP, id="pm1_mod_Z2-p"),
+     pytest.param("pm1_mod_Z2", "p3n0", "q", FINITE_GROUP, id="pm1_mod_Z2-q"),
+     # lift-certified kinds refuse a ring that is not Z/p^(n+1) first
+     pytest.param("BS3", "ram3", "p", PRIME_RING, id="BS3-ram3-p"),
+     pytest.param("BS3", "ram3", "q", PRIME_RING, id="BS3-ram3-q"),
+     pytest.param("pm1_mod_Z2", "ram3", "p", PRIME_RING, id="pm1_mod_Z2-ram3-p"),
+     pytest.param("pm1_mod_Z2", "ram3", "q", PRIME_RING, id="pm1_mod_Z2-ram3-q")],
 )
-def test_cli_series_of_finite_group_stack_exits_2(capsys, stack, kind):
-    argv = ["series", "--project", DEMO, "--target", stack, "--ring", "p3n0",
+def test_cli_series_of_finite_group_stack_exits_2(capsys, stack, ring, kind, message):
+    argv = ["series", "--project", DEMO, "--target", stack, "--ring", ring,
             "--kind", kind, "--terms", "3"]
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: series of finite-group quotients at positive level are unsupported\n"
-    )
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
