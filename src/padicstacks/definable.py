@@ -16,10 +16,16 @@ of that, an undetermined point whose only open atoms assert exact
 vanishing can be settled by a lift certificate (a true solution nearby
 with the same truncation), which is what lets sets cut out by equations
 reach a stabilized measure.
+
+A formula is compiled once per ring into readers: each polynomial is
+compiled by the ring, the ord of a polynomial in t alone on an unramified
+ring is decided at compile time, and f == 0 reads as ord(f) == INFINITY.
+A point then only runs those readers on the point plus the uniformizer.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -408,72 +414,6 @@ class SpecializationMap:
 # three-valued evaluation
 
 
-class _Context:
-    """Per-point atom evaluation over a level-n ring, caching compiled
-    polynomial evaluators across points and values within a point.  Point
-    coordinates are read only through the ring."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.n = spec.n
-        self.field = spec.residue_field
-        self._t = spec.uniformizer_coordinate()
-        self._compiled = {}
-        self._args = None
-        self._values = {}
-
-    def set_point(self, point):
-        self._args = point + (self._t,)
-        self._values = {}
-
-    def _value(self, poly):
-        key = id(poly)
-        if key in self._values:
-            return self._values[key]
-        ev = self._compiled.get(key)
-        if ev is None:
-            ev = self._compiled[key] = self.spec.compile(poly)
-        out = self._values[key] = ev(self._args)
-        return out
-
-    def _exact_int_value(self, poly):
-        """For polynomials in t alone (no point variables), the value is an
-        exact integer once t becomes the integer uniformizer; None when the
-        refinement does not apply."""
-        if self.spec.e != 1 or "t" not in poly.variables:
-            return None
-        t_idx = poly.variables.index("t")
-        g = 0
-        for expo, coeff in poly.terms.items():
-            if any(e for k, e in enumerate(expo) if k != t_idx):
-                return None
-            g += coeff * self.spec.p ** expo[t_idx]
-        return g
-
-    def ord_interval(self, poly):
-        """(lo, hi) for the true valuation; hi may be INFINITY."""
-        g = self._exact_int_value(poly)
-        if g is not None:
-            v = p_valuation(g, self.spec.p)
-            return (v, v)
-        v = self.spec.valuation(self._value(poly))
-        if v is INFINITY:
-            return (self.n + 1, INFINITY)
-        return (v, v)
-
-    def ac_value(self, poly):
-        """Leading digit as a residue-field element, or None if invisible."""
-        if poly.is_zero():
-            return self.field.zero()
-        value = self._value(poly)
-        if not value:
-            return None
-        return self.spec.ac(value)
-
-    def red_value(self, poly):
-        return self.spec.residue(self._value(poly))
-
-
 def _cmp_intervals(lhs, op, rhs):
     """Three-valued comparison of valuation intervals [a,b] op [c,d]."""
     a, b = lhs
@@ -505,103 +445,141 @@ def _cmp_intervals(lhs, op, rhs):
     raise ValueError(f"unknown comparison {op!r}")
 
 
-def _shift_interval(interval, k):
-    lo, hi = interval
-    return (lo + k, hi + k)
+# residue-sort operators, applied to their operands' values in field order
+_RES_OPS = {RAdd: operator.add, RMul: operator.mul, RNeg: operator.neg, RPow: operator.pow}
 
 
-def _eval_res(expr, ctx):
-    """Residue-field value or None (depends on an invisible leading digit)."""
-    if isinstance(expr, RConst):
-        return ctx.field.from_int(expr.value)
-    if isinstance(expr, RAc):
-        return ctx.ac_value(expr.poly)
-    if isinstance(expr, RRed):
-        return ctx.red_value(expr.poly)
-    if isinstance(expr, RAdd):
-        a, b = _eval_res(expr.left, ctx), _eval_res(expr.right, ctx)
-        return None if a is None or b is None else a + b
-    if isinstance(expr, RMul):
-        a, b = _eval_res(expr.left, ctx), _eval_res(expr.right, ctx)
-        return None if a is None or b is None else a * b
-    if isinstance(expr, RNeg):
-        a = _eval_res(expr.inner, ctx)
-        return None if a is None else -a
-    if isinstance(expr, RPow):
-        a = _eval_res(expr.inner, ctx)
-        return None if a is None else a**expr.exponent
-    raise TypeError(f"not a residue expression: {expr!r}")
+def _compile(formula, spec):
+    """The formula compiled once for one ring: (evaluate, exactness).
 
+    evaluate(args, overrides) is the truth value at args = point +
+    (uniformizer coordinate,), with atoms found in the overrides dict read
+    from it instead of from the point.  exactness maps each atom that
+    asserts exact vanishing to (its polynomial, its reader args -> truth
+    value), in formula order; the upgrade oracle reads it.  Point
+    coordinates are read only through the ring."""
+    n, p, field = spec.n, spec.p, spec.residue_field
+    exactness = {}
 
-def _eval_atom(node, ctx, overrides):
-    if overrides and node in overrides:
-        return overrides[node]
-    if isinstance(node, PolyEq):
-        lo, hi = ctx.ord_interval(node.poly)
-        if lo is INFINITY:
-            return TV.TRUE  # exact zero, known outright
-        if lo == hi:
-            return TV.FALSE  # finite valuation: certainly nonzero
-        return TV.UNKNOWN
-    if isinstance(node, OrdAtom):
-        lhs = ctx.ord_interval(node.poly)
-        if node.rhs[0] == "inf":
-            rhs = (INFINITY, INFINITY)
-        elif node.rhs[0] == "const":
-            rhs = (node.rhs[1], node.rhs[1])
-        else:
-            rhs = _shift_interval(ctx.ord_interval(node.rhs[1]), node.rhs[2])
-        return _cmp_intervals(lhs, node.op, rhs)
-    if isinstance(node, OrdCong):
-        lo, hi = ctx.ord_interval(node.poly)
-        if lo is INFINITY:
-            return TV.FALSE  # infinite valuation satisfies no congruence
-        if lo == hi:
-            return TV.TRUE if lo % node.modulus == node.residue else TV.FALSE
-        return TV.UNKNOWN
-    if isinstance(node, ResAtom):
-        a = _eval_res(node.left, ctx)
-        b = _eval_res(node.right, ctx)
-        if a is None or b is None:
-            return TV.UNKNOWN
-        eq = a == b
-        if node.negated:
-            eq = not eq
-        return TV.TRUE if eq else TV.FALSE
-    raise TypeError(f"not an atom: {node!r}")
+    def ord_reader(poly, shift=0):
+        """args -> interval (lo, hi) holding ord(poly) + shift; hi may be
+        INFINITY.  A polynomial in t alone on an unramified ring is the
+        exact integer it becomes at t = p, so its interval is fixed."""
+        if spec.e == 1 and "t" in poly.variables:
+            t_idx = poly.variables.index("t")
+            if not any(k for expo in poly.terms for i, k in enumerate(expo) if i != t_idx):
+                g = sum(c * p ** expo[t_idx] for expo, c in poly.terms.items())
+                exact = p_valuation(g, p) + shift
+                return lambda args: (exact, exact)
+        ev, valuation, floor = spec.compile(poly), spec.valuation, n + 1 + shift
 
+        def read(args):
+            v = valuation(ev(args))
+            if v is INFINITY:
+                return (floor, INFINITY)
+            v += shift
+            return (v, v)
 
-def _eval_node(node, ctx, overrides=None):
-    if isinstance(node, And):
-        a = _eval_node(node.left, ctx, overrides)
-        if a is TV.FALSE:
-            return TV.FALSE
-        return _tv_and(a, _eval_node(node.right, ctx, overrides))
-    if isinstance(node, Or):
-        a = _eval_node(node.left, ctx, overrides)
-        if a is TV.TRUE:
-            return TV.TRUE
-        return _tv_or(a, _eval_node(node.right, ctx, overrides))
-    if isinstance(node, Not):
-        return _tv_not(_eval_node(node.inner, ctx, overrides))
-    return _eval_atom(node, ctx, overrides)
+        return read
 
+    def res_reader(expr):
+        """args -> residue-field value, or None when it depends on a
+        leading digit the level does not show."""
+        if isinstance(expr, RConst):
+            const = field.from_int(expr.value)
+            return lambda args: const
+        if isinstance(expr, RAc):
+            if expr.poly.is_zero():
+                zero = field.zero()
+                return lambda args: zero
+            ev, ac = spec.compile(expr.poly), spec.ac
 
-def _collect_open_exactness_atoms(node, ctx, out):
-    """Atoms of the shape 'this value vanishes exactly' that evaluated
-    UNKNOWN at the current point."""
-    if isinstance(node, (And, Or)):
-        _collect_open_exactness_atoms(node.left, ctx, out)
-        _collect_open_exactness_atoms(node.right, ctx, out)
-    elif isinstance(node, Not):
-        _collect_open_exactness_atoms(node.inner, ctx, out)
-    elif isinstance(node, PolyEq):
-        if _eval_atom(node, ctx, None) is TV.UNKNOWN:
-            out.setdefault(node, node.poly)
-    elif isinstance(node, OrdAtom):
-        if node.rhs[0] == "inf" and node.op in ("==", ">="):
-            if _eval_atom(node, ctx, None) is TV.UNKNOWN:
-                out.setdefault(node, node.poly)
+            def read_ac(args):
+                value = ev(args)
+                return ac(value) if value else None
+
+            return read_ac
+        if isinstance(expr, RRed):
+            ev, residue = spec.compile(expr.poly), spec.residue
+            return lambda args: residue(ev(args))
+        op = _RES_OPS.get(type(expr))
+        if op is None:
+            raise TypeError(f"not a residue expression: {expr!r}")
+        readers = [  # RPow's exponent reads as a constant
+            res_reader(v) if isinstance(v, ResExpr) else (lambda args, k=v: k)
+            for v in vars(expr).values()
+        ]
+
+        def read(args):
+            values = [r(args) for r in readers]
+            return None if any(v is None for v in values) else op(*values)
+
+        return read
+
+    def atom_reader(node):
+        """args -> truth value of one atom at the point."""
+        if isinstance(node, PolyEq):
+            return atom_reader(OrdAtom(node.poly, "==", ("inf",)))
+        if isinstance(node, OrdAtom):
+            lhs, op, kind = ord_reader(node.poly), node.op, node.rhs[0]
+            if kind == "ord":
+                rhs = ord_reader(node.rhs[1], node.rhs[2])
+                return lambda args: _cmp_intervals(lhs(args), op, rhs(args))
+            c = INFINITY if kind == "inf" else node.rhs[1]
+            return lambda args: _cmp_intervals(lhs(args), op, (c, c))
+        if isinstance(node, OrdCong):
+            read, modulus, residue = ord_reader(node.poly), node.modulus, node.residue
+
+            def cong(args):
+                lo, hi = read(args)
+                if lo is INFINITY:
+                    return TV.FALSE  # infinite valuation satisfies no congruence
+                if lo == hi:
+                    return TV.TRUE if lo % modulus == residue else TV.FALSE
+                return TV.UNKNOWN
+
+            return cong
+        if isinstance(node, ResAtom):
+            left, right, negated = res_reader(node.left), res_reader(node.right), node.negated
+
+            def res(args):
+                a, b = left(args), right(args)
+                if a is None or b is None:
+                    return TV.UNKNOWN
+                return TV.TRUE if (a == b) != negated else TV.FALSE
+
+            return res
+        raise TypeError(f"not an atom: {node!r}")
+
+    def node_evaluator(node):
+        if isinstance(node, (And, Or)):
+            left, right = node_evaluator(node.left), node_evaluator(node.right)
+            stop, combine = (
+                (TV.FALSE, _tv_and) if isinstance(node, And) else (TV.TRUE, _tv_or)
+            )
+
+            def junction(args, overrides):
+                a = left(args, overrides)
+                return a if a is stop else combine(a, right(args, overrides))
+
+            return junction
+        if isinstance(node, Not):
+            inner = node_evaluator(node.inner)
+            return lambda args, overrides: _tv_not(inner(args, overrides))
+        read = atom_reader(node)
+        if isinstance(node, PolyEq) or (
+            isinstance(node, OrdAtom) and node.rhs[0] == "inf" and node.op in ("==", ">=")
+        ):
+            exactness.setdefault(node, (node.poly, read))
+
+        def atom(args, overrides):
+            if overrides and node in overrides:
+                return overrides[node]
+            return read(args)
+
+        return atom
+
+    return node_evaluator(formula), exactness
 
 
 @dataclass
@@ -615,12 +593,13 @@ class EvalResult:
 def _truth_values(formula, target, spec, bound, upgrades=None):
     """Each level-n point of the target with the formula's truth value
     there; the upgrade oracle, when given, settles undetermined points."""
-    ctx = _Context(spec)
+    evaluate, exactness = _compile(formula, spec)
+    t = spec.uniformizer_coordinate()
     for point in enumerate_points(target, spec, bound):
-        ctx.set_point(point)
-        tv = _eval_node(formula, ctx)
+        args = point + (t,)
+        tv = evaluate(args, None)
         if tv is TV.UNKNOWN and upgrades is not None:
-            tv = upgrades.settle(formula, ctx, point, spec.n)
+            tv = upgrades.settle(evaluate, exactness, point, args, spec.n)
         yield point, tv
 
 
@@ -668,11 +647,15 @@ class _UpgradeOracle:
             )
         return self._analyzers[key]
 
-    def settle(self, formula, ctx, point, n):
+    def settle(self, evaluate, exactness, point, args, n):
         """TV.TRUE / TV.FALSE / TV.UNKNOWN for 'point lies in the level-n
-        truncation of the defined set'."""
-        open_atoms = {}
-        _collect_open_exactness_atoms(formula, ctx, open_atoms)
+        truncation of the defined set', given the formula compiled for the
+        level-n ring and its arguments at the point."""
+        open_atoms = {
+            atom: poly
+            for atom, (poly, read) in exactness.items()
+            if read(args) is TV.UNKNOWN
+        }
         if not open_atoms:
             return TV.UNKNOWN
         atoms = list(open_atoms)
@@ -686,7 +669,7 @@ class _UpgradeOracle:
             if status is LiftStatus.CERTIFIED_NOT:
                 overrides[atom] = TV.FALSE
         if overrides:
-            tv = _eval_node(formula, ctx, overrides)
+            tv = evaluate(args, overrides)
             if tv is TV.FALSE:
                 return TV.FALSE
         # optimistic pass: certify the remaining open atoms jointly
@@ -695,14 +678,14 @@ class _UpgradeOracle:
             optimistic = dict(overrides)
             for atom in live:
                 optimistic[atom] = TV.TRUE
-            if _eval_node(formula, ctx, optimistic) is TV.TRUE:
+            if evaluate(args, optimistic) is TV.TRUE:
                 status = self._analyzer([open_atoms[a] for a in live]).status(
                     point, n, self.slack
                 )
                 if status is LiftStatus.CERTIFIED_LIFTABLE:
                     return TV.TRUE
         elif overrides and self._target_liftable(point, n) is TV.TRUE:
-            tv = _eval_node(formula, ctx, overrides)
+            tv = evaluate(args, overrides)
             if tv is TV.TRUE:
                 return TV.TRUE
         return TV.UNKNOWN

@@ -414,15 +414,13 @@ def q_coefficient_check(X, base_spec, level, max_level=DEFAULT_MAX_LEVEL,
     Returns (lhs, rhs MeasureResult scaled, ok).  Exact only when every
     lift certificate resolves; raises otherwise.
     """
-    if base_spec.int_modulus is None:
-        raise UnsupportedStack("q_coefficient_check needs an unramified prime ring")
+    tbl = series(X, base_spec, "q", terms=level + 2, slack=slack, bound=bound)
+    if not tbl.exact:
+        raise UnsupportedStack("unresolved lift certificates in the Q series")
     p = base_spec.p
     q = p**base_spec.r
     d = X.dim
     sing = singular_locus(X)
-    tbl = series(X, base_spec, "q", terms=level + 2, slack=slack, bound=bound)
-    if not tbl.exact:
-        raise UnsupportedStack("unresolved lift certificates in the Q series")
     lhs = tbl.coefficients[level + 1]
     sing_modulus = p ** (level + 1)
     sing_evals = [g.compile_int(sing_modulus) for g in sing.generators]

@@ -179,11 +179,6 @@ class MultiPoly:
     def constant_value(self):
         return self.terms.get((0,) * len(self.variables), 0)
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def partial(self, name):
         """Formal partial derivative with respect to one variable."""
         idx = self.variables.index(name)
@@ -196,19 +191,6 @@ class MultiPoly:
                 key = tuple(new)
                 terms[key] = terms.get(key, 0) + coeff * k
         return MultiPoly(self.variables, terms)
-
-    def extend(self, variables):
-        """View this polynomial inside a larger variable list."""
-        variables = tuple(variables)
-        positions = [variables.index(v) for v in self.variables]
-        width = len(variables)
-        terms = {}
-        for expo, coeff in self.terms.items():
-            new = [0] * width
-            for pos, e in zip(positions, expo):
-                new[pos] = e
-            terms[tuple(new)] = coeff
-        return MultiPoly(variables, terms)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -294,11 +294,6 @@ class FiniteField:
     def one(self):
         return self.from_int(1)
 
-    def generator(self):
-        if self.degree == 1:
-            raise ValueError("prime field has no extension generator")
-        return FFElement(self, (0, 1) + (0,) * (self.degree - 2))
-
     def elements(self):
         for coeffs in itertools.product(range(self.p), repeat=self.degree):
             yield FFElement(self, coeffs)

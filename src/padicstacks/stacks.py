@@ -413,19 +413,10 @@ def fiber_decomposition_check(action, fld, bound=None):
     results = []
     for (g, x), _size, aut in classes:
         if g == group.identity:
-            preimage = 0
-            for u in base_pts:
-                # u maps to this class iff some h sends (e, x) to (e, u)
-                hit = any(
-                    group.mult[
-                        (group.mult[(h, g)], group.inverse[h])
-                    ]
-                    == group.identity
-                    and action.apply_finite_field(h, x, fld) == u
-                    for h in group.labels
-                )
-                if hit:
-                    preimage += 1
+            # u maps to this class iff some h sends (e, x) to (e, u); h
+            # conjugates e to e, so that is u lying in the orbit of x
+            orbit = {action.apply_finite_field(h, x, fld) for h in group.labels}
+            preimage = sum(1 for u in base_pts if u in orbit)
             fiber_points = group.order
         else:
             preimage = 0

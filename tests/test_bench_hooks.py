@@ -24,3 +24,14 @@ def test_traced_hooks_exist():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr in hooks if attr not in owner.__dict__]
     assert not missing
+
+
+def test_library_bindings_the_tracer_rebinds():
+    # the tracer replaces a function in every library module that binds
+    # the same object, and wraps compile_int on MultiPoly itself; a copy
+    # or a move would leave those calls untraced
+    from padicstacks import greenberg, measures, polyscheme, witt
+
+    assert measures.enumerate_points_lifted is polyscheme.enumerate_points_lifted
+    assert greenberg.witt_mul_sym is witt.witt_mul_sym
+    assert "compile_int" in polyscheme.MultiPoly.__dict__

@@ -1,24 +1,45 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from padicstacks.definable import (
+    TV,
     And,
     FormulaSyntaxError,
     Not,
+    Or,
     OrdAtom,
     OrdCong,
     PolyEq,
+    RAc,
+    RAdd,
+    RConst,
+    RMul,
+    RNeg,
+    RRed,
     ResAtom,
     SpecializationMap,
+    _cmp_intervals,
+    _tv_and,
+    _tv_not,
+    _tv_or,
+    _UpgradeOracle,
     eval_formula,
     measure_formula,
     parse_formula,
     parse_q_expression,
     specialize_primes,
 )
-from padicstacks.polyscheme import AffineScheme, tau_point
-from padicstacks.rings import make_ring
+from padicstacks.measures import STABLE_RUN, _stabilize
+from padicstacks.polyscheme import (
+    DEFAULT_SLACK,
+    AffineScheme,
+    LiftStatus,
+    enumerate_points,
+    tau_point,
+)
+from padicstacks.rings import INFINITY, make_ring, p_valuation
 
 A1 = AffineScheme.affine_space("A1", ("x",))
 A2 = AffineScheme.affine_space("A2", ("x", "y"))
@@ -314,3 +335,311 @@ def test_specialize_non_prime_rejected(prime, expression):
 def test_specialize_bad_prime_rejected():
     with pytest.raises(ValueError):
         specialize_primes("ord(x) >= 1", A1, 1, (3,), "1/q", bad_primes=(3,))
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation against the per-point interpreter it replaced
+
+
+class _Interpreter:
+    """The formula evaluation that ran before formulas were compiled once
+    per ring: it walks the syntax tree at every point, decides per call
+    whether a polynomial involves only t, and memoizes values per point.
+    A test-local copy, the independent reference for the compiled
+    readers and for the upgrade oracle's use of them."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.n = spec.n
+        self.field = spec.residue_field
+        self._t = spec.uniformizer_coordinate()
+        self._compiled = {}
+        self._args = None
+        self._values = {}
+
+    def set_point(self, point):
+        self._args = point + (self._t,)
+        self._values = {}
+
+    def _value(self, poly):
+        key = id(poly)
+        if key not in self._values:
+            if key not in self._compiled:
+                self._compiled[key] = self.spec.compile(poly)
+            self._values[key] = self._compiled[key](self._args)
+        return self._values[key]
+
+    def _exact_int_value(self, poly):
+        if self.spec.e != 1 or "t" not in poly.variables:
+            return None
+        t_idx = poly.variables.index("t")
+        g = 0
+        for expo, coeff in poly.terms.items():
+            if any(e for k, e in enumerate(expo) if k != t_idx):
+                return None
+            g += coeff * self.spec.p ** expo[t_idx]
+        return g
+
+    def ord_interval(self, poly):
+        g = self._exact_int_value(poly)
+        if g is not None:
+            v = p_valuation(g, self.spec.p)
+            return (v, v)
+        v = self.spec.valuation(self._value(poly))
+        if v is INFINITY:
+            return (self.n + 1, INFINITY)
+        return (v, v)
+
+    def res(self, expr):
+        if isinstance(expr, RConst):
+            return self.field.from_int(expr.value)
+        if isinstance(expr, RAc):
+            if expr.poly.is_zero():
+                return self.field.zero()
+            value = self._value(expr.poly)
+            return self.spec.ac(value) if value else None
+        if isinstance(expr, RRed):
+            return self.spec.residue(self._value(expr.poly))
+        if isinstance(expr, (RAdd, RMul)):
+            a, b = self.res(expr.left), self.res(expr.right)
+            if a is None or b is None:
+                return None
+            return a + b if isinstance(expr, RAdd) else a * b
+        a = self.res(expr.inner)
+        if a is None:
+            return None
+        return -a if isinstance(expr, RNeg) else a**expr.exponent
+
+    def atom(self, node, overrides):
+        if overrides and node in overrides:
+            return overrides[node]
+        if isinstance(node, PolyEq):
+            lo, hi = self.ord_interval(node.poly)
+            if lo is INFINITY:
+                return TV.TRUE
+            return TV.FALSE if lo == hi else TV.UNKNOWN
+        if isinstance(node, OrdAtom):
+            lhs = self.ord_interval(node.poly)
+            if node.rhs[0] == "inf":
+                rhs = (INFINITY, INFINITY)
+            elif node.rhs[0] == "const":
+                rhs = (node.rhs[1], node.rhs[1])
+            else:
+                lo, hi = self.ord_interval(node.rhs[1])
+                rhs = (lo + node.rhs[2], hi + node.rhs[2])
+            return _cmp_intervals(lhs, node.op, rhs)
+        if isinstance(node, OrdCong):
+            lo, hi = self.ord_interval(node.poly)
+            if lo is INFINITY:
+                return TV.FALSE
+            if lo == hi:
+                return TV.TRUE if lo % node.modulus == node.residue else TV.FALSE
+            return TV.UNKNOWN
+        a, b = self.res(node.left), self.res(node.right)
+        if a is None or b is None:
+            return TV.UNKNOWN
+        return TV.TRUE if (a == b) != node.negated else TV.FALSE
+
+    def eval(self, node, overrides=None):
+        if isinstance(node, And):
+            a = self.eval(node.left, overrides)
+            return TV.FALSE if a is TV.FALSE else _tv_and(a, self.eval(node.right, overrides))
+        if isinstance(node, Or):
+            a = self.eval(node.left, overrides)
+            return TV.TRUE if a is TV.TRUE else _tv_or(a, self.eval(node.right, overrides))
+        if isinstance(node, Not):
+            return _tv_not(self.eval(node.inner, overrides))
+        return self.atom(node, overrides)
+
+    def open_exactness_atoms(self, node, out):
+        if isinstance(node, (And, Or)):
+            self.open_exactness_atoms(node.left, out)
+            self.open_exactness_atoms(node.right, out)
+        elif isinstance(node, Not):
+            self.open_exactness_atoms(node.inner, out)
+        elif isinstance(node, PolyEq) or (
+            isinstance(node, OrdAtom) and node.rhs[0] == "inf" and node.op in ("==", ">=")
+        ):
+            if self.atom(node, None) is TV.UNKNOWN:
+                out.setdefault(node, node.poly)
+
+
+class _ReferenceOracle(_UpgradeOracle):
+    """The upgrade oracle's three passes as they ran on the interpreter;
+    its certificate analyzers are the library's."""
+
+    def settle_reference(self, formula, ctx, point, n):
+        open_atoms = {}
+        ctx.open_exactness_atoms(formula, open_atoms)
+        if not open_atoms:
+            return TV.UNKNOWN
+        atoms = list(open_atoms)
+        overrides = {}
+        for atom in atoms:
+            status = self._analyzer([open_atoms[atom]]).status(point, n, self.slack)
+            if status is LiftStatus.CERTIFIED_NOT:
+                overrides[atom] = TV.FALSE
+        if overrides and ctx.eval(formula, overrides) is TV.FALSE:
+            return TV.FALSE
+        live = [a for a in atoms if a not in overrides]
+        if live:
+            optimistic = dict(overrides)
+            optimistic.update((atom, TV.TRUE) for atom in live)
+            if ctx.eval(formula, optimistic) is TV.TRUE:
+                status = self._analyzer([open_atoms[a] for a in live]).status(
+                    point, n, self.slack)
+                if status is LiftStatus.CERTIFIED_LIFTABLE:
+                    return TV.TRUE
+        elif overrides and self._target_liftable(point, n) is TV.TRUE:
+            if ctx.eval(formula, overrides) is TV.TRUE:
+                return TV.TRUE
+        return TV.UNKNOWN
+
+
+def _reference_classes(formula, target, spec, oracle=None):
+    ctx = _Interpreter(spec)
+    classes = {TV.TRUE: [], TV.FALSE: [], TV.UNKNOWN: []}
+    for point in enumerate_points(target, spec):
+        ctx.set_point(point)
+        tv = ctx.eval(formula)
+        if tv is TV.UNKNOWN and oracle is not None:
+            tv = oracle.settle_reference(formula, ctx, point, spec.n)
+        classes[tv].append(point)
+    return classes
+
+
+def _reference_measure(formula, target, base_spec, max_level):
+    """(lower, upper, status) of measure_formula with d the number of
+    target variables."""
+    oracle = (
+        _ReferenceOracle(target, SpecializationMap(base_spec), DEFAULT_SLACK)
+        if base_spec.int_modulus is not None
+        else None
+    )
+    d = len(target.variables)
+    q = base_spec.p**base_spec.r
+    levels = list(range(max_level + 1))
+    lower, upper = [], []
+    for n in levels:
+        classes = _reference_classes(formula, target, base_spec.at_level(n), oracle)
+        denom = q ** ((n + 1) * d)
+        lower.append(Fraction(len(classes[TV.TRUE]), denom))
+        upper.append(Fraction(len(classes[TV.TRUE]) + len(classes[TV.UNKNOWN]), denom))
+    status = _stabilize(levels, lower).status
+    if status == "STABILIZED" and upper[-STABLE_RUN:] != lower[-STABLE_RUN:]:
+        status = "PARTIAL"
+    return lower, upper, status
+
+
+# polynomials in the point variables and t, and polynomials in t alone,
+# among them multiples of p, whose ord differs between t = p and a
+# ramified t
+_POLYS = ("x", "x - 1", "3*x", "x + 3", "x*y - t", "x^2 - y", "x - y*t", "y - 2",
+          "x*y + y^2", "x^2 - t*y")
+_T_POLYS = ("t", "t^2 - 3", "t^2 - 5", "t^2 + 2*t", "4", "5", "9", "t - t", "0")
+_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def _random_formula(rng, variables, depth=2):
+    if depth and rng.random() < 0.6:
+        kind = rng.randrange(3)
+        if kind == 0:
+            return f"!({_random_formula(rng, variables, depth - 1)})"
+        glue = " && " if kind == 1 else " || "
+        return (f"({_random_formula(rng, variables, depth - 1)}){glue}"
+                f"({_random_formula(rng, variables, depth - 1)})")
+    polys = [f for f in _POLYS if "y" not in f or "y" in variables]
+
+    def poly():
+        return rng.choice(_T_POLYS if rng.random() < 0.25 else polys)
+
+    def res(depth=1):
+        kind = rng.randrange(7 if depth else 3)
+        if kind == 0:
+            return f"ac({poly()})"
+        if kind == 1:
+            return f"red({poly()})"
+        if kind == 2:
+            return str(rng.randrange(-2, 5))
+        if kind == 3:
+            return f"{res(depth - 1)} + {res(depth - 1)}"
+        if kind == 4:
+            return f"({res(depth - 1)})*({res(depth - 1)})"
+        if kind == 5:
+            return f"-({res(depth - 1)})"
+        return f"({res(depth - 1)})^{rng.randrange(4)}"
+
+    kind = rng.randrange(7)
+    if kind == 0:
+        return f"ord({poly()}) {rng.choice(_OPS)} {rng.randrange(-1, 4)}"
+    if kind == 1:
+        return f"ord({poly()}) {rng.choice(('==', '>=', '!='))} INFINITY"
+    if kind == 2:
+        shift = rng.choice(("", " + 1", " - 1", " + 2", " - 2"))
+        return f"ord({poly()}) {rng.choice(_OPS)} ord({poly()}){shift}"
+    if kind == 3:
+        m = rng.randrange(2, 4)
+        return f"ord({poly()}) mod {m} == {rng.randrange(m)}"
+    if kind == 4:
+        return f"{poly()} {rng.choice(('==', '!='))} {poly()}"
+    side = f"{rng.choice(('ac', 'red'))}({poly()})" + rng.choice(("", f" + {res()}"))
+    return f"{side} {rng.choice(('==', '!='))} {res()}"
+
+
+# (name, ring, max_level of the measures over its level-0 ring)
+_BATTERY_RINGS = (
+    ("Z/3^2", make_ring(3, n=1), 2),
+    ("Z/2^3", make_ring(2, n=2), 3),
+    ("Z/5", make_ring(5), 1),
+    ("ramified(3, e=2)", make_ring(3, e=2, eisenstein=(-3, 0), n=2), 2),
+    ("ramified(5, e=2)", make_ring(5, e=2, eisenstein=(5, -5), n=1), 1),
+    ("GR(4)", make_ring(2, r=2, n=1), 1),
+)
+
+
+def _battery_formulas(seed, count=30):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        variables = rng.choice((("x",), ("x", "y")))
+        out.append((_random_formula(rng, variables), variables))
+    return out
+
+
+def _atoms(node):
+    if isinstance(node, (And, Or)):
+        return _atoms(node.left) + _atoms(node.right)
+    if isinstance(node, Not):
+        return _atoms(node.inner)
+    return [node]
+
+
+def test_battery_formulas_cover_every_atom_kind():
+    texts = [text for seed in range(len(_BATTERY_RINGS))
+             for text, _ in _battery_formulas(seed)]
+    atoms = [atom for seed in range(len(_BATTERY_RINGS))
+             for text, variables in _battery_formulas(seed)
+             for atom in _atoms(parse_formula(text, variables))]
+    kinds = {type(a).__name__ + (f":{a.rhs[0]}" if isinstance(a, OrdAtom) else "")
+             for a in atoms}
+    assert kinds == {"OrdAtom:const", "OrdAtom:inf", "OrdAtom:ord", "OrdCong",
+                     "PolyEq", "ResAtom"}
+    for t_poly in _T_POLYS:
+        assert any(f"ord({t_poly})" in text for text in texts), t_poly
+
+
+@pytest.mark.parametrize("seed, name", enumerate(name for name, _, _ in _BATTERY_RINGS))
+def test_compiled_evaluation_matches_interpreter(seed, name):
+    _, ring, max_level = _BATTERY_RINGS[seed]
+    base = ring.at_level(0)
+    for k, (text, variables) in enumerate(_battery_formulas(seed)):
+        formula = parse_formula(text, variables)
+        target = AffineScheme.affine_space(f"A{len(variables)}", variables)
+        res = eval_formula(formula, target, ring)
+        want = _reference_classes(formula, target, ring)
+        assert (res.certain_true, res.certain_false, res.undetermined) == (
+            want[TV.TRUE], want[TV.FALSE], want[TV.UNKNOWN]), text
+        if k % 2 == 0 or ring.int_modulus is not None:  # upgrades run on Z/p^(n+1)
+            m = measure_formula(formula, target, len(variables), base, max_level=max_level)
+            assert (m.lower, m.upper, m.status) == _reference_measure(
+                formula, target, base, max_level), text

@@ -15,7 +15,7 @@ from padicstacks.measures import (
 )
 from padicstacks.polyscheme import AffineScheme, count_points, parse_poly, tau_point
 from padicstacks.rings import make_ring
-from padicstacks.stacks import GroupAction, QuotientStack, SpecialGroup
+from padicstacks.stacks import GroupAction, QuotientStack, SpecialGroup, UnsupportedStack
 
 A1 = AffineScheme.affine_space("A1", ("x",))
 A2 = AffineScheme.affine_space("A2", ("x", "y"))
@@ -330,3 +330,10 @@ def test_q_coefficient_identity_on_battery():
     ):
         lhs, rhs, ok = q_coefficient_check(X, spec, level, max_level=4)
         assert ok, (X.name, level, lhs, rhs)
+
+
+def test_q_coefficient_check_refuses_ramified_ring_once():
+    # the ring is refused by series, before any other work or message
+    ram3 = make_ring(3, e=2, eisenstein=(-3, 0), n=3)
+    with pytest.raises(UnsupportedStack, match="unramified prime ring"):
+        q_coefficient_check(CONIC, ram3, 1)
