@@ -15,7 +15,11 @@ sandwiched between the certain set and certain-plus-undetermined; on top
 of that, an undetermined point whose only open atoms assert exact
 vanishing can be settled by a lift certificate (a true solution nearby
 with the same truncation), which is what lets sets cut out by equations
-reach a stabilized measure.
+reach a stabilized measure.  A measure walks balls rather than points: a
+level-n point read true or false reads the same at every deeper point
+reducing to it, so a ball read false is dropped, a ball read true is not
+read again (on a target without generators it counts wholesale), and only
+undetermined balls are read at the next level.
 
 A formula is compiled once per ring into readers: each polynomial is
 compiled by the ring, the ord of a polynomial in t alone on an unramified
@@ -25,6 +29,7 @@ A point then only runs those readers on the point plus the uniformizer.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -41,7 +46,7 @@ from .polyscheme import (
     _PolyParser,
     enumerate_points,
 )
-from .rings import INFINITY, LocalRingSpec, is_prime, p_valuation
+from .rings import INFINITY, LocalRingSpec, is_prime, p_valuation, size_limit
 
 
 class FormulaSyntaxError(ValueError):
@@ -590,28 +595,17 @@ class EvalResult:
     undetermined: list
 
 
-def _truth_values(formula, target, spec, bound, upgrades=None):
-    """Each level-n point of the target with the formula's truth value
-    there; the upgrade oracle, when given, settles undetermined points."""
-    evaluate, exactness = _compile(formula, spec)
-    t = spec.uniformizer_coordinate()
-    for point in enumerate_points(target, spec, bound):
-        args = point + (t,)
-        tv = evaluate(args, None)
-        if tv is TV.UNKNOWN and upgrades is not None:
-            tv = upgrades.settle(evaluate, exactness, point, args, spec.n)
-        yield point, tv
-
-
 def eval_formula(formula, target, spec, bound=None):
     """Classify every level-n point of the target under the formula.
 
     Pointwise three-valued semantics: atoms whose truth is not determined
     by the visible digits come back undetermined (no lift certificates
     here; see measure_formula for the upgraded counting)."""
+    evaluate, _ = _compile(formula, spec)
+    t = spec.uniformizer_coordinate()
     points = {TV.TRUE: [], TV.FALSE: [], TV.UNKNOWN: []}
-    for point, tv in _truth_values(formula, target, spec, bound):
-        points[tv].append(point)
+    for point in enumerate_points(target, spec, bound):
+        points[evaluate(point + (t,), None)].append(point)
     return EvalResult(spec.n, points[TV.TRUE], points[TV.FALSE], points[TV.UNKNOWN])
 
 
@@ -706,12 +700,25 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
 
     Per level the count is sandwiched between the certainly-included and
     possibly-included points; STABILIZED requires the two bounds to agree,
-    at a common value, on the last three levels."""
+    at a common value, on the last three levels.
+
+    The points are walked as balls: a level-n point stands for every
+    deeper point reducing to it, and the compiled readers are monotone in
+    the level (a nonzero value keeps its ord, ac and red, a vanishing
+    value's ord interval only shrinks, and comparisons and the Kleene
+    connectives keep a decided value decided).  So a ball read false is
+    dropped, a ball read true on a target without generators counts q^N
+    sub-balls per level from then on, and only the other balls split into
+    their q^N children at the next level.  A child off the target is
+    dropped, and so is every point above it.  `bound` limits the balls
+    read per level."""
     if d < 0:
         raise ValueError(f"dimension must be at least 0, got {d}")
     if isinstance(formula, str):
         formula = parse_formula(formula, target.variables)
     q = base_spec.p**base_spec.r
+    n_vars = len(target.variables)
+    fanout = q**n_vars
     upgrades = (
         _UpgradeOracle(target, SpecializationMap(base_spec), slack)
         if base_spec.int_modulus is not None
@@ -719,12 +726,45 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     )
     levels = list(range(max_level + 1))
     lower, upper = [], []
+    # balls to split, each with whether it already reads true (kept only
+    # on targets with generators, whose membership is read per level)
+    frontier = [((), False)]
+    wholesale = 0  # level-n points in balls read true, without generators
     for n in levels:
-        tally = Counter(tv for _, tv in _truth_values(
-            formula, target, base_spec.at_level(n), bound, upgrades))
+        reads = len(frontier) * fanout
+        size_limit(bound, reads, f"formula walk of {reads} balls at level {n}")
+        spec = base_spec.at_level(n)
+        evaluate, exactness = _compile(formula, spec)
+        gens = [spec.compile(g) for g in target.generators]
+        t = spec.uniformizer_coordinate()
+        wholesale *= fanout
+        tally = Counter()
+        deeper = []
+        for ball, read_true in frontier:
+            children = (
+                itertools.product(*map(spec.coordinates_above, ball))
+                if n else itertools.product(spec.coordinates(), repeat=n_vars)
+            )
+            for child in children:
+                if any(g(child) for g in gens):
+                    continue
+                args = child + (t,)
+                tv = TV.TRUE if read_true else evaluate(args, None)
+                if tv is TV.FALSE:
+                    continue
+                if tv is TV.TRUE and not gens:
+                    wholesale += 1
+                    continue
+                if tv is TV.UNKNOWN and upgrades is not None:
+                    tally[upgrades.settle(evaluate, exactness, child, args, n)] += 1
+                else:
+                    tally[tv] += 1
+                if n < max_level:
+                    deeper.append((child, tv is TV.TRUE))
+        frontier = deeper
         denom = q ** ((n + 1) * d)
-        lower.append(Fraction(tally[TV.TRUE], denom))
-        upper.append(Fraction(tally[TV.TRUE] + tally[TV.UNKNOWN], denom))
+        lower.append(Fraction(wholesale + tally[TV.TRUE], denom))
+        upper.append(Fraction(wholesale + tally[TV.TRUE] + tally[TV.UNKNOWN], denom))
     result = _stabilize(levels, lower)
     if result.status == "STABILIZED":
         tail = upper[-STABLE_RUN:]
@@ -787,29 +827,32 @@ def specialize_primes(formula, target, d, primes, expression,
     """Evaluate the measure of one formula at several primes and compare
     each against a single rational expression in q (at q = p).
 
-    PARTIAL measures propagate as INCONCLUSIVE, never as a match."""
+    PARTIAL measures propagate as INCONCLUSIVE, never as a match.  Every
+    refusal (a non-prime, a prime declared bad, an expression undefined at
+    q = p) comes before any measure runs."""
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     expect = (
         parse_q_expression(expression) if isinstance(expression, str) else expression
     )
-    verdicts = []
+    expected = []
     for p in primes:
         if p in bad_primes:
             raise ValueError(f"prime {p} is declared bad for this formula")
         try:
-            expected = expect(Fraction(p))
+            expected.append(expect(Fraction(p)))
         except ZeroDivisionError:
             raise ValueError(f"expression undefined at q={p}") from None
-        base_spec = LocalRingSpec(p)
+    verdicts = []
+    for p, want in zip(primes, expected):
         res = measure_formula(
-            formula, target, d, base_spec, max_level, slack, bound
+            formula, target, d, LocalRingSpec(p), max_level, slack, bound
         )
         if res.status != "STABILIZED":
-            verdicts.append(PrimeVerdict(p, expected, None, "INCONCLUSIVE"))
-        elif res.value == expected:
-            verdicts.append(PrimeVerdict(p, expected, res.value, "MATCH"))
+            verdicts.append(PrimeVerdict(p, want, None, "INCONCLUSIVE"))
+        elif res.value == want:
+            verdicts.append(PrimeVerdict(p, want, res.value, "MATCH"))
         else:
-            verdicts.append(PrimeVerdict(p, expected, res.value, "MISMATCH"))
+            verdicts.append(PrimeVerdict(p, want, res.value, "MISMATCH"))
     return verdicts

@@ -476,6 +476,14 @@ class LocalRingSpec:
             return range(self.int_modulus)
         return list(self.elements())
 
+    def coordinates_above(self, c):
+        """The coordinates that reduce to the level-(n-1) coordinate c, in
+        coordinates() order: c + p^n a on Z/p^(n+1), else c's digits
+        followed by each value of one more digit."""
+        if self.int_modulus is not None:
+            return range(c, self.int_modulus, self.int_modulus // self.p)
+        return [self.element(c.digits + (d,)) for d in self._digit_values()]
+
     def compile(self, poly):
         """Evaluator point-tuple -> coordinate value for an integer
         polynomial, compiled once for this ring.  On element rings each

@@ -30,8 +30,9 @@ def test_library_bindings_the_tracer_rebinds():
     # the tracer replaces a function in every library module that binds
     # the same object, and wraps compile_int on MultiPoly itself; a copy
     # or a move would leave those calls untraced
-    from padicstacks import greenberg, measures, polyscheme, witt
+    from padicstacks import definable, greenberg, measures, polyscheme, witt
 
     assert measures.enumerate_points_lifted is polyscheme.enumerate_points_lifted
+    assert definable.enumerate_points is polyscheme.enumerate_points
     assert greenberg.witt_mul_sym is witt.witt_mul_sym
     assert "compile_int" in polyscheme.MultiPoly.__dict__

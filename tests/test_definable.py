@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicstacks import definable
 from padicstacks.definable import (
     TV,
     And,
@@ -39,7 +40,7 @@ from padicstacks.polyscheme import (
     enumerate_points,
     tau_point,
 )
-from padicstacks.rings import INFINITY, make_ring, p_valuation
+from padicstacks.rings import INFINITY, BoundExceeded, make_ring, p_valuation
 
 A1 = AffineScheme.affine_space("A1", ("x",))
 A2 = AffineScheme.affine_space("A2", ("x", "y"))
@@ -280,6 +281,23 @@ def test_measure_partial_when_bounds_stay_apart():
         assert up - lo > 0
 
 
+def test_measure_bound_limits_balls_read_per_level():
+    xy_t = "ord(x*y - t) == INFINITY"
+    for bound in (None, 100_000):  # 5^10 tuples at level 4, 31,250 balls read
+        res = measure_formula(xy_t, A2, 1, make_ring(5), max_level=4, bound=bound)
+        assert (res.status, res.value) == ("STABILIZED", Fraction(8, 5))
+    # undecided at every level, so the walk reads every tuple: 9^(n+1)
+    # balls at level n, and 729 at level 2 is the tightest bound accepted
+    never = "ord(t^30*x) == 40"
+    res = measure_formula(never, A2, 1, make_ring(3), max_level=2, bound=729)
+    assert res.status == "PARTIAL"
+    with pytest.raises(BoundExceeded, match=r"^formula walk of 729 balls at level 2 "
+                                            r"exceeds bound 728$"):
+        measure_formula(never, A2, 1, make_ring(3), max_level=2, bound=728)
+    with pytest.raises(BoundExceeded, match=r" exceeds bound 1000$"):
+        measure_formula(never, A2, 1, make_ring(3), bound=1000)
+
+
 def test_eval_determinism():
     f = parse_formula("ac(x) == 1 && ord(x) mod 2 == 0", ("x",))
     a = eval_formula(f, A1, spec(3, 2))
@@ -337,8 +355,21 @@ def test_specialize_bad_prime_rejected():
         specialize_primes("ord(x) >= 1", A1, 1, (3,), "1/q", bad_primes=(3,))
 
 
+@pytest.mark.parametrize("primes, expression, bad_primes, message", [
+    ((5, 2), "1/q", (2,), "^prime 2 is declared bad for this formula$"),
+    ((5, 3), "1/(q-3)", (), "^expression undefined at q=3$"),
+])
+def test_specialize_refuses_before_any_measure(monkeypatch, primes, expression,
+                                               bad_primes, message):
+    calls = []
+    monkeypatch.setattr(definable, "measure_formula", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        specialize_primes("ord(x) >= 1", A1, 1, primes, expression, bad_primes=bad_primes)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
-# compiled evaluation against the per-point interpreter it replaced
+# compiled evaluation and the ball walk against the per-point interpreter
 
 
 class _Interpreter:
@@ -510,7 +541,7 @@ def _reference_classes(formula, target, spec, oracle=None):
 
 def _reference_measure(formula, target, base_spec, max_level):
     """(lower, upper, status) of measure_formula with d the number of
-    target variables."""
+    target variables, read point by point over every level's ring."""
     oracle = (
         _ReferenceOracle(target, SpecializationMap(base_spec), DEFAULT_SLACK)
         if base_spec.int_modulus is not None
@@ -628,6 +659,27 @@ def test_battery_formulas_cover_every_atom_kind():
         assert any(f"ord({t_poly})" in text for text in texts), t_poly
 
 
+# targets with generators, whose membership the ball walk reads per level
+_CURVES = (
+    AffineScheme.from_text("conic", ("x", "y"), ("x^2 + y^2 - 1",), 1),
+    AffineScheme.from_text("cusp", ("x", "y"), ("y^2 - x^3",), 1),
+)
+
+
+def _tight_bound(base, target, max_level):
+    """The least bound under which the measure's last level enumerates
+    every tuple: q^(N(max_level+1))."""
+    return (base.p**base.r) ** (len(target.variables) * (max_level + 1))
+
+
+def _assert_walk_matches_pointwise(text, target, base, max_level):
+    formula = parse_formula(text, target.variables)
+    m = measure_formula(formula, target, len(target.variables), base, max_level=max_level,
+                        bound=_tight_bound(base, target, max_level))
+    assert (m.lower, m.upper, m.status) == _reference_measure(
+        formula, target, base, max_level), (text, target.name)
+
+
 @pytest.mark.parametrize("seed, name", enumerate(name for name, _, _ in _BATTERY_RINGS))
 def test_compiled_evaluation_matches_interpreter(seed, name):
     _, ring, max_level = _BATTERY_RINGS[seed]
@@ -640,6 +692,16 @@ def test_compiled_evaluation_matches_interpreter(seed, name):
         assert (res.certain_true, res.certain_false, res.undetermined) == (
             want[TV.TRUE], want[TV.FALSE], want[TV.UNKNOWN]), text
         if k % 2 == 0 or ring.int_modulus is not None:  # upgrades run on Z/p^(n+1)
-            m = measure_formula(formula, target, len(variables), base, max_level=max_level)
-            assert (m.lower, m.upper, m.status) == _reference_measure(
-                formula, target, base, max_level), text
+            for measured in (target, _CURVES[k % 2]):
+                _assert_walk_matches_pointwise(text, measured, base, max_level)
+
+
+def test_ball_walk_matches_pointwise_one_level_deeper():
+    # Z/2's battery at level 4, on the battery's own affine targets and on
+    # the curves
+    seed = 1
+    _, ring, max_level = _BATTERY_RINGS[seed]
+    for k, (text, variables) in enumerate(_battery_formulas(seed)):
+        for target in (AffineScheme.affine_space(f"A{len(variables)}", variables),
+                       _CURVES[k % 2]):
+            _assert_walk_matches_pointwise(text, target, ring.at_level(0), max_level + 1)

@@ -450,6 +450,14 @@ def test_cli_oversized_parse_product_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("exceeds bound 4000000\n")
 
 
+def test_cli_formula_measure_bound_limits_balls_per_level(capsys):
+    # undecided at every level: 9^(n+1) balls read at level n, over 1000 at level 3
+    assert main(["measure", "--project", DEMO, "--ring", "p3n0", "--target", "A2",
+                 "--set", "ord(t^30*x) == 40", "--bound", "1000"]) == 3
+    assert capsys.readouterr().err.endswith(
+        "formula walk of 6561 balls at level 3 exceeds bound 1000\n")
+
+
 def test_cli_strict_partial(capsys):
     code, out = run(
         capsys,
