@@ -125,6 +125,8 @@ def _cmd_series(args, project):
     lines.append(f"ring = {_ring_desc(args.ring, spec)}")
     lines.append(f"kind = {args.kind}")
     lines.append(f"terms = {args.terms}")
+    if isinstance(target, QuotientStack):  # series refuses all but special groups
+        lines.append("divisor = coeff[n] for n >= 1 is divided by |G(R_(n-1))|")
     lines.append(f"exact = {str(tbl.exact).lower()}")
     for i, c in enumerate(tbl.coefficients):
         lines.append(f"coeff[{i}] = {_rat(c)}")

@@ -15,11 +15,13 @@ sandwiched between the certain set and certain-plus-undetermined; on top
 of that, an undetermined point whose only open atoms assert exact
 vanishing can be settled by a lift certificate (a true solution nearby
 with the same truncation), which is what lets sets cut out by equations
-reach a stabilized measure.  A measure walks balls rather than points: a
-level-n point read true or false reads the same at every deeper point
-reducing to it, so a ball read false is dropped, a ball read true is not
-read again (on a target without generators it counts wholesale), and only
-undetermined balls are read at the next level.
+reach a stabilized measure; each open atom gets one certificate, and the
+atoms left open after refutation at most one more, jointly.  A measure
+walks balls rather than points: a level-n point read true or false reads
+the same at every deeper point reducing to it, so a ball read false is
+dropped, a ball read true is not read again (on a target without
+generators it counts wholesale), and only undetermined balls are read at
+the next level.
 
 A formula is compiled once per ring into readers: each polynomial is
 compiled by the ring, the ord of a polynomial in t alone on an unramified
@@ -455,16 +457,18 @@ _RES_OPS = {RAdd: operator.add, RMul: operator.mul, RNeg: operator.neg, RPow: op
 
 
 def _compile(formula, spec):
-    """The formula compiled once for one ring: (evaluate, exactness).
+    """The formula compiled once for one ring: (evaluate, exact_atoms).
 
-    evaluate(args, overrides) is the truth value at args = point +
-    (uniformizer coordinate,), with atoms found in the overrides dict read
-    from it instead of from the point.  exactness maps each atom that
-    asserts exact vanishing to (its polynomial, its reader args -> truth
-    value), in formula order; the upgrade oracle reads it.  Point
+    exact_atoms lists (polynomial, reader args -> truth value) for each
+    structurally distinct atom that asserts exact vanishing, in formula
+    order; the upgrade oracle reads it.  evaluate(args, overrides) is the
+    truth value at args = point + (uniformizer coordinate,), where an
+    exact-vanishing atom whose list position is a key of the overrides
+    dict reads its value from there instead of from the point.  Point
     coordinates are read only through the ring."""
     n, p, field = spec.n, spec.p, spec.residue_field
-    exactness = {}
+    exact_atoms = []
+    positions = {}  # exact-vanishing atom -> its index in exact_atoms
 
     def ord_reader(poly, shift=0):
         """args -> interval (lo, hi) holding ord(poly) + shift; hi may be
@@ -572,19 +576,22 @@ def _compile(formula, spec):
             inner = node_evaluator(node.inner)
             return lambda args, overrides: _tv_not(inner(args, overrides))
         read = atom_reader(node)
-        if isinstance(node, PolyEq) or (
+        if not (isinstance(node, PolyEq) or (
             isinstance(node, OrdAtom) and node.rhs[0] == "inf" and node.op in ("==", ">=")
-        ):
-            exactness.setdefault(node, (node.poly, read))
+        )):
+            return lambda args, overrides: read(args)
+        pos = positions.setdefault(node, len(positions))
+        if pos == len(exact_atoms):  # the atom's first occurrence
+            exact_atoms.append((node.poly, read))
 
-        def atom(args, overrides):
-            if overrides and node in overrides:
-                return overrides[node]
+        def exact_atom(args, overrides):
+            if overrides and pos in overrides:
+                return overrides[pos]
             return read(args)
 
-        return atom
+        return exact_atom
 
-    return node_evaluator(formula), exactness
+    return node_evaluator(formula), exact_atoms
 
 
 @dataclass
@@ -616,81 +623,60 @@ def eval_formula(formula, target, spec, bound=None):
 class _UpgradeOracle:
     """Settles undetermined points whose open atoms all assert exact
     vanishing, by certifying (or refuting) a true solution of the joint
-    system target-generators + open polynomials over the point."""
+    system target-generators + open polynomials over the point.
+
+    An oracle serves one formula, so an atom's position in the compiled
+    exact_atoms list names it at every level, and the analyzer of a joint
+    system is cached by the positions of its atoms."""
 
     def __init__(self, target, tmap, slack):
         self.target = target
         self.tmap = tmap
         self.slack = slack
-        self.p = tmap.prime
         self._analyzers = {}
-        self._folded = {}
 
-    def _fold(self, poly):
-        key = id(poly)
-        if key not in self._folded:
-            self._folded[key] = self.tmap.fold_poly(poly, self.target.variables)
-        return self._folded[key]
-
-    def _analyzer(self, atom_polys):
-        key = tuple(sorted(id(q) for q in atom_polys))
-        if key not in self._analyzers:
-            gens = list(self.target.generators) + [self._fold(q) for q in atom_polys]
-            self._analyzers[key] = LiftAnalyzer(
-                gens, len(self.target.variables), self.p
+    def _status(self, exact_atoms, atoms, point, n):
+        """Lift status of the point on the target cut by the atoms at these
+        positions of exact_atoms."""
+        if atoms not in self._analyzers:
+            variables = self.target.variables
+            folded = [self.tmap.fold_poly(exact_atoms[i][0], variables) for i in atoms]
+            self._analyzers[atoms] = LiftAnalyzer(
+                self.target.generators + tuple(folded), len(variables), self.tmap.prime
             )
-        return self._analyzers[key]
+        return self._analyzers[atoms].status(point, n, self.slack)
 
-    def settle(self, evaluate, exactness, point, args, n):
+    def settle(self, evaluate, exact_atoms, point, args, n):
         """TV.TRUE / TV.FALSE / TV.UNKNOWN for 'point lies in the level-n
         truncation of the defined set', given the formula compiled for the
         level-n ring and its arguments at the point."""
-        open_atoms = {
-            atom: poly
-            for atom, (poly, read) in exactness.items()
+        statuses = {
+            i: self._status(exact_atoms, (i,), point, n)
+            for i, (_, read) in enumerate(exact_atoms)
             if read(args) is TV.UNKNOWN
         }
-        if not open_atoms:
-            return TV.UNKNOWN
-        atoms = list(open_atoms)
         # refute what can be refuted one atom at a time (valid for every
         # lift of the point, so the override is sound in any polarity)
-        overrides = {}
-        for atom in atoms:
-            status = self._analyzer([open_atoms[atom]]).status(
-                point, n, self.slack
-            )
-            if status is LiftStatus.CERTIFIED_NOT:
-                overrides[atom] = TV.FALSE
-        if overrides:
-            tv = evaluate(args, overrides)
-            if tv is TV.FALSE:
-                return TV.FALSE
-        # optimistic pass: certify the remaining open atoms jointly
-        live = [a for a in atoms if a not in overrides]
-        if live:
-            optimistic = dict(overrides)
-            for atom in live:
-                optimistic[atom] = TV.TRUE
-            if evaluate(args, optimistic) is TV.TRUE:
-                status = self._analyzer([open_atoms[a] for a in live]).status(
-                    point, n, self.slack
-                )
-                if status is LiftStatus.CERTIFIED_LIFTABLE:
-                    return TV.TRUE
-        elif overrides and self._target_liftable(point, n) is TV.TRUE:
-            tv = evaluate(args, overrides)
-            if tv is TV.TRUE:
-                return TV.TRUE
-        return TV.UNKNOWN
-
-    def _target_liftable(self, point, n):
-        status = self._analyzer([]).status(point, n, self.slack)
-        if status is LiftStatus.CERTIFIED_LIFTABLE:
-            return TV.TRUE
-        if status is LiftStatus.CERTIFIED_NOT:
+        overrides = {
+            i: TV.FALSE for i, s in statuses.items() if s is LiftStatus.CERTIFIED_NOT
+        }
+        tv = evaluate(args, overrides) if overrides else TV.UNKNOWN
+        if tv is TV.FALSE:
             return TV.FALSE
-        return TV.UNKNOWN
+        # optimistic pass: the atoms left open read true, and a true formula
+        # is certain once they and the target lift jointly (the target
+        # alone when every open atom was refuted)
+        live = tuple(i for i in statuses if i not in overrides)
+        if live:
+            overrides.update(dict.fromkeys(live, TV.TRUE))
+            tv = evaluate(args, overrides)
+        if tv is not TV.TRUE:
+            return TV.UNKNOWN
+        joint = (
+            statuses[live[0]] if len(live) == 1
+            else self._status(exact_atoms, live, point, n)
+        )
+        return TV.TRUE if joint is LiftStatus.CERTIFIED_LIFTABLE else TV.UNKNOWN
 
 
 def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
@@ -734,7 +720,7 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
         reads = len(frontier) * fanout
         size_limit(bound, reads, f"formula walk of {reads} balls at level {n}")
         spec = base_spec.at_level(n)
-        evaluate, exactness = _compile(formula, spec)
+        evaluate, exact_atoms = _compile(formula, spec)
         gens = [spec.compile(g) for g in target.generators]
         t = spec.uniformizer_coordinate()
         wholesale *= fanout
@@ -756,7 +742,7 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
                     wholesale += 1
                     continue
                 if tv is TV.UNKNOWN and upgrades is not None:
-                    tally[upgrades.settle(evaluate, exactness, child, args, n)] += 1
+                    tally[upgrades.settle(evaluate, exact_atoms, child, args, n)] += 1
                 else:
                     tally[tv] += 1
                 if n < max_level:

@@ -174,14 +174,17 @@ class GreenbergScheme:
         return lines
 
 
-def greenberg_transform(X, p, n, length_bound=DEFAULT_LENGTH_BOUND):
+def greenberg_transform(X, p, n):
     """Expand every generator of X into its n+1 digit components over F_p.
-    Raises ValueError for a negative level n."""
+    Raises ValueError for a negative level n and BoundExceeded for more
+    than DEFAULT_LENGTH_BOUND digits."""
     if n < 0:
         raise ValueError(f"level must be at least 0, got {n}")
     length = n + 1
-    if length > length_bound:
-        raise BoundExceeded(f"digit length {length} exceeds bound {length_bound}")
+    if length > DEFAULT_LENGTH_BOUND:
+        raise BoundExceeded(
+            f"digit length {length} exceeds bound {DEFAULT_LENGTH_BOUND}"
+        )
     names = digit_variables(X.variables, length)
     per_gen = [expand_poly(f, p, length, names) for f in X.generators]
     flat = tuple(component for comps in per_gen for component in comps)

@@ -24,10 +24,10 @@ from fractions import Fraction
 
 from .polyscheme import (
     DEFAULT_SLACK,
+    LiftAnalyzer,
     LiftStatus,
     count_points,
     enumerate_points_lifted,
-    lift_analyzer_for_scheme,
     singular_locus,
     tau_point,
 )
@@ -94,7 +94,7 @@ def _lift_statuses(analyzer, X, n, slack, bound):
 
 
 def tau_image_profile(X, p, n, slack=DEFAULT_SLACK, bound=None):
-    analyzer = lift_analyzer_for_scheme(X, p)
+    analyzer = LiftAnalyzer(X.generators, X.n_vars, p)
     tally = Counter(s for _, s in _lift_statuses(analyzer, X, n, slack, bound))
     return TauImageProfile(n, slack, tally[LiftStatus.CERTIFIED_LIFTABLE],
                            tally[LiftStatus.CERTIFIED_NOT], tally[LiftStatus.UNKNOWN])
@@ -424,7 +424,7 @@ def q_coefficient_check(X, base_spec, level, max_level=DEFAULT_MAX_LEVEL,
     lhs = tbl.coefficients[level + 1]
     sing_modulus = p ** (level + 1)
     sing_evals = [g.compile_int(sing_modulus) for g in sing.generators]
-    analyzer = lift_analyzer_for_scheme(X, p)
+    analyzer = LiftAnalyzer(X.generators, X.n_vars, p)
     levels = list(range(level, max_level + 1))
     counts = []
     for ell in levels:

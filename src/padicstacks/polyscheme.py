@@ -13,8 +13,10 @@ tuples of FFElements.
 
 Over Z/p^(n+1), `LiftAnalyzer` lifts points level by level: it lists
 them (`enumerate_points_lifted`), counts them (`count_points_lifted`)
-and certifies lifts (`status`).  `count_points` counts by lifting there
-and by brute enumeration on every other ring.
+and certifies lifts (`status`), by Newton's lemma on a Jacobian minor
+for any presentation with no more generators than variables, whatever
+dimension it declares.  `count_points` counts by lifting there and by
+brute enumeration on every other ring.
 """
 
 from __future__ import annotations
@@ -725,10 +727,10 @@ class LiftAnalyzer:
     valuation v at a level-m lift certifies an exact zero of every
     generator congruent to the lift mod p^(m+1-v), provided 2v <= m; the
     zero truncates to the original level-n point when v <= m - n.  This
-    minor route needs 0 < g <= N and `use_minors`, which a caller clears
-    when the presentation does not have exactly codim-many generators.
-    Refutation (an empty lift frontier up to level n+slack) is always
-    available.  The frontier keeps at most CERT_FRONTIER_BOUND points per
+    is Newton's lemma on the minor and needs nothing from a declared
+    dimension, so the route runs whenever 0 < g <= N (with g > N there is
+    no g x g minor).  Refutation (an empty lift frontier up to level
+    n+slack) is always available.  The frontier keeps at most CERT_FRONTIER_BOUND points per
     level; as lifts come in the order of their digit vectors, a capped
     frontier holds the same points as a search over all p^N digit vectors
     would.
@@ -737,11 +739,10 @@ class LiftAnalyzer:
     and cached (evaluators per modulus), so lifting never builds minors.
     """
 
-    def __init__(self, gens, n_vars, p, use_minors=True):
+    def __init__(self, gens, n_vars, p):
         self.gens = tuple(gens)
         self.n_vars = n_vars
         self.p = p
-        self.use_minors = use_minors and 0 < len(self.gens) <= n_vars
         self.minors = None
         self._jac_evals = None
         self._gen_evals = {}
@@ -821,8 +822,6 @@ class LiftAnalyzer:
         return self._minor_evals[modulus]
 
     def _minor_certificate(self, point, m, n):
-        if not self.use_minors:
-            return False
         window = min(m - n, m // 2)
         if window < 0:
             return False
@@ -861,20 +860,13 @@ class LiftAnalyzer:
         return LiftStatus.UNKNOWN
 
 
-def lift_analyzer_for_scheme(X, p):
-    """Analyzer honoring the declared dimension: the minor criterion is
-    only sound when the presentation has exactly codim-many generators."""
-    return LiftAnalyzer(X.generators, X.n_vars, p,
-                        use_minors=len(X.generators) == X.codim())
-
-
 def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK):
     """Certify whether a point of X over Z/p^(n+1) is a truncation of a
     Z_p-point.
 
-    The Newton minor criterion applies when the presentation has exactly
-    codim-many generators (a complete-intersection-style presentation);
-    otherwise only exhaustive refutation can decide, and surviving points
-    come back UNKNOWN.
+    The Newton minor criterion certifies whenever some g x g minor of the
+    g generators' Jacobian is small enough at a lift; otherwise only
+    exhaustive refutation can decide, and surviving points come back
+    UNKNOWN.
     """
-    return lift_analyzer_for_scheme(X, p).status(point, n, slack)
+    return LiftAnalyzer(X.generators, X.n_vars, p).status(point, n, slack)

@@ -289,9 +289,9 @@ class GroupAction:
 
     def check_compatibility(self, fld, bound=None):
         """g.(h.x) == (gh).x on every enumerated point over a probe field."""
-        pts = list(enumerate_points(self.scheme, fld, bound))
         if self.is_special:
             raise UnsupportedStack("compatibility probe is for finite groups")
+        pts = list(enumerate_points(self.scheme, fld, bound))
         for g in self.group.labels:
             for h in self.group.labels:
                 gh = self.group.mult[(g, h)]

@@ -166,17 +166,17 @@ class StructurePolys:
 _structure_cache = {}
 
 
-def structure_polynomials(p, length, bound=DEFAULT_LENGTH_BOUND):
+def structure_polynomials(p, length):
     """Structure polynomials for (p, length), computed once and cached.
 
     The cache is write-once/read-many; results are safe to share.  Raises
-    BoundExceeded when length is over `bound` and ValueError for a
-    length below 1 or a non-prime p.
+    BoundExceeded when length is over DEFAULT_LENGTH_BOUND and ValueError
+    for a length below 1 or a non-prime p.
     """
     if length < 1:
         raise ValueError(f"Witt length must be at least 1, got {length}")
-    if length > bound:
-        raise BoundExceeded(f"length {length} exceeds bound {bound}")
+    if length > DEFAULT_LENGTH_BOUND:
+        raise BoundExceeded(f"length {length} exceeds bound {DEFAULT_LENGTH_BOUND}")
     key = (p, length)
     if key not in _structure_cache:
         if not is_prime(p):

@@ -25,7 +25,6 @@ from padicstacks.definable import (
     _tv_and,
     _tv_not,
     _tv_or,
-    _UpgradeOracle,
     eval_formula,
     measure_formula,
     parse_formula,
@@ -36,6 +35,7 @@ from padicstacks.measures import STABLE_RUN, _stabilize
 from padicstacks.polyscheme import (
     DEFAULT_SLACK,
     AffineScheme,
+    LiftAnalyzer,
     LiftStatus,
     enumerate_points,
     tau_point,
@@ -495,9 +495,33 @@ class _Interpreter:
                 out.setdefault(node, node.poly)
 
 
-class _ReferenceOracle(_UpgradeOracle):
-    """The upgrade oracle's three passes as they ran on the interpreter;
-    its certificate analyzers are the library's."""
+class _ReferenceOracle:
+    """The upgrade oracle's three passes as they ran on the interpreter,
+    with its own certificate analyzers, one per joint system of folded
+    atom polynomials."""
+
+    def __init__(self, target, tmap, slack):
+        self.target = target
+        self.tmap = tmap
+        self.slack = slack
+        self._analyzers = {}
+
+    def _analyzer(self, atom_polys):
+        key = tuple(atom_polys)
+        if key not in self._analyzers:
+            folded = [self.tmap.fold_poly(q, self.target.variables) for q in atom_polys]
+            self._analyzers[key] = LiftAnalyzer(
+                list(self.target.generators) + folded, len(self.target.variables),
+                self.tmap.prime)
+        return self._analyzers[key]
+
+    def _target_liftable(self, point, n):
+        status = self._analyzer([]).status(point, n, self.slack)
+        if status is LiftStatus.CERTIFIED_LIFTABLE:
+            return TV.TRUE
+        if status is LiftStatus.CERTIFIED_NOT:
+            return TV.FALSE
+        return TV.UNKNOWN
 
     def settle_reference(self, formula, ctx, point, n):
         open_atoms = {}
@@ -705,3 +729,16 @@ def test_ball_walk_matches_pointwise_one_level_deeper():
         for target in (AffineScheme.affine_space(f"A{len(variables)}", variables),
                        _CURVES[k % 2]):
             _assert_walk_matches_pointwise(text, target, ring.at_level(0), max_level + 1)
+
+
+def test_joint_certificates_match_pointwise():
+    # two exact-vanishing atoms stay open together, so the oracle asks one
+    # joint certificate for both (none of the battery's formulas does)
+    for text, target in (("x - y == 0 && x*y - 1 == 0", A2),
+                         ("x*y - 1 == 0 && x^2 - y == 0", A2),
+                         ("x == 0 && y - 1 == 0", _CURVES[0])):
+        for p in (3, 5):
+            _assert_walk_matches_pointwise(text, target, spec(p, 0), 2)
+    # x = y, xy = 1 is the two points (1, 1) and (-1, -1), each certified
+    m = measure_formula("x - y == 0 && x*y - 1 == 0", A2, 2, spec(3, 0), max_level=2)
+    assert m.lower == m.upper == [Fraction(2, 9 ** (n + 1)) for n in range(3)]

@@ -19,7 +19,6 @@ from padicstacks.polyscheme import (
     hensel_liftable,
     jacobian,
     jacobian_minors,
-    lift_analyzer_for_scheme,
     parse_poly,
     singular_locus,
     tau_point,
@@ -308,7 +307,7 @@ def test_certificates_match_delta_loop_reference(monkeypatch):
     outcomes = set()
     for X in (cusp(), node(), xy5):
         for p in (3, 5):
-            engine = lift_analyzer_for_scheme(X, p)
+            engine = LiftAnalyzer(X.generators, X.n_vars, p)
             reference = _DeltaLoopAnalyzer(X.generators, X.n_vars, p)
             for n in (0, 1, 2):
                 for pt in enumerate_points(X, make_ring(p, n=n)):
@@ -421,3 +420,11 @@ def test_hensel_agrees_with_deep_enumeration():
 def test_hensel_non_unit_minor_window():
     # y^2 = x^3 at (1, 1) is a smooth point: unit minor, certified at once
     assert hensel_liftable(cusp(), (1, 1), 5, 0) is LiftStatus.CERTIFIED_LIFTABLE
+
+
+def test_hensel_minor_route_ignores_declared_dimension():
+    # x = y = 0 in (x, y, z) is a line, declared here with dim 2: two
+    # generators against codim 1.  Newton's lemma on the unit 2 x 2 minor
+    # still certifies each point, whatever dimension is declared.
+    X = AffineScheme.from_text("line", ("x", "y", "z"), ["x", "y"], 2)
+    assert hensel_liftable(X, (0, 0, 1), 3, 1) is LiftStatus.CERTIFIED_LIFTABLE

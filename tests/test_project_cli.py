@@ -1,4 +1,5 @@
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -489,6 +490,26 @@ def test_cli_strict_partial(capsys):
     )
     capsys.readouterr()
     assert code2 == 0
+
+
+def test_cli_inexact_series_reports_bounds_around_the_truth(capsys):
+    # with no slack the cusp's P coefficients are not certified, so the
+    # report gives bounds and skips the fit
+    argv = ["series", "--project", DEMO, "--target", "cusp", "--ring", "p5n0",
+            "--kind", "p", "--terms", "4", "--slack", "0", "--fit"]
+    code, out = run(capsys, "--strict", *argv)
+    assert code == 4
+    assert run(capsys, *argv) == (0, out)
+    lines = out.splitlines()
+    assert "exact = false" in lines
+    assert "fit = skipped (coefficients are not exact)" in lines
+    values = dict(line.split(" = ") for line in lines if line.startswith(("coeff[", "bounds[")))
+    for i in (1, 2, 3):
+        # the Z_5-points of y^2 = x^3 are (t^2, t^3), and mod 5^i they
+        # depend only on t mod 5^i
+        truth = len({(t**2 % 5**i, t**3 % 5**i) for t in range(5**i)})
+        lo, hi = map(Fraction, values[f"bounds[{i}]"].split(" .. "))
+        assert lo == Fraction(values[f"coeff[{i}]"]) <= truth <= hi, i
 
 
 def test_cli_reports_byte_identical(capsys):

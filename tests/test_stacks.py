@@ -310,6 +310,15 @@ def test_compatibility_probe():
     assert not broken.check_compatibility(FiniteField(5))
 
 
+def test_compatibility_probe_refuses_special_group_before_enumerating():
+    # the conic has 25 candidate tuples over F_5, over the bound of 3: the
+    # refusal names the group, not the enumeration it never starts
+    conic = AffineScheme.from_text("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1)
+    act = GroupAction(SpecialGroup("Gm"), conic)
+    with pytest.raises(UnsupportedStack, match="finite groups"):
+        act.check_compatibility(FiniteField(5), bound=3)
+
+
 def test_finite_group_positive_level_unsupported():
     stack = QuotientStack("BZ2", trivial_action(cyclic_group(2)))
     assert stacky_count(stack, make_ring(5, n=0)) == 1
