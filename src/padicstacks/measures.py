@@ -28,6 +28,7 @@ from .polyscheme import (
     LiftStatus,
     count_points,
     enumerate_points_lifted,
+    row_reduce,
     singular_locus,
     tau_point,
 )
@@ -320,31 +321,12 @@ def _solve_exact(rows, rhs, n_unknowns):
     """Gauss-Jordan over the rationals; returns a solution with free
     unknowns set to 0, or None when inconsistent."""
     m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n_unknowns):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        scale = m[r][c]
-        m[r] = [v / scale for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][-1] != 0:
-            return None
+    pivots = row_reduce(m, range(n_unknowns), lambda a: 1 / a, lambda a: a)
+    if pivots is None:
+        return None
     solution = [Fraction(0)] * n_unknowns
-    for row_idx, c in enumerate(pivots):
-        solution[c] = m[row_idx][-1]
+    for row, c in zip(m, pivots):
+        solution[c] = row[-1]
     return solution
 
 

@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .rings import BoundExceeded, p_valuation, size_limit
+from .rings import BoundExceeded, p_valuation, power, size_limit
 
 DEFAULT_SLACK = 2
 CERT_FRONTIER_BOUND = 50_000  # points per level of a certificate frontier
@@ -136,26 +136,13 @@ class MultiPoly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative exponent")
-        result = MultiPoly.constant(self.variables, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, operator.mul, MultiPoly.constant(self.variables, 1))
 
     def pow_mod(self, k, m):
         """self**k with coefficients reduced mod m after each product."""
-        result = MultiPoly.constant(self.variables, 1)
-        base = self.reduce_coeffs(m)
-        while k:
-            if k & 1:
-                result = (result * base).reduce_coeffs(m)
-            if k > 1:
-                base = (base * base).reduce_coeffs(m)
-            k >>= 1
-        return result
+        return power(self.reduce_coeffs(m), k,
+                     lambda a, b: (a * b).reduce_coeffs(m),
+                     MultiPoly.constant(self.variables, 1))
 
     def reduce_coeffs(self, m):
         return MultiPoly(self.variables, {e: c % m for e, c in self.terms.items()})
@@ -454,14 +441,9 @@ class _PolyParser(_ExprParser):
         return a * b
 
     def power(self, a, k):
-        result = MultiPoly.constant(self.variables, 1)
-        while k:
-            if k & 1:
-                result = self.binary("*", result, a)
-            k >>= 1
-            if k:
-                a = self.binary("*", a, a)
-        return result
+        # each product, squarings included, passes the size check of binary
+        return power(a, k, lambda x, y: self.binary("*", x, y),
+                     MultiPoly.constant(self.variables, 1))
 
 
 def parse_poly(text, variables):
@@ -544,30 +526,46 @@ def count_points(X, ring, bound=None):
     return sum(1 for _ in enumerate_points(X, ring, bound))
 
 
-def _solve_mod_p(rows, rhs, p, n_vars):
-    """Every solution of rows . delta = rhs over F_p, in lexicographic order.
+def row_reduce(aug, columns, inverse, canon):
+    """Gauss-Jordan elimination, in place, on an augmented matrix: a list
+    of rows, each ending in its right-hand side.
 
-    Gauss-Jordan elimination runs over the columns from last to first, so
-    each pivot unknown depends only on free unknowns to its left; listing
-    the free unknowns lexicographically then lists the solutions
-    lexicographically.
-    """
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivot_cols = []
-    for c in reversed(range(n_vars)):
-        r = len(pivot_cols)
+    Pivots are sought in `columns`, in the order given; `inverse(a)` is the
+    inverse of a nonzero entry and `canon(a)` the normal form of an entry
+    (reduction mod p, or the entry itself over a field of fractions).
+    Returns the pivot columns in order, with row i of `aug` holding a 1 in
+    the i-th of them and zeros in every other pivot column, or None when
+    the system is inconsistent."""
+    pivots = []
+    for c in columns:
+        r = len(pivots)
         piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [a * inv % p for a in aug[r]]
+        inv = inverse(aug[r][c])
+        aug[r] = [canon(a * inv) for a in aug[r]]
         for i, row in enumerate(aug):
             if i != r and row[c]:
                 f = row[c]
-                aug[i] = [(a - f * b) % p for a, b in zip(row, aug[r])]
-        pivot_cols.append(c)
-    if any(row[n_vars] for row in aug[len(pivot_cols):]):
+                aug[i] = [canon(a - f * b) for a, b in zip(row, aug[r])]
+        pivots.append(c)
+    if any(row[-1] for row in aug[len(pivots):]):
+        return None
+    return pivots
+
+
+def _solve_mod_p(rows, rhs, p, n_vars):
+    """Every solution of rows . delta = rhs over F_p, in lexicographic order.
+
+    Elimination pivots on the columns from last to first, so each pivot
+    unknown depends only on free unknowns to its left; listing the free
+    unknowns lexicographically then lists the solutions lexicographically.
+    """
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivot_cols = row_reduce(aug, reversed(range(n_vars)),
+                            lambda a: pow(a, -1, p), lambda a: a % p)
+    if pivot_cols is None:
         return ()
     free = [c for c in range(n_vars) if c not in pivot_cols]
     solutions = []
@@ -636,9 +634,11 @@ def count_points_lifted(X, p, n, bound=None):
 
 def jacobian(X):
     """Matrix of formal partials: row per generator, column per variable."""
-    return tuple(
-        tuple(g.partial(v) for v in X.variables) for g in X.generators
-    )
+    return _jacobian(X.generators)
+
+
+def _jacobian(gens):
+    return tuple(tuple(g.partial(v) for v in g.variables) for g in gens)
 
 
 def _det(matrix):
@@ -779,8 +779,8 @@ class LiftAnalyzer:
         if key not in self._solutions:
             if self._jac_evals is None:
                 self._jac_evals = [
-                    [g.partial(v).compile_int(self.p) for v in g.variables]
-                    for g in self.gens
+                    [d.compile_int(self.p) for d in row]
+                    for row in _jacobian(self.gens)
                 ]
             rows = [[ev(x0) for ev in row] for row in self._jac_evals]
             self._solutions[key] = _solve_mod_p(rows, rhs, self.p, self.n_vars)
@@ -814,8 +814,7 @@ class LiftAnalyzer:
     def _minors_at(self, modulus):
         if modulus not in self._minor_evals:
             if self.minors is None:
-                jac = [[g.partial(v) for v in g.variables] for g in self.gens]
-                self.minors = _minors(jac, self.n_vars, len(self.gens))
+                self.minors = _minors(_jacobian(self.gens), self.n_vars, len(self.gens))
             self._minor_evals[modulus] = [
                 d.compile_int(modulus) for d in self.minors
             ]

@@ -45,18 +45,13 @@ Example::
 from __future__ import annotations
 
 import configparser
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .definable import FormulaSyntaxError, parse_formula
-from .polyscheme import AffineScheme, MultiPoly, PolyParseError, parse_poly
-from .rings import LocalRingSpec, RingConstructionError, make_ring
-from .stacks import (
-    FiniteGroupData,
-    GroupAction,
-    GroupDataError,
-    QuotientStack,
-    SpecialGroup,
-)
+from .definable import parse_formula
+from .polyscheme import AffineScheme, parse_poly
+from .rings import make_ring
+from .stacks import FiniteGroupData, GroupAction, QuotientStack, SpecialGroup
 
 
 # the [defaults] keys and the least value each accepts
@@ -118,153 +113,131 @@ def _split_list(text, sep=","):
     return [part.strip() for part in text.split(sep) if part.strip()]
 
 
-def _int(section, key, raw, default=None):
+def _int(raw, key, default=None):
     if key not in raw:
         if default is None:
-            raise ProjectError(f"[{section}] is missing {key!r}")
+            raise ProjectError(f"is missing {key!r}")
         return default
     try:
         return int(raw[key])
     except ValueError:
-        raise ProjectError(f"[{section}] {key} must be an integer") from None
+        raise ProjectError(f"{key} must be an integer") from None
 
 
-def _load_ring(name, raw):
-    p = _int(f"ring {name}", "p", raw)
-    e = _int(f"ring {name}", "e", raw, 1)
-    n = _int(f"ring {name}", "n", raw, 0)
-    r = _int(f"ring {name}", "r", raw, 1)
+# Each loader builds one `[kind name]` section from its raw keys and the
+# sections loaded before it; load_project names the section in its errors.
+
+
+def _load_ring(name, raw, project):
+    p = _int(raw, "p")
+    e = _int(raw, "e", 1)
+    n = _int(raw, "n", 0)
+    r = _int(raw, "r", 1)
     eisenstein = None
     if "eisenstein" in raw:
         eisenstein = tuple(int(c) for c in _split_list(raw["eisenstein"]))
     modulus = None
     if "residue_modulus" in raw:
         modulus = tuple(int(c) for c in _split_list(raw["residue_modulus"]))
-    try:
-        return make_ring(p, e, eisenstein, n, r, modulus)
-    except RingConstructionError as exc:
-        raise ProjectError(f"[ring {name}] {exc}") from exc
+    return make_ring(p, e, eisenstein, n, r, modulus)
 
 
-def _load_scheme(name, raw):
+def _load_scheme(name, raw, project):
     if "vars" not in raw:
-        raise ProjectError(f"[scheme {name}] is missing 'vars'")
+        raise ProjectError("is missing 'vars'")
     variables = tuple(_split_list(raw["vars"]))
     gen_texts = []
     for chunk in raw.get("gens", "").replace("\n", ";").split(";"):
         chunk = chunk.strip()
         if chunk:
             gen_texts.append(chunk)
-    dim = _int(f"scheme {name}", "dim", raw, len(variables) if not gen_texts else None)
-    try:
-        return AffineScheme.from_text(name, variables, gen_texts, dim)
-    except (PolyParseError, ValueError) as exc:
-        raise ProjectError(f"[scheme {name}] {exc}") from exc
+    dim = _int(raw, "dim", len(variables) if not gen_texts else None)
+    return AffineScheme.from_text(name, variables, gen_texts, dim)
 
 
-def _load_group(name, raw):
+def _load_group(name, raw, project):
     if "special" in raw:
         tag = raw["special"].strip()
         if tag in ("Ga", "Gm"):
             return SpecialGroup(tag)
         if tag.startswith("GL") and tag[2:].isdigit():
             return SpecialGroup("GL", int(tag[2:]))
-        raise ProjectError(f"[group {name}] unknown special tag {tag!r}")
+        raise ProjectError(f"unknown special tag {tag!r}")
     if "elements" not in raw or "table" not in raw:
-        raise ProjectError(f"[group {name}] needs 'elements' and 'table'")
+        raise ProjectError("needs 'elements' and 'table'")
     labels = _split_list(raw["elements"])
     rows = [line.split() for line in raw["table"].splitlines() if line.strip()]
-    try:
-        return FiniteGroupData(labels, rows)
-    except GroupDataError as exc:
-        raise ProjectError(f"[group {name}] {exc}") from exc
+    return FiniteGroupData(labels, rows)
 
 
-def _load_action(name, raw, groups, schemes):
+def _load_action(name, raw, project):
     for key in ("group", "scheme"):
         if key not in raw:
-            raise ProjectError(f"[action {name}] is missing {key!r}")
+            raise ProjectError(f"is missing {key!r}")
     gname, sname = raw["group"].strip(), raw["scheme"].strip()
-    if gname not in groups:
-        raise ProjectError(f"[action {name}] references unknown group {gname!r}")
-    if sname not in schemes:
-        raise ProjectError(f"[action {name}] references unknown scheme {sname!r}")
-    group, scheme = groups[gname], schemes[sname]
-    try:
-        if isinstance(group, SpecialGroup):
-            if "polys" in raw:
-                names = scheme.variables + group.coordinate_names()
-                polys = tuple(
-                    parse_poly(tx, names) for tx in _split_list(raw["polys"])
-                )
-                if len(polys) != scheme.n_vars:
-                    raise ProjectError(
-                        f"[action {name}] needs one polynomial per scheme variable"
-                    )
-                return GroupAction(group, scheme, polys)
+    if gname not in project.groups:
+        raise ProjectError(f"references unknown group {gname!r}")
+    if sname not in project.schemes:
+        raise ProjectError(f"references unknown scheme {sname!r}")
+    group, scheme = project.groups[gname], project.schemes[sname]
+    if isinstance(group, SpecialGroup):
+        if "polys" not in raw:
             return GroupAction(group, scheme)
-        if not any(label in raw for label in group.labels):
-            return GroupAction(group, scheme)  # trivial action
-        polys = {}
-        for label in group.labels:
-            if label in raw:
-                texts = _split_list(raw[label])
-                if len(texts) != scheme.n_vars:
-                    raise ProjectError(
-                        f"[action {name}] substitution for {label!r} has wrong arity"
-                    )
-                polys[label] = tuple(
-                    parse_poly(tx, scheme.variables) for tx in texts
-                )
-            elif label == group.identity:
-                polys[label] = tuple(
-                    MultiPoly.variable(scheme.variables, v) for v in scheme.variables
-                )
-            else:
-                raise ProjectError(
-                    f"[action {name}] no substitution for group element {label!r}"
-                )
-        return GroupAction(group, scheme, polys)
-    except (PolyParseError, ValueError) as exc:
-        if isinstance(exc, ProjectError):
-            raise
-        raise ProjectError(f"[action {name}] {exc}") from exc
+        names = scheme.variables + group.coordinate_names()
+        return GroupAction(group, scheme, tuple(
+            parse_poly(tx, names) for tx in _split_list(raw["polys"])
+        ))
+    # an omitted element is refused, except the identity; with no element
+    # given the action is trivial
+    polys = {
+        label: tuple(parse_poly(tx, scheme.variables) for tx in _split_list(raw[label]))
+        for label in group.labels
+        if label in raw
+    }
+    return GroupAction(group, scheme, polys or None)
 
 
-def _load_stack(name, raw, groups, schemes, actions):
+def _load_stack(name, raw, project):
     if "action" in raw:
         aname = raw["action"].strip()
-        if aname not in actions:
-            raise ProjectError(f"[stack {name}] references unknown action {aname!r}")
-        return QuotientStack(name, actions[aname])
+        if aname not in project.actions:
+            raise ProjectError(f"references unknown action {aname!r}")
+        return QuotientStack(name, project.actions[aname])
     if "group" in raw and "scheme" in raw:
-        action = _load_action(name, raw, groups, schemes)
-        return QuotientStack(name, action)
-    raise ProjectError(
-        f"[stack {name}] needs 'action' or a 'group'/'scheme' pair"
-    )
+        return QuotientStack(name, _load_action(name, raw, project))
+    raise ProjectError("needs 'action' or a 'group'/'scheme' pair")
 
 
-def _load_formula(name, raw, schemes, stacks):
+def _load_formula(name, raw, project):
     for key in ("target", "text"):
         if key not in raw:
-            raise ProjectError(f"[formula {name}] is missing {key!r}")
+            raise ProjectError(f"is missing {key!r}")
     tname = raw["target"].strip()
-    if tname in stacks:
+    if tname in project.stacks:
         raise ProjectError(
-            f"[formula {name}] target {tname!r} is a stack; "
-            "formula measures need a scheme target"
+            f"target {tname!r} is a stack; formula measures need a scheme target"
         )
-    if tname not in schemes:
-        raise ProjectError(f"[formula {name}] references unknown target {tname!r}")
-    target = schemes[tname]
-    dim = _int(f"formula {name}", "dim", raw, target.dim)
+    if tname not in project.schemes:
+        raise ProjectError(f"references unknown target {tname!r}")
+    target = project.schemes[tname]
+    dim = _int(raw, "dim", target.dim)
     bad = tuple(int(b) for b in _split_list(raw.get("bad_primes", "")))
-    try:
-        formula = parse_formula(raw["text"], target.variables)
-    except FormulaSyntaxError as exc:
-        raise ProjectError(f"[formula {name}] {exc}") from exc
+    formula = parse_formula(raw["text"], target.variables)
     return FormulaEntry(name, tname, dim, raw["text"], formula, bad)
+
+
+# section kinds in load order: each may refer only to kinds before it
+_LOADERS = {"ring": _load_ring, "scheme": _load_scheme, "group": _load_group,
+            "action": _load_action, "stack": _load_stack, "formula": _load_formula}
+
+
+@contextmanager
+def _section(label):
+    """Re-raise any ValueError as a ProjectError that names the section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ProjectError(f"[{label}] {exc}") from exc
 
 
 def load_project(path):
@@ -280,8 +253,7 @@ def load_project(path):
     except (OSError, configparser.Error) as exc:
         raise ProjectError(f"cannot read project file: {exc}") from exc
 
-    sections = {"ring": {}, "scheme": {}, "group": {}, "action": {},
-                "stack": {}, "formula": {}}
+    sections = {kind: {} for kind in _LOADERS}
     defaults = {}
     for section in parser.sections():
         raw = dict(parser.items(section))
@@ -300,30 +272,15 @@ def load_project(path):
         sections[kind][name] = raw
 
     project = ProjectFile()
-    for name, raw in sections["ring"].items():
-        project.rings[name] = _load_ring(name, raw)
-    for name, raw in sections["scheme"].items():
-        project.schemes[name] = _load_scheme(name, raw)
-    for name, raw in sections["group"].items():
-        project.groups[name] = _load_group(name, raw)
-    for name, raw in sections["action"].items():
-        project.actions[name] = _load_action(
-            name, raw, project.groups, project.schemes
-        )
-    for name, raw in sections["stack"].items():
-        project.stacks[name] = _load_stack(
-            name, raw, project.groups, project.schemes, project.actions
-        )
-    for name, raw in sections["formula"].items():
-        project.formulas[name] = _load_formula(
-            name, raw, project.schemes, project.stacks
-        )
-    for key, least in DEFAULT_MINIMUMS.items():
-        if key in defaults:
-            try:
-                project.defaults[key] = int(defaults[key])
-            except ValueError:
-                raise ProjectError(f"[defaults] {key} must be an integer") from None
-            if project.defaults[key] < least:
-                raise ProjectError(f"[defaults] {key} must be at least {least}")
+    for kind, load in _LOADERS.items():
+        table = getattr(project, f"{kind}s")
+        for name, raw in sections[kind].items():
+            with _section(f"{kind} {name}"):
+                table[name] = load(name, raw, project)
+    with _section("defaults"):
+        for key, least in DEFAULT_MINIMUMS.items():
+            if key in defaults:
+                project.defaults[key] = _int(defaults, key)
+                if project.defaults[key] < least:
+                    raise ProjectError(f"{key} must be at least {least}")
     return project

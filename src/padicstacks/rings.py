@@ -105,6 +105,21 @@ def p_valuation(c, p):
     return v
 
 
+def power(x, k, mul, one):
+    """x^k for an integer k >= 0 by square-and-multiply: `one` times the
+    squares x, x^2, x^4, ... picked by the bits of k, low bit first.  The
+    base is squared only while bits of k remain, so x^k takes
+    bit_length(k) - 1 squarings and one product per set bit."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return result
+
+
 def is_prime(n):
     if n < 2:
         return False
@@ -151,15 +166,8 @@ def _poly_mulmod(a, b, modpoly, p):
 
 
 def _poly_powmod(base, exp, modpoly, p):
-    r = len(modpoly) - 1
-    result = tuple([1] + [0] * (r - 1))
-    b = base
-    while exp:
-        if exp & 1:
-            result = _poly_mulmod(result, b, modpoly, p)
-        b = _poly_mulmod(b, b, modpoly, p)
-        exp >>= 1
-    return result
+    one = (1,) + (0,) * (len(modpoly) - 2)
+    return power(base, exp, lambda a, b: _poly_mulmod(a, b, modpoly, p), one)
 
 
 def _poly_gcd(a, b, p):
@@ -755,14 +763,7 @@ class RingElement:
         if k < 0:
             return self.inv() ** (-k)
         spec = self.spec
-        result, base = spec._int_vector(1), self.vec
-        while k:
-            if k & 1:
-                result = spec._mul(result, base)
-            k >>= 1
-            if k:
-                base = spec._mul(base, base)
-        return RingElement(spec, result)
+        return RingElement(spec, power(self.vec, k, spec._mul, spec._int_vector(1)))
 
     def __bool__(self):
         """Nonzero test, read as on ints."""

@@ -15,6 +15,7 @@ twisted sectors over Galois rings; that case is refused, not approximated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,15 +92,7 @@ class FiniteGroupData:
         return k
 
     def exponent(self):
-        out = 1
-        for g in self.labels:
-            k = self.element_order(g)
-            # lcm
-            a, b = out, k
-            while b:
-                a, b = b, a % b
-            out = out * k // a
-        return out
+        return math.lcm(*map(self.element_order, self.labels))
 
     def centralizer_order(self, g):
         return sum(
@@ -217,25 +210,26 @@ class SpecialGroup:
 class GroupAction:
     """Polynomial action of a group on an affine scheme.
 
-    Finite case: one substitution tuple per group element, over the
-    scheme's variables.  Special case: one substitution tuple over the
-    scheme's variables plus the group coordinates ('lam', or g_i_j for
-    GL_k); a missing substitution means the trivial action.
+    Finite case: a dict from group elements to substitution tuples over
+    the scheme's variables; the identity may be left out, and acts
+    trivially.  Special case: one substitution tuple over the scheme's
+    variables plus the group coordinates ('lam', or g_i_j for GL_k), one
+    polynomial per scheme variable.  Without `polys` the action is
+    trivial.
     """
 
     def __init__(self, group, scheme, polys=None):
         self.group = group
         self.scheme = scheme
         if isinstance(group, SpecialGroup):
+            self._env_vars = scheme.variables + group.coordinate_names()
             if polys is None:
                 polys = tuple(
-                    MultiPoly.variable(
-                        scheme.variables + group.coordinate_names(), v
-                    )
-                    for v in scheme.variables
+                    MultiPoly.variable(self._env_vars, v) for v in scheme.variables
                 )
             self.polys = tuple(polys)
-            self._env_vars = scheme.variables + group.coordinate_names()
+            if len(self.polys) != scheme.n_vars:
+                raise ValueError("needs one polynomial per scheme variable")
             for q in self.polys:
                 if q.variables != self._env_vars:
                     raise ValueError(
@@ -243,18 +237,18 @@ class GroupAction:
                     )
             self._check_special_identity()
         else:
+            base = tuple(
+                MultiPoly.variable(scheme.variables, v) for v in scheme.variables
+            )
             if polys is None:
-                base = tuple(
-                    MultiPoly.variable(scheme.variables, v)
-                    for v in scheme.variables
-                )
-                polys = {g: base for g in group.labels}
-            self.polys = {g: tuple(ps) for g, ps in polys.items()}
+                polys = dict.fromkeys(group.labels, base)
+            self.polys = {group.identity: base}
+            self.polys.update((g, tuple(ps)) for g, ps in polys.items())
             for g in group.labels:
                 if g not in self.polys:
                     raise ValueError(f"no substitution for group element {g!r}")
                 if len(self.polys[g]) != scheme.n_vars:
-                    raise ValueError("substitution arity mismatch")
+                    raise ValueError(f"substitution for {g!r} has wrong arity")
             self._check_finite_identity()
 
     @property
@@ -343,9 +337,14 @@ def _twisted_points(action, fld, g, ext, bound):
             yield x
 
 
+def _sector_field(action, fld, g):
+    """F_(q^d) with d = ord(g), the field of g's twisted sector."""
+    return FiniteField(fld.p, fld.degree * action.group.element_order(g))
+
+
 def twisted_sector_count(action, fld, g, bound=None):
     """|{x in X(F_(q^d)) : Frob_q(x) = g^(-1) . x}| with d = ord(g)."""
-    ext = FiniteField(fld.p, fld.degree * action.group.element_order(g))
+    ext = _sector_field(action, fld, g)
     return sum(1 for _ in _twisted_points(action, fld, g, ext, bound))
 
 
@@ -367,21 +366,17 @@ def groupoid_classes_finite(action, fld, bound=None):
     Returns a list of (representative, class_size, automorphism_order).
     """
     group = action.group
-    ext_cache = {}
+    ext = {g: _sector_field(action, fld, g) for g in group.labels}
     objects = []
     for g in group.labels:
-        d = group.element_order(g)
-        if d not in ext_cache:
-            ext_cache[d] = FiniteField(fld.p, fld.degree * d)
         objects.extend(
-            (g, x) for x in _twisted_points(action, fld, g, ext_cache[d], bound)
+            (g, x) for x in _twisted_points(action, fld, g, ext[g], bound)
         )
 
     def act(h, obj):
         g, x = obj
         conj = group.mult[(group.mult[(h, g)], group.inverse[h])]
-        ext = ext_cache[group.element_order(g)]
-        return (conj, action.apply_finite_field(h, x, ext))
+        return (conj, action.apply_finite_field(h, x, ext[g]))
 
     classes = []
     seen = set()

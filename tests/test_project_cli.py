@@ -66,6 +66,35 @@ def test_formula_on_stack_target_rejected_at_load(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("[ring r]\np = 3\ne = 2\neisenstein = -3, x\n",
+      "[ring r] invalid literal for int() with base 10: 'x'"),
+     ("[ring r]\np = 3\nr = 2\nresidue_modulus = 2, a, 1\n",
+      "[ring r] invalid literal for int() with base 10: 'a'"),
+     ("[scheme A1]\nvars = x\n\n[formula f]\ntarget = A1\n"
+      "text = ord(x) >= 1\nbad_primes = 2, z\n",
+      "[formula f] invalid literal for int() with base 10: 'z'")],
+    ids=["eisenstein", "residue_modulus", "bad_primes"],
+)
+def test_bad_integer_list_names_its_section(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.project"
+    bad.write_text(text)
+    assert main(["count", "--project", str(bad), "--target", "A1",
+                 "--ring", "r"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_inline_stack_action_error_names_the_stack(tmp_path, capsys):
+    bad = tmp_path / "bad.project"
+    bad.write_text("[scheme A2]\nvars = x, y\n\n[group Gm]\nspecial = Gm\n\n"
+                   "[stack X]\ngroup = Gm\nscheme = A2\npolys = lam*x\n")
+    assert main(["count", "--project", str(bad), "--target", "X",
+                 "--ring", "r"]) == 2
+    assert capsys.readouterr().err == (
+        "error: [stack X] needs one polynomial per scheme variable\n")
+
+
 def test_duplicate_section_rejected(tmp_path):
     bad = tmp_path / "bad.project"
     bad.write_text("[ring r]\np = 3\n\n[ring  r]\np = 5\n")
@@ -105,6 +134,21 @@ def test_cli_stack_count_gm_on_ring(capsys):
     )
     assert code == 0
     assert "count = 1/4" in out
+
+
+@pytest.mark.parametrize(
+    "stack, ring, count",
+    [("BGm", "p5n0", "1/4"), ("A1_mod_Gm", "p3n2", "3/2")],
+)
+def test_cli_count_of_stack_matches_stack_count(capsys, stack, ring, count):
+    code, out = run(capsys, "count", "--project", DEMO, "--target", stack,
+                    "--ring", ring)
+    assert code == 0
+    assert f"count = {count}\n" in out
+    code, twin = run(capsys, "stack-count", "--project", DEMO, "--stack", stack,
+                     "--ring", ring)
+    assert code == 0
+    assert twin.splitlines()[-1] == out.splitlines()[-1]
 
 
 def test_cli_series_fit(capsys):
@@ -239,6 +283,20 @@ def test_cli_specialize_negative_control(capsys):
     assert code == 0
     assert "all_match = false" in out
     assert out.count("MISMATCH") == 2
+
+
+def test_cli_specialize_too_shallow_is_inconclusive(capsys):
+    # at max level 1 neither prime's measure of xy_t stabilizes
+    argv = ["specialize", "--project", DEMO, "--formula", "xy_t", "--primes", "3,5",
+            "--expect", "2*(1-1/q)", "--max-level", "1"]
+    code, out = run(capsys, "--strict", *argv)
+    assert code == 4
+    assert "prime[3] = expected 4/3, measured -, INCONCLUSIVE\n" in out
+    assert "prime[5] = expected 8/5, measured -, INCONCLUSIVE\n" in out
+    assert out.endswith("all_match = false\n")
+    code, plain = run(capsys, *argv)
+    assert code == 0
+    assert plain == out
 
 
 def test_cli_exit_code_project_error(capsys):

@@ -297,6 +297,21 @@ def test_identity_must_act_trivially():
         GroupAction(z2, scheme, {"g0": (-x,), "g1": (x,)})
 
 
+def test_action_needs_one_substitution_per_variable():
+    conic = AffineScheme.from_text("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1)
+    names = ("x", "y", "lam")
+    with pytest.raises(ValueError, match="needs one polynomial per scheme variable"):
+        GroupAction(SpecialGroup("Gm"), conic, (parse_poly("lam*x", names),))
+    z3 = cyclic_group(3)
+    x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    with pytest.raises(ValueError, match="substitution for 'g1' has wrong arity"):
+        GroupAction(z3, conic, {"g1": (x,), "g2": (x, y)})
+    with pytest.raises(ValueError, match="no substitution for group element 'g2'"):
+        GroupAction(z3, conic, {"g1": (x, y)})
+    # the identity may be left out: it acts trivially
+    assert GroupAction(z3, conic, {"g1": (x, y), "g2": (x, y)}).polys["g0"] == (x, y)
+
+
 def test_compatibility_probe():
     act = negation_action(cyclic_group(2), ["x^2 - 1"])
     assert act.check_compatibility(FiniteField(5))
