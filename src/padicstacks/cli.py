@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .definable import measure_formula, parse_formula, specialize_primes
-from .greenberg import greenberg_transform
+from .greenberg import digit_length, greenberg_transform
 from .measures import (
     DEFAULT_MAX_LEVEL,
     DEFAULT_TERMS,
@@ -194,9 +194,10 @@ def _cmd_greenberg(args, project):
     if spec.int_modulus is None:
         raise UnsupportedStack("digit expansion needs an unramified prime ring")
     level = args.level if args.level is not None else spec.n
+    digit_length(level)  # refuse an over-long expansion before any work
+    source_count = count_points(target, spec.at_level(level), args.bound)
     G = greenberg_transform(target, spec.p, level)
     expansion_count = G.count_points(args.bound)
-    source_count = count_points(target, spec.at_level(level), args.bound)
     lines = _header("greenberg")
     lines.append(f"target = {args.target}")
     lines.append(f"p = {spec.p}")

@@ -30,19 +30,6 @@ def digit_variables(variables, length):
     return names
 
 
-def _witt_const(c, p, length, names):
-    digits = witt_from_int(c, p, length)
-    return tuple(MultiPoly.constant(names, d) for d in digits)
-
-
-def _is_one(coords):
-    return (
-        coords[0].is_constant()
-        and coords[0].constant_value() == 1
-        and all(c.is_zero() for c in coords[1:])
-    )
-
-
 def expand_poly(f, p, length, names=None):
     """Digit components of f evaluated on generic Witt vectors.
 
@@ -57,19 +44,23 @@ def expand_poly(f, p, length, names=None):
         )
         for v in f.variables
     }
-    zero = tuple(MultiPoly.zero(names) for _ in range(length))
-    acc = zero
+    acc = None
     for expo, coeff in f.sorted_terms():
         term = None
         for v, e in zip(f.variables, expo):
             for _ in range(e):
                 term = var_witt[v] if term is None else witt_mul_sym(term, var_witt[v], p)
-        const = _witt_const(coeff, p, length, names)
-        if term is None:
-            term = const
-        elif not _is_one(const):
-            term = witt_mul_sym(term, const, p)
-        acc = witt_add_sym(acc, term, p)
+        # Teichmuller digit coding is a bijection Z/p^L -> W_L(F_p), so the
+        # constant is the Witt vector one exactly when coeff = 1 mod p^L
+        if term is None or coeff % p**length != 1:
+            const = tuple(
+                MultiPoly.constant(names, d)
+                for d in witt_from_int(coeff, p, length)
+            )
+            term = const if term is None else witt_mul_sym(term, const, p)
+        acc = term if acc is None else witt_add_sym(acc, term, p)
+    if acc is None:
+        return tuple(MultiPoly.zero(names) for _ in range(length))
     return acc
 
 
@@ -86,11 +77,15 @@ class GreenbergScheme:
     p: int
     level: int
     scheme: AffineScheme
-    component_gens: tuple
 
     @property
     def length(self):
         return self.level + 1
+
+    @property
+    def component_gens(self):
+        L = self.length
+        return tuple(self.scheme.generators[i::L] for i in range(L))
 
     # -- digit coding --------------------------------------------------------
 
@@ -174,10 +169,9 @@ class GreenbergScheme:
         return lines
 
 
-def greenberg_transform(X, p, n):
-    """Expand every generator of X into its n+1 digit components over F_p.
-    Raises ValueError for a negative level n and BoundExceeded for more
-    than DEFAULT_LENGTH_BOUND digits."""
+def digit_length(n):
+    """Digit length n+1 of level n.  Raises ValueError for a negative level
+    and BoundExceeded for more than DEFAULT_LENGTH_BOUND digits."""
     if n < 0:
         raise ValueError(f"level must be at least 0, got {n}")
     length = n + 1
@@ -185,13 +179,17 @@ def greenberg_transform(X, p, n):
         raise BoundExceeded(
             f"digit length {length} exceeds bound {DEFAULT_LENGTH_BOUND}"
         )
+    return length
+
+
+def greenberg_transform(X, p, n):
+    """Expand every generator of X into its n+1 digit components over F_p.
+    Refuses a level as `digit_length` does."""
+    length = digit_length(n)
     names = digit_variables(X.variables, length)
     per_gen = [expand_poly(f, p, length, names) for f in X.generators]
     flat = tuple(component for comps in per_gen for component in comps)
-    component_gens = tuple(
-        tuple(comps[i] for comps in per_gen) for i in range(length)
-    )
     scheme = AffineScheme(
         f"Gr{n}({X.name})", names, flat, min(length * X.dim, len(names))
     )
-    return GreenbergScheme(X, p, n, scheme, component_gens)
+    return GreenbergScheme(X, p, n, scheme)

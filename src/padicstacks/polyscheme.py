@@ -138,12 +138,6 @@ class MultiPoly:
             raise ValueError("negative exponent")
         return power(self, k, operator.mul, MultiPoly.constant(self.variables, 1))
 
-    def pow_mod(self, k, m):
-        """self**k with coefficients reduced mod m after each product."""
-        return power(self.reduce_coeffs(m), k,
-                     lambda a, b: (a * b).reduce_coeffs(m),
-                     MultiPoly.constant(self.variables, 1))
-
     def reduce_coeffs(self, m):
         return MultiPoly(self.variables, {e: c % m for e, c in self.terms.items()})
 
@@ -233,23 +227,24 @@ class MultiPoly:
 
         `mapping` sends each variable name to a MultiPoly; all images must
         share one variable list.  Coefficients are reduced mod `modulus`
-        after every product when given.
+        after every product when given.  Each image power is formed once.
         """
         images = [mapping[v] for v in self.variables]
         target_vars = images[0].variables if images else ()
-        acc = MultiPoly(target_vars)
+        reduce = (lambda q: q.reduce_coeffs(modulus)) if modulus else (lambda q: q)
+        one = MultiPoly.constant(target_vars, 1)
+        powers = [[one] for _ in images]  # powers[j][e] = images[j]**e
+        acc = {}
         for expo, coeff in self.terms.items():
             t = MultiPoly.constant(target_vars, coeff)
-            for img, e in zip(images, expo):
+            for img, pw, e in zip(images, powers, expo):
                 if e:
-                    p = img.pow_mod(e, modulus) if modulus else img**e
-                    t = t * p
-                    if modulus:
-                        t = t.reduce_coeffs(modulus)
-            acc = acc + t
-        if modulus:
-            acc = acc.reduce_coeffs(modulus)
-        return acc
+                    while len(pw) <= e:
+                        pw.append(reduce(pw[-1] * img))
+                    t = reduce(t * pw[e])
+            for te, tc in t.terms.items():
+                acc[te] = acc.get(te, 0) + tc
+        return reduce(MultiPoly(target_vars, acc))
 
     # -- text ---------------------------------------------------------------
 

@@ -190,10 +190,7 @@ def structure_polynomials(p, length):
 
 
 def _apply_law(law, a_coords, b_coords, p, polys):
-    mapping = {}
-    for i in range(polys.length):
-        mapping[f"x_{i}"] = a_coords[i]
-        mapping[f"y_{i}"] = b_coords[i]
+    mapping = dict(zip(polys.variables, a_coords + b_coords))
     return tuple(s.substitute(mapping, modulus=p) for s in law)
 
 

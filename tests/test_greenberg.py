@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -169,6 +170,27 @@ def test_emit_equations_deterministic():
     lines2 = greenberg_transform(X, 3, 1).emit_equations()
     assert lines1 == lines2
     assert all("x_0" in line or "x_1" in line or "=" in line for line in lines1)
+
+
+@pytest.mark.parametrize(
+    "text, p, n, sizes, digest",
+    [
+        ("x^2 + y^2 - 1", 3, 3, [3, 9, 91, 6130],
+         "964004ce3ebc87612f879144867ecfe7a4d71e203c83f9ae6b64e1fd953bdd28"),
+        ("x^2 + y^2 - 1", 5, 2, [3, 20, 985],
+         "b1e07de2553e0e57c0645845437d5746ee6252cbca5c744bca2485bdea97f464"),
+        ("x*y - 3", 3, 3, [1, 3, 10, 128],
+         "038c4be3a08dfa4374a7ea3fd7601190ab01d39f14fcdce65a70baa9e4e70c15"),
+    ],
+)
+def test_deep_components_pinned(text, p, n, sizes, digest):
+    # term counts and one SHA-256 over every component's text, in
+    # generator order, one line each
+    G = greenberg_transform(scheme("X", ("x", "y"), [text], 1), p, n)
+    comps = G.scheme.generators
+    assert [len(g.terms) for g in comps] == sizes
+    text_all = "\n".join(g.to_text() for g in comps)
+    assert hashlib.sha256(text_all.encode()).hexdigest() == digest
 
 
 def test_level_bound():

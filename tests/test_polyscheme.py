@@ -24,7 +24,7 @@ from padicstacks.polyscheme import (
     tau_point,
     _solve_mod_p,
 )
-from padicstacks.rings import make_ring
+from padicstacks.rings import make_ring, power
 
 V2 = ("x", "y")
 
@@ -111,6 +111,66 @@ def test_substitute():
     # mod-p reduction inside substitution
     g = f.substitute(mapping, modulus=2)
     assert g == parse_poly("u^2 + v^2 + u*v", ("u", "v"))
+
+
+def _substitute_reference(f, mapping, modulus=None):
+    # the former substitute: each image power by square-and-multiply for
+    # every term, and a new accumulator polynomial for every term
+    def pow_mod(q, k, m):
+        return power(q.reduce_coeffs(m), k, lambda a, b: (a * b).reduce_coeffs(m),
+                     MultiPoly.constant(q.variables, 1))
+
+    images = [mapping[v] for v in f.variables]
+    target_vars = images[0].variables if images else ()
+    acc = MultiPoly(target_vars)
+    for expo, coeff in f.terms.items():
+        t = MultiPoly.constant(target_vars, coeff)
+        for img, e in zip(images, expo):
+            if e:
+                q = pow_mod(img, e, modulus) if modulus else img**e
+                t = t * q
+                if modulus:
+                    t = t.reduce_coeffs(modulus)
+        acc = acc + t
+    if modulus:
+        acc = acc.reduce_coeffs(modulus)
+    return acc
+
+
+def _random_poly(rng, variables, max_degree, max_terms):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        expo = [0] * len(variables)
+        for _ in range(rng.randint(0, max_degree)):
+            expo[rng.randrange(len(variables))] += 1
+        terms[tuple(expo)] = rng.randint(-9, 9)
+    return MultiPoly(variables, terms)
+
+
+def test_substitute_matches_reference_battery():
+    rng = random.Random(20261018)
+    names = ("a", "b", "c")
+    targets = ("u", "v", "w")
+    for case in range(300):
+        src = names[: rng.randint(1, 3)]
+        tgt = targets[: rng.randint(1, 3)]
+        f = _random_poly(rng, src, 4, 6)
+        mapping = {v: _random_poly(rng, tgt, 3, 4) for v in src}
+        if case % 5 == 0:
+            mapping[src[0]] = MultiPoly.zero(tgt)
+        if case % 7 == 0:
+            mapping[src[-1]] = MultiPoly.constant(tgt, rng.randint(-4, 4))
+        if case % 11 == 0:
+            f = MultiPoly.constant(src, rng.randint(-5, 5))
+        for modulus in (None, 2, 3, 25):
+            got = f.substitute(mapping, modulus)
+            assert got == _substitute_reference(f, mapping, modulus), (case, modulus)
+            assert got.variables == tgt
+    # a polynomial in no variables maps to a constant in no variables
+    for c in (0, 7, -12):
+        f = MultiPoly.constant((), c)
+        for modulus in (None, 5):
+            assert f.substitute({}, modulus) == _substitute_reference(f, {}, modulus)
 
 
 def test_partial_derivatives():

@@ -336,6 +336,30 @@ def test_cli_length_limits_exit_3(capsys, argv, bound):
     assert f"exceeds bound {bound}\n" in capsys.readouterr().err
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called after a refusal")
+
+
+def test_cli_greenberg_reads_bound_before_expanding(capsys, monkeypatch):
+    import padicstacks.cli as cli
+
+    monkeypatch.setattr(cli, "greenberg_transform", _must_not_run)
+    argv = ["greenberg", "--project", DEMO, "--target", "cusp", "--ring", "p5n0",
+            "--level", "3", "--bound", "100"]
+    assert main(argv) == 3
+    assert "bound 100\n" in capsys.readouterr().err
+
+
+def test_cli_greenberg_refuses_length_before_counting(capsys, monkeypatch):
+    import padicstacks.cli as cli
+
+    monkeypatch.setattr(cli, "count_points", _must_not_run)
+    argv = ["greenberg", "--project", DEMO, "--target", "X_conic", "--ring", "p3n2",
+            "--level", "9"]
+    assert main(argv) == 3
+    assert "digit length 10 exceeds bound 5\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
