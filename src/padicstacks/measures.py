@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .polyscheme import (
     DEFAULT_SLACK,
+    BallTree,
     LiftAnalyzer,
     LiftStatus,
     count_points,
@@ -80,7 +81,8 @@ class TauImageProfile:
 
     @property
     def image_at_slack(self):
-        """Points of X(R_n) admitting a lift to R_(n+slack)."""
+        """Points of X(R_n) not certified outside the truncation image:
+        an upper bound on its size, equal to it when the profile is exact."""
         return self.certified + self.unknown
 
     @property
@@ -94,15 +96,31 @@ def _lift_statuses(analyzer, X, n, slack, bound):
         yield pt, analyzer.status(pt, n, slack)
 
 
-def tau_image_profile(X, p, n, slack=DEFAULT_SLACK, bound=None):
+def _image_profiles(X, p, n, slack, bound):
+    """The profiles of levels 0..n from one image-tree walk.  The totals
+    come from the count tree, which makes the refusals; each point the
+    tree leaves open goes to LiftAnalyzer.status."""
+    tree = BallTree(X.generators, X.n_vars, p)
+    totals = tree.level_counts(n, bound)
     analyzer = LiftAnalyzer(X.generators, X.n_vars, p)
-    tally = Counter(s for _, s in _lift_statuses(analyzer, X, n, slack, bound))
-    return TauImageProfile(n, slack, tally[LiftStatus.CERTIFIED_LIFTABLE],
-                           tally[LiftStatus.CERTIFIED_NOT], tally[LiftStatus.UNKNOWN])
+    profiles = []
+    for k, (total, (certified, open_points)) in enumerate(
+            zip(totals, tree.image_levels(n, slack))):
+        tally = Counter(analyzer.status(pt, k, slack) for pt in open_points)
+        certified += tally[LiftStatus.CERTIFIED_LIFTABLE]
+        unknown = tally[LiftStatus.UNKNOWN]
+        profiles.append(TauImageProfile(k, slack, certified,
+                                        total - certified - unknown, unknown))
+    return profiles
+
+
+def tau_image_profile(X, p, n, slack=DEFAULT_SLACK, bound=None):
+    return _image_profiles(X, p, n, slack, bound)[-1]
 
 
 def tau_image_count(X, p, n, slack=DEFAULT_SLACK, bound=None):
-    """|{x in X(R_n) liftable to R_(n+slack)}|."""
+    """Upper bound on |tau_n(X(Z_p))| at the given slack: the points of
+    X(R_n) not certified outside the image (TauImageProfile.image_at_slack)."""
     return tau_image_profile(X, p, n, slack, bound).image_at_slack
 
 
@@ -199,24 +217,14 @@ def _series_tilde(X, weight, base_spec, terms, bound):
 
 
 def _series_p(X, weight, p, terms, slack, bound):
-    coeffs = []
-    unknown = []
+    profiles = _image_profiles(X, p, max(terms - 2, 0), slack, bound)
     # coefficient 0: nonemptiness of the Z_p-point set, probed at level 0
-    prof0 = tau_image_profile(X, p, 0, slack, bound)
-    if prof0.certified > 0:
-        coeffs.append(Fraction(1))
-        unknown.append(Fraction(0))
-    elif prof0.unknown == 0:
-        coeffs.append(Fraction(0))
-        unknown.append(Fraction(0))
-    else:
-        coeffs.append(Fraction(0))
-        unknown.append(Fraction(1))
-    for m in range(1, terms):
-        n = m - 1
-        prof = prof0 if n == 0 else tau_image_profile(X, p, n, slack, bound)
-        coeffs.append(Fraction(prof.certified, weight(n)))
-        unknown.append(Fraction(prof.unknown, weight(n)))
+    prof0 = profiles[0]
+    coeffs = [Fraction(int(prof0.certified > 0))]
+    unknown = [Fraction(int(prof0.certified == 0 and prof0.unknown > 0))]
+    for prof in profiles[:terms - 1]:
+        coeffs.append(Fraction(prof.certified, weight(prof.level)))
+        unknown.append(Fraction(prof.unknown, weight(prof.level)))
     return coeffs, unknown
 
 

@@ -12,11 +12,12 @@ of RingElements, and over every finite field, prime fields included,
 tuples of FFElements.
 
 Over Z/p^(n+1), `LiftAnalyzer` lifts points level by level: it lists
-them (`enumerate_points_lifted`), counts them (`count_points_lifted`)
-and certifies lifts (`status`), by Newton's lemma on a Jacobian minor
-for any presentation with no more generators than variables, whatever
-dimension it declares.  `count_points` counts by lifting there and by
-brute enumeration on every other ring.
+them (`enumerate_points_lifted`) and certifies lifts (`status`), by
+Newton's lemma on a Jacobian minor for any presentation with no more
+generators than variables, whatever dimension it declares.  `BallTree`
+counts points (`count_points_lifted`) and truncation images without
+listing points, by a memoised walk over rescaled balls.  `count_points`
+counts with the tree there and by brute enumeration on every other ring.
 """
 
 from __future__ import annotations
@@ -594,33 +595,13 @@ def enumerate_points_lifted(X, p, n, bound=None):
 
 
 def count_points_lifted(X, p, n, bound=None):
-    """|X(Z/p^(n+1))|, in closed form where Hensel's lemma allows it.
-
-    A residue point x0 where rank J(x0) equals the number g <= N of
-    generators lifts to exactly p^(N-g) points at each level, so it
-    contributes p^(n(N-g)) points without being enumerated.  Only the other
-    residue points are lifted level by level, as in
-    enumerate_points_lifted.  The bound applies to the whole would-be
-    frontier at each level, so the refusals match enumerate_points_lifted.
+    """|X(Z/p^(n+1))| from a rescaled-ball tree (`BallTree.level_counts`),
+    without listing points.  Refuses exactly where enumerate_points_lifted
+    does: when p^N, or the count at some level k <= n, exceeds the bound.
     """
-    nv = X.n_vars
     if not X.generators:
-        return p ** ((n + 1) * nv)
-    limit = size_limit(bound, p**nv, "level-0 enumeration")
-    lifter = LiftAnalyzer(X.generators, nv, p)
-    frontier = []
-    smooth = 0
-    for x0 in lifter.residue_points():
-        if lifter.is_smooth(x0):
-            smooth += 1
-        else:
-            frontier.append(x0)
-    fiber = p ** (nv - len(X.generators)) if smooth else 0
-    for k in range(1, n + 1):
-        smooth *= fiber  # level-k points over the smooth residue points
-        size_limit(limit, smooth, "lift frontier")
-        frontier = lifter.lift_frontier(frontier, k, limit, smooth)
-    return smooth + len(frontier)
+        return p ** ((n + 1) * X.n_vars)
+    return BallTree(X.generators, X.n_vars, p).level_counts(n, bound)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -864,3 +845,201 @@ def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK):
     UNKNOWN.
     """
     return LiftAnalyzer(X.generators, X.n_vars, p).status(point, n, slack)
+
+
+# ---------------------------------------------------------------------------
+# rescaled-ball trees (unramified prime rings; integer points)
+
+
+class BallTree:
+    """Point counts and truncation images over Z/p^(k+1), every level from
+    one memoised walk over rescaled balls (Denef, Invent. Math. 77, 1984).
+
+    A ball c + p^d Z_p^N is rescaled to Z_p^N by x = c + p^d u.  Its state
+    is the generators restricted to it, h_i(u) = f_i(c + p^d u), each
+    divided by its p-content.  What lies below a ball depends only on its
+    state, so states are memoised.  When counting, condition i asks
+    h_i = 0 mod p^(e_i) and is kept mod p^(e_i); it is dropped once the
+    content reaches e_i.  For the image, conditions are exact (e_i None)
+    and only a generator that vanishes identically is dropped.
+
+    A state's residue zeros u0 in F_p^N are its sub-balls at the next
+    depth.  Where rank J(u0) over F_p equals the number g <= N of
+    conditions, Hensel's lemma closes the sub-ball in closed form: it
+    holds p^(N(m-1) - sum(e_i - 1)) zeros mod p^m, m the largest e_i, and
+    p^((N-g)(r-1)) of its depth-r sub-balls hold a Z_p-zero.  Every other
+    residue zero recurses on the state h_i(u0 + p v).  Each shift has
+    p-content at least 1, so a ball at depth d in a walk has a centre that
+    is a zero mod p^d: the states a walk makes at one depth are at most
+    the points of one level.
+    """
+
+    def __init__(self, gens, n_vars, p):
+        self.gens = tuple(gens)
+        self.n_vars = n_vars
+        self.p = p
+        self._zeros = {}
+        self._children = {}
+        self._counts = {}
+        self._images = {}
+        self._decided = {}
+
+    # -- states ------------------------------------------------------------------
+
+    def _condition(self, h, e):
+        """(h / p^c, e - c) for h of p-content c, reduced mod p^(e - c);
+        None when the condition always holds.  e None is an exact one."""
+        if not h.terms:
+            return None
+        p = self.p
+        c = min(p_valuation(a, p) for a in h.terms.values())
+        if e is None:
+            return MultiPoly(h.variables, {x: a // p**c for x, a in h.terms.items()}), None
+        if c >= e:
+            return None
+        m = p ** (e - c)
+        return MultiPoly(h.variables, {x: a // p**c % m for x, a in h.terms.items()}), e - c
+
+    def _state(self, polys, e):
+        return tuple(filter(None, (self._condition(h, e) for h in polys)))
+
+    def _residue_zeros(self, state):
+        """(u0, smooth) for each common zero u0 over F_p of a state, in
+        lexicographic order; smooth when rank J(u0) is the condition count.
+        Both depend only on the conditions mod p, which key the cache."""
+        p, nv = self.p, self.n_vars
+        polys = [h.reduce_coeffs(p) for h, _ in state]
+        key = tuple(polys)
+        if key not in self._zeros:
+            evals = [h.compile_int(p) for h in polys]
+            jac = [[d.compile_int(p) for d in row] for row in _jacobian(polys)]
+            zeros = []
+            for u0 in itertools.product(range(p), repeat=nv):
+                if any(ev(u0) for ev in evals):
+                    continue
+                smooth = False
+                if len(polys) <= nv:
+                    rows = [[ev(u0) for ev in row] + [0] for row in jac]
+                    pivots = row_reduce(rows, range(nv), lambda a: pow(a, -1, p),
+                                        lambda a: a % p)
+                    smooth = len(pivots) == len(polys)
+                zeros.append((u0, smooth))
+            self._zeros[key] = zeros
+        return self._zeros[key]
+
+    def _child(self, state, u0):
+        """The state of the sub-ball u0 + p Z_p^N."""
+        key = (state, u0)
+        if key not in self._children:
+            p = self.p
+            variables = state[0][0].variables
+            mapping = {v: MultiPoly.variable(variables, v) * p + a
+                       for v, a in zip(variables, u0)}
+            self._children[key] = tuple(filter(None, (
+                self._condition(h.substitute(mapping, e and p**e), e)
+                for h, e in state)))
+        return self._children[key]
+
+    # -- counting ----------------------------------------------------------------
+
+    def _count(self, state, depth, tally, limit):
+        """Zeros of a counting state over (Z/p^m)^N, m its largest e_i."""
+        if not state:
+            return 1
+        if state not in self._counts:
+            tally[depth] = tally.get(depth, 0) + 1
+            if tally[depth] > limit:
+                raise BoundExceeded(f"lift frontier exceeds bound {limit}")
+            p, nv = self.p, self.n_vars
+            m = max(e for _, e in state)
+            closed = p ** (nv * (m - 1) - sum(e - 1 for _, e in state))
+            total = 0
+            for u0, smooth in self._residue_zeros(state):
+                if smooth:
+                    total += closed
+                else:
+                    child = self._child(state, u0)
+                    top = max((e for _, e in child), default=0)
+                    total += p ** (nv * (m - 1 - top)) * self._count(
+                        child, depth + 1, tally, limit)
+            self._counts[state] = total
+        return self._counts[state]
+
+    def level_counts(self, n, bound=None):
+        """[|X(Z/p^(k+1))| for k = 0..n], one walk per level.  Raises
+        BoundExceeded when p^N or any of these counts exceeds the bound, or
+        when a walk makes more states at one depth than the bound allows
+        (which can only happen when a count exceeds it too)."""
+        nv = self.n_vars
+        limit = size_limit(bound, self.p**nv, "level-0 enumeration")
+        counts = []
+        for k in range(n + 1):
+            root = self._state(self.gens, k + 1)
+            top = max((e for _, e in root), default=0)
+            count = self.p ** (nv * (k + 1 - top)) * self._count(root, 0, {}, limit)
+            size_limit(limit, count, "lift frontier")
+            counts.append(count)
+        return counts
+
+    # -- truncation images -------------------------------------------------------
+
+    def _decide(self, state, slack):
+        """Whether a rescaled ball holds a Z_p-zero: True when some state
+        within `slack` levels below it has no condition left, has its
+        centre as an exact zero or has a smooth residue zero; False when
+        the search runs out of residue zeros; None otherwise, or when a
+        level holds more than CERT_FRONTIER_BOUND states."""
+        key = (state, slack)
+        if key not in self._decided:
+            self._decided[key] = self._search([state], slack)
+        return self._decided[key]
+
+    def _search(self, frontier, slack):
+        for level in range(slack + 1):
+            if any(all(h.constant_value() == 0 for h, _ in s) for s in frontier):
+                return True
+            if level == slack or len(frontier) > CERT_FRONTIER_BOUND:
+                return None
+            below = {}
+            for s in frontier:
+                for u0, smooth in self._residue_zeros(s):
+                    if smooth:
+                        return True
+                    below[self._child(s, u0)] = None
+            if not below:
+                return False
+            frontier = list(below)
+
+    def _image(self, state, depth, slack):
+        """For r = 0..depth: (certified, open) over the depth-r sub-balls of
+        a ball with exact conditions: how many hold a Z_p-zero for certain,
+        and the offsets u mod p^r of those `_decide` leaves open."""
+        key = (state, depth, slack)
+        if key not in self._images:
+            p, nv = self.p, self.n_vars
+            here = self._decide(state, slack)
+            certified = [int(bool(here))] + [0] * depth
+            opened = [[(0,) * nv] if here is None else []] + [[] for _ in range(depth)]
+            if not state:
+                certified = [p ** (nv * r) for r in range(depth + 1)]
+            elif depth:
+                for u0, smooth in self._residue_zeros(state):
+                    if smooth:
+                        fiber = p ** (nv - len(state))
+                        for r in range(1, depth + 1):
+                            certified[r] += fiber ** (r - 1)
+                        continue
+                    below = self._image(self._child(state, u0), depth - 1, slack)
+                    for r, (c, offsets) in enumerate(below, 1):
+                        certified[r] += c
+                        opened[r] += [tuple(a + p * b for a, b in zip(u0, o))
+                                      for o in offsets]
+            self._images[key] = list(zip(certified, opened))
+        return self._images[key]
+
+    def image_levels(self, n, slack):
+        """[(certified, open) for k = 0..n]: the points of X(Z/p^(k+1)) that
+        truncate a Z_p-point for certain, counted, and the points the tree
+        leaves open, listed.  Every other point is certainly not such a
+        truncation.  Call level_counts first: it bounds the walk."""
+        return self._image(self._state(self.gens, None), n + 1, slack)[1:]

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padicstacks.measures import (
     FitNotFound,
@@ -13,7 +15,17 @@ from padicstacks.measures import (
     tau_image_count,
     tau_image_profile,
 )
-from padicstacks.polyscheme import AffineScheme, count_points, parse_poly, tau_point
+from padicstacks.polyscheme import (
+    AffineScheme,
+    BallTree,
+    LiftAnalyzer,
+    LiftStatus,
+    MultiPoly,
+    count_points,
+    enumerate_points_lifted,
+    parse_poly,
+    tau_point,
+)
 from padicstacks.rings import make_ring
 from padicstacks.stacks import GroupAction, QuotientStack, SpecialGroup, UnsupportedStack
 
@@ -21,6 +33,7 @@ A1 = AffineScheme.affine_space("A1", ("x",))
 A2 = AffineScheme.affine_space("A2", ("x", "y"))
 CONIC = AffineScheme.from_text("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1)
 CUSP = AffineScheme.from_text("cusp", ("x", "y"), ["y^2 - x^3"], 1)
+NODE = AffineScheme.from_text("node", ("x", "y"), ["y^2 - x^2 - x^3"], 1)
 
 
 def hyperbola(c=3):
@@ -39,16 +52,21 @@ def brute_count(X, m):
     )
 
 
-def brute_tau_image(X, p, n, deep):
-    """Oracle: reduce every level-`deep` point down to level n."""
+def brute_image(X, p, n, deep):
+    """Oracle: the level-n truncations of every level-`deep` point, a
+    superset of the truncation image of X(Z_p)."""
     md = p ** (deep + 1)
     mn = p ** (n + 1)
-    image = {
+    evals = [g.compile_int(md) for g in X.generators]
+    return {
         tuple(c % mn for c in pt)
         for pt in itertools.product(range(md), repeat=X.n_vars)
-        if all(g.eval_int(pt, md) == 0 for g in X.generators)
+        if not any(ev(pt) for ev in evals)
     }
-    return len(image)
+
+
+def brute_tau_image(X, p, n, deep):
+    return len(brute_image(X, p, n, deep))
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +106,119 @@ def test_tau_image_profile_certificates_sound():
     assert tau_image_profile(X, p, n, slack=2).certified == brute_tau_image(
         X, p, n, deep
     )
+
+
+def tree_verdict(tree, point, n, slack):
+    """The image tree's verdict on one level-n point, found by walking down
+    the tree along the point's digits: True (certified), False (refuted) or
+    None (left open for LiftAnalyzer)."""
+    p = tree.p
+    state = tree._state(tree.gens, None)
+    for d in range(n + 1):
+        if not state:
+            return True
+        u0 = tuple(x // p**d % p for x in point)
+        smooth = dict(tree._residue_zeros(state)).get(u0)
+        if smooth is None:
+            return False
+        if smooth:
+            # a smooth sub-ball: the point is certified exactly when the
+            # rescaled system vanishes at it to the point's precision
+            u = tuple(x // p**d for x in point)
+            m = p ** (n + 1 - d)
+            return all(h.eval_int(u, m) == 0 for h, _ in state)
+        state = tree._child(state, u0)
+    return tree._decide(state, slack)
+
+
+PLANE_MONOMIALS = [(i, j) for i in range(4) for j in range(4 - i)]
+UNITS = (-3, -2, -1, 1, 2, 3)
+
+
+@st.composite
+def plane_curves(draw):
+    """f(x, y) of degree <= 3 with up to four terms u p^k x^i y^j, u a unit
+    in -3..3 and k <= 2, over p in {2, 3, 5} at level n <= 2.  Each term is
+    drawn as one integer, which keeps generation cheap."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(0, 2))
+    codes = draw(st.lists(st.integers(0, 3 * len(UNITS) * len(PLANE_MONOMIALS) - 1),
+                          min_size=1, max_size=4))
+    terms = {}
+    for c in codes:
+        c, e = divmod(c, len(PLANE_MONOMIALS))
+        k, u = divmod(c, len(UNITS))
+        terms[PLANE_MONOMIALS[e]] = UNITS[u] * p**k
+    f = MultiPoly(("x", "y"), terms)
+    return AffineScheme("curve", ("x", "y"), (f,), 1), p, n
+
+
+@settings(max_examples=220)
+@given(plane_curves(), st.integers(0, 2))
+def test_image_tree_is_sound_on_random_plane_curves(case, slack):
+    # per point: the tree never contradicts a LiftAnalyzer decision, and a
+    # certified point lifts to level `deep` (brute force); per level: the
+    # profile is the tree's verdicts with LiftAnalyzer deciding the open
+    # ones, inside LiftAnalyzer's own [certified, certified + unknown].
+    # Lifting to a finite level only bounds the image from above, so the
+    # brute count bounds the certified count; the parametrized curves
+    # below check exact equality.
+    X, p, n = case
+    assume(count_points(X, make_ring(p, n=n)) <= 100)  # the per-point oracle sets the cost
+    points = enumerate_points_lifted(X, p, n)
+    tree = BallTree(X.generators, X.n_vars, p)
+    analyzer = LiftAnalyzer(X.generators, X.n_vars, p)
+    deep = max((d for d in range(n + 1, n + 4) if p ** (2 * (d + 1)) <= 1024), default=None)
+    image = brute_image(X, p, n, deep) if deep is not None else None
+    tally = {"certified": 0, "unknown": 0, "la_certified": 0, "la_unknown": 0}
+    for pt in points:
+        verdict = tree_verdict(tree, pt, n, slack)
+        status = analyzer.status(pt, n, slack)
+        assert not (verdict is True and status is LiftStatus.CERTIFIED_NOT), pt
+        assert not (verdict is False and status is LiftStatus.CERTIFIED_LIFTABLE), pt
+        if verdict and image is not None:
+            assert pt in image, pt
+        if verdict is None:
+            verdict = {LiftStatus.CERTIFIED_LIFTABLE: True,
+                       LiftStatus.CERTIFIED_NOT: False}.get(status)
+        tally["certified"] += verdict is True
+        tally["unknown"] += verdict is None
+        tally["la_certified"] += status is LiftStatus.CERTIFIED_LIFTABLE
+        tally["la_unknown"] += status is LiftStatus.UNKNOWN
+    prof = tau_image_profile(X, p, n, slack)
+    assert (prof.certified, prof.unknown) == (tally["certified"], tally["unknown"])
+    assert prof.certified + prof.refuted + prof.unknown == len(points)
+    assert tally["la_certified"] <= prof.certified
+    assert prof.image_at_slack <= tally["la_certified"] + tally["la_unknown"]
+    if image is not None:
+        assert prof.certified <= len(image)
+
+
+def cusp_tau_image_oracle(p, n):
+    """Every Z_p-point of y^2 = x^3 is (t^2, t^3); its truncation only
+    depends on t mod p^(n+1), so the image is enumerable exactly."""
+    m = p ** (n + 1)
+    return len({(t * t % m, t * t * t % m) for t in range(m)})
+
+
+def node_tau_image_oracle(p, n):
+    """The Z_p-points of y^2 = x^2 + x^3 are (t^2 - 1, t(t^2 - 1)), the
+    node included (t = 1); mod p^(n+1) they depend only on t mod p^(n+1)."""
+    m = p ** (n + 1)
+    return len({((t * t - 1) % m, t * (t * t - 1) % m) for t in range(m)})
+
+
+@pytest.mark.parametrize("name, p, oracle, expected", [
+    ("cusp", 5, cusp_tau_image_oracle, [5, 21, 103, 521, 2603]),
+    ("cusp", 3, cusp_tau_image_oracle, [3, 7, 20, 61, 182]),
+    ("node", 5, node_tau_image_oracle, [4, 24, 124, 624, 3124]),
+])
+def test_image_tree_equals_parametrization_images(name, p, oracle, expected):
+    X = CUSP if name == "cusp" else NODE
+    assert [oracle(p, n) for n in range(5)] == expected
+    tbl = series(X, make_ring(p), "p", terms=6)
+    assert tbl.exact
+    assert tbl.coefficients == [1] + expected
 
 
 # ---------------------------------------------------------------------------
@@ -180,29 +311,23 @@ def test_series_point_mod_gm():
     ]
 
 
-def cusp_tau_image_oracle(p, n):
-    """Every Z_p-point of y^2 = x^3 is (t^2, t^3); its truncation only
-    depends on t mod p^(n+1), so the image is enumerable exactly."""
-    m = p ** (n + 1)
-    return len({(t * t % m, t * t * t % m) for t in range(m)})
-
-
 def test_series_q_cusp_bounds_contain_truth():
-    # At the cusp the origin resists certification at small slack (its
-    # minors sit too deep), so P and Q come back as reported bounds; the
-    # bounds must contain the true values, which the parametrization
-    # oracle pins down: coefficient_n(Q) = #tau(X at level n-1) - #tau of
-    # the origin section.
+    # The image tree decides every cusp point at levels 0-2 at the default
+    # slack, so P and Q are exact and equal the parametrization oracle:
+    # coefficient_n(Q) = #tau(X at level n-1) - #tau of the origin section.
+    # At slack 0 some points stay open, and the reported bounds must still
+    # contain the truth.
     p, terms = 5, 4
     spec = make_ring(p)
-    q_tbl = series(CUSP, spec, "q", terms=terms)
-    p_tbl = series(CUSP, spec, "p", terms=terms)
     origin = AffineScheme.from_text("origin", ("x", "y"), ["x", "y"], 0)
     o_tbl = series(origin, spec, "p", terms=terms)
     assert o_tbl.exact and o_tbl.coefficients == [1, 1, 1, 1]
     truth_p = [1] + [cusp_tau_image_oracle(p, n) for n in range(terms - 1)]
     truth_q = [a - b for a, b in zip(truth_p, o_tbl.coefficients)]
-    for tbl, truth in ((p_tbl, truth_p), (q_tbl, truth_q)):
+    for kind, truth in (("p", truth_p), ("q", truth_q)):
+        tbl = series(CUSP, spec, kind, terms=terms)
+        assert tbl.exact and tbl.coefficients == truth
+        tbl = series(CUSP, spec, kind, terms=terms, slack=0)
         assert not tbl.exact
         lower, upper = tbl.bounds()
         for lo, t, up in zip(lower, truth, upper):
@@ -213,9 +338,10 @@ def test_series_q_cusp_bounds_contain_truth():
 def test_series_of_special_group_stack_divides_the_atlas_tables(kind):
     # [cusp/G_m] with lam.(x, y) = (lam^2 x, lam^3 y): every table of the
     # stack is the cusp's own, with coefficient m >= 1 (and its slack)
-    # divided by |G_m(Z/5^m)| = 4 * 5^(m-1); the Q series subtracts the
-    # cusp's singular locus, the origin, whose open lift certificates show
-    # as downward slack
+    # divided by |G_m(Z/5^m)| = 4 * 5^(m-1).  At the default slack the
+    # tables are exact and equal the divided parametrization oracle (the
+    # Q series subtracts the cusp's singular locus, the origin); at slack 0
+    # the cusp leaves points open, and the stack divides the slack too.
     names = ("x", "y", "lam")
     stack = QuotientStack("cusp_mod_Gm", GroupAction(
         SpecialGroup("Gm"), CUSP,
@@ -223,8 +349,14 @@ def test_series_of_special_group_stack_divides_the_atlas_tables(kind):
     ))
     spec, terms = make_ring(5), 4
     divisors = [1] + [4 * 5**n for n in range(terms - 1)]
-    atlas = series(CUSP, spec, kind, terms=terms)
+    truth = [1] + [cusp_tau_image_oracle(5, n) - (kind == "q") for n in range(terms - 1)]
+    if kind == "q":
+        truth[0] = 0
     tbl = series(stack, spec, kind, terms=terms)
+    assert tbl.exact
+    assert tbl.coefficients == [Fraction(c, w) for c, w in zip(truth, divisors)]
+    atlas = series(CUSP, spec, kind, terms=terms, slack=0)
+    tbl = series(stack, spec, kind, terms=terms, slack=0)
     assert not atlas.exact and tbl.exact == atlas.exact
     for field in ("coefficients", "unknown", "unknown_down"):
         own = getattr(atlas, field)
@@ -234,8 +366,6 @@ def test_series_of_special_group_stack_divides_the_atlas_tables(kind):
             assert getattr(tbl, field) == [
                 Fraction(c, w) for c, w in zip(own, divisors)
             ]
-    if kind == "q":
-        assert any(d != 0 for d in tbl.unknown_down)
 
 
 def test_series_p_empty_target():

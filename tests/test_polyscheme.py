@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicstacks import polyscheme
+from padicstacks.greenberg import greenberg_transform
 from padicstacks.polyscheme import (
     DEFAULT_SLACK,
     AffineScheme,
@@ -320,6 +323,59 @@ def test_count_points_lifted_refuses_over_bound():
         with pytest.raises(BoundExceeded, match="bound 100$"):
             f(conic(), 5, 3, bound=100)
     assert count_points_lifted(conic(), 5, 3, bound=500) == 500
+    with pytest.raises(BoundExceeded, match="^lift frontier exceeds bound 499$"):
+        count_points_lifted(conic(), 5, 3, bound=499)
+    with pytest.raises(BoundExceeded, match="^level-0 enumeration exceeds bound 24$"):
+        count_points_lifted(conic(), 5, 0, bound=24)
+
+
+def test_count_tree_deep_cusp_counts():
+    # 3,828,125 is the number of points enumerate_points_lifted lists at
+    # level 7 (in seconds, so it is pinned here); level 8 would hold
+    # 19,140,625 points, over the default bound of 4,000,000
+    assert count_points_lifted(cusp(), 5, 7) == 3_828_125
+    with pytest.raises(BoundExceeded, match="^lift frontier exceeds bound 4000000$"):
+        count_points_lifted(cusp(), 5, 8)
+    assert count_points_lifted(cusp(), 5, 8, bound=20_000_000) == 19_140_625
+
+
+@st.composite
+def small_systems(draw):
+    """1-3 variables, 1-2 generators of up to four terms u p^k x^e of
+    degree <= 3 (u a unit in -3..3, k <= 2) over p in {2, 3, 5}, level n <= 2,
+    with at most 4,096 tuples over Z/p^(n+1) for the brute oracle.  The
+    p^k make contents and singular balls common; each term is drawn as
+    one integer, which keeps generation cheap."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(0, 2))
+    m = p ** (n + 1)
+    nv = draw(st.integers(1, max(k for k in (1, 2, 3) if m**k <= 4096)))
+    variables = ("x", "y", "z")[:nv]
+    monomials = [e for e in itertools.product(range(4), repeat=nv) if sum(e) <= 3]
+    units = (-3, -2, -1, 1, 2, 3)
+    code = st.integers(0, 3 * len(units) * len(monomials) - 1)
+    gens = draw(st.lists(st.lists(code, min_size=1, max_size=4), min_size=1, max_size=2))
+    polys = []
+    for codes in gens:
+        terms = {}
+        for c in codes:
+            c, e = divmod(c, len(monomials))
+            k, u = divmod(c, len(units))
+            terms[monomials[e]] = units[u] * p**k
+        polys.append(MultiPoly(variables, terms))
+    return AffineScheme("battery", variables, tuple(polys), max(nv - len(polys), 0)), p, n
+
+
+@settings(max_examples=150)
+@given(small_systems())
+def test_count_tree_matches_listing_brute_and_greenberg(case):
+    X, p, n = case
+    count = count_points_lifted(X, p, n)
+    assert type(count) is int
+    assert count == len(enumerate_points_lifted(X, p, n))
+    assert count == sum(1 for _ in enumerate_points(X, make_ring(p, n=n)))
+    if p ** (n + 1) <= 9:
+        assert count == greenberg_transform(X, p, n).count_points()
 
 
 class _DeltaLoopAnalyzer(LiftAnalyzer):

@@ -575,8 +575,9 @@ def test_cli_strict_partial(capsys):
 
 
 def test_cli_inexact_series_reports_bounds_around_the_truth(capsys):
-    # with no slack the cusp's P coefficients are not certified, so the
-    # report gives bounds and skips the fit
+    # with no slack the image tree leaves some cusp points open, so the
+    # report gives bounds on the open coefficients and skips the fit; a
+    # coefficient without bounds is exact
     argv = ["series", "--project", DEMO, "--target", "cusp", "--ring", "p5n0",
             "--kind", "p", "--terms", "4", "--slack", "0", "--fit"]
     code, out = run(capsys, "--strict", *argv)
@@ -586,12 +587,26 @@ def test_cli_inexact_series_reports_bounds_around_the_truth(capsys):
     assert "exact = false" in lines
     assert "fit = skipped (coefficients are not exact)" in lines
     values = dict(line.split(" = ") for line in lines if line.startswith(("coeff[", "bounds[")))
+    assert "bounds[3]" in values
     for i in (1, 2, 3):
         # the Z_5-points of y^2 = x^3 are (t^2, t^3), and mod 5^i they
         # depend only on t mod 5^i
         truth = len({(t**2 % 5**i, t**3 % 5**i) for t in range(5**i)})
-        lo, hi = map(Fraction, values[f"bounds[{i}]"].split(" .. "))
-        assert lo == Fraction(values[f"coeff[{i}]"]) <= truth <= hi, i
+        coeff = values[f"coeff[{i}]"]
+        lo, hi = map(Fraction, values.get(f"bounds[{i}]", f"{coeff} .. {coeff}").split(" .. "))
+        assert lo == Fraction(coeff) <= truth <= hi, i
+
+
+def test_cli_cusp_p_series_is_exact(capsys):
+    # the image tree decides every cusp point at levels 0-4: the P series
+    # is the parametrization's image sizes
+    code, out = run(capsys, "series", "--project", DEMO, "--target", "cusp",
+                    "--ring", "p5n0", "--kind", "p", "--terms", "6")
+    assert code == 0
+    lines = out.splitlines()
+    assert "exact = true" in lines
+    coeffs = [line for line in lines if line.startswith("coeff[")]
+    assert coeffs == [f"coeff[{i}] = {c}/1" for i, c in enumerate((1, 5, 21, 103, 521, 2603))]
 
 
 def test_cli_reports_byte_identical(capsys):
