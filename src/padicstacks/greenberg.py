@@ -9,6 +9,7 @@ otherwise the digit bijection would fail.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .polyscheme import AffineScheme, MultiPoly
@@ -64,6 +65,67 @@ def expand_poly(f, p, length, names=None):
     return acc
 
 
+def _split_level(gens, positions, p, candidates):
+    """Split the digit-level generators by their exponent vectors beta in
+    the level digits at `positions`: g = sum_beta digits^beta * h_beta.
+
+    Returns (split, table).  split[k] lists the pairs (b, h_b) of
+    generator k, h_b a tuple of (coeff mod p, ((position, e), ...)) terms
+    in the other digits; table[b] holds the value mod p of monomial b at
+    every candidate digit tuple."""
+    level = {pos: j for j, pos in enumerate(positions)}
+    betas = {}
+    split = []
+    for g in gens:
+        groups = {}
+        for expo, coeff in g.terms.items():
+            c = coeff % p
+            if not c:
+                continue
+            beta = [0] * len(positions)
+            factors = []
+            for pos, e in enumerate(expo):
+                if not e:
+                    continue
+                if pos in level:
+                    beta[level[pos]] = e
+                else:
+                    factors.append((pos, e))
+            b = betas.setdefault(tuple(beta), len(betas))
+            groups.setdefault(b, []).append((c, tuple(factors)))
+        split.append(tuple((b, tuple(terms)) for b, terms in groups.items()))
+    table = [
+        [math.prod(d**e for d, e in zip(digits, beta)) % p for digits in candidates]
+        for beta in betas
+    ]
+    return split, table
+
+
+def _surviving_digits(split, table, point, p, size):
+    """Indices of the candidate digit tuples at which every split
+    generator vanishes, the lower digits read from `point`: each h_beta
+    is evaluated once, then summed against its row of monomial values."""
+    alive = range(size)
+    for gen in split:
+        values = [0] * size
+        for b, terms in gen:
+            h = 0
+            for c, factors in terms:
+                for pos, e in factors:
+                    if not point[pos]:
+                        break
+                    c *= point[pos] ** e
+                else:
+                    h += c
+            h %= p
+            if h:
+                values = [v + h * t for v, t in zip(values, table[b])]
+        alive = [k for k in alive if values[k] % p == 0]
+        if not alive:
+            break
+    return alive
+
+
 @dataclass(frozen=True)
 class GreenbergScheme:
     """Result of the digit expansion at a fixed prime and level.
@@ -114,38 +176,50 @@ class GreenbergScheme:
         assignments can be pruned as soon as a visible component fails.
         Returns a sorted list of coordinate tuples (scheme variable order).
         """
-        limit = size_limit(bound)
-        p = self.p
-        L = self.length
-        nv = len(self.source.variables)
-        width = nv * L
-        # positions of the level-i digits inside the flat coordinate tuple
-        positions = [[j * L + i for j in range(nv)] for i in range(L)]
-        compiled = [
-            [g.compile_int(p) for g in level_gens]
-            for level_gens in self.component_gens
-        ]
-        frontier = [(0,) * width]
-        for i in range(L):
-            new_frontier = []
-            for partial in frontier:
-                base = list(partial)
-                for digits in itertools.product(range(p), repeat=nv):
-                    for pos, d in zip(positions[i], digits):
-                        base[pos] = d
-                    cand = tuple(base)
-                    if all(ev(cand) == 0 for ev in compiled[i]):
-                        new_frontier.append(cand)
-                if len(new_frontier) > limit:
-                    raise BoundExceeded(
-                        f"digit frontier exceeds bound {limit}"
-                    )
-            frontier = new_frontier
+        frontier = self._search(bound, keep_last=True)
         frontier.sort()
         return frontier
 
     def count_points(self, bound=None):
-        return len(self.enumerate_points(bound))
+        """Number of F_p-points; the last digit level is counted, not
+        listed.  Refuses exactly where enumerate_points does."""
+        return self._search(bound, keep_last=False)
+
+    def _search(self, bound, keep_last):
+        """The frontier search of enumerate_points: the last level's points
+        in search order, or only their number when not `keep_last`.
+
+        At level i each component is split by its exponent vector beta in
+        the N level-i digits, g = sum_beta (level-i digits)^beta *
+        h_beta(lower digits).  A frontier point evaluates each h_beta once;
+        its p^N candidate digit tuples are then tested against the
+        coefficient vectors, with one table of beta-monomial values per
+        level.  Candidates come in the order of itertools.product.
+        """
+        limit = size_limit(bound)
+        p = self.p
+        L = self.length
+        nv = len(self.source.variables)
+        candidates = list(itertools.product(range(p), repeat=nv))
+        frontier = [(0,) * nv * L]
+        for i, level_gens in enumerate(self.component_gens):
+            positions = [j * L + i for j in range(nv)]
+            split, table = _split_level(level_gens, positions, p, candidates)
+            new_frontier = []
+            count = 0
+            for partial in frontier:
+                alive = _surviving_digits(split, table, partial, p, len(candidates))
+                count += len(alive)
+                if keep_last or i < L - 1:
+                    base = list(partial)
+                    for c in alive:
+                        for pos, d in zip(positions, candidates[c]):
+                            base[pos] = d
+                        new_frontier.append(tuple(base))
+                if count > limit:
+                    raise BoundExceeded(f"digit frontier exceeds bound {limit}")
+            frontier = new_frontier
+        return frontier if keep_last else count
 
     # -- truncation -----------------------------------------------------------
 

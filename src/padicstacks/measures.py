@@ -29,6 +29,7 @@ from .polyscheme import (
     LiftStatus,
     count_points,
     enumerate_points_lifted,
+    level_counts_lifted,
     row_reduce,
     singular_locus,
     tau_point,
@@ -155,6 +156,17 @@ def _stabilize(levels, counts):
     return MeasureResult(None, "PARTIAL", list(levels), list(counts))
 
 
+def _level_counts(X, base_spec, n, bound):
+    """[|X(R_k)| for k = 0..n]: one count-tree walk over Z/p^(n+1), one
+    `count_points` per level on every other ring.  Refuses with the
+    message of the first level whose `count_points` would refuse."""
+    if n < 0:
+        return []
+    if base_spec.int_modulus is not None:
+        return level_counts_lifted(X, base_spec.p, n, bound)
+    return [count_points(X, base_spec.at_level(k), bound) for k in range(n + 1)]
+
+
 def padic_measure(target, base_spec, max_level=DEFAULT_MAX_LEVEL, bound=None):
     """Measure of the full target (scheme or special-group quotient stack).
 
@@ -168,9 +180,8 @@ def padic_measure(target, base_spec, max_level=DEFAULT_MAX_LEVEL, bound=None):
     w0 = weight(0)
     levels = list(range(max_level + 1))
     counts = [
-        Fraction(count_points(X, base_spec.at_level(n), bound),
-                 w0 * q ** ((n + 1) * X.dim))
-        for n in levels
+        Fraction(cnt, w0 * q ** ((n + 1) * X.dim))
+        for n, cnt in zip(levels, _level_counts(X, base_spec, max_level, bound))
     ]
     return _stabilize(levels, counts)
 
@@ -208,11 +219,9 @@ class SeriesTable:
 
 
 def _series_tilde(X, weight, base_spec, terms, bound):
-    coeffs = [Fraction(1)]
-    for m in range(1, terms):
-        n = m - 1
-        cnt = count_points(X, base_spec.at_level(n), bound)
-        coeffs.append(Fraction(cnt, weight(n)))
+    counts = _level_counts(X, base_spec, terms - 2, bound)
+    coeffs = [Fraction(1)] + [
+        Fraction(cnt, weight(n)) for n, cnt in enumerate(counts)]
     return coeffs, [Fraction(0)] * terms
 
 

@@ -594,14 +594,21 @@ def enumerate_points_lifted(X, p, n, bound=None):
     return frontier
 
 
-def count_points_lifted(X, p, n, bound=None):
-    """|X(Z/p^(n+1))| from a rescaled-ball tree (`BallTree.level_counts`),
-    without listing points.  Refuses exactly where enumerate_points_lifted
-    does: when p^N, or the count at some level k <= n, exceeds the bound.
+def level_counts_lifted(X, p, n, bound=None):
+    """[|X(Z/p^(k+1))| for k = 0..n] from one rescaled-ball tree
+    (`BallTree.level_counts`), without listing points.  Refuses exactly
+    where enumerate_points_lifted does at level n: when p^N, or the count
+    at some level k <= n, exceeds the bound.  A target without generators
+    is counted in closed form and never refused.
     """
     if not X.generators:
-        return p ** ((n + 1) * X.n_vars)
-    return BallTree(X.generators, X.n_vars, p).level_counts(n, bound)[-1]
+        return [p ** ((k + 1) * X.n_vars) for k in range(n + 1)]
+    return BallTree(X.generators, X.n_vars, p).level_counts(n, bound)
+
+
+def count_points_lifted(X, p, n, bound=None):
+    """|X(Z/p^(n+1))|, the last of `level_counts_lifted`."""
+    return level_counts_lifted(X, p, n, bound)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -732,15 +739,6 @@ class LiftAnalyzer:
             self._gen_evals[modulus] = [g.compile_int(modulus) for g in self.gens]
         return self._gen_evals[modulus]
 
-    def is_smooth(self, x0):
-        """rank J(x0) equals the number of generators: x0 lifts to exactly
-        p^(N - g) points at every level."""
-        g = len(self.gens)
-        if g > self.n_vars:
-            return False
-        zero = (0,) * g
-        return len(self._deltas(x0, zero)) == self.p ** (self.n_vars - g)
-
     def residue_points(self):
         """Common zeros over F_p, in lexicographic order."""
         evals = self.evals_at(self.p)
@@ -774,14 +772,13 @@ class LiftAnalyzer:
             for delta in self._deltas(x0, rhs)
         ]
 
-    def lift_frontier(self, frontier, k, limit, counted=0):
+    def lift_frontier(self, frontier, k, limit):
         """Level-k lifts of every point of a level-(k-1) frontier, in
-        frontier order; raises once they and `counted` other level-k points
-        exceed `limit`."""
+        frontier order; raises once they exceed `limit`."""
         new_frontier = []
         for pt in frontier:
             new_frontier.extend(self.lifts(pt, k))
-            if counted + len(new_frontier) > limit:
+            if len(new_frontier) > limit:
                 raise BoundExceeded(f"lift frontier exceeds bound {limit}")
         return new_frontier
 

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicstacks.greenberg import (
     digit_variables,
@@ -10,9 +12,11 @@ from padicstacks.greenberg import (
 )
 from padicstacks.polyscheme import (
     AffineScheme,
+    MultiPoly,
+    enumerate_points,
     parse_poly,
 )
-from padicstacks.rings import BoundExceeded
+from padicstacks.rings import BoundExceeded, make_ring, size_limit
 
 
 def brute_count_mod(X, m):
@@ -211,3 +215,84 @@ def test_digit_frontier_bound():
     assert G.count_points(bound=9) == 9
     with pytest.raises(BoundExceeded, match="digit frontier exceeds bound 8$"):
         G.count_points(bound=8)
+
+
+@pytest.mark.parametrize("bound", [11, 35])
+def test_digit_frontier_bound_above_level_zero(bound):
+    # the conic over Z/27: 4, 12 and 36 points at digit levels 0, 1 and 2,
+    # so the search refuses at level 1 (bound 11) or at the last level
+    G = greenberg_transform(scheme("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1), 3, 2)
+    assert G.count_points(bound=36) == 36 == len(G.enumerate_points(bound=36))
+    for run in (G.count_points, G.enumerate_points,
+                lambda bound: full_evaluation_points(G, bound)):
+        with pytest.raises(BoundExceeded, match=f"^digit frontier exceeds bound {bound}$"):
+            run(bound=bound)
+
+
+def full_evaluation_points(G, bound=None):
+    """Reference digit search: every full component is evaluated at every
+    candidate top digit tuple of every frontier point, in the order of
+    itertools.product; the frontier refuses as soon as a level holds more
+    than the bound.  Returns the sorted points."""
+    limit = size_limit(bound)
+    p = G.p
+    L = G.length
+    nv = len(G.source.variables)
+    positions = [[j * L + i for j in range(nv)] for i in range(L)]
+    compiled = [[g.compile_int(p) for g in level_gens]
+                for level_gens in G.component_gens]
+    frontier = [(0,) * (nv * L)]
+    for i in range(L):
+        new_frontier = []
+        for partial in frontier:
+            base = list(partial)
+            for digits in itertools.product(range(p), repeat=nv):
+                for pos, d in zip(positions[i], digits):
+                    base[pos] = d
+                cand = tuple(base)
+                if all(ev(cand) == 0 for ev in compiled[i]):
+                    new_frontier.append(cand)
+            if len(new_frontier) > limit:
+                raise BoundExceeded(f"digit frontier exceeds bound {limit}")
+        frontier = new_frontier
+    frontier.sort()
+    return frontier
+
+
+@st.composite
+def digit_systems(draw):
+    """1-3 variables, 1-2 generators of up to four terms c x^e of degree
+    <= 3 with c in -12..12, over p in {2, 3, 5} at a level n <= 2 with
+    p^(N(n+1)) <= 729 tuples for the brute oracle, and a frontier bound
+    (None for the default)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    nv = draw(st.integers(1, 3))
+    n = draw(st.integers(0, max(k for k in range(3) if p ** (nv * (k + 1)) <= 729)))
+    variables = ("x", "y", "z")[:nv]
+    monomials = [e for e in itertools.product(range(4), repeat=nv) if sum(e) <= 3]
+    term = st.tuples(st.sampled_from(monomials), st.integers(-12, 12))
+    gens = draw(st.lists(st.lists(term, min_size=1, max_size=4), min_size=1, max_size=2))
+    polys = tuple(MultiPoly(variables, dict(terms)) for terms in gens)
+    bound = draw(st.one_of(st.none(), st.integers(0, 40)))
+    return AffineScheme("digits", variables, polys, max(nv - len(polys), 0)), p, n, bound
+
+
+def _outcome(run):
+    try:
+        return run()
+    except BoundExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=120)
+@given(digit_systems())
+def test_specialised_search_matches_full_evaluation_and_brute(case):
+    X, p, n, bound = case
+    G = greenberg_transform(X, p, n)
+    points = _outcome(lambda: G.enumerate_points(bound))
+    assert points == _outcome(lambda: full_evaluation_points(G, bound))
+    assert _outcome(lambda: G.count_points(bound)) == (
+        points if isinstance(points, str) else len(points))
+    if not isinstance(points, str):
+        decoded = sorted(G.decode_point(q) for q in points)
+        assert decoded == list(enumerate_points(X, make_ring(p, n=n)))

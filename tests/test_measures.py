@@ -26,7 +26,7 @@ from padicstacks.polyscheme import (
     parse_poly,
     tau_point,
 )
-from padicstacks.rings import make_ring
+from padicstacks.rings import BoundExceeded, make_ring
 from padicstacks.stacks import GroupAction, QuotientStack, SpecialGroup, UnsupportedStack
 
 A1 = AffineScheme.affine_space("A1", ("x",))
@@ -260,6 +260,32 @@ def test_measure_partial_when_not_stabilized():
     res = padic_measure(hyperbola(3), make_ring(3), max_level=1)
     assert res.status == "PARTIAL"
     assert res.value is None
+
+
+@pytest.mark.parametrize("bound", [3, 24, 99, 100, 499, 500, None])
+def test_measure_and_tilde_series_refuse_as_per_level_counts(bound):
+    # one count walk gives every level; it yields the counts, or refuses
+    # with the message, that count_points called level by level gives
+    ring = make_ring(5)
+    expected = []
+    try:
+        for n in range(4):
+            expected.append(count_points(CONIC, ring.at_level(n), bound))
+    except BoundExceeded as exc:
+        expected = str(exc)
+
+    def outcome(run):
+        try:
+            return run()
+        except BoundExceeded as exc:
+            return str(exc)
+
+    assert outcome(lambda: series(CONIC, ring, "tilde", 5, bound=bound)
+                   .coefficients[1:]) == expected
+    assert outcome(lambda: [
+        c * 5 ** (n + 1)
+        for n, c in enumerate(padic_measure(CONIC, ring, 3, bound).counts)
+    ]) == expected
 
 
 def test_count_and_image_sequences_agree_in_the_limit():
