@@ -41,8 +41,7 @@ from fractions import Fraction
 from .measures import DEFAULT_MAX_LEVEL, MeasureResult, STABLE_RUN, _stabilize
 from .polyscheme import (
     DEFAULT_SLACK,
-    LiftAnalyzer,
-    LiftStatus,
+    BallTree,
     MultiPoly,
     _ExprParser,
     _PolyParser,
@@ -626,57 +625,54 @@ class _UpgradeOracle:
     system target-generators + open polynomials over the point.
 
     An oracle serves one formula, so an atom's position in the compiled
-    exact_atoms list names it at every level, and the analyzer of a joint
-    system is cached by the positions of its atoms."""
+    exact_atoms list names it at every level, and the ball tree of a
+    joint system is cached by the positions of its atoms."""
 
     def __init__(self, target, tmap, slack):
         self.target = target
         self.tmap = tmap
         self.slack = slack
-        self._analyzers = {}
+        self._trees = {}
 
-    def _status(self, exact_atoms, atoms, point, n):
-        """Lift status of the point on the target cut by the atoms at these
-        positions of exact_atoms."""
-        if atoms not in self._analyzers:
+    def _verdict(self, exact_atoms, atoms, point, n):
+        """The point's verdict on the target cut by the atoms at `atoms`."""
+        if atoms not in self._trees:
             variables = self.target.variables
             folded = [self.tmap.fold_poly(exact_atoms[i][0], variables) for i in atoms]
-            self._analyzers[atoms] = LiftAnalyzer(
+            self._trees[atoms] = BallTree(
                 self.target.generators + tuple(folded), len(variables), self.tmap.prime
             )
-        return self._analyzers[atoms].status(point, n, self.slack)
+        return self._trees[atoms].verdict(point, n, self.slack)
 
     def settle(self, evaluate, exact_atoms, point, args, n):
         """TV.TRUE / TV.FALSE / TV.UNKNOWN for 'point lies in the level-n
         truncation of the defined set', given the formula compiled for the
         level-n ring and its arguments at the point."""
-        statuses = {
-            i: self._status(exact_atoms, (i,), point, n)
+        verdicts = {
+            i: self._verdict(exact_atoms, (i,), point, n)
             for i, (_, read) in enumerate(exact_atoms)
             if read(args) is TV.UNKNOWN
         }
         # refute what can be refuted one atom at a time (valid for every
         # lift of the point, so the override is sound in any polarity)
-        overrides = {
-            i: TV.FALSE for i, s in statuses.items() if s is LiftStatus.CERTIFIED_NOT
-        }
+        overrides = {i: TV.FALSE for i, v in verdicts.items() if v is False}
         tv = evaluate(args, overrides) if overrides else TV.UNKNOWN
         if tv is TV.FALSE:
             return TV.FALSE
         # optimistic pass: the atoms left open read true, and a true formula
         # is certain once they and the target lift jointly (the target
         # alone when every open atom was refuted)
-        live = tuple(i for i in statuses if i not in overrides)
+        live = tuple(i for i in verdicts if i not in overrides)
         if live:
             overrides.update(dict.fromkeys(live, TV.TRUE))
             tv = evaluate(args, overrides)
         if tv is not TV.TRUE:
             return TV.UNKNOWN
         joint = (
-            statuses[live[0]] if len(live) == 1
-            else self._status(exact_atoms, live, point, n)
+            verdicts[live[0]] if len(live) == 1
+            else self._verdict(exact_atoms, live, point, n)
         )
-        return TV.TRUE if joint is LiftStatus.CERTIFIED_LIFTABLE else TV.UNKNOWN
+        return TV.TRUE if joint else TV.UNKNOWN
 
 
 def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,

@@ -18,21 +18,17 @@ Conventions, fixed once and embedded in every report:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyscheme import (
     DEFAULT_SLACK,
     BallTree,
-    LiftAnalyzer,
-    LiftStatus,
     count_points,
     enumerate_points_lifted,
     level_counts_lifted,
     row_reduce,
     singular_locus,
-    tau_point,
 )
 from .stacks import QuotientStack, SpecialGroup, UnsupportedStack
 
@@ -91,28 +87,14 @@ class TauImageProfile:
         return self.unknown == 0
 
 
-def _lift_statuses(analyzer, X, n, slack, bound):
-    """Each point of X(Z/p^(n+1)) with its lift status to level n + slack."""
-    for pt in enumerate_points_lifted(X, analyzer.p, n, bound):
-        yield pt, analyzer.status(pt, n, slack)
-
-
 def _image_profiles(X, p, n, slack, bound):
     """The profiles of levels 0..n from one image-tree walk.  The totals
-    come from the count tree, which makes the refusals; each point the
-    tree leaves open goes to LiftAnalyzer.status."""
+    come from the count tree, which makes the refusals."""
     tree = BallTree(X.generators, X.n_vars, p)
     totals = tree.level_counts(n, bound)
-    analyzer = LiftAnalyzer(X.generators, X.n_vars, p)
-    profiles = []
-    for k, (total, (certified, open_points)) in enumerate(
-            zip(totals, tree.image_levels(n, slack))):
-        tally = Counter(analyzer.status(pt, k, slack) for pt in open_points)
-        certified += tally[LiftStatus.CERTIFIED_LIFTABLE]
-        unknown = tally[LiftStatus.UNKNOWN]
-        profiles.append(TauImageProfile(k, slack, certified,
-                                        total - certified - unknown, unknown))
-    return profiles
+    return [TauImageProfile(k, slack, certified, total - certified - unknown, unknown)
+            for k, (total, (certified, unknown))
+            in enumerate(zip(totals, tree.image_levels(n, slack)))]
 
 
 def tau_image_profile(X, p, n, slack=DEFAULT_SLACK, bound=None):
@@ -410,8 +392,9 @@ def q_coefficient_check(X, base_spec, level, max_level=DEFAULT_MAX_LEVEL,
     the measure of the points whose level-`level` truncation avoids the
     singular locus.
 
-    Returns (lhs, rhs MeasureResult scaled, ok).  Exact only when every
-    lift certificate resolves; raises otherwise.
+    Returns (lhs, rhs MeasureResult scaled, ok).  The image tree counts the
+    certified points above each level-`level` point off the singular locus;
+    raises when the Q series is not exact or the tree leaves one open.
     """
     tbl = series(X, base_spec, "q", terms=level + 2, slack=slack, bound=bound)
     if not tbl.exact:
@@ -419,24 +402,21 @@ def q_coefficient_check(X, base_spec, level, max_level=DEFAULT_MAX_LEVEL,
     p = base_spec.p
     q = p**base_spec.r
     d = X.dim
-    sing = singular_locus(X)
     lhs = tbl.coefficients[level + 1]
-    sing_modulus = p ** (level + 1)
-    sing_evals = [g.compile_int(sing_modulus) for g in sing.generators]
-    analyzer = LiftAnalyzer(X.generators, X.n_vars, p)
-    levels = list(range(level, max_level + 1))
-    counts = []
-    for ell in levels:
-        kept = 0
-        for pt, status in _lift_statuses(analyzer, X, ell, slack, bound):
-            if status is LiftStatus.UNKNOWN:
+    sing_evals = [g.compile_int(p ** (level + 1)) for g in singular_locus(X).generators]
+    tree = BallTree(X.generators, X.n_vars, p)
+    tree.level_counts(max_level, bound)  # bounds the image walks below
+    kept = [0] * (max_level - level + 1)
+    for centre in enumerate_points_lifted(X, p, level, bound):
+        if not any(ev(centre) for ev in sing_evals):
+            continue
+        for r, (certified, unknown) in enumerate(
+                tree.image_above(centre, level, max_level - level, slack)):
+            if unknown:
                 raise UnsupportedStack("unresolved lift certificate")
-            if status is LiftStatus.CERTIFIED_LIFTABLE:
-                down = tau_point(pt, p, level)
-                # kept unless the truncation hits the singular locus
-                if any(ev(down) != 0 for ev in sing_evals):
-                    kept += 1
-        counts.append(Fraction(kept, q ** ((ell + 1) * d)))
+            kept[r] += certified
+    levels = list(range(level, max_level + 1))
+    counts = [Fraction(k, q ** ((ell + 1) * d)) for ell, k in zip(levels, kept)]
     result = _stabilize(levels, counts)
     if result.status != "STABILIZED":
         return lhs, result, False

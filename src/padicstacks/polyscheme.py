@@ -11,13 +11,12 @@ integers in 0..p^(n+1)-1; over ramified and Galois rings they are tuples
 of RingElements, and over every finite field, prime fields included,
 tuples of FFElements.
 
-Over Z/p^(n+1), `LiftAnalyzer` lifts points level by level: it lists
-them (`enumerate_points_lifted`) and certifies lifts (`status`), by
-Newton's lemma on a Jacobian minor for any presentation with no more
-generators than variables, whatever dimension it declares.  `BallTree`
-counts points (`count_points_lifted`) and truncation images without
-listing points, by a memoised walk over rescaled balls.  `count_points`
-counts with the tree there and by brute enumeration on every other ring.
+Over Z/p^(n+1), `BallTree` counts points (`count_points_lifted`) and
+truncation images and decides single points (`hensel_liftable`) by a
+memoised walk over rescaled balls, without listing points.  `LiftAnalyzer`
+lifts points level by level to list them (`enumerate_points_lifted`); its
+certificates (`status`) are the reference the tests hold the tree to.
+`count_points` counts with the tree there and by enumeration elsewhere.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class MultiPoly:
     equality of polynomials.  Instances are treated as immutable.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_hash")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
@@ -62,6 +61,7 @@ class MultiPoly:
                 if coeff:
                     clean[tuple(expo)] = coeff
         self.terms = clean
+        self._hash = None
 
     @classmethod
     def zero(cls, variables):
@@ -150,7 +150,9 @@ class MultiPoly:
         )
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.variables, frozenset(self.terms.items())))
+        return self._hash
 
     # -- structure ----------------------------------------------------------
 
@@ -718,6 +720,11 @@ class LiftAnalyzer:
     frontier holds the same points as a search over all p^N digit vectors
     would.
 
+    No library path calls `status`: `BallTree` answers every lift question.
+    The class stays because its lifting is the listing path that
+    cross-checks the tree's counts, and its certificates are the
+    independent engine that the tests require the tree never to contradict.
+
     The Jacobian, the minors and every evaluator are built on first use
     and cached (evaluators per modulus), so lifting never builds minors.
     """
@@ -834,14 +841,11 @@ class LiftAnalyzer:
 
 def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK):
     """Certify whether a point of X over Z/p^(n+1) is a truncation of a
-    Z_p-point.
-
-    The Newton minor criterion certifies whenever some g x g minor of the
-    g generators' Jacobian is small enough at a lift; otherwise only
-    exhaustive refutation can decide, and surviving points come back
-    UNKNOWN.
-    """
-    return LiftAnalyzer(X.generators, X.n_vars, p).status(point, n, slack)
+    Z_p-point, by the rescaled-ball tree (`BallTree.verdict`): UNKNOWN
+    when the tree leaves the point's ball open within `slack` levels."""
+    verdict = BallTree(X.generators, X.n_vars, p).verdict(point, n, slack)
+    return {True: LiftStatus.CERTIFIED_LIFTABLE,
+            False: LiftStatus.CERTIFIED_NOT}.get(verdict, LiftStatus.UNKNOWN)
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +853,8 @@ def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK):
 
 
 class BallTree:
-    """Point counts and truncation images over Z/p^(k+1), every level from
-    one memoised walk over rescaled balls (Denef, Invent. Math. 77, 1984).
+    """Counts, truncation images and single-point verdicts over Z/p^(k+1)
+    from memoised walks over rescaled balls (Denef, Invent. Math. 77, 1984).
 
     A ball c + p^d Z_p^N is rescaled to Z_p^N by x = c + p^d u.  Its state
     is the generators restricted to it, h_i(u) = f_i(c + p^d u), each
@@ -875,11 +879,12 @@ class BallTree:
         self.gens = tuple(gens)
         self.n_vars = n_vars
         self.p = p
+        self._root = self._state(self.gens, None)
         self._zeros = {}
+        self._searches = {}
         self._children = {}
         self._counts = {}
         self._images = {}
-        self._decided = {}
 
     # -- states ------------------------------------------------------------------
 
@@ -901,28 +906,31 @@ class BallTree:
         return tuple(filter(None, (self._condition(h, e) for h in polys)))
 
     def _residue_zeros(self, state):
-        """(u0, smooth) for each common zero u0 over F_p of a state, in
-        lexicographic order; smooth when rank J(u0) is the condition count.
-        Both depend only on the conditions mod p, which key the cache."""
-        p, nv = self.p, self.n_vars
-        polys = [h.reduce_coeffs(p) for h, _ in state]
-        key = tuple(polys)
-        if key not in self._zeros:
-            evals = [h.compile_int(p) for h in polys]
-            jac = [[d.compile_int(p) for d in row] for row in _jacobian(polys)]
-            zeros = []
-            for u0 in itertools.product(range(p), repeat=nv):
-                if any(ev(u0) for ev in evals):
-                    continue
-                smooth = False
-                if len(polys) <= nv:
-                    rows = [[ev(u0) for ev in row] + [0] for row in jac]
-                    pivots = row_reduce(rows, range(nv), lambda a: pow(a, -1, p),
-                                        lambda a: a % p)
-                    smooth = len(pivots) == len(polys)
-                zeros.append((u0, smooth))
-            self._zeros[key] = zeros
-        return self._zeros[key]
+        """{u0: smooth} over the common zeros u0 in F_p^N of a state, in
+        lexicographic order; smooth when rank J(u0) is the condition count
+        (always, with no condition left).  One search per system of
+        conditions mod p, on which both depend; cached on the state too."""
+        zeros = self._zeros.get(state)
+        if zeros is None:
+            p, nv = self.p, self.n_vars
+            polys = tuple(h.reduce_coeffs(p) for h, _ in state)
+            zeros = self._searches.get(polys)
+            if zeros is None:
+                evals = [h.compile_int(p) for h in polys]
+                jac = [[d.compile_int(p) for d in row] for row in _jacobian(polys)]
+                zeros = self._searches[polys] = {}
+                for u0 in itertools.product(range(p), repeat=nv):
+                    if any(ev(u0) for ev in evals):
+                        continue
+                    smooth = False
+                    if len(polys) <= nv:
+                        rows = [[ev(u0) for ev in row] + [0] for row in jac]
+                        pivots = row_reduce(rows, range(nv), lambda a: pow(a, -1, p),
+                                            lambda a: a % p)
+                        smooth = len(pivots) == len(polys)
+                    zeros[u0] = smooth
+            self._zeros[state] = zeros
+        return zeros
 
     def _child(self, state, u0):
         """The state of the sub-ball u0 + p Z_p^N."""
@@ -951,7 +959,7 @@ class BallTree:
             m = max(e for _, e in state)
             closed = p ** (nv * (m - 1) - sum(e - 1 for _, e in state))
             total = 0
-            for u0, smooth in self._residue_zeros(state):
+            for u0, smooth in self._residue_zeros(state).items():
                 if smooth:
                     total += closed
                 else:
@@ -986,12 +994,7 @@ class BallTree:
         centre as an exact zero or has a smooth residue zero; False when
         the search runs out of residue zeros; None otherwise, or when a
         level holds more than CERT_FRONTIER_BOUND states."""
-        key = (state, slack)
-        if key not in self._decided:
-            self._decided[key] = self._search([state], slack)
-        return self._decided[key]
-
-    def _search(self, frontier, slack):
+        frontier = [state]
         for level in range(slack + 1):
             if any(all(h.constant_value() == 0 for h, _ in s) for s in frontier):
                 return True
@@ -999,7 +1002,7 @@ class BallTree:
                 return None
             below = {}
             for s in frontier:
-                for u0, smooth in self._residue_zeros(s):
+                for u0, smooth in self._residue_zeros(s).items():
                     if smooth:
                         return True
                     below[self._child(s, u0)] = None
@@ -1010,33 +1013,54 @@ class BallTree:
     def _image(self, state, depth, slack):
         """For r = 0..depth: (certified, open) over the depth-r sub-balls of
         a ball with exact conditions: how many hold a Z_p-zero for certain,
-        and the offsets u mod p^r of those `_decide` leaves open."""
+        and how many `_decide` leaves open."""
         key = (state, depth, slack)
         if key not in self._images:
-            p, nv = self.p, self.n_vars
             here = self._decide(state, slack)
             certified = [int(bool(here))] + [0] * depth
-            opened = [[(0,) * nv] if here is None else []] + [[] for _ in range(depth)]
-            if not state:
-                certified = [p ** (nv * r) for r in range(depth + 1)]
-            elif depth:
-                for u0, smooth in self._residue_zeros(state):
+            opened = [int(here is None)] + [0] * depth
+            if depth:
+                for u0, smooth in self._residue_zeros(state).items():
                     if smooth:
-                        fiber = p ** (nv - len(state))
+                        fiber = self.p ** (self.n_vars - len(state))
                         for r in range(1, depth + 1):
                             certified[r] += fiber ** (r - 1)
                         continue
                     below = self._image(self._child(state, u0), depth - 1, slack)
-                    for r, (c, offsets) in enumerate(below, 1):
+                    for r, (c, o) in enumerate(below, 1):
                         certified[r] += c
-                        opened[r] += [tuple(a + p * b for a, b in zip(u0, o))
-                                      for o in offsets]
+                        opened[r] += o
             self._images[key] = list(zip(certified, opened))
         return self._images[key]
 
     def image_levels(self, n, slack):
         """[(certified, open) for k = 0..n]: the points of X(Z/p^(k+1)) that
-        truncate a Z_p-point for certain, counted, and the points the tree
-        leaves open, listed.  Every other point is certainly not such a
-        truncation.  Call level_counts first: it bounds the walk."""
-        return self._image(self._state(self.gens, None), n + 1, slack)[1:]
+        truncate a Z_p-point for certain, and those the tree leaves open;
+        the rest certainly do not.  Call level_counts first: it bounds the walk."""
+        return self._image(self._root, n + 1, slack)[1:]
+
+    def image_above(self, point, n, depth, slack):
+        """image_levels over the level-(n+r) points above a level-n point,
+        r = 0..depth, walking down its digits.  At the first smooth residue
+        zero Hensel's lemma decides: the point's ball holds a zero when the
+        rescaled system vanishes there, and then p^((N-g)r) sub-balls do."""
+        p, state = self.p, self._root
+        for d in range(n + 1):
+            u = [x // p**d for x in point]
+            u0 = tuple([x % p for x in u])
+            smooth = self._residue_zeros(state).get(u0)
+            if smooth is None:
+                return [(0, 0)] * (depth + 1)
+            if smooth:
+                m = p ** (n + 1 - d)
+                lifts = not any([h.eval_int(u, m) for h, _ in state])
+                fiber = p ** (self.n_vars - len(state))
+                return [(lifts * fiber**r, 0) for r in range(depth + 1)]
+            state = self._child(state, u0)
+        return self._image(state, depth, slack)
+
+    def verdict(self, point, n, slack=DEFAULT_SLACK):
+        """Whether a level-n point truncates a Z_p-point: True, False, or
+        None when the tree leaves it open."""
+        certified, unknown = self.image_above(point, n, 0, slack)[0]
+        return None if unknown else bool(certified)

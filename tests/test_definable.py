@@ -35,6 +35,7 @@ from padicstacks.measures import STABLE_RUN, _stabilize
 from padicstacks.polyscheme import (
     DEFAULT_SLACK,
     AffineScheme,
+    BallTree,
     LiftAnalyzer,
     LiftStatus,
     enumerate_points,
@@ -495,22 +496,52 @@ class _Interpreter:
                 out.setdefault(node, node.poly)
 
 
+_STATUS = {True: LiftStatus.CERTIFIED_LIFTABLE, False: LiftStatus.CERTIFIED_NOT,
+           None: LiftStatus.UNKNOWN}
+
+
+class _CheckedTree:
+    """`BallTree.verdict` as a LiftStatus, checked on every question: it
+    decides whatever `LiftAnalyzer.status` decides, the same way, and a
+    point it decides that status leaves open is confirmed by listing every
+    lift of the point level by level: a certified point still lifts three
+    levels up, and a refuted one runs out of lifts within ten."""
+
+    def __init__(self, gens, n_vars, p):
+        self.tree = BallTree(gens, n_vars, p)
+        self.reference = LiftAnalyzer(gens, n_vars, p)
+
+    def status(self, point, n, slack):
+        verdict = self.tree.verdict(point, n, slack)
+        want = self.reference.status(point, n, slack)
+        if want is LiftStatus.UNKNOWN and verdict is not None:
+            frontier, k = [tau_point(point, self.reference.p, n)], n
+            while frontier and k < n + (3 if verdict else 10):
+                k += 1
+                frontier = self.reference.lift_frontier(frontier, k, 10**4)
+            assert bool(frontier) is verdict, (point, n, slack)
+        else:
+            assert _STATUS[verdict] is want, (point, n, slack)
+        return _STATUS[verdict]
+
+
 class _ReferenceOracle:
     """The upgrade oracle's three passes as they ran on the interpreter,
-    with its own certificate analyzers, one per joint system of folded
-    atom polynomials."""
+    with its own certificate engines (LiftAnalyzer unless given), one per
+    joint system of folded atom polynomials."""
 
-    def __init__(self, target, tmap, slack):
+    def __init__(self, target, tmap, slack, engine=LiftAnalyzer):
         self.target = target
         self.tmap = tmap
         self.slack = slack
+        self.engine = engine
         self._analyzers = {}
 
     def _analyzer(self, atom_polys):
         key = tuple(atom_polys)
         if key not in self._analyzers:
             folded = [self.tmap.fold_poly(q, self.target.variables) for q in atom_polys]
-            self._analyzers[key] = LiftAnalyzer(
+            self._analyzers[key] = self.engine(
                 list(self.target.generators) + folded, len(self.target.variables),
                 self.tmap.prime)
         return self._analyzers[key]
@@ -563,11 +594,11 @@ def _reference_classes(formula, target, spec, oracle=None):
     return classes
 
 
-def _reference_measure(formula, target, base_spec, max_level):
+def _reference_measure(formula, target, base_spec, max_level, engine=LiftAnalyzer):
     """(lower, upper, status) of measure_formula with d the number of
     target variables, read point by point over every level's ring."""
     oracle = (
-        _ReferenceOracle(target, SpecializationMap(base_spec), DEFAULT_SLACK)
+        _ReferenceOracle(target, SpecializationMap(base_spec), DEFAULT_SLACK, engine)
         if base_spec.int_modulus is not None
         else None
     )
@@ -697,11 +728,18 @@ def _tight_bound(base, target, max_level):
 
 
 def _assert_walk_matches_pointwise(text, target, base, max_level):
+    # the walk reads every point as the pointwise reference does with the
+    # tree's checked certificates; the LiftAnalyzer reference decides no
+    # point the tree leaves open, so its interval contains the walk's
     formula = parse_formula(text, target.variables)
     m = measure_formula(formula, target, len(target.variables), base, max_level=max_level,
                         bound=_tight_bound(base, target, max_level))
     assert (m.lower, m.upper, m.status) == _reference_measure(
-        formula, target, base, max_level), (text, target.name)
+        formula, target, base, max_level, _CheckedTree), (text, target.name)
+    if base.int_modulus is not None:  # other rings ask no certificate
+        lower, upper, _ = _reference_measure(formula, target, base, max_level)
+        assert all(lo <= a <= b <= up
+                   for lo, a, b, up in zip(lower, m.lower, m.upper, upper)), (text, target.name)
 
 
 @pytest.mark.parametrize("seed, name", enumerate(name for name, _, _ in _BATTERY_RINGS))
@@ -742,3 +780,9 @@ def test_joint_certificates_match_pointwise():
     # x = y, xy = 1 is the two points (1, 1) and (-1, -1), each certified
     m = measure_formula("x - y == 0 && x*y - 1 == 0", A2, 2, spec(3, 0), max_level=2)
     assert m.lower == m.upper == [Fraction(2, 9 ** (n + 1)) for n in range(3)]
+    # (0, 1) is a true point of the conic: three generators in two
+    # variables have no Newton minor, but the tree finds its centre exact
+    for p in (3, 5):
+        m = measure_formula("x == 0 && y - 1 == 0", _CURVES[0], 0, spec(p, 0), max_level=4)
+        assert m.lower == m.upper == [1] * 5
+        assert (m.status, m.value) == ("STABILIZED", 1)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -108,29 +109,6 @@ def test_tau_image_profile_certificates_sound():
     )
 
 
-def tree_verdict(tree, point, n, slack):
-    """The image tree's verdict on one level-n point, found by walking down
-    the tree along the point's digits: True (certified), False (refuted) or
-    None (left open for LiftAnalyzer)."""
-    p = tree.p
-    state = tree._state(tree.gens, None)
-    for d in range(n + 1):
-        if not state:
-            return True
-        u0 = tuple(x // p**d % p for x in point)
-        smooth = dict(tree._residue_zeros(state)).get(u0)
-        if smooth is None:
-            return False
-        if smooth:
-            # a smooth sub-ball: the point is certified exactly when the
-            # rescaled system vanishes at it to the point's precision
-            u = tuple(x // p**d for x in point)
-            m = p ** (n + 1 - d)
-            return all(h.eval_int(u, m) == 0 for h, _ in state)
-        state = tree._child(state, u0)
-    return tree._decide(state, slack)
-
-
 PLANE_MONOMIALS = [(i, j) for i in range(4) for j in range(4 - i)]
 UNITS = (-3, -2, -1, 1, 2, 3)
 
@@ -156,13 +134,12 @@ def plane_curves(draw):
 @settings(max_examples=220)
 @given(plane_curves(), st.integers(0, 2))
 def test_image_tree_is_sound_on_random_plane_curves(case, slack):
-    # per point: the tree never contradicts a LiftAnalyzer decision, and a
-    # certified point lifts to level `deep` (brute force); per level: the
-    # profile is the tree's verdicts with LiftAnalyzer deciding the open
-    # ones, inside LiftAnalyzer's own [certified, certified + unknown].
-    # Lifting to a finite level only bounds the image from above, so the
-    # brute count bounds the certified count; the parametrized curves
-    # below check exact equality.
+    # per point: the tree never contradicts a LiftAnalyzer decision, leaves
+    # open no point LiftAnalyzer decides, and a certified point lifts to
+    # level `deep` (brute force); per level: the profile is the tree's own
+    # verdicts.  Lifting to a finite level only bounds the image from
+    # above, so the brute count bounds the certified count; the
+    # parametrized curves below check exact equality.
     X, p, n = case
     assume(count_points(X, make_ring(p, n=n)) <= 100)  # the per-point oracle sets the cost
     points = enumerate_points_lifted(X, p, n)
@@ -170,26 +147,19 @@ def test_image_tree_is_sound_on_random_plane_curves(case, slack):
     analyzer = LiftAnalyzer(X.generators, X.n_vars, p)
     deep = max((d for d in range(n + 1, n + 4) if p ** (2 * (d + 1)) <= 1024), default=None)
     image = brute_image(X, p, n, deep) if deep is not None else None
-    tally = {"certified": 0, "unknown": 0, "la_certified": 0, "la_unknown": 0}
+    verdicts = Counter()
     for pt in points:
-        verdict = tree_verdict(tree, pt, n, slack)
+        verdict = tree.verdict(pt, n, slack)
         status = analyzer.status(pt, n, slack)
         assert not (verdict is True and status is LiftStatus.CERTIFIED_NOT), pt
         assert not (verdict is False and status is LiftStatus.CERTIFIED_LIFTABLE), pt
+        assert not (verdict is None and status is not LiftStatus.UNKNOWN), pt
         if verdict and image is not None:
             assert pt in image, pt
-        if verdict is None:
-            verdict = {LiftStatus.CERTIFIED_LIFTABLE: True,
-                       LiftStatus.CERTIFIED_NOT: False}.get(status)
-        tally["certified"] += verdict is True
-        tally["unknown"] += verdict is None
-        tally["la_certified"] += status is LiftStatus.CERTIFIED_LIFTABLE
-        tally["la_unknown"] += status is LiftStatus.UNKNOWN
+        verdicts[verdict] += 1
     prof = tau_image_profile(X, p, n, slack)
-    assert (prof.certified, prof.unknown) == (tally["certified"], tally["unknown"])
-    assert prof.certified + prof.refuted + prof.unknown == len(points)
-    assert tally["la_certified"] <= prof.certified
-    assert prof.image_at_slack <= tally["la_certified"] + tally["la_unknown"]
+    assert (prof.certified, prof.refuted, prof.unknown) == (
+        verdicts[True], verdicts[False], verdicts[None])
     if image is not None:
         assert prof.certified <= len(image)
 
@@ -486,6 +456,17 @@ def test_q_coefficient_identity_on_battery():
     ):
         lhs, rhs, ok = q_coefficient_check(X, spec, level, max_level=4)
         assert ok, (X.name, level, lhs, rhs)
+    # on the cusp and the node the singular locus is the origin alone, a
+    # true point, so the Q coefficient is the truncation image less one
+    for X, oracle, expected in ((CUSP, cusp_tau_image_oracle, [2, 6, 4, 20]),
+                                (NODE, node_tau_image_oracle, [1, 7, 3, 23])):
+        lhs_values = []
+        for p in (3, 5):
+            for level in (0, 1):
+                lhs, rhs, ok = q_coefficient_check(X, make_ring(p), level, max_level=4)
+                assert ok and lhs == oracle(p, level) - 1, (X.name, p, level, lhs, rhs)
+                lhs_values.append(lhs)
+        assert lhs_values == expected
 
 
 def test_q_coefficient_check_refuses_ramified_ring_once():

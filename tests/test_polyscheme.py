@@ -10,6 +10,7 @@ from padicstacks.greenberg import greenberg_transform
 from padicstacks.polyscheme import (
     DEFAULT_SLACK,
     AffineScheme,
+    BallTree,
     BoundExceeded,
     LiftAnalyzer,
     LiftStatus,
@@ -418,23 +419,34 @@ class _DeltaLoopAnalyzer(LiftAnalyzer):
 
 def test_certificates_match_delta_loop_reference(monkeypatch):
     # a capped frontier keeps its first CERT_FRONTIER_BOUND lifts, so equal
-    # outcomes need the engine to visit lifts in the reference's order
+    # outcomes need the engine to visit lifts in the reference's order.
+    # The tree's verdicts, one tree per bound, never contradict them, and
+    # leave no point of this battery open; the Hensel pins below hold
+    # points the tree leaves open.
     xy5 = AffineScheme.from_text("xy5", V2, ["x*y - 5"], 1)
-    outcomes = set()
+    bounds = (1, 3, 50_000)
+    contradiction = {True: LiftStatus.CERTIFIED_NOT, False: LiftStatus.CERTIFIED_LIFTABLE}
+    outcomes, verdicts = set(), set()
     for X in (cusp(), node(), xy5):
         for p in (3, 5):
             engine = LiftAnalyzer(X.generators, X.n_vars, p)
             reference = _DeltaLoopAnalyzer(X.generators, X.n_vars, p)
+            trees = {fb: BallTree(X.generators, X.n_vars, p) for fb in bounds}
             for n in (0, 1, 2):
                 for pt in enumerate_points(X, make_ring(p, n=n)):
                     for slack in (1, 2, 3):
-                        for fb in (1, 3, 50_000):
+                        for fb in bounds:
                             monkeypatch.setattr(polyscheme, "CERT_FRONTIER_BOUND", fb)
                             got = engine.status(pt, n, slack)
                             want = reference.status(pt, n, slack)
                             assert got is want, (X.name, p, pt, n, slack, fb)
                             outcomes.add(got)
+                            verdict = trees[fb].verdict(pt, n, slack)
+                            assert contradiction.get(verdict) is not got, (
+                                X.name, p, pt, n, slack, fb)
+                            verdicts.add(verdict)
     assert outcomes == set(LiftStatus)
+    assert verdicts == {True, False}
 
 
 def test_analyzer_compiles_jacobian_only_when_lifting(monkeypatch):
@@ -515,8 +527,14 @@ def test_hensel_xy3_origin_not_liftable():
     assert hensel_liftable(X, (0, 0), 3, 0) is LiftStatus.CERTIFIED_NOT
 
 
-def test_hensel_cusp_origin_unknown_at_small_slack():
-    assert hensel_liftable(cusp(), (0, 0), 3, 0, slack=2) is LiftStatus.UNKNOWN
+def test_hensel_cusp_unknown_at_small_slack():
+    # the origin is an exact zero, certified at once; over Z/5^6 the
+    # points (5^5 a, 0), a != 0, stay open at slack 2 and slack 3 refutes
+    # them
+    assert hensel_liftable(cusp(), (0, 0), 3, 0, slack=2) is LiftStatus.CERTIFIED_LIFTABLE
+    for a in range(1, 5):
+        assert hensel_liftable(cusp(), (5**5 * a, 0), 5, 5, slack=2) is LiftStatus.UNKNOWN
+        assert hensel_liftable(cusp(), (5**5 * a, 0), 5, 5, slack=3) is LiftStatus.CERTIFIED_NOT
 
 
 def test_hensel_agrees_with_deep_enumeration():
