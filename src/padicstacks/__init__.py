@@ -34,12 +34,12 @@ from .polyscheme import (
     MultiPoly,
     PolyParseError,
     count_points,
-    count_points_lifted,
     enumerate_points,
     enumerate_points_lifted,
     hensel_liftable,
     jacobian,
     jacobian_minors,
+    level_counts,
     parse_poly,
     singular_locus,
 )

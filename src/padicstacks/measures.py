@@ -24,9 +24,8 @@ from fractions import Fraction
 from .polyscheme import (
     DEFAULT_SLACK,
     BallTree,
-    count_points,
     enumerate_points_lifted,
-    level_counts_lifted,
+    level_counts,
     row_reduce,
     singular_locus,
 )
@@ -138,17 +137,6 @@ def _stabilize(levels, counts):
     return MeasureResult(None, "PARTIAL", list(levels), list(counts))
 
 
-def _level_counts(X, base_spec, n, bound):
-    """[|X(R_k)| for k = 0..n]: one count-tree walk over Z/p^(n+1), one
-    `count_points` per level on every other ring.  Refuses with the
-    message of the first level whose `count_points` would refuse."""
-    if n < 0:
-        return []
-    if base_spec.int_modulus is not None:
-        return level_counts_lifted(X, base_spec.p, n, bound)
-    return [count_points(X, base_spec.at_level(k), bound) for k in range(n + 1)]
-
-
 def padic_measure(target, base_spec, max_level=DEFAULT_MAX_LEVEL, bound=None):
     """Measure of the full target (scheme or special-group quotient stack).
 
@@ -163,7 +151,7 @@ def padic_measure(target, base_spec, max_level=DEFAULT_MAX_LEVEL, bound=None):
     levels = list(range(max_level + 1))
     counts = [
         Fraction(cnt, w0 * q ** ((n + 1) * X.dim))
-        for n, cnt in zip(levels, _level_counts(X, base_spec, max_level, bound))
+        for n, cnt in zip(levels, level_counts(X, base_spec, max_level, bound))
     ]
     return _stabilize(levels, counts)
 
@@ -201,7 +189,7 @@ class SeriesTable:
 
 
 def _series_tilde(X, weight, base_spec, terms, bound):
-    counts = _level_counts(X, base_spec, terms - 2, bound)
+    counts = level_counts(X, base_spec, terms - 2, bound)
     coeffs = [Fraction(1)] + [
         Fraction(cnt, weight(n)) for n, cnt in enumerate(counts)]
     return coeffs, [Fraction(0)] * terms

@@ -11,12 +11,12 @@ integers in 0..p^(n+1)-1; over ramified and Galois rings they are tuples
 of RingElements, and over every finite field, prime fields included,
 tuples of FFElements.
 
-Over Z/p^(n+1), `BallTree` counts points (`count_points_lifted`) and
-truncation images and decides single points (`hensel_liftable`) by a
-memoised walk over rescaled balls, without listing points.  `LiftAnalyzer`
-lifts points level by level to list them (`enumerate_points_lifted`); its
-certificates (`status`) are the reference the tests hold the tree to.
-`count_points` counts with the tree there and by enumeration elsewhere.
+`BallTree` counts points on every ring (`level_counts`, on the Weil
+restriction to Z_p) by a memoised walk over rescaled balls, and over
+Z/p^(n+1) counts truncation images and decides single points
+(`hensel_liftable`).  `LiftAnalyzer` lifts points level by level to list
+them (`enumerate_points_lifted`); its certificates (`status`) and brute
+`enumerate_points` are the references the tests hold the tree to.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .rings import BoundExceeded, p_valuation, power, size_limit
+from .rings import BoundExceeded, RingElement, p_valuation, power, size_limit
 
 DEFAULT_SLACK = 2
 CERT_FRONTIER_BOUND = 50_000  # points per level of a certificate frontier
@@ -141,6 +141,8 @@ class MultiPoly:
 
     def reduce_coeffs(self, m):
         return MultiPoly(self.variables, {e: c % m for e, c in self.terms.items()})
+
+    __mod__ = reduce_coeffs  # lets ring vector arithmetic run on polynomials
 
     def __eq__(self, other):
         return (
@@ -514,14 +516,25 @@ def enumerate_points(X, ring, bound=None):
 
 
 def count_points(X, ring, bound=None):
-    """Exact number of common zeros of X's generators over the ring: by
-    lifting over Z/p^(n+1) (count_points_lifted), by enumeration over
-    every other ring."""
-    if ring.int_modulus is not None:
-        return count_points_lifted(X, ring.p, ring.n, bound)
-    if not X.generators:
-        return ring.size**X.n_vars
-    return sum(1 for _ in enumerate_points(X, ring, bound))
+    """Exact number of common zeros of X's generators over the ring: the
+    last of `level_counts` at the ring's level."""
+    return level_counts(X, ring, ring.n, bound)[-1]
+
+
+def weil_restriction(gens, ring, width):
+    """Generators over O = Z_p[Y]/(f)[omega]/(E) in Z_p-coordinates, by the
+    ring's own vector arithmetic: with each coordinate sum x_(i,k) omega^i Y^k
+    over i < width, k < r, one polynomial per slot (i, k) of each generator
+    value, mod the ring's modulus for that slot.  The identity if e = r = 1."""
+    if ring.e == ring.r == 1:
+        return gens
+    size = width * ring.r
+    names = [f"{v}_{a}" for v in gens[0].variables for a in range(size)]
+    point = [RingElement(ring, tuple(MultiPoly.variable(names, f"{v}_{a}") if a < size
+                                     else 0 for a in range(ring.e * ring.r)))
+             for v in gens[0].variables]
+    return [MultiPoly(names) + c for g in gens
+            for c in g.eval_elements(point, ring.from_int).vec]
 
 
 def row_reduce(aug, columns, inverse, canon):
@@ -596,21 +609,21 @@ def enumerate_points_lifted(X, p, n, bound=None):
     return frontier
 
 
-def level_counts_lifted(X, p, n, bound=None):
-    """[|X(Z/p^(k+1))| for k = 0..n] from one rescaled-ball tree
-    (`BallTree.level_counts`), without listing points.  Refuses exactly
-    where enumerate_points_lifted does at level n: when p^N, or the count
-    at some level k <= n, exceeds the bound.  A target without generators
-    is counted in closed form and never refused.
-    """
+def level_counts(X, ring, n, bound=None):
+    """[|X(R_k)| for k = 0..n], R_k the ring's family at level k (a finite
+    field is its Galois ring at level 0): `BallTree.level_counts` on X's
+    Weil restriction, in the coordinates of the min(e, n+1) omega-slots
+    that occur mod p.  Refuses when the residue search p^(N r min(e, n+1))
+    or the count at some level k <= n exceeds the bound; a target without
+    generators is counted in closed form and never refused."""
+    top = ring.at_level(max(n, 0))  # n = -1 asks for no level
+    p, e, r = top.p, top.e, top.r
     if not X.generators:
-        return [p ** ((k + 1) * X.n_vars) for k in range(n + 1)]
-    return BallTree(X.generators, X.n_vars, p).level_counts(n, bound)
-
-
-def count_points_lifted(X, p, n, bound=None):
-    """|X(Z/p^(n+1))|, the last of `level_counts_lifted`."""
-    return level_counts_lifted(X, p, n, bound)[-1]
+        return [p ** (r * X.n_vars * (k + 1)) for k in range(n + 1)]
+    w = min(e, n + 1)
+    slots = [a // r for _ in X.generators for a in range(e * r)]
+    tree = BallTree(weil_restriction(X.generators, top, w), X.n_vars * r * w, p, slots, e)
+    return tree.level_counts(n, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -849,12 +862,13 @@ def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK):
 
 
 # ---------------------------------------------------------------------------
-# rescaled-ball trees (unramified prime rings; integer points)
+# rescaled-ball trees (integer systems over Z_p)
 
 
 class BallTree:
     """Counts, truncation images and single-point verdicts over Z/p^(k+1)
-    from memoised walks over rescaled balls (Denef, Invent. Math. 77, 1984).
+    from memoised walks over rescaled balls (Denef, Invent. Math. 77, 1984),
+    and counts of Weil restrictions (generator t in omega-slot slots[t]).
 
     A ball c + p^d Z_p^N is rescaled to Z_p^N by x = c + p^d u.  Its state
     is the generators restricted to it, h_i(u) = f_i(c + p^d u), each
@@ -875,11 +889,13 @@ class BallTree:
     the points of one level.
     """
 
-    def __init__(self, gens, n_vars, p):
+    def __init__(self, gens, n_vars, p, slots=None, e=1):
         self.gens = tuple(gens)
         self.n_vars = n_vars
         self.p = p
-        self._root = self._state(self.gens, None)
+        self.slots = slots or (0,) * len(self.gens)
+        self.e = e
+        self._root = self._state(self.gens, itertools.repeat(None))
         self._zeros = {}
         self._searches = {}
         self._children = {}
@@ -902,8 +918,8 @@ class BallTree:
         m = p ** (e - c)
         return MultiPoly(h.variables, {x: a // p**c % m for x, a in h.terms.items()}), e - c
 
-    def _state(self, polys, e):
-        return tuple(filter(None, (self._condition(h, e) for h in polys)))
+    def _state(self, polys, exponents):
+        return tuple(filter(None, map(self._condition, polys, exponents)))
 
     def _residue_zeros(self, state):
         """{u0: smooth} over the common zeros u0 in F_p^N of a state, in
@@ -971,17 +987,24 @@ class BallTree:
         return self._counts[state]
 
     def level_counts(self, n, bound=None):
-        """[|X(Z/p^(k+1))| for k = 0..n], one walk per level.  Raises
+        """[|X(R_k)| for k = 0..n], one walk per level.  With k+1 = qe + s, a
+        generator in slot i vanishes mod p^(q + [i < s]) on coordinates mod
+        p^m, m = ceil((k+1)/e), which fill min(e, n+1) slots; a slot-i
+        coordinate takes p^(m - q - [i < s]) values per one of R_k.  Raises
         BoundExceeded when p^N or any of these counts exceeds the bound, or
         when a walk makes more states at one depth than the bound allows
         (which can only happen when a count exceeds it too)."""
-        nv = self.n_vars
-        limit = size_limit(bound, self.p**nv, "level-0 enumeration")
+        p, nv, e = self.p, self.n_vars, self.e
+        w = min(e, n + 1)
+        limit = size_limit(bound, p**nv, "level-0 enumeration")
         counts = []
         for k in range(n + 1):
-            root = self._state(self.gens, k + 1)
-            top = max((e for _, e in root), default=0)
-            count = self.p ** (nv * (k + 1 - top)) * self._count(root, 0, {}, limit)
+            q, s = divmod(k + 1, e)
+            m = q + (s > 0)
+            root = self._state(self.gens, [q + (i < s) for i in self.slots])
+            top = max((c for _, c in root), default=0)
+            fibre = nv // w * (w * (m - q) - s)
+            count = p ** (nv * (m - top)) * self._count(root, 0, {}, limit) // p**fibre
             size_limit(limit, count, "lift frontier")
             counts.append(count)
         return counts

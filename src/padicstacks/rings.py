@@ -252,7 +252,7 @@ def _power_rows(modpoly, count):
 class FiniteField:
     """F_(p^N) as coefficient vectors modulo a monic irreducible polynomial."""
 
-    int_modulus = None  # points are FFElements, never plain integers
+    n = 0  # a finite field is its Galois ring at level 0 (at_level)
 
     def __init__(self, p, degree=1, modulus=None):
         if not is_prime(p):
@@ -271,6 +271,10 @@ class FiniteField:
                 raise RingConstructionError("reducible residue modulus")
         self.modulus = modulus
         self.size = p**degree
+
+    def at_level(self, n):
+        """The Galois ring with this residue field, truncated at level n."""
+        return LocalRingSpec(self.p, n=n, r=self.degree, residue_modulus=self.modulus)
 
     def coordinates(self):
         """Point coordinates: every FFElement, in elements() order."""

@@ -23,6 +23,7 @@ from padicstacks.polyscheme import (
     LiftStatus,
     MultiPoly,
     count_points,
+    enumerate_points,
     enumerate_points_lifted,
     parse_poly,
     tau_point,
@@ -256,6 +257,26 @@ def test_measure_and_tilde_series_refuse_as_per_level_counts(bound):
         c * 5 ** (n + 1)
         for n, c in enumerate(padic_measure(CONIC, ring, 3, bound).counts)
     ]) == expected
+
+
+def brute_level_counts(X, ring, n):
+    """|X(R_k)| for k = 0..n by enumerating every tuple of ring elements."""
+    return [sum(1 for _ in enumerate_points(X, ring.at_level(k))) for k in range(n + 1)]
+
+
+def test_measure_and_tilde_series_on_element_rings_match_brute_counts():
+    # both count through the Weil restriction; brute enumeration over the
+    # rings' elements is the reference
+    ram3, gr9 = make_ring(3, 2, (-3, 0)), make_ring(3, r=2)
+    res = padic_measure(CONIC, ram3, max_level=2)
+    assert res.counts == [Fraction(c, 3 ** (n + 1))
+                          for n, c in enumerate(brute_level_counts(CONIC, ram3, 2))]
+    assert (res.status, res.value) == ("STABILIZED", Fraction(4, 3))
+    tbl = series(CUSP, gr9, "tilde", 3)
+    assert tbl.exact
+    assert tbl.coefficients == [1] + brute_level_counts(CUSP, gr9, 1)
+    for ring in (gr9, ram3, make_ring(5)):  # one term asks for no level count
+        assert series(CUSP, ring, "tilde", 1).coefficients == [1]
 
 
 def test_count_and_image_sequences_agree_in_the_limit():

@@ -17,18 +17,18 @@ from padicstacks.polyscheme import (
     MultiPoly,
     PolyParseError,
     count_points,
-    count_points_lifted,
     enumerate_points,
     enumerate_points_lifted,
     hensel_liftable,
     jacobian,
     jacobian_minors,
+    level_counts,
     parse_poly,
     singular_locus,
     tau_point,
     _solve_mod_p,
 )
-from padicstacks.rings import make_ring, power
+from padicstacks.rings import FiniteField, make_ring, power
 
 V2 = ("x", "y")
 
@@ -244,7 +244,6 @@ def test_lifted_counts_match_brute():
                 m = p ** (n + 1)
                 if m**2 > 100_000:
                     continue
-                assert count_points_lifted(X, p, n) == brute_count(X, m)
                 assert count_points(X, make_ring(p, n=n)) == brute_count(X, m)
 
 
@@ -294,7 +293,7 @@ def test_lift_engine_agrees_with_brute_enumeration():
                     continue
                 brute = list(enumerate_points(X, make_ring(p, n=n)))
                 assert enumerate_points_lifted(X, p, n) == brute, (X.name, p, n)
-                count = count_points_lifted(X, p, n)
+                count = count_points(X, make_ring(p, n=n))
                 assert type(count) is int, (X.name, p, n)
                 assert count == len(brute), (X.name, p, n)
                 cases += 1
@@ -320,24 +319,25 @@ def test_solve_mod_p_matches_brute():
 def test_count_points_lifted_refuses_over_bound():
     # conic over Z/5^4: every residue point is smooth, so the closed form
     # needs no lifting, yet the level-3 frontier would hold 500 > 100 points
-    for f in (count_points_lifted, enumerate_points_lifted):
+    for run in (lambda: count_points(conic(), make_ring(5, n=3), bound=100),
+                lambda: enumerate_points_lifted(conic(), 5, 3, bound=100)):
         with pytest.raises(BoundExceeded, match="bound 100$"):
-            f(conic(), 5, 3, bound=100)
-    assert count_points_lifted(conic(), 5, 3, bound=500) == 500
+            run()
+    assert count_points(conic(), make_ring(5, n=3), bound=500) == 500
     with pytest.raises(BoundExceeded, match="^lift frontier exceeds bound 499$"):
-        count_points_lifted(conic(), 5, 3, bound=499)
+        count_points(conic(), make_ring(5, n=3), bound=499)
     with pytest.raises(BoundExceeded, match="^level-0 enumeration exceeds bound 24$"):
-        count_points_lifted(conic(), 5, 0, bound=24)
+        count_points(conic(), make_ring(5), bound=24)
 
 
 def test_count_tree_deep_cusp_counts():
     # 3,828,125 is the number of points enumerate_points_lifted lists at
     # level 7 (in seconds, so it is pinned here); level 8 would hold
     # 19,140,625 points, over the default bound of 4,000,000
-    assert count_points_lifted(cusp(), 5, 7) == 3_828_125
+    assert count_points(cusp(), make_ring(5, n=7)) == 3_828_125
     with pytest.raises(BoundExceeded, match="^lift frontier exceeds bound 4000000$"):
-        count_points_lifted(cusp(), 5, 8)
-    assert count_points_lifted(cusp(), 5, 8, bound=20_000_000) == 19_140_625
+        count_points(cusp(), make_ring(5, n=8))
+    assert count_points(cusp(), make_ring(5, n=8), bound=20_000_000) == 19_140_625
 
 
 @st.composite
@@ -371,12 +371,92 @@ def small_systems(draw):
 @given(small_systems())
 def test_count_tree_matches_listing_brute_and_greenberg(case):
     X, p, n = case
-    count = count_points_lifted(X, p, n)
+    count = count_points(X, make_ring(p, n=n))
     assert type(count) is int
     assert count == len(enumerate_points_lifted(X, p, n))
     assert count == sum(1 for _ in enumerate_points(X, make_ring(p, n=n)))
     if p ** (n + 1) <= 9:
         assert count == greenberg_transform(X, p, n).count_points()
+
+
+# rings of every kind, each at level 0: ramified (e = 2, 3, 4, p = 2
+# included), Galois (r = 2, 3), mixed (e = r = 2), prime, and finite fields
+BATTERY_RINGS = {
+    "ram3": make_ring(3, 2, (-3, 0)),
+    "ram2": make_ring(2, 2, (2, 2)),
+    "ram2e3": make_ring(2, 3, (2, 0, 2)),
+    "ram3e3": make_ring(3, 3, (3, 0, 0)),
+    "ram2e4": make_ring(2, 4, (2, 0, 0, 2)),
+    "gr9": make_ring(3, r=2),
+    "gr8": make_ring(2, r=3),
+    "ram2gr4": make_ring(2, 2, (2, 2), r=2),
+    "z5": make_ring(5),
+    "z2": make_ring(2),
+    "f4": FiniteField(2, 2),
+    "f9": FiniteField(3, 2),
+}
+
+
+def brute_refuses(X, ring, bound):
+    try:
+        next(enumerate_points(X, ring, bound), None)
+    except BoundExceeded:
+        return True
+    return False
+
+
+@st.composite
+def ring_systems(draw, ring):
+    """1-2 variables and 0-2 generators of degree <= 3 with coefficients
+    in -12..12, a level n with q^(N(n+1)) <= 20,000 tuples over the ring
+    (0 on a finite field) and a bound."""
+    nv = draw(st.integers(1, 2))
+    top = max(k for k in range(8) if ring.size ** (nv * (k + 1)) <= 20_000)
+    n = 0 if isinstance(ring, FiniteField) else draw(st.integers(0, top))
+    variables = V2[:nv]
+    monomials = [e for e in itertools.product(range(4), repeat=nv) if sum(e) <= 3]
+    term = st.tuples(st.sampled_from(monomials), st.integers(-12, 12))
+    gens = [draw(st.lists(term, min_size=1, max_size=4)) for _ in range(draw(st.integers(0, 2)))]
+    X = AffineScheme("battery", variables, tuple(MultiPoly(variables, dict(t)) for t in gens),
+                     max(nv - len(gens), 0))
+    return X, n, 2 ** draw(st.integers(0, 15))
+
+
+@pytest.mark.parametrize("name", BATTERY_RINGS)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_level_counts_match_brute_on_every_ring(name, data):
+    # the tree on the Weil restriction against brute enumeration over the
+    # ring's own elements, which shares no counting code with it
+    ring = BATTERY_RINGS[name]
+    X, n, bound = data.draw(ring_systems(ring))
+    counts = level_counts(X, ring, n)
+    rings = [ring] if isinstance(ring, FiniteField) else [ring.at_level(k) for k in range(n + 1)]
+    assert counts == [sum(1 for _ in enumerate_points(X, r)) for r in rings]
+    assert all(type(c) is int for c in counts)
+    assert count_points(X, rings[-1]) == counts[-1]
+    # the refusal rule: the residue search q^(N min(e, n+1)) or a count
+    # over the bound, never where brute enumeration answers
+    search = ring.size ** (X.n_vars * min(ring.at_level(0).e, n + 1))
+    refuses = bool(X.generators) and max(search, *counts) > bound
+    try:
+        assert level_counts(X, ring, n, bound) == counts
+        assert not refuses
+    except BoundExceeded:
+        assert refuses and brute_refuses(X, rings[-1], bound)
+
+
+def test_element_ring_counts_pinned():
+    # brute enumeration takes seconds on these (1,377 of 531,441 tuples;
+    # 2,673 and 972 of 531,441); they were counted that way once
+    gr9, ram3 = make_ring(3, r=2), make_ring(3, 2, (-3, 0))
+    assert count_points(cusp(), gr9.at_level(2)) == 1377
+    assert count_points(cusp(), ram3.at_level(5)) == 2673
+    assert count_points(conic(), ram3.at_level(5)) == 972
+    pt = AffineScheme("pt", (), (), 0)
+    for ring in (gr9, ram3.at_level(3), FiniteField(3, 2)):
+        assert count_points(pt, ring) == 1
+        assert count_points(singular_locus(pt), ring) == 0
 
 
 class _DeltaLoopAnalyzer(LiftAnalyzer):
@@ -462,7 +542,7 @@ def test_analyzer_compiles_jacobian_only_when_lifting(monkeypatch):
     monkeypatch.setattr(polyscheme, "_det", lambda m: dets.append(m) or real_det(m))
     for X in (hyperbola3(), cusp(), node()):
         enumerate_points_lifted(X, 3, 2)
-        count_points_lifted(X, 3, 2)
+        count_points(X, make_ring(3, n=2))
     assert dets == []
     assert LiftAnalyzer(cusp().generators, 2, 3).status((1, 1), 0) is (
         LiftStatus.CERTIFIED_LIFTABLE

@@ -647,7 +647,7 @@ def test_cli_project_formula_honours_dim(capsys):
 
 
 def test_cli_galois_ring_brute_measure(tmp_path, capsys):
-    # GR(9) level 0: points are RingElements, counted by brute enumeration
+    # GR(9): counted by the ball tree on the Weil restriction to Z_3
     project = tmp_path / "gr9.project"
     project.write_text(pathlib.Path(DEMO).read_text() + "\n[ring gr9n0]\np = 3\nr = 2\n")
     code, out = run(capsys, "measure", "--project", str(project), "--ring", "gr9n0",
