@@ -47,6 +47,8 @@ def expand_poly(f, p, length, names=None):
     }
     acc = None
     for expo, coeff in f.sorted_terms():
+        if coeff % p**length == 0:
+            continue  # its Witt vector is zero
         term = None
         for v, e in zip(f.variables, expo):
             for _ in range(e):

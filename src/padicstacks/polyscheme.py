@@ -114,23 +114,15 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product.  Two polynomials multiply on packed monomials, one int
+        per term (see "packed monomials" below): each operand is packed
+        once and the product is unpacked once."""
         if isinstance(other, int):
-            if other == 0:
-                return MultiPoly(self.variables)
-            return MultiPoly(
-                self.variables, {e: c * other for e, c in self.terms.items()}
-            )
+            return MultiPoly(self.variables, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(expo, 0) + c1 * c2
-                if new:
-                    terms[expo] = new
-                else:
-                    del terms[expo]
-        return MultiPoly(self.variables, terms)
+        radix = _radix(_degree(self) + _degree(other))
+        product = _multiply_into({}, _pack(self, radix), _pack(other, radix))
+        return MultiPoly(self.variables, _unpack(product, len(self.variables), radix))
 
     __rmul__ = __mul__
 
@@ -231,25 +223,43 @@ class MultiPoly:
         """Plug polynomials in for variables.
 
         `mapping` sends each variable name to a MultiPoly; all images must
-        share one variable list.  Coefficients are reduced mod `modulus`
-        after every product when given.  Each image power is formed once.
+        share one variable list.  Constant images are folded into the
+        coefficients first, so no product involves them.  Each other image
+        is packed once, one int per term, and each of its powers is formed
+        once; every product runs on packed monomials, with coefficients
+        reduced mod `modulus` when given, and only the final sum is
+        unpacked.
         """
         images = [mapping[v] for v in self.variables]
-        target_vars = images[0].variables if images else ()
-        reduce = (lambda q: q.reduce_coeffs(modulus)) if modulus else (lambda q: q)
-        one = MultiPoly.constant(target_vars, 1)
-        powers = [[one] for _ in images]  # powers[j][e] = images[j]**e
+        target = images[0].variables if images else ()
+        if any(img.variables != target for img in images):
+            raise ValueError("polynomials over different variable lists")
+        fixed = {j: img.constant_value() for j, img in enumerate(images) if img.is_constant()}
+        moving = [j for j in range(len(images)) if j not in fixed]
+        folded = self.terms
+        if fixed:
+            folded = {}
+            for expo, coeff in self.terms.items():
+                for j, c in fixed.items():
+                    coeff *= pow(c, expo[j], modulus or None)
+                key = tuple([expo[j] for j in moving])
+                folded[key] = folded.get(key, 0) + coeff
+            _reduce(folded, modulus)
+        # no exponent of the result exceeds degree * largest image exponent
+        radix = _radix(max(map(sum, folded), default=0)
+                       * max((_degree(images[j]) for j in moving), default=0))
+        packed = [_pack(images[j], radix) for j in moving]
+        powers = [[{0: 1}] for _ in moving]  # powers[i][e] = packed[i]**e
         acc = {}
-        for expo, coeff in self.terms.items():
-            t = MultiPoly.constant(target_vars, coeff)
-            for img, pw, e in zip(images, powers, expo):
+        for expo, coeff in folded.items():
+            term = {0: coeff}
+            for img, pw, e in zip(packed, powers, expo):
+                while len(pw) <= e:
+                    pw.append(_reduce(_multiply_into({}, pw[-1], img), modulus))
                 if e:
-                    while len(pw) <= e:
-                        pw.append(reduce(pw[-1] * img))
-                    t = reduce(t * pw[e])
-            for te, tc in t.terms.items():
-                acc[te] = acc.get(te, 0) + tc
-        return reduce(MultiPoly(target_vars, acc))
+                    term = _reduce(_multiply_into({}, term, pw[e]), modulus)
+            _multiply_into(acc, term, {0: 1})  # acc += term
+        return MultiPoly(target, _unpack(_reduce(acc, modulus), len(target), radix))
 
     # -- text ---------------------------------------------------------------
 
@@ -286,6 +296,63 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()!r})"
+
+
+# packed monomials: the kernel of every polynomial product.  An exponent
+# vector (e_0, ..., e_(n-1)) is packed into the int sum e_i * radix**i,
+# so a monomial product is one int addition.  Each product takes a radix
+# above every exponent of its result, so no digit can carry into the
+# next.  The radix is odd, so the low bits of a key, where a dict probes
+# first, depend on every exponent: with radix 2^w they would hold e_0
+# alone, and a large product would collide on them.
+
+
+def _degree(poly):
+    """The largest exponent of any variable in any term."""
+    return max(itertools.chain.from_iterable(poly.terms), default=0)
+
+
+def _radix(bound):
+    """The smallest odd radix above exponents 0..bound."""
+    return (bound + 1) | 1
+
+
+def _pack(poly, radix):
+    weights = [radix**i for i in range(len(poly.variables))]
+    return {sum(map(operator.mul, expo, weights)): c for expo, c in poly.terms.items()}
+
+
+def _unpack(packed, n, radix):
+    terms = {}
+    for key, coeff in packed.items():
+        expo = []
+        for _ in range(n):
+            key, e = divmod(key, radix)
+            expo.append(e)
+        terms[tuple(expo)] = coeff
+    return terms
+
+
+def _multiply_into(out, a, b):
+    """The product loop: add a*b into `out`, all three dicts of packed
+    keys.  Cancelled terms stay as zeros until `_reduce`."""
+    get = out.get
+    b = b.items()
+    for k1, c1 in a.items():
+        for k2, c2 in b:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+def _reduce(terms, modulus):
+    """Reduce mod `modulus` when given and drop zero terms, in place."""
+    if modulus:
+        for k, c in terms.items():
+            terms[k] = c % modulus
+    for k in [k for k, c in terms.items() if not c]:
+        del terms[k]
+    return terms
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicstacks import greenberg
 from padicstacks.greenberg import (
     digit_variables,
     expand_poly,
@@ -17,6 +18,7 @@ from padicstacks.polyscheme import (
     parse_poly,
 )
 from padicstacks.rings import BoundExceeded, make_ring, size_limit
+from poly_oracles import ghost_expand_reference
 
 
 def brute_count_mod(X, m):
@@ -195,6 +197,44 @@ def test_deep_components_pinned(text, p, n, sizes, digest):
     assert [len(g.terms) for g in comps] == sizes
     text_all = "\n".join(g.to_text() for g in comps)
     assert hashlib.sha256(text_all.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "text, variables, p, n",
+    [
+        ("x^2 + y^2 - 1", ("x", "y"), 3, 3),
+        ("x^2 + y^2 - 1", ("x", "y"), 5, 2),
+        ("x*y - 3", ("x", "y"), 3, 3),
+        ("x^3 + y^3 + z^3", ("x", "y", "z"), 3, 1),
+        ("y^2 - x^3", ("x", "y"), 3, 3),
+        ("y^2 - x^2 - x^3", ("x", "y"), 3, 3),
+        ("y^2 - x^2 - x^3", ("x", "y"), 5, 2),
+        # coefficients that are not units; 82 = 1 and 81 = 0 mod 3^4
+        ("2*x^2 - 7*y", ("x", "y"), 3, 3),
+        ("82*x", ("x",), 3, 3),
+        ("81*x + 82*y^2 - 162", ("x", "y"), 3, 3),
+    ],
+)
+def test_expand_poly_matches_ghost_map_oracle(text, variables, p, n):
+    f = parse_poly(text, variables)
+    names = digit_variables(variables, n + 1)
+    assert expand_poly(f, p, n + 1, names) == ghost_expand_reference(f, p, n + 1, names)
+
+
+def test_expand_poly_skips_terms_zero_mod_p_length(monkeypatch):
+    # 81*x has the zero Witt vector at p = 3, length 4: no Witt product
+    # or sum is formed for it
+    calls = []
+    for name in ("witt_add_sym", "witt_mul_sym"):
+        law = getattr(greenberg, name)
+        monkeypatch.setattr(greenberg, name,
+                            lambda a, b, p, law=law, name=name: calls.append(name) or law(a, b, p))
+    f = parse_poly("81*x + y", ("x", "y"))
+    names = digit_variables(("x", "y"), 4)
+    comps = expand_poly(f, 3, 4, names)
+    assert not calls
+    assert comps == tuple(MultiPoly.variable(names, f"y_{i}") for i in range(4))
+    assert all(g.is_zero() for g in expand_poly(parse_poly("81*x - 162", ("x",)), 3, 4))
 
 
 def test_level_bound():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicstacks import polyscheme
-from padicstacks.greenberg import greenberg_transform
+from padicstacks.greenberg import digit_variables, greenberg_transform
 from padicstacks.polyscheme import (
     DEFAULT_SLACK,
     AffineScheme,
@@ -28,7 +28,8 @@ from padicstacks.polyscheme import (
     tau_point,
     _solve_mod_p,
 )
-from padicstacks.rings import FiniteField, make_ring, power
+from padicstacks.rings import FiniteField, make_ring
+from poly_oracles import mul_reference, pow_reference, substitute_reference
 
 V2 = ("x", "y")
 
@@ -117,30 +118,6 @@ def test_substitute():
     assert g == parse_poly("u^2 + v^2 + u*v", ("u", "v"))
 
 
-def _substitute_reference(f, mapping, modulus=None):
-    # the former substitute: each image power by square-and-multiply for
-    # every term, and a new accumulator polynomial for every term
-    def pow_mod(q, k, m):
-        return power(q.reduce_coeffs(m), k, lambda a, b: (a * b).reduce_coeffs(m),
-                     MultiPoly.constant(q.variables, 1))
-
-    images = [mapping[v] for v in f.variables]
-    target_vars = images[0].variables if images else ()
-    acc = MultiPoly(target_vars)
-    for expo, coeff in f.terms.items():
-        t = MultiPoly.constant(target_vars, coeff)
-        for img, e in zip(images, expo):
-            if e:
-                q = pow_mod(img, e, modulus) if modulus else img**e
-                t = t * q
-                if modulus:
-                    t = t.reduce_coeffs(modulus)
-        acc = acc + t
-    if modulus:
-        acc = acc.reduce_coeffs(modulus)
-    return acc
-
-
 def _random_poly(rng, variables, max_degree, max_terms):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -168,13 +145,145 @@ def test_substitute_matches_reference_battery():
             f = MultiPoly.constant(src, rng.randint(-5, 5))
         for modulus in (None, 2, 3, 25):
             got = f.substitute(mapping, modulus)
-            assert got == _substitute_reference(f, mapping, modulus), (case, modulus)
+            assert got == substitute_reference(f, mapping, modulus), (case, modulus)
             assert got.variables == tgt
     # a polynomial in no variables maps to a constant in no variables
     for c in (0, 7, -12):
         f = MultiPoly.constant((), c)
         for modulus in (None, 5):
-            assert f.substitute({}, modulus) == _substitute_reference(f, {}, modulus)
+            assert f.substitute({}, modulus) == substitute_reference(f, {}, modulus)
+
+
+def test_mul_and_pow_match_tuple_reference_battery():
+    rng = random.Random(20261019)
+    shapes = [(), ("x",), V2, ("a", "b", "c", "d"),
+              digit_variables(("x", "y", "z"), 5)]
+    for case in range(200):
+        variables = shapes[case % len(shapes)]
+        degree = 70 if case % 3 == 0 else 5
+        if variables:
+            f = _random_poly(rng, variables, degree, 6)
+            g = _random_poly(rng, variables, degree, 6)
+        else:
+            f, g = (MultiPoly.constant((), rng.randint(-9, 9)) for _ in "fg")
+        assert f * g == mul_reference(f, g), case
+        assert g * f == f * g
+        if degree == 5 and len(f.terms) <= 3:
+            k = rng.randint(0, 4)
+            assert f**k == pow_reference(f, k), case
+
+
+# ---------------------------------------------------------------------------
+# packed monomial edges: every product below is also checked against
+# exponent-tuple arithmetic, so a radix too small for the exponents or a
+# dropped constant shows
+
+
+def test_packed_radix_edges():
+    # the radix of a product comes from the sum of its operands' largest
+    # exponents; x below reaches that sum exactly, at 2^w - 1 and at 2^w,
+    # with y and z in the digits beside it
+    names = ("x", "y", "z")
+    x = MultiPoly.variable(names, "x")
+    assert x * 5 == x * MultiPoly.constant(names, 5) == MultiPoly(names, {(1, 0, 0): 5})
+    assert x * x == mul_reference(x, x) == MultiPoly(names, {(2, 0, 0): 1})
+    for w in range(2, 9):
+        for top in (2**w - 1, 2**w):
+            a = MultiPoly(names, {(top - 1, 1, 0): 3, (0, 0, 1): -1})
+            b = MultiPoly(names, {(1, 0, 1): 2, (0, 1, 0): 1})
+            prod = a * b
+            assert prod == mul_reference(a, b), (w, top)
+            assert prod.terms == {(top, 1, 1): 6, (top - 1, 2, 0): 3,
+                                  (1, 0, 2): -2, (0, 1, 1): -1}
+            assert a**2 == mul_reference(a, a)
+            # a substitution bounds its exponents by degree times image degree
+            f = MultiPoly(("s",), {(top,): 1, (0,): 5})
+            img = MultiPoly(names, {(1, 0, 0): 1, (0, 1, 0): -1})
+            got = f.substitute({"s": img})
+            assert got == substitute_reference(f, {"s": img}), (w, top)
+            assert got.terms[(top, 0, 0)] == 1
+            assert got.terms[(0, top, 0)] == (-1) ** top
+
+
+def test_packed_large_exponents_and_many_variables():
+    names = digit_variables(("x", "y", "z"), 5)
+    assert len(names) == 15
+    rng = random.Random(64)
+
+    def sparse(choices, k):
+        return MultiPoly(names, {tuple(rng.choice(choices) for _ in names):
+                                 rng.randint(-5, 5) for _ in range(k)})
+
+    for _ in range(20):
+        f = sparse((0, 1, 64, 65, 127), 4)
+        g = sparse((0, 63, 64, 200), 4)
+        assert f * g == mul_reference(f, g)
+        # monomial images take exponents past 64; binomial ones stay low
+        h = sparse((0,) * 6 + (1, 70), 3)
+        mapping = {v: MultiPoly.variable(names, v) ** 3 * -2 for v in names}
+        for modulus in (None, 9):
+            assert h.substitute(mapping, modulus) == substitute_reference(h, mapping, modulus)
+        h = sparse((0,) * 6 + (1, 2), 3)
+        mapping = {v: MultiPoly.variable(names, v) * 2 + rng.randint(-1, 1)
+                   for v in names}
+        for modulus in (None, 9):
+            assert h.substitute(mapping, modulus) == substitute_reference(h, mapping, modulus)
+
+
+def test_packed_zero_empty_and_negative_operands():
+    zero = MultiPoly.zero(V2)
+    f = P("-3*x^2*y + 5*y^4 - 7")
+    assert (f * zero).is_zero() and (zero * f).is_zero() and (zero * zero).is_zero()
+    assert zero**0 == MultiPoly.constant(V2, 1) and (zero**3).is_zero()
+    assert f * f == mul_reference(f, f)
+    assert f * (-f) == -(f * f)
+    assert f**3 == pow_reference(f, 3)
+    # polynomials in no variables are integers
+    a, b = MultiPoly.constant((), -6), MultiPoly.constant((), 7)
+    assert a * b == MultiPoly.constant((), -42)
+    assert (a * MultiPoly.zero(())).is_zero()
+    assert a**3 == MultiPoly.constant((), -216)
+    # negative coefficients survive substitution without a modulus
+    img = {"x": P("x - y"), "y": P("-2*y")}
+    got = f.substitute(img)
+    assert got == substitute_reference(f, img)
+    assert any(c < 0 for c in got.terms.values())
+
+
+def test_constant_images_fold_at_exponent_zero():
+    # x is constant; it has exponent 0 at y^2 and at 4, where c^0 = 1
+    f = P("5*y^2 + x^2*y - 7*x + 4")
+    uv = ("u", "v")
+    y = parse_poly("u - 2*v", uv)
+    for c in (0, -3):
+        mapping = {"x": MultiPoly.constant(uv, c), "y": y}
+        want = mul_reference(y, y) * 5 + y * c**2 + (4 - 7 * c)
+        for modulus in (None, 3, 5, 9):
+            got = f.substitute(mapping, modulus)
+            assert got == substitute_reference(f, mapping, modulus), (c, modulus)
+            assert got == (want.reduce_coeffs(modulus) if modulus else want)
+    # every image constant: the result is the value at that point
+    mapping = {"x": MultiPoly.constant(uv, -3), "y": MultiPoly.constant(uv, 0)}
+    assert f.substitute(mapping) == MultiPoly.constant(uv, 25)
+    assert f.substitute(mapping, 5).is_zero()
+    assert f.substitute(mapping, 7) == MultiPoly.constant(uv, 4)
+
+
+def test_ball_shaped_substitution():
+    # BallTree._child maps x -> p*x + a and reduces mod p^e, or not at all
+    # for an exact condition (e None) and for e = 0
+    rng = random.Random(3)
+    for p in (2, 3, 5):
+        for _ in range(20):
+            h = _random_poly(rng, V2, 4, 5)
+            u0 = (rng.randrange(p), rng.randrange(p))
+            mapping = {v: MultiPoly.variable(V2, v) * p + a for v, a in zip(V2, u0)}
+            for e in (None, 0, 1, 2, 3):
+                modulus = e and p**e
+                got = h.substitute(mapping, modulus)
+                assert got == substitute_reference(h, mapping, modulus or None)
+                if not e:
+                    assert got == h.substitute(mapping, None)
 
 
 def test_partial_derivatives():
