@@ -67,9 +67,23 @@ def expand_poly(f, p, length, names=None):
     return acc
 
 
+def _fold(g, p):
+    """g as a function on F_p: every exponent e >= 1 becomes
+    (e - 1) % (p - 1) + 1, exact because a^p = a on F_p; like terms
+    merge, coefficients are reduced mod p and zero terms dropped."""
+    top = max(itertools.chain.from_iterable(g.terms), default=0)
+    fold = [0] + [(e - 1) % (p - 1) + 1 for e in range(1, top + 1)]
+    folded = {}
+    for expo, coeff in g.terms.items():
+        key = tuple(map(fold.__getitem__, expo))
+        folded[key] = folded.get(key, 0) + coeff
+    return {expo: c for expo, coeff in folded.items() if (c := coeff % p)}
+
+
 def _split_level(gens, positions, p, candidates):
-    """Split the digit-level generators by their exponent vectors beta in
-    the level digits at `positions`: g = sum_beta digits^beta * h_beta.
+    """Split the digit-level generators, folded as functions on F_p, by
+    their exponent vectors beta in the level digits at `positions`:
+    g = sum_beta digits^beta * h_beta.
 
     Returns (split, table).  split[k] lists the pairs (b, h_b) of
     generator k, h_b a tuple of (coeff mod p, ((position, e), ...)) terms
@@ -80,10 +94,7 @@ def _split_level(gens, positions, p, candidates):
     split = []
     for g in gens:
         groups = {}
-        for expo, coeff in g.terms.items():
-            c = coeff % p
-            if not c:
-                continue
+        for expo, c in _fold(g, p).items():
             beta = [0] * len(positions)
             factors = []
             for pos, e in enumerate(expo):
@@ -191,9 +202,10 @@ class GreenbergScheme:
         """The frontier search of enumerate_points: the last level's points
         in search order, or only their number when not `keep_last`.
 
-        At level i each component is split by its exponent vector beta in
-        the N level-i digits, g = sum_beta (level-i digits)^beta *
-        h_beta(lower digits).  A frontier point evaluates each h_beta once;
+        At level i each component, folded as a function on F_p (`_fold`),
+        is split by its exponent vector beta in the N level-i digits,
+        g = sum_beta (level-i digits)^beta * h_beta(lower digits).  A
+        frontier point evaluates each h_beta once;
         its p^N candidate digit tuples are then tested against the
         coefficient vectors, with one table of beta-monomial values per
         level.  Candidates come in the order of itertools.product.

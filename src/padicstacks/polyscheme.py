@@ -127,9 +127,13 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        """Power by `rings.power` on packed monomials: packed once, with a
+        radix above every exponent of the result, and unpacked once."""
         if k < 0:
             raise ValueError("negative exponent")
-        return power(self, k, operator.mul, MultiPoly.constant(self.variables, 1))
+        radix = _radix(_degree(self) * k)
+        packed = power(_pack(self, radix), k, lambda a, b: _multiply_into({}, a, b), {0: 1})
+        return MultiPoly(self.variables, _unpack(packed, len(self.variables), radix))
 
     def reduce_coeffs(self, m):
         return MultiPoly(self.variables, {e: c % m for e, c in self.terms.items()})
@@ -1037,7 +1041,8 @@ class BallTree:
         if state not in self._counts:
             tally[depth] = tally.get(depth, 0) + 1
             if tally[depth] > limit:
-                raise BoundExceeded(f"lift frontier exceeds bound {limit}")
+                raise BoundExceeded(
+                    f"tree walk of {tally[depth]} states at depth {depth} exceeds bound {limit}")
             p, nv = self.p, self.n_vars
             m = max(e for _, e in state)
             closed = p ** (nv * (m - 1) - sum(e - 1 for _, e in state))
@@ -1063,7 +1068,7 @@ class BallTree:
         (which can only happen when a count exceeds it too)."""
         p, nv, e = self.p, self.n_vars, self.e
         w = min(e, n + 1)
-        limit = size_limit(bound, p**nv, "level-0 enumeration")
+        limit = size_limit(bound, p**nv, f"residue search of {p**nv} tuples")
         counts = []
         for k in range(n + 1):
             q, s = divmod(k + 1, e)
@@ -1072,7 +1077,7 @@ class BallTree:
             top = max((c for _, c in root), default=0)
             fibre = nv // w * (w * (m - q) - s)
             count = p ** (nv * (m - top)) * self._count(root, 0, {}, limit) // p**fibre
-            size_limit(limit, count, "lift frontier")
+            size_limit(limit, count, f"count {count} at level {k}")
             counts.append(count)
         return counts
 

@@ -336,3 +336,61 @@ def test_specialised_search_matches_full_evaluation_and_brute(case):
     if not isinstance(points, str):
         decoded = sorted(G.decode_point(q) for q in points)
         assert decoded == list(enumerate_points(X, make_ring(p, n=n)))
+
+
+# the search folds each component as a function on F_p (a^p = a) before it
+# splits it; the cases below have exponents p, p + 1 and 2p - 1 that the
+# fold maps to 1, 2 and p - 1, and the oracles read the unfolded components
+
+FOLD_CASES = [
+    ("x^3 - x", ("x",), 3, 2),
+    ("x^2 - x", ("x",), 2, 3),
+    ("x^2 + y^2 - 1", ("x", "y"), 3, 3),
+    ("x^2 + y^2 - 1", ("x", "y"), 5, 2),
+] + [
+    (f"x^{p} - y + {p + 1}", ("x", "y"), p, n)
+    for p, n in ((2, 2), (3, 2), (5, 1))
+] + [
+    (f"x^{p + 1}*y - x^{2 * p - 1} + y^{p} - 1", ("x", "y"), p, n)
+    for p, n in ((2, 2), (3, 2), (5, 1))
+]
+
+
+@pytest.mark.parametrize("text, variables, p, n", FOLD_CASES)
+def test_folded_search_matches_unfolded_oracle_and_brute(text, variables, p, n):
+    X = scheme("X", variables, [text], len(variables) - 1)
+    G = greenberg_transform(X, p, n)
+    points = G.enumerate_points()
+    assert points == full_evaluation_points(G)
+    assert G.count_points() == len(points)
+    decoded = sorted(G.decode_point(q) for q in points)
+    assert decoded == list(enumerate_points(X, make_ring(p, n=n)))
+
+
+@pytest.mark.parametrize("text, variables, p, n", FOLD_CASES[:2] + FOLD_CASES[4:])
+def test_fold_is_the_same_function_on_f_p(text, variables, p, n):
+    # every folded exponent lies in 1..p-1, and the folded component takes
+    # the unfolded one's value mod p at every digit tuple
+    G = greenberg_transform(scheme("X", variables, [text], len(variables) - 1), p, n)
+    for g in G.scheme.generators:
+        folded = MultiPoly(g.variables, greenberg._fold(g, p))
+        assert all(e < p for expo in folded.terms for e in expo)
+        assert all(0 <= c < p for c in folded.terms.values())
+        for point in itertools.product(range(p), repeat=len(g.variables)):
+            assert folded.eval_int(point, p) == g.eval_int(point, p)
+
+
+def test_fold_exponents_and_like_terms():
+    # at p = 2 every exponent e >= 1 folds to 1, so x^2 - x folds to zero;
+    # at p = 3 the exponents 3, 4, 5 fold to 1, 2, 1
+    x = MultiPoly.variable(("x", "y"), "x")
+    y = MultiPoly.variable(("x", "y"), "y")
+    assert greenberg._fold(x**2 - x, 2) == {}
+    assert greenberg._fold(x**5 * y**2 + 3 * x * y + 1, 2) == {(0, 0): 1}
+    assert greenberg._fold(x**3 - x, 3) == {}
+    assert greenberg._fold(x**4 * y**5 - 2 * y, 3) == {(2, 1): 1, (0, 1): 1}
+
+
+def test_fold_shrinks_the_deep_conic_top_component():
+    G = greenberg_transform(scheme("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1), 3, 3)
+    assert [len(greenberg._fold(g, 3)) for g in G.scheme.generators] == [3, 2, 8, 54]
