@@ -43,11 +43,11 @@ from .polyscheme import (
     DEFAULT_SLACK,
     BallTree,
     MultiPoly,
-    _ExprParser,
     _PolyParser,
     enumerate_points,
 )
 from .rings import INFINITY, LocalRingSpec, is_prime, p_valuation, size_limit
+from .syntax import _ExprParser
 
 
 class FormulaSyntaxError(ValueError):
@@ -200,7 +200,7 @@ class ResAtom(Formula):
 #                     | side ('=='|'!=') side
 #           ordrhs   := 'INFINITY' | INT | '-' INT
 #                     | 'ord' '(' poly ')' [('+'|'-') INT]
-#           side     := the shared expression grammar (polyscheme) with
+#           side     := the shared expression grammar (syntax.py) with
 #                       leaves INT, variable, 't', 'ac(poly)', 'red(poly)'
 #
 # a side containing ac/red is residue-sort; otherwise it is a valuation
@@ -698,12 +698,13 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
         raise ValueError(f"dimension must be at least 0, got {d}")
     if isinstance(formula, str):
         formula = parse_formula(formula, target.variables)
-    q = base_spec.p**base_spec.r
+    root = base_spec.at_level(0)
+    q = root.size
     n_vars = len(target.variables)
     fanout = q**n_vars
     upgrades = (
-        _UpgradeOracle(target, SpecializationMap(base_spec), slack)
-        if base_spec.int_modulus is not None
+        _UpgradeOracle(target, SpecializationMap(root), slack)
+        if root.int_modulus is not None
         else None
     )
     levels = list(range(max_level + 1))

@@ -34,6 +34,7 @@ from .stacks import QuotientStack, SpecialGroup, UnsupportedStack
 STABLE_RUN = 3
 DEFAULT_MAX_LEVEL = 6
 DEFAULT_TERMS = 8
+HOLDOUT = 2  # series coefficients a rational fit must reproduce unseen
 
 NORMALIZATION_NOTE = (
     "level n = R/(omega^(n+1)); mu_d = lim count(level n)/q^((n+1)d); "
@@ -86,18 +87,12 @@ class TauImageProfile:
         return self.unknown == 0
 
 
-def _image_profiles(X, p, n, slack, bound):
-    """The profiles of levels 0..n from one image-tree walk.  The totals
-    come from the count tree, which makes the refusals."""
-    tree = BallTree(X.generators, X.n_vars, p)
-    totals = tree.level_counts(n, bound)
-    return [TauImageProfile(k, slack, certified, total - certified - unknown, unknown)
-            for k, (total, (certified, unknown))
-            in enumerate(zip(totals, tree.image_levels(n, slack)))]
-
-
 def tau_image_profile(X, p, n, slack=DEFAULT_SLACK, bound=None):
-    return _image_profiles(X, p, n, slack, bound)[-1]
+    """The level-n profile; `refuted` is the rest of the count walk's total."""
+    tree = BallTree(X.generators, X.n_vars, p)
+    total = tree.level_counts(n, bound)[-1]
+    certified, unknown = tree.image_levels(n, slack, bound)[-1]
+    return TauImageProfile(n, slack, certified, total - certified - unknown, unknown)
 
 
 def tau_image_count(X, p, n, slack=DEFAULT_SLACK, bound=None):
@@ -122,7 +117,6 @@ class MeasureResult:
     stabilized_at: object = None
     lower: list = None
     upper: list = None
-    note: str = NORMALIZATION_NOTE
 
 
 def _stabilize(levels, counts):
@@ -145,7 +139,7 @@ def padic_measure(target, base_spec, max_level=DEFAULT_MAX_LEVEL, bound=None):
     three-in-a-row stabilization rule is an honest heuristic: without it
     the result is PARTIAL, never a guess.
     """
-    q = base_spec.p**base_spec.r
+    q = base_spec.at_level(0).size
     X, weight = _atlas(target, base_spec, "measures")
     w0 = weight(0)
     levels = list(range(max_level + 1))
@@ -196,14 +190,14 @@ def _series_tilde(X, weight, base_spec, terms, bound):
 
 
 def _series_p(X, weight, p, terms, slack, bound):
-    profiles = _image_profiles(X, p, max(terms - 2, 0), slack, bound)
+    rows = BallTree(X.generators, X.n_vars, p).image_levels(max(terms - 2, 0), slack, bound)
     # coefficient 0: nonemptiness of the Z_p-point set, probed at level 0
-    prof0 = profiles[0]
-    coeffs = [Fraction(int(prof0.certified > 0))]
-    unknown = [Fraction(int(prof0.certified == 0 and prof0.unknown > 0))]
-    for prof in profiles[:terms - 1]:
-        coeffs.append(Fraction(prof.certified, weight(prof.level)))
-        unknown.append(Fraction(prof.unknown, weight(prof.level)))
+    certified0, open0 = rows[0]
+    coeffs = [Fraction(int(certified0 > 0))]
+    unknown = [Fraction(int(certified0 == 0 and open0 > 0))]
+    for k, (certified, opened) in enumerate(rows[:terms - 1]):
+        coeffs.append(Fraction(certified, weight(k)))
+        unknown.append(Fraction(opened, weight(k)))
     return coeffs, unknown
 
 
@@ -215,7 +209,7 @@ def series(target, base_spec, kind="tilde", terms=DEFAULT_TERMS,
     singular locus, both over the same divisor."""
     if kind not in ("tilde", "p", "q"):
         raise ValueError(f"unknown series kind {kind!r}")
-    if kind != "tilde" and base_spec.int_modulus is None:
+    if kind != "tilde" and base_spec.at_level(0).int_modulus is None:
         raise UnsupportedStack(
             "lift-certified series need an unramified prime ring"
         )
@@ -317,27 +311,25 @@ def _solve_exact(rows, rhs, n_unknowns):
     return solution
 
 
-def rational_fit(coeffs, holdout=2):
+def rational_fit(coeffs):
     """Minimal-order linear recurrence fit, validated on held-out terms.
 
     Sweeps the recurrence order L upward; a candidate must reproduce every
-    supplied coefficient, including `holdout` coefficients never shown to
+    supplied coefficient, including HOLDOUT coefficients never shown to
     the solver.  Raises FitNotFound if no order up to floor((N-2)/2) works.
     """
     coeffs = [Fraction(c) for c in coeffs]
     total = len(coeffs)
-    if total < 2 + holdout:
+    if total < 2 + HOLDOUT:
         raise FitNotFound("too few coefficients")
-    train = coeffs[: total - holdout]
-    max_order = (total - holdout) // 2
+    train = coeffs[: total - HOLDOUT]
+    max_order = (total - HOLDOUT) // 2
     for L in range(1, max_order + 1):
         rows = []
         rhs = []
         for n in range(L, len(train)):
             rows.append([train[n - i] for i in range(1, L + 1)])
             rhs.append(train[n])
-        if not rows:
-            continue
         a = _solve_exact(rows, rhs, L)
         if a is None:
             continue
@@ -380,31 +372,26 @@ def q_coefficient_check(X, base_spec, level, max_level=DEFAULT_MAX_LEVEL,
     the measure of the points whose level-`level` truncation avoids the
     singular locus.
 
-    Returns (lhs, rhs MeasureResult scaled, ok).  The image tree counts the
-    certified points above each level-`level` point off the singular locus;
-    raises when the Q series is not exact or the tree leaves one open.
+    Returns (lhs, rhs MeasureResult scaled, ok).  The kept points are the
+    truncation image of X at levels `level`..`max_level` less what lies
+    above the level-`level` points of the singular locus; raises when the
+    Q series is not exact or the tree leaves a kept point open.
     """
     tbl = series(X, base_spec, "q", terms=level + 2, slack=slack, bound=bound)
     if not tbl.exact:
         raise UnsupportedStack("unresolved lift certificates in the Q series")
-    p = base_spec.p
-    q = p**base_spec.r
+    q = base_spec.at_level(0).size
     d = X.dim
     lhs = tbl.coefficients[level + 1]
-    sing_evals = [g.compile_int(p ** (level + 1)) for g in singular_locus(X).generators]
-    tree = BallTree(X.generators, X.n_vars, p)
-    tree.level_counts(max_level, bound)  # bounds the image walks below
-    kept = [0] * (max_level - level + 1)
-    for centre in enumerate_points_lifted(X, p, level, bound):
-        if not any(ev(centre) for ev in sing_evals):
-            continue
-        for r, (certified, unknown) in enumerate(
-                tree.image_above(centre, level, max_level - level, slack)):
-            if unknown:
-                raise UnsupportedStack("unresolved lift certificate")
-            kept[r] += certified
+    tree = BallTree(X.generators, X.n_vars, base_spec.p)
+    kept = tree.image_levels(max_level, slack, bound)[level:]
+    for centre in enumerate_points_lifted(singular_locus(X), base_spec.p, level, bound):
+        above = tree.image_above(centre, level, max_level - level, slack)
+        kept = [(c - a, u - b) for (c, u), (a, b) in zip(kept, above)]
+    if any(u for _, u in kept):
+        raise UnsupportedStack("unresolved lift certificate")
     levels = list(range(level, max_level + 1))
-    counts = [Fraction(k, q ** ((ell + 1) * d)) for ell, k in zip(levels, kept)]
+    counts = [Fraction(c, q ** ((ell + 1) * d)) for ell, (c, _) in zip(levels, kept)]
     result = _stabilize(levels, counts)
     if result.status != "STABILIZED":
         return lhs, result, False

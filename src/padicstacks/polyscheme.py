@@ -27,17 +27,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .rings import BoundExceeded, RingElement, p_valuation, power, size_limit
+from .syntax import PolyParseError, _ExprParser  # PolyParseError: kept importable here
 
 DEFAULT_SLACK = 2
 CERT_FRONTIER_BOUND = 50_000  # points per level of a certificate frontier
-
-
-class PolyParseError(ValueError):
-    """Syntax error in the polynomial text format, with position info."""
-
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 # ---------------------------------------------------------------------------
@@ -360,130 +353,7 @@ def _reduce(terms, modulus):
 
 
 # ---------------------------------------------------------------------------
-# expression text syntax, shared by polynomials, formula sides and
-# q-expressions:
-#
-#   expr   := term (('+' | '-') term)*
-#   term   := factor ('*' factor)*          ('/' too where a parser allows it)
-#   factor := base ['^' INT]
-#   base   := '-' factor | '(' expr ')' | leaf
-#
-# Each parser supplies its own leaves, and how +, -, *, /, negation and
-# powers combine its values; the default is Python's own operators.
-
-def _tokenize(text, symbols, error):
-    """(kind, value, position) triples ending with ('end', None, len(text)).
-
-    Kinds are 'int', 'name' and the one- or two-character symbols listed
-    in `symbols`; any other character raises `error` at its position."""
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        symbol = text[i : i + 2] if text[i : i + 2] in symbols else ch
-        if symbol not in symbols:
-            raise error(f"unexpected character {ch!r}", i)
-        tokens.append((symbol, symbol, i))
-        i += len(symbol)
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv}
-
-
-class _ExprParser:
-    """Recursive descent over the shared grammar.  Subclasses define
-    `leaf()`; they may override `symbols`, `products`, `error` and the
-    combining hooks `binary`, `negate` and `power`."""
-
-    symbols = ("+", "-", "*", "^", "(", ")")
-    products = ("*",)
-    error = PolyParseError
-
-    def __init__(self, text):
-        self.tokens = _tokenize(text, self.symbols, self.error)
-        self.pos = 0
-
-    def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def end(self, node):
-        """`node`, after checking that no input is left."""
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise self.error(f"trailing input {value!r}", pos)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            node = self.binary(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in self.products:
-            op = self.take()[0]
-            node = self.binary(op, node, self.factor())
-        return node
-
-    def factor(self):
-        node = self.base()
-        if self.peek()[0] == "^":
-            self.take()
-            kind, k, pos = self.take()
-            if kind != "int":
-                raise self.error("exponent must be a nonnegative integer", pos)
-            return self.power(node, k)
-        return node
-
-    def base(self):
-        kind = self.peek()[0]
-        if kind == "-":
-            self.take()
-            return self.negate(self.factor())
-        if kind == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        return self.leaf()
-
-    def binary(self, op, a, b):
-        return _BINARY[op](a, b)
-
-    def negate(self, a):
-        return -a
-
-    def power(self, a, k):
-        return a**k
+# polynomial text (the grammar is in syntax.py)
 
 
 class _PolyParser(_ExprParser):
@@ -1032,17 +902,32 @@ class BallTree:
                 for h, e in state)))
         return self._children[key]
 
+    def _walk(self, bound, top=None):
+        """The refusal rule of one walk, called on each new state with its
+        depth: refuses a residue search p^N over the bound at once, and a
+        walk past the bound of new states at one depth (which happens only
+        where the count of a level is over it too).  An image walk gives
+        the depth left below a state, and `top` is the depth of its deepest."""
+        size = self.p**self.n_vars
+        limit = size_limit(bound, size, f"residue search of {size} tuples")
+        tally = {}
+
+        def visit(depth):
+            tally[depth] = tally.get(depth, 0) + 1
+            if tally[depth] > limit:
+                at = depth if top is None else top - depth
+                raise BoundExceeded(
+                    f"tree walk of {tally[depth]} states at depth {at} exceeds bound {limit}")
+        return visit
+
     # -- counting ----------------------------------------------------------------
 
-    def _count(self, state, depth, tally, limit):
+    def _count(self, state, depth, visit):
         """Zeros of a counting state over (Z/p^m)^N, m its largest e_i."""
         if not state:
             return 1
         if state not in self._counts:
-            tally[depth] = tally.get(depth, 0) + 1
-            if tally[depth] > limit:
-                raise BoundExceeded(
-                    f"tree walk of {tally[depth]} states at depth {depth} exceeds bound {limit}")
+            visit(depth)
             p, nv = self.p, self.n_vars
             m = max(e for _, e in state)
             closed = p ** (nv * (m - 1) - sum(e - 1 for _, e in state))
@@ -1053,8 +938,7 @@ class BallTree:
                 else:
                     child = self._child(state, u0)
                     top = max((e for _, e in child), default=0)
-                    total += p ** (nv * (m - 1 - top)) * self._count(
-                        child, depth + 1, tally, limit)
+                    total += p ** (nv * (m - 1 - top)) * self._count(child, depth + 1, visit)
             self._counts[state] = total
         return self._counts[state]
 
@@ -1062,13 +946,10 @@ class BallTree:
         """[|X(R_k)| for k = 0..n], one walk per level.  With k+1 = qe + s, a
         generator in slot i vanishes mod p^(q + [i < s]) on coordinates mod
         p^m, m = ceil((k+1)/e), which fill min(e, n+1) slots; a slot-i
-        coordinate takes p^(m - q - [i < s]) values per one of R_k.  Raises
-        BoundExceeded when p^N or any of these counts exceeds the bound, or
-        when a walk makes more states at one depth than the bound allows
-        (which can only happen when a count exceeds it too)."""
+        coordinate takes p^(m - q - [i < s]) values per one of R_k.  Refuses
+        when one of these counts exceeds the bound, or by `_walk`."""
         p, nv, e = self.p, self.n_vars, self.e
         w = min(e, n + 1)
-        limit = size_limit(bound, p**nv, f"residue search of {p**nv} tuples")
         counts = []
         for k in range(n + 1):
             q, s = divmod(k + 1, e)
@@ -1076,8 +957,8 @@ class BallTree:
             root = self._state(self.gens, [q + (i < s) for i in self.slots])
             top = max((c for _, c in root), default=0)
             fibre = nv // w * (w * (m - q) - s)
-            count = p ** (nv * (m - top)) * self._count(root, 0, {}, limit) // p**fibre
-            size_limit(limit, count, f"count {count} at level {k}")
+            count = p ** (nv * (m - top)) * self._count(root, 0, self._walk(bound)) // p**fibre
+            size_limit(bound, count, f"count {count} at level {k}")
             counts.append(count)
         return counts
 
@@ -1105,34 +986,36 @@ class BallTree:
                 return False
             frontier = list(below)
 
-    def _image(self, state, depth, slack):
+    def _image(self, state, depth, slack, visit):
         """For r = 0..depth: (certified, open) over the depth-r sub-balls of
         a ball with exact conditions: how many hold a Z_p-zero for certain,
         and how many `_decide` leaves open."""
         key = (state, depth, slack)
         if key not in self._images:
+            visit(depth)
             here = self._decide(state, slack)
             certified = [int(bool(here))] + [0] * depth
             opened = [int(here is None)] + [0] * depth
-            if depth:
+            if depth > 0:
                 for u0, smooth in self._residue_zeros(state).items():
                     if smooth:
                         fiber = self.p ** (self.n_vars - len(state))
                         for r in range(1, depth + 1):
                             certified[r] += fiber ** (r - 1)
                         continue
-                    below = self._image(self._child(state, u0), depth - 1, slack)
+                    below = self._image(self._child(state, u0), depth - 1, slack, visit)
                     for r, (c, o) in enumerate(below, 1):
                         certified[r] += c
                         opened[r] += o
             self._images[key] = list(zip(certified, opened))
         return self._images[key]
 
-    def image_levels(self, n, slack):
+    def image_levels(self, n, slack, bound=None):
         """[(certified, open) for k = 0..n]: the points of X(Z/p^(k+1)) that
         truncate a Z_p-point for certain, and those the tree leaves open;
-        the rest certainly do not.  Call level_counts first: it bounds the walk."""
-        return self._image(self._root, n + 1, slack)[1:]
+        the rest certainly do not.  Refuses by the rule of `level_counts`
+        (`_walk`), and so only where that refuses."""
+        return self._image(self._root, n + 1, slack, self._walk(bound, n + 1))[1:]
 
     def image_above(self, point, n, depth, slack):
         """image_levels over the level-(n+r) points above a level-n point,
@@ -1152,7 +1035,7 @@ class BallTree:
                 fiber = p ** (self.n_vars - len(state))
                 return [(lifts * fiber**r, 0) for r in range(depth + 1)]
             state = self._child(state, u0)
-        return self._image(state, depth, slack)
+        return self._image(state, depth, slack, self._walk(None, n + 1 + depth))
 
     def verdict(self, point, n, slack=DEFAULT_SLACK):
         """Whether a level-n point truncates a Z_p-point: True, False, or

@@ -187,11 +187,8 @@ class SpecialGroup:
 
     def size_over(self, ring):
         """|G(R_n)| from the closed forms; `ring` is a LocalRingSpec or a
-        FiniteField (treated as level 0)."""
-        if isinstance(ring, FiniteField):
-            q, n = ring.size, 0
-        else:
-            q, n = ring.p**ring.r, ring.n
+        FiniteField (its Galois ring at level 0)."""
+        q, n = ring.at_level(0).size, ring.n
         if self.kind == "Ga":
             return q ** (n + 1)
         if self.kind == "Gm":

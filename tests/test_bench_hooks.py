@@ -1,12 +1,16 @@
-"""The benchmark's traced passes wrap library functions by name
-(perfbench/tracer.py).  A refactor that renames or moves one of them
-would break those passes without failing any library test; this guard
-makes it fail here."""
+"""Guards for what the benchmark depends on but no library test sees.
+The traced passes wrap library functions by name (perfbench/tracer.py),
+so a refactor that renames or moves one of them would break those passes;
+and the workers compile every module, so a module's size shows in their
+memory."""
 
 import importlib.util
+import tokenize
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+SRC = ROOT / "src" / "padicstacks"
 
 
 def _tracer():
@@ -36,3 +40,22 @@ def test_library_bindings_the_tracer_rebinds():
     assert definable.enumerate_points is polyscheme.enumerate_points
     assert greenberg.witt_mul_sym is witt.witt_mul_sym
     assert "compile_int" in polyscheme.MultiPoly.__dict__
+
+
+def test_every_module_tokenizes_under_8192_tokens():
+    """Past 8,192 tokens CPython's compile of a module takes about 0.5 MB
+    more: on CPython 3.11.7, padding polyscheme.py from 8,188 to 8,196
+    tokens raised the peak traced memory (tracemalloc) of `compile` from
+    2.90 to 3.37 MB.  The benchmark's workers compile every module at
+    start, so one module past that size
+    raises `peak_rss_mb` on every workload without any library test
+    failing.  Tokens are counted as the compiler sees them: without
+    ENCODING, NL and COMMENT."""
+    skip = {tokenize.ENCODING, tokenize.NL, tokenize.COMMENT}
+    sizes = {}
+    for path in sorted(SRC.glob("*.py")):
+        with path.open("rb") as source:
+            sizes[path.name] = sum(1 for tok in tokenize.tokenize(source.readline)
+                                   if tok.type not in skip)
+    assert len(sizes) > 10
+    assert {name: n for name, n in sizes.items() if n >= 8192} == {}

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from padicstacks.definable import measure_formula
 from padicstacks.measures import (
     FitNotFound,
     RationalFunction,
+    _stabilize,
     padic_measure,
     q_coefficient_check,
     rational_fit,
@@ -26,9 +28,10 @@ from padicstacks.polyscheme import (
     enumerate_points,
     enumerate_points_lifted,
     parse_poly,
+    singular_locus,
     tau_point,
 )
-from padicstacks.rings import BoundExceeded, make_ring
+from padicstacks.rings import BoundExceeded, FiniteField, make_ring
 from padicstacks.stacks import GroupAction, QuotientStack, SpecialGroup, UnsupportedStack
 
 A1 = AffineScheme.affine_space("A1", ("x",))
@@ -163,6 +166,28 @@ def test_image_tree_is_sound_on_random_plane_curves(case, slack):
         verdicts[True], verdicts[False], verdicts[None])
     if image is not None:
         assert prof.certified <= len(image)
+
+
+@settings(max_examples=300)
+@given(plane_curves(), st.integers(0, 2),
+       st.sampled_from((4, 8, 9, 16, 24, 25, 32, 48, 64, 100, 128, 256)))
+def test_image_walk_answers_wherever_the_count_walk_does(case, slack, bound):
+    # both walks refuse by one rule, and the image walk's states at depth
+    # d are distinct points of level d - 1: wherever the count walk answers
+    # under a bound, the image walk answers under it with its unbounded
+    # rows; where it refuses, it names the bound
+    X, p, n = case
+    rows = BallTree(X.generators, X.n_vars, p).image_levels(n, slack)
+    try:
+        BallTree(X.generators, X.n_vars, p).level_counts(n, bound)
+    except BoundExceeded:
+        counted = False
+    else:
+        counted = True
+    try:
+        assert BallTree(X.generators, X.n_vars, p).image_levels(n, slack, bound) == rows
+    except BoundExceeded as exc:
+        assert not counted and str(exc).endswith(f" exceeds bound {bound}")
 
 
 def cusp_tau_image_oracle(p, n):
@@ -392,6 +417,46 @@ def test_series_p_empty_target():
     assert tbl.coefficients == [0, 0, 0]
 
 
+def test_p_series_bounded_by_its_image_walk():
+    # the smooth conic's walk closes every residue zero at the root, so a
+    # bound under the level-3 count (500) no longer refuses the P series;
+    # the truncation-image profile still reads a count walk and refuses
+    unbounded = series(CONIC, make_ring(5), "p", 6)
+    assert series(CONIC, make_ring(5), "p", 6, bound=100) == unbounded
+    assert series(CONIC, make_ring(5), "q", 6, bound=100).coefficients == (
+        unbounded.coefficients)
+    for kind in ("p", "q"):
+        with pytest.raises(BoundExceeded, match="^residue search of 25 tuples exceeds bound 24$"):
+            series(CONIC, make_ring(5), kind, 6, bound=24)
+    with pytest.raises(BoundExceeded, match="^count 500 at level 3 exceeds bound 100$"):
+        tau_image_profile(CONIC, 5, 3, bound=100)
+    with pytest.raises(BoundExceeded, match="^count 500 at level 3 exceeds bound 100$"):
+        tau_image_count(CONIC, 5, 3, bound=100)
+    # the cusp's walk makes one state per depth below the origin, so the
+    # P series answers under a bound of its 25-tuple residue search
+    assert series(CUSP, make_ring(5), "p", 6, bound=25).coefficients == [
+        1, 5, 21, 103, 521, 2603]
+    # x y^2 over Z_2 walks 5 states at depth 4 (balls of level 3)
+    with pytest.raises(BoundExceeded, match="^tree walk of 5 states at depth 4 exceeds bound 4$"):
+        BallTree((parse_poly("x*y^2", ("x", "y")),), 2, 2).image_levels(3, 2, bound=4)
+
+
+def test_p_q_series_and_q_check_walk_no_counts(monkeypatch):
+    # the image walk bounds itself; only tau_image_profile, whose refuted
+    # total is the rest of a count, still walks the count tree
+    calls = []
+    original = BallTree.level_counts
+    monkeypatch.setattr(BallTree, "level_counts",
+                        lambda tree, *args: calls.append(args) or original(tree, *args))
+    for X in (CUSP, CONIC):
+        series(X, make_ring(5), "p", 6, bound=100)
+        series(X, make_ring(5), "q", 6)
+        q_coefficient_check(X, make_ring(3), 1, max_level=4, bound=100)
+    assert calls == []
+    tau_image_profile(CUSP, 3, 2, bound=100)
+    assert calls == [(2, 100)]
+
+
 # ---------------------------------------------------------------------------
 # rational fitting
 
@@ -495,3 +560,80 @@ def test_q_coefficient_check_refuses_ramified_ring_once():
     ram3 = make_ring(3, e=2, eisenstein=(-3, 0), n=3)
     with pytest.raises(UnsupportedStack, match="unramified prime ring"):
         q_coefficient_check(CONIC, ram3, 1)
+
+
+def per_centre_q_check(X, spec, level, max_level, slack=2):
+    """The Q check as an image walk above every level-`level` point of X
+    off the singular locus, each from the root, summed centre by centre."""
+    tbl = series(X, spec, "q", terms=level + 2, slack=slack)
+    if not tbl.exact:
+        raise UnsupportedStack("unresolved lift certificates in the Q series")
+    p, d = spec.p, X.dim
+    sing = [g.compile_int(p ** (level + 1)) for g in singular_locus(X).generators]
+    tree = BallTree(X.generators, X.n_vars, p)
+    kept = [0] * (max_level - level + 1)
+    for centre in enumerate_points_lifted(X, p, level):
+        if not any(ev(centre) for ev in sing):
+            continue
+        for r, (certified, unknown) in enumerate(
+                tree.image_above(centre, level, max_level - level, slack)):
+            if unknown:
+                raise UnsupportedStack("unresolved lift certificate")
+            kept[r] += certified
+    levels = list(range(level, max_level + 1))
+    result = _stabilize(levels, [Fraction(k, p ** ((ell + 1) * d))
+                                 for ell, k in zip(levels, kept)])
+    if result.status != "STABILIZED":
+        return tbl.coefficients[level + 1], result, False
+    rhs = result.value * p ** ((level + 1) * d)
+    return tbl.coefficients[level + 1], rhs, tbl.coefficients[level + 1] == rhs
+
+
+@pytest.mark.parametrize("name", ["cusp", "node", "conic", "xy3", "xy5", "A1"])
+def test_q_check_is_the_image_less_the_singular_centres(name):
+    # the image of X less what lies above the singular centres gives the
+    # kept counts, the answers and the refusals of the per-centre walk
+    X = {"cusp": CUSP, "node": NODE, "conic": CONIC, "xy3": hyperbola(3),
+         "xy5": hyperbola(5), "A1": A1}[name]
+
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except UnsupportedStack as exc:
+            return str(exc)
+
+    answered = 0
+    for p in (3, 5):
+        for level in range(3):
+            for max_level in range(level, 5):
+                got = outcome(q_coefficient_check, X, make_ring(p), level, max_level)
+                assert got == outcome(per_centre_q_check, X, make_ring(p), level, max_level)
+                answered += isinstance(got, tuple) and got[2]
+    assert answered > 0
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 1)])
+def test_finite_field_reads_as_its_galois_ring_family(p, k):
+    # a finite field is its Galois ring at level 0 on every path: each call
+    # answers, or refuses, as on make_ring with the same residue modulus
+    field = FiniteField(p, k)
+    ring = make_ring(p, r=k, residue_modulus=field.modulus)
+    calls = (
+        lambda R: padic_measure(CUSP, R, 3),
+        lambda R: padic_measure(BGm(), R, 2),
+        lambda R: measure_formula("ord(x) >= 1", A1, 1, R, 2),
+        lambda R: series(CUSP, R, "p", 4),
+        lambda R: series(CUSP, R, "q", 4),
+        lambda R: q_coefficient_check(CUSP, R, 0, 3),
+    )
+
+    def outcome(call, R):
+        try:
+            return call(R)
+        except UnsupportedStack as exc:
+            return f"refused: {exc}"
+
+    results = [outcome(call, field) for call in calls]
+    assert results == [outcome(call, ring) for call in calls]
+    refused = [isinstance(r, str) for r in results]
+    assert refused == [False, False, False, k > 1, k > 1, k > 1]
