@@ -32,7 +32,6 @@ from .polyscheme import (
     AffineScheme,
     LiftStatus,
     MultiPoly,
-    PolyParseError,
     count_points,
     enumerate_points,
     enumerate_points_lifted,
@@ -70,6 +69,7 @@ from .stacks import (
     symmetric_group_3,
     weighted_subset_count,
 )
+from .syntax import PolyParseError
 from .witt import (
     StructurePolys,
     WittVector,

@@ -374,9 +374,12 @@ def q_coefficient_check(X, base_spec, level, max_level=DEFAULT_MAX_LEVEL,
 
     Returns (lhs, rhs MeasureResult scaled, ok).  The kept points are the
     truncation image of X at levels `level`..`max_level` less what lies
-    above the level-`level` points of the singular locus; raises when the
-    Q series is not exact or the tree leaves a kept point open.
+    above the level-`level` points of the singular locus; raises when
+    level > max_level, the Q series is not exact or the tree leaves a kept
+    point open.
     """
+    if level > max_level:
+        raise ValueError(f"level {level} exceeds max_level {max_level}")
     tbl = series(X, base_spec, "q", terms=level + 2, slack=slack, bound=bound)
     if not tbl.exact:
         raise UnsupportedStack("unresolved lift certificates in the Q series")

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .rings import BoundExceeded, RingElement, p_valuation, power, size_limit
-from .syntax import PolyParseError, _ExprParser  # PolyParseError: kept importable here
+from .syntax import _ExprParser
 
 DEFAULT_SLACK = 2
-CERT_FRONTIER_BOUND = 50_000  # points per level of a certificate frontier
+CERT_FRONTIER_BOUND = 50_000  # the test oracle's cap: points per level of a status frontier
 
 
 # ---------------------------------------------------------------------------
@@ -964,36 +964,23 @@ class BallTree:
 
     # -- truncation images -------------------------------------------------------
 
-    def _decide(self, state, slack):
-        """Whether a rescaled ball holds a Z_p-zero: True when some state
-        within `slack` levels below it has no condition left, has its
-        centre as an exact zero or has a smooth residue zero; False when
-        the search runs out of residue zeros; None otherwise, or when a
-        level holds more than CERT_FRONTIER_BOUND states."""
-        frontier = [state]
-        for level in range(slack + 1):
-            if any(all(h.constant_value() == 0 for h, _ in s) for s in frontier):
-                return True
-            if level == slack or len(frontier) > CERT_FRONTIER_BOUND:
-                return None
-            below = {}
-            for s in frontier:
-                for u0, smooth in self._residue_zeros(s).items():
-                    if smooth:
-                        return True
-                    below[self._child(s, u0)] = None
-            if not below:
-                return False
-            frontier = list(below)
-
     def _image(self, state, depth, slack, visit):
         """For r = 0..depth: (certified, open) over the depth-r sub-balls of
         a ball with exact conditions: how many hold a Z_p-zero for certain,
-        and how many `_decide` leaves open."""
+        and how many are left open.  A ball holds one when its centre is an
+        exact zero; else its own slack-0 walk, untallied and one level
+        deeper at a time up to `slack`, decides it at the first depth with
+        a certified sub-ball (it holds one) or with none at all (it holds
+        none), and leaves it open past `slack`."""
         key = (state, depth, slack)
         if key not in self._images:
             visit(depth)
-            here = self._decide(state, slack)
+            here = all(h.constant_value() == 0 for h, _ in state) or None
+            r = 0
+            while here is None and r < slack:
+                r += 1
+                c, o = self._image(state, r, 0, lambda depth: None)[r]
+                here = True if c else None if o else False
             certified = [int(bool(here))] + [0] * depth
             opened = [int(here is None)] + [0] * depth
             if depth > 0:

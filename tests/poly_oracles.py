@@ -1,7 +1,11 @@
 """Reference polynomial arithmetic for the tests: products on exponent
 tuples, substitution without constant folding, and Greenberg digit
 components from the ghost map over Z.  None of it calls the product
-kernel of MultiPoly, so the kernel is never checked only by itself."""
+kernel of MultiPoly, so the kernel is never checked only by itself.
+
+Also a reference for the verdicts of BallTree's image walk that shares
+none of its memo: a breadth-first search over the states below a ball,
+level by level, with an optional cap on the states of one level."""
 
 import operator
 
@@ -83,3 +87,72 @@ def ghost_expand_reference(f, p, length, names):
         assert all(coeff % p**i == 0 for coeff in acc.terms.values())
         coords.append(MultiPoly(names, {e: c // p**i for e, c in acc.terms.items()}))
     return tuple(coords)
+
+
+def decide_reference(tree, state, slack, frontier_bound=50_000):
+    """Whether a rescaled ball of `tree` holds a Z_p-zero: True when some
+    state within `slack` levels below it has its centre as an exact zero
+    (no condition left included) or has a smooth residue zero; False when
+    the search runs out of residue zeros; None otherwise, or when a level
+    holds more than `frontier_bound` states."""
+    frontier = [state]
+    for level in range(slack + 1):
+        if any(all(h.constant_value() == 0 for h, _ in s) for s in frontier):
+            return True
+        if level == slack or len(frontier) > frontier_bound:
+            return None
+        below = {}
+        for s in frontier:
+            for u0, smooth in tree._residue_zeros(s).items():
+                if smooth:
+                    return True
+                below[tree._child(s, u0)] = None
+        if not below:
+            return False
+        frontier = list(below)
+
+
+def image_reference(tree, state, depth, slack, visit, memo):
+    """BallTree._image with each ball decided by decide_reference."""
+    key = (state, depth)
+    if key not in memo:
+        visit(depth)
+        here = decide_reference(tree, state, slack)
+        certified = [int(bool(here))] + [0] * depth
+        opened = [int(here is None)] + [0] * depth
+        if depth > 0:
+            for u0, smooth in tree._residue_zeros(state).items():
+                if smooth:
+                    fiber = tree.p ** (tree.n_vars - len(state))
+                    for r in range(1, depth + 1):
+                        certified[r] += fiber ** (r - 1)
+                    continue
+                below = image_reference(tree, tree._child(state, u0), depth - 1,
+                                        slack, visit, memo)
+                for r, (c, o) in enumerate(below, 1):
+                    certified[r] += c
+                    opened[r] += o
+        memo[key] = list(zip(certified, opened))
+    return memo[key]
+
+
+def image_levels_reference(tree, n, slack, bound=None):
+    """BallTree.image_levels by image_reference, refused by the tree's rule."""
+    visit = tree._walk(bound, n + 1)
+    return image_reference(tree, tree._root, n + 1, slack, visit, {})[1:]
+
+
+def verdict_reference(tree, point, n, slack, frontier_bound=50_000):
+    """BallTree.verdict: down the point's digits to its first smooth
+    residue zero, where Hensel's lemma decides, or to its own ball."""
+    p, state = tree.p, tree._root
+    for d in range(n + 1):
+        u = [x // p**d for x in point]
+        u0 = tuple(x % p for x in u)
+        smooth = tree._residue_zeros(state).get(u0)
+        if smooth is None:
+            return False
+        if smooth:
+            return not any(h.eval_int(u, p ** (n + 1 - d)) for h, _ in state)
+        state = tree._child(state, u0)
+    return decide_reference(tree, state, slack, frontier_bound)

@@ -2,9 +2,10 @@
 The traced passes wrap library functions by name (perfbench/tracer.py),
 so a refactor that renames or moves one of them would break those passes;
 and the workers compile every module, so a module's size shows in their
-memory."""
+memory, as does a bytecode cache a test run would leave behind."""
 
 import importlib.util
+import sys
 import tokenize
 from pathlib import Path
 
@@ -59,3 +60,8 @@ def test_every_module_tokenizes_under_8192_tokens():
                                    if tok.type not in skip)
     assert len(sizes) > 10
     assert {name: n for name, n in sizes.items() if n >= 8192} == {}
+
+
+def test_suite_writes_no_bytecode():
+    # conftest.py turns the cache off before any module of the package loads
+    assert sys.dont_write_bytecode

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from padicstacks import measures
 from padicstacks.definable import measure_formula
 from padicstacks.measures import (
     FitNotFound,
@@ -560,6 +561,39 @@ def test_q_coefficient_check_refuses_ramified_ring_once():
     ram3 = make_ring(3, e=2, eisenstein=(-3, 0), n=3)
     with pytest.raises(UnsupportedStack, match="unramified prime ring"):
         q_coefficient_check(CONIC, ram3, 1)
+
+
+def test_q_coefficient_check_refuses_level_above_max_level(monkeypatch):
+    # refused from its arguments alone, before any series or tree walk
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("walked after a refusal")
+
+    monkeypatch.setattr(measures, "series", must_not_run)
+    monkeypatch.setattr(measures, "BallTree", must_not_run)
+    with pytest.raises(ValueError, match="^level 2 exceeds max_level 1$"):
+        q_coefficient_check(CUSP, make_ring(3), 2, 1)
+
+
+@pytest.mark.parametrize("X, level", [(CUSP, 1), (hyperbola(3), 0)], ids=["cusp", "xy3"])
+def test_q_coefficient_check_refuses_inexact_q_series(X, level):
+    # at slack 0 the Q series leaves balls open at p=3
+    with pytest.raises(UnsupportedStack, match="^unresolved lift certificates in the Q series$"):
+        q_coefficient_check(X, make_ring(3), level, slack=0)
+
+
+def test_q_coefficient_check_refuses_an_open_kept_ball(monkeypatch):
+    # the walks above the singular centres account for one open ball fewer
+    # than the image walk holds, so one kept ball stays open
+    assert q_coefficient_check(CUSP, make_ring(3), 0, 2)[2]
+    original = BallTree.image_above
+
+    def one_open_ball_fewer(self, *args):
+        (certified, opened), *rest = original(self, *args)
+        return [(certified, opened - 1)] + rest
+
+    monkeypatch.setattr(BallTree, "image_above", one_open_ball_fewer)
+    with pytest.raises(UnsupportedStack, match="^unresolved lift certificate$"):
+        q_coefficient_check(CUSP, make_ring(3), 0, 2)
 
 
 def per_centre_q_check(X, spec, level, max_level, slack=2):

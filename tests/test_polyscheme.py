@@ -15,7 +15,6 @@ from padicstacks.polyscheme import (
     LiftAnalyzer,
     LiftStatus,
     MultiPoly,
-    PolyParseError,
     count_points,
     enumerate_points,
     enumerate_points_lifted,
@@ -29,7 +28,14 @@ from padicstacks.polyscheme import (
     _solve_mod_p,
 )
 from padicstacks.rings import FiniteField, make_ring
-from poly_oracles import mul_reference, pow_reference, substitute_reference
+from padicstacks.syntax import PolyParseError
+from poly_oracles import (
+    image_levels_reference,
+    mul_reference,
+    pow_reference,
+    substitute_reference,
+    verdict_reference,
+)
 
 V2 = ("x", "y")
 
@@ -486,10 +492,18 @@ def small_systems(draw):
     m = p ** (n + 1)
     nv = draw(st.integers(1, max(k for k in (1, 2, 3) if m**k <= 4096)))
     variables = ("x", "y", "z")[:nv]
-    monomials = [e for e in itertools.product(range(4), repeat=nv) if sum(e) <= 3]
+    polys = _draw_generators(draw, p, variables, 1, 2)
+    return AffineScheme("battery", variables, polys, max(nv - len(polys), 0)), p, n
+
+
+def _draw_generators(draw, p, variables, fewest, most):
+    """fewest..most generators of up to four terms u p^k x^e of degree
+    <= 3 (u a unit in -3..3, k <= 2), each term drawn as one integer."""
+    monomials = [e for e in itertools.product(range(4), repeat=len(variables)) if sum(e) <= 3]
     units = (-3, -2, -1, 1, 2, 3)
     code = st.integers(0, 3 * len(units) * len(monomials) - 1)
-    gens = draw(st.lists(st.lists(code, min_size=1, max_size=4), min_size=1, max_size=2))
+    gens = draw(st.lists(st.lists(code, min_size=1, max_size=4),
+                         min_size=fewest, max_size=most))
     polys = []
     for codes in gens:
         terms = {}
@@ -498,7 +512,7 @@ def small_systems(draw):
             k, u = divmod(c, len(units))
             terms[monomials[e]] = units[u] * p**k
         polys.append(MultiPoly(variables, terms))
-    return AffineScheme("battery", variables, tuple(polys), max(nv - len(polys), 0)), p, n
+    return tuple(polys)
 
 
 @settings(max_examples=150)
@@ -634,9 +648,10 @@ class _DeltaLoopAnalyzer(LiftAnalyzer):
 def test_certificates_match_delta_loop_reference(monkeypatch):
     # a capped frontier keeps its first CERT_FRONTIER_BOUND lifts, so equal
     # outcomes need the engine to visit lifts in the reference's order.
-    # The tree's verdicts, one tree per bound, never contradict them, and
-    # leave no point of this battery open; the Hensel pins below hold
-    # points the tree leaves open.
+    # The tree reads no cap, so one tree per (X, p) serves every bound; its
+    # verdicts never contradict the certificates, and leave no point of
+    # this battery open; the Hensel pins below hold points the tree leaves
+    # open.
     xy5 = AffineScheme.from_text("xy5", V2, ["x*y - 5"], 1)
     bounds = (1, 3, 50_000)
     contradiction = {True: LiftStatus.CERTIFIED_NOT, False: LiftStatus.CERTIFIED_LIFTABLE}
@@ -645,7 +660,7 @@ def test_certificates_match_delta_loop_reference(monkeypatch):
         for p in (3, 5):
             engine = LiftAnalyzer(X.generators, X.n_vars, p)
             reference = _DeltaLoopAnalyzer(X.generators, X.n_vars, p)
-            trees = {fb: BallTree(X.generators, X.n_vars, p) for fb in bounds}
+            tree = BallTree(X.generators, X.n_vars, p)
             for n in (0, 1, 2):
                 for pt in enumerate_points(X, make_ring(p, n=n)):
                     for slack in (1, 2, 3):
@@ -655,12 +670,81 @@ def test_certificates_match_delta_loop_reference(monkeypatch):
                             want = reference.status(pt, n, slack)
                             assert got is want, (X.name, p, pt, n, slack, fb)
                             outcomes.add(got)
-                            verdict = trees[fb].verdict(pt, n, slack)
+                            verdict = tree.verdict(pt, n, slack)
                             assert contradiction.get(verdict) is not got, (
                                 X.name, p, pt, n, slack, fb)
                             verdicts.add(verdict)
     assert outcomes == set(LiftStatus)
     assert verdicts == {True, False}
+
+
+@st.composite
+def image_systems(draw):
+    """A plane curve, or two generators in 2 variables (3 when p < 5), as
+    in small_systems, over p in {2, 3, 5} at a level n <= 4 with slack 0..3
+    and an optional bound.  The reference's searches set the cost:
+    unmemoised, they grow by up to p^(N-1) states a level."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(0, 4))
+    slack = draw(st.integers(0, 3))
+    bound = draw(st.sampled_from((None, 4, 9, 16, 25, 64, 256)))
+    n_gens = draw(st.integers(1, 2))
+    nv = 2 if n_gens == 1 or p == 5 else draw(st.integers(2, 3))
+    variables = ("x", "y", "z")[:nv]
+    X = AffineScheme("battery", variables, _draw_generators(draw, p, variables, n_gens, n_gens),
+                     nv - n_gens)
+    return X, p, n, slack, bound
+
+
+def _rows_or_refusal(walk, *args):
+    try:
+        return walk(*args)
+    except BoundExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=150)
+@given(image_systems())
+def test_image_walk_matches_frontier_search_reference(case):
+    # a ball's verdict read off its own slack-0 walk is the verdict of a
+    # breadth-first search over the states below it: same rows, same
+    # refusals, and the same verdict at every level-n point.  The level is
+    # lowered to the deepest with at most 600 points, which the listing
+    # and the per-point references set the cost by.
+    X, p, n, slack, bound = case
+    tree = BallTree(X.generators, X.n_vars, p)
+    n = max(k for k, count in enumerate(tree.level_counts(n, 10**18)) if count <= 600)
+    reference = BallTree(X.generators, X.n_vars, p)
+    got = _rows_or_refusal(tree.image_levels, n, slack, bound)
+    assert got == _rows_or_refusal(image_levels_reference, reference, n, slack, bound)
+    for pt in enumerate_points_lifted(X, p, n):
+        assert tree.verdict(pt, n, slack) == verdict_reference(reference, pt, n, slack), pt
+
+
+def test_tree_reads_no_frontier_cap(monkeypatch):
+    # with the oracle's cap at one state per level, every count, image row
+    # and verdict of the tree is unchanged, on inputs where a frontier
+    # search under that cap leaves points open that it decides uncapped
+    def results(X, p, points):
+        tree = BallTree(X.generators, X.n_vars, p)
+        return (tree.level_counts(3),
+                [tree.image_levels(3, slack) for slack in range(4)],
+                [tree.verdict(pt, 2, slack) for pt in points for slack in range(4)])
+
+    gave_up = 0
+    y2x5 = AffineScheme.from_text("y2x5", V2, ["y^2 - x^5"], 1)
+    for X in (cusp(), node(), hyperbola3(), y2x5):
+        for p in (2, 3, 5):
+            points = enumerate_points_lifted(X, p, 2)
+            uncapped = results(X, p, points)
+            monkeypatch.setattr(polyscheme, "CERT_FRONTIER_BOUND", 1)
+            assert results(X, p, points) == uncapped, (X.name, p)
+            monkeypatch.undo()
+            reference = BallTree(X.generators, X.n_vars, p)
+            gave_up += sum(
+                verdict_reference(reference, pt, 2, 3, frontier_bound=1)
+                != verdict_reference(reference, pt, 2, 3) for pt in points)
+    assert gave_up > 0
 
 
 def test_analyzer_compiles_jacobian_only_when_lifting(monkeypatch):

@@ -1,4 +1,5 @@
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,16 @@ def test_cli_series_fit(capsys):
     )
     assert code == 0
     assert "fit = 1/(1 - 3T)" in out
+
+
+def test_cli_strict_fit_not_found_exits_4(capsys):
+    # the coefficients are exact; five terms fit no recurrence
+    code, out = run(capsys, "--strict", "series", "--project", DEMO, "--target", "cusp",
+                    "--ring", "p5n0", "--kind", "p", "--terms", "5", "--fit")
+    assert code == 4
+    assert "exact = true\n" in out
+    assert out.splitlines()[-1] == ("fit = NOT_FOUND (no linear recurrence of order <= 1 "
+                                    "matches; raise the number of terms)")
 
 
 def test_cli_measure_formula(capsys):
@@ -375,10 +386,63 @@ def test_cli_greenberg_refuses_length_before_counting(capsys, monkeypatch):
           "--expect", "1/q"], "0 is not prime"),
         (["specialize", "--project", DEMO, "--formula", "ord_ge_1", "--primes", "3,4",
           "--expect", "1/(q-4)"], "4 is not prime"),
+        (["stack-count", "--project", DEMO, "--stack", "BS3", "--field", "x=25"],
+         "field spec must be q=<prime power>, got 'x=25'"),
+        (["stack-count", "--project", DEMO, "--stack", "BS3", "--field", "q=12"],
+         "12 is not a prime power"),
+        (["stack-count", "--project", DEMO, "--stack", "BS3"],
+         "stack-count needs --field or --ring"),
+        (["measure", "--project", DEMO, "--ring", "p3n0", "--set", "ord(x) >= 1"],
+         "--set with literal text needs --target"),
+        (["measure", "--project", DEMO, "--ring", "p3n0", "--set", "ord(x) >= 1",
+          "--target", "BS3"], "formula measures need a scheme target"),
+        (["greenberg", "--project", DEMO, "--target", "cusp", "--ring", "ram3"],
+         "digit expansion needs an unramified prime ring"),
+        (["count", "--project", DEMO, "--target", "nope", "--ring", "p3n0"],
+         "no scheme or stack named 'nope'"),
     ],
 )
 def test_cli_bad_input_exits_2(capsys, argv, message):
     assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+PRELUDE = ("[ring r]\np = 3\n\n[scheme A1]\nvars = x\n\n"
+           "[group Z2]\nelements = e, s\ntable =\n    e s\n    s e\n\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [pytest.param("[ring q]\nn = 2\n", "[ring q] is missing 'p'", id="ring-no-p"),
+     pytest.param("[ring q]\np = 3\nn = two\n", "[ring q] n must be an integer",
+                  id="ring-non-integer"),
+     pytest.param("[scheme S]\ngens = x\n", "[scheme S] is missing 'vars'", id="scheme-no-vars"),
+     pytest.param("[group G]\nspecial = SL2\n", "[group G] unknown special tag 'SL2'",
+                  id="group-special-tag"),
+     pytest.param("[group G]\nelements = e\n", "[group G] needs 'elements' and 'table'",
+                  id="group-no-table"),
+     pytest.param("[action a]\ngroup = Z2\n", "[action a] is missing 'scheme'",
+                  id="action-missing-key"),
+     pytest.param("[action a]\ngroup = Z2\nscheme = B\n",
+                  "[action a] references unknown scheme 'B'", id="action-unknown-scheme"),
+     pytest.param("[stack X]\naction = b\n", "[stack X] references unknown action 'b'",
+                  id="stack-unknown-action"),
+     pytest.param("[stack X]\ngroup = Z2\n",
+                  "[stack X] needs 'action' or a 'group'/'scheme' pair", id="stack-no-form"),
+     pytest.param("[formula f]\ntarget = A1\n", "[formula f] is missing 'text'",
+                  id="formula-no-text"),
+     pytest.param("[formula f]\ntarget = B\ntext = ord(x) >= 1\n",
+                  "[formula f] references unknown target 'B'", id="formula-unknown-target"),
+     pytest.param("[rings r2]\np = 3\n",
+                  "section [rings r2] is not 'defaults' or '<kind> <name>' with kind in "
+                  "['action', 'formula', 'group', 'ring', 'scheme', 'stack']", id="bad-header")],
+)
+def test_malformed_project_section_exits_2(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.project"
+    bad.write_text(PRELUDE + text)
+    with pytest.raises(ProjectError, match=f"^{re.escape(message)}$"):
+        load_project(bad)
+    assert main(["count", "--project", str(bad), "--target", "A1", "--ring", "r"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
