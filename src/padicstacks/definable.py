@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -46,7 +45,7 @@ from .polyscheme import (
     _PolyParser,
     enumerate_points,
 )
-from .rings import INFINITY, LocalRingSpec, is_prime, p_valuation, size_limit
+from .rings import INFINITY, LocalRingSpec, is_prime, p_valuation, record, size_limit
 from .syntax import _ExprParser
 
 
@@ -96,31 +95,31 @@ class Formula:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Not(Formula):
     inner: Formula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolyEq(Formula):
     """Valuation-sort equality f = 0 (exact, not level-n vanishing)."""
 
     poly: MultiPoly
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrdAtom(Formula):
     """ord(poly) OP rhs; rhs is ('const', c), ('inf',) or
     ('ord', poly, offset)."""
@@ -130,7 +129,7 @@ class OrdAtom(Formula):
     rhs: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrdCong(Formula):
     """ord(poly) == residue (mod modulus); false at infinite valuation."""
 
@@ -143,45 +142,45 @@ class ResExpr:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RConst(ResExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RAc(ResExpr):
     poly: MultiPoly
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RRed(ResExpr):
     poly: MultiPoly
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RAdd(ResExpr):
     left: ResExpr
     right: ResExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RMul(ResExpr):
     left: ResExpr
     right: ResExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RNeg(ResExpr):
     inner: ResExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RPow(ResExpr):
     inner: ResExpr
     exponent: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResAtom(Formula):
     """Residue-sort polynomial equation over ac/red values."""
 
@@ -393,7 +392,7 @@ def parse_formula(text, variables):
 # specialization
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpecializationMap:
     """Interpretation of the uniformizer symbol at one prime/ring family.
 
@@ -593,7 +592,7 @@ def _compile(formula, spec):
     return node_evaluator(formula), exact_atoms
 
 
-@dataclass
+@record
 class EvalResult:
     level: int
     certain_true: list
@@ -796,7 +795,7 @@ def parse_q_expression(text):
     return parser.end(parser.expr())
 
 
-@dataclass
+@record
 class PrimeVerdict:
     prime: int
     expected: object

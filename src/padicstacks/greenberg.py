@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .polyscheme import AffineScheme, MultiPoly
-from .rings import BoundExceeded, size_limit
+from .rings import BoundExceeded, record, size_limit
 from .witt import (
     DEFAULT_LENGTH_BOUND,
     int_from_witt,
@@ -139,7 +138,7 @@ def _surviving_digits(split, table, point, p, size):
     return alive
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GreenbergScheme:
     """Result of the digit expansion at a fixed prime and level.
 

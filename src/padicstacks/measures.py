@@ -18,7 +18,6 @@ Conventions, fixed once and embedded in every report:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyscheme import (
@@ -29,6 +28,7 @@ from .polyscheme import (
     row_reduce,
     singular_locus,
 )
+from .rings import record
 from .stacks import QuotientStack, SpecialGroup, UnsupportedStack
 
 STABLE_RUN = 3
@@ -66,7 +66,7 @@ def _atlas(target, base_spec, what):
 # truncation maps
 
 
-@dataclass
+@record
 class TauImageProfile:
     """Per-level certificate bookkeeping for the truncation image."""
 
@@ -105,7 +105,7 @@ def tau_image_count(X, p, n, slack=DEFAULT_SLACK, bound=None):
 # p-adic measure
 
 
-@dataclass
+@record
 class MeasureResult:
     """Stabilized normalized counts; STABILIZED needs a run of at least
     three equal values extending to the deepest level computed."""
@@ -154,7 +154,7 @@ def padic_measure(target, base_spec, max_level=DEFAULT_MAX_LEVEL, bound=None):
 # series
 
 
-@dataclass
+@record
 class SeriesTable:
     """Exact series coefficients, with certificate slop reported when the
     lift status of some points is unknown (never silently absorbed).
@@ -243,7 +243,7 @@ def series(target, base_spec, kind="tilde", terms=DEFAULT_TERMS,
 # rational-function fitting
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RationalFunction:
     """numerator / denominator as coefficient tuples in T, denominator
     constant term 1; expansion reproduces the fitted series."""

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
-from .rings import BoundExceeded, RingElement, p_valuation, power, size_limit
+from .rings import BoundExceeded, RingElement, p_valuation, power, record, size_limit
 from .syntax import _ExprParser
 
 DEFAULT_SLACK = 2
@@ -397,7 +396,7 @@ def parse_poly(text, variables):
 # affine schemes
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineScheme:
     """Affine scheme: variables, integer-coefficient generators, and a
     declared relative dimension over the base (not computed)."""
@@ -831,10 +830,14 @@ class BallTree:
     """
 
     def __init__(self, gens, n_vars, p, slots=None, e=1):
-        self.gens = tuple(gens)
+        gens = tuple(gens)
+        # a generator repeated in its slot cuts nothing more, but would
+        # leave every residue zero's Jacobian short of full rank
+        kept = dict.fromkeys(zip(gens, slots or (0,) * len(gens)))
+        self.gens = tuple(g for g, _ in kept)
+        self.slots = tuple(s for _, s in kept)
         self.n_vars = n_vars
         self.p = p
-        self.slots = slots or (0,) * len(self.gens)
         self.e = e
         self._root = self._state(self.gens, itertools.repeat(None))
         self._zeros = {}

@@ -46,11 +46,10 @@ from __future__ import annotations
 
 import configparser
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from .definable import parse_formula
 from .polyscheme import AffineScheme, parse_poly
-from .rings import make_ring
+from .rings import make_ring, record
 from .stacks import FiniteGroupData, GroupAction, QuotientStack, SpecialGroup
 
 
@@ -62,7 +61,7 @@ class ProjectError(ValueError):
     """Unresolvable reference or malformed section in a project file."""
 
 
-@dataclass
+@record
 class FormulaEntry:
     name: str
     target: str
@@ -72,15 +71,15 @@ class FormulaEntry:
     bad_primes: tuple = ()
 
 
-@dataclass
+@record
 class ProjectFile:
-    rings: dict = field(default_factory=dict)
-    schemes: dict = field(default_factory=dict)
-    groups: dict = field(default_factory=dict)
-    actions: dict = field(default_factory=dict)
-    stacks: dict = field(default_factory=dict)
-    formulas: dict = field(default_factory=dict)
-    defaults: dict = field(default_factory=dict)
+    rings: dict = {}
+    schemes: dict = {}
+    groups: dict = {}
+    actions: dict = {}
+    stacks: dict = {}
+    formulas: dict = {}
+    defaults: dict = {}
 
     def ring(self, name):
         return self._get(self.rings, name, "ring")

@@ -51,6 +51,85 @@ def size_limit(bound, size=0, what=""):
 
 
 # ---------------------------------------------------------------------------
+# value records
+
+
+def record(cls=None, *, frozen=False):
+    """Class decorator: a value record over the class's annotated fields, in
+    order.  Every record class shares one `__init__` (by position or
+    keyword; a field's class attribute is its default, copied for each
+    instance when it is a dict, list or set), which ends by calling
+    `__post_init__` when the class has one; `==` between records of one
+    class with equal fields; and `repr` as Name(field=value, ...).  A frozen
+    record hashes by its fields and refuses assignment with AttributeError;
+    a plain one is unhashable."""
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    cls._fields = names
+    cls._field_defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    cls.__init__ = _record_init
+    cls.__eq__ = _record_eq
+    cls.__repr__ = _record_repr
+    cls.__hash__ = _record_hash if frozen else None
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = _refuse_assignment
+    return cls
+
+
+def _record_init(self, *args, **kwargs):
+    cls = type(self)
+    names = cls._fields
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}() takes {len(names)} arguments "
+                        f"but {len(args)} were given")
+    given = dict(zip(names, args))
+    for name in kwargs:
+        if name not in names:
+            raise TypeError(f"{cls.__name__}() got an unexpected argument {name!r}")
+        if name in given:
+            raise TypeError(f"{cls.__name__}() got multiple values for {name!r}")
+    given.update(kwargs)
+    defaults = cls._field_defaults
+    for name in names:
+        if name in given:
+            value = given[name]
+        elif name in defaults:
+            value = defaults[name]
+            if type(value) in (dict, list, set):
+                value = value.copy()
+        else:
+            raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        self.__dict__[name] = value
+    if hasattr(cls, "__post_init__"):
+        self.__post_init__()
+
+
+def _field_values(rec):
+    return tuple([getattr(rec, name) for name in type(rec)._fields])
+
+
+def _record_eq(self, other):
+    if type(other) is not type(self):
+        return NotImplemented
+    return _field_values(self) == _field_values(other)
+
+
+def _record_hash(self):
+    return hash(_field_values(self))
+
+
+def _record_repr(self):
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self)._fields)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _refuse_assignment(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r} of a frozen "
+                         f"{type(self).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # valuation sentinel
 
 

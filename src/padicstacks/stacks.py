@@ -16,11 +16,10 @@ twisted sectors over Galois rings; that case is refused, not approximated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyscheme import MultiPoly, count_points, enumerate_points
-from .rings import FiniteField
+from .rings import FiniteField, record
 
 
 class UnsupportedStack(ValueError):
@@ -151,7 +150,7 @@ def symmetric_group_3():
 # special groups (trivial torsors over every base we count on)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpecialGroup:
     """G_a, G_m or GL_k with k <= 3; torsor triviality is a mathematical
     input here (Lang / Hilbert 90 class), not something we verify."""
@@ -295,7 +294,7 @@ class GroupAction:
         return True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuotientStack:
     """Quotient presentation [X/G]; dim = dim X - dim G (may be negative)."""
 

@@ -5,6 +5,7 @@ and the workers compile every module, so a module's size shows in their
 memory, as does a bytecode cache a test run would leave behind."""
 
 import importlib.util
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -60,6 +61,18 @@ def test_every_module_tokenizes_under_8192_tokens():
                                    if tok.type not in skip)
     assert len(sizes) > 10
     assert {name: n for name, n in sizes.items() if n >= 8192} == {}
+
+
+def test_import_builds_no_class_by_exec():
+    """Every worker and CLI call imports the package from source.  On
+    CPython 3.11.7 `dataclasses` builds each class's methods by exec-ing
+    source text (about 0.9 ms a frozen class) and brings in `inspect`, so
+    a fresh import must load neither."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import padicstacks; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-B", "-c", probe, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_suite_writes_no_bytecode():

@@ -747,6 +747,51 @@ def test_tree_reads_no_frontier_cap(monkeypatch):
     assert gave_up > 0
 
 
+@st.composite
+def repeated_generator(draw):
+    """One generator as in image_systems, in 1-2 variables (3 when p < 5),
+    over p in {2, 3, 5} at a level n <= 3 with slack 0..3."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    nv = draw(st.integers(1, 2 if p == 5 else 3))
+    variables = ("x", "y", "z")[:nv]
+    (f,) = _draw_generators(draw, p, variables, 1, 1)
+    return AffineScheme("battery", variables, (f,), nv - 1), p, draw(st.integers(0, 3)), \
+        draw(st.integers(0, 3))
+
+
+@settings(max_examples=60)
+@given(repeated_generator())
+def test_repeated_generator_walks_as_one(case):
+    # (f, f) cuts out what f does: the repeat is dropped, so its residue
+    # zeros are smooth where f's are and the walks close the same balls
+    X, p, n, slack = case
+    (f,) = X.generators
+    once, twice = BallTree((f,), X.n_vars, p), BallTree((f, f), X.n_vars, p)
+    assert twice.gens == (f,) and twice.slots == (0,)
+    assert twice.level_counts(n) == once.level_counts(n)
+    assert twice.image_levels(n, slack) == once.image_levels(n, slack)
+    for pt in enumerate_points_lifted(X, p, n):
+        assert twice.verdict(pt, n, slack) == once.verdict(pt, n, slack), pt
+
+
+def test_repeated_generator_in_its_slot_is_dropped_once():
+    # the Weil restriction of (f, f) over a ramified ring repeats each
+    # slot's component in the same slot; the same polynomial in two slots
+    # is two conditions and stays
+    ram3 = make_ring(3, 2, (-3, 0))
+    f = P("x^2 + y^2 - 1")
+    top = ram3.at_level(2)
+    gens = polyscheme.weil_restriction([f], top, 2)
+    slots = [0, 1]
+    once = BallTree(gens, 4, 3, slots, 2)
+    twice = BallTree(gens + gens, 4, 3, slots + slots, 2)
+    assert (twice.gens, twice.slots) == (once.gens, once.slots) == (tuple(gens), (0, 1))
+    assert twice.level_counts(2) == once.level_counts(2) == level_counts(
+        AffineScheme("conic", V2, (f,), 1), ram3, 2)
+    assert level_counts(AffineScheme("conic2", V2, (f, f), 1), ram3, 2) == once.level_counts(2)
+    assert BallTree((f, f), 2, 3, (0, 1), 2).gens == (f, f)
+
+
 def test_analyzer_compiles_jacobian_only_when_lifting(monkeypatch):
     analyzer = LiftAnalyzer(hyperbola3().generators, 2, 3)
     assert analyzer.status((1, 1), 0) is LiftStatus.CERTIFIED_NOT

@@ -605,6 +605,24 @@ def test_cli_formula_measure_bound_limits_balls_per_level(capsys):
         "formula walk of 6561 balls at level 3 exceeds bound 1000\n")
 
 
+def test_cli_conic_cut_by_its_own_equation_stabilizes(capsys):
+    # the upgrade oracle walks the conic's generator and the folded atom,
+    # the same polynomial twice, as one condition: each level-n point of
+    # the conic lifts by Hensel's lemma
+    code, out = run(capsys, "measure", "--project", DEMO, "--ring", "p5n0",
+                    "--target", "X_conic", "--set", "x^2 + y^2 - 1 == 0")
+    assert code == 0
+    assert out.splitlines()[3:] == [
+        "formula = (inline) x^2 + y^2 - 1 == 0",
+        "target = X_conic",
+        "ring = p5n0 (p=5, e=1, n=0, r=1)",
+        *(f"level[{n}] = 4/5 .. 4/5" for n in range(5)),
+        "status = STABILIZED",
+        "stabilized_at = 0",
+        "measure = 4/5",
+    ]
+
+
 def test_cli_strict_partial(capsys):
     code, out = run(
         capsys,
