@@ -37,7 +37,7 @@ from collections import Counter
 from enum import Enum
 from fractions import Fraction
 
-from .measures import DEFAULT_MAX_LEVEL, MeasureResult, STABLE_RUN, _stabilize
+from .measures import DEFAULT_MAX_LEVEL, _stabilize
 from .polyscheme import (
     DEFAULT_SLACK,
     BallTree,
@@ -45,7 +45,7 @@ from .polyscheme import (
     _PolyParser,
     enumerate_points,
 )
-from .rings import INFINITY, LocalRingSpec, is_prime, p_valuation, record, size_limit
+from .rings import INFINITY, LocalRingSpec, at_least, is_prime, p_valuation, record, size_limit
 from .syntax import _ExprParser
 
 
@@ -693,8 +693,8 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     their q^N children at the next level.  A child off the target is
     dropped, and so is every point above it.  `bound` limits the balls
     read per level."""
-    if d < 0:
-        raise ValueError(f"dimension must be at least 0, got {d}")
+    at_least("dimension", d, 0)
+    at_least("max_level", max_level, 0)
     if isinstance(formula, str):
         formula = parse_formula(formula, target.variables)
     root = base_spec.at_level(0)
@@ -747,14 +747,7 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
         denom = q ** ((n + 1) * d)
         lower.append(Fraction(wholesale + tally[TV.TRUE], denom))
         upper.append(Fraction(wholesale + tally[TV.TRUE] + tally[TV.UNKNOWN], denom))
-    result = _stabilize(levels, lower)
-    if result.status == "STABILIZED":
-        tail = upper[-STABLE_RUN:]
-        if tail != lower[-STABLE_RUN:]:
-            result = MeasureResult(None, "PARTIAL", levels, lower)
-    result.lower = lower
-    result.upper = upper
-    return result
+    return _stabilize(levels, lower, upper)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import itertools
 import math
 
 from .polyscheme import AffineScheme, MultiPoly
-from .rings import BoundExceeded, record, size_limit
+from .rings import BoundExceeded, at_least, record, size_limit
 from .witt import (
     DEFAULT_LENGTH_BOUND,
     int_from_witt,
@@ -259,8 +259,7 @@ class GreenbergScheme:
 def digit_length(n):
     """Digit length n+1 of level n.  Raises ValueError for a negative level
     and BoundExceeded for more than DEFAULT_LENGTH_BOUND digits."""
-    if n < 0:
-        raise ValueError(f"level must be at least 0, got {n}")
+    at_least("level", n, 0)
     length = n + 1
     if length > DEFAULT_LENGTH_BOUND:
         raise BoundExceeded(

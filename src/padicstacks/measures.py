@@ -28,7 +28,7 @@ from .polyscheme import (
     row_reduce,
     singular_locus,
 )
-from .rings import record
+from .rings import at_least, record
 from .stacks import QuotientStack, SpecialGroup, UnsupportedStack
 
 STABLE_RUN = 3
@@ -89,6 +89,7 @@ class TauImageProfile:
 
 def tau_image_profile(X, p, n, slack=DEFAULT_SLACK, bound=None):
     """The level-n profile; `refuted` is the rest of the count walk's total."""
+    at_least("n", n, 0)
     tree = BallTree(X.generators, X.n_vars, p)
     total = tree.level_counts(n, bound)[-1]
     certified, unknown = tree.image_levels(n, slack, bound)[-1]
@@ -119,16 +120,21 @@ class MeasureResult:
     upper: list = None
 
 
-def _stabilize(levels, counts):
-    i = len(counts) - 1
-    while i > 0 and counts[i - 1] == counts[-1]:
+def _stabilize(levels, lower, upper=None):
+    """The verdict on normalized level values, with upper bounds when some
+    points are open: STABILIZED at the start of a run of at least
+    STABLE_RUN equal lower values that ends at the last level, when the
+    upper values equal them on its last STABLE_RUN levels; else PARTIAL.
+    The bounds are kept only when upper ones are given."""
+    i = len(lower) - 1
+    while i > 0 and lower[i - 1] == lower[-1]:
         i -= 1
-    run = len(counts) - i
-    if run >= STABLE_RUN:
-        return MeasureResult(
-            counts[-1], "STABILIZED", list(levels), list(counts), levels[i]
-        )
-    return MeasureResult(None, "PARTIAL", list(levels), list(counts))
+    bounds = () if upper is None else (list(lower), list(upper))
+    tail = lower[-STABLE_RUN:]
+    if len(lower) - i >= STABLE_RUN and (upper is None or upper[-STABLE_RUN:] == tail):
+        return MeasureResult(lower[-1], "STABILIZED", list(levels), list(lower), levels[i],
+                             *bounds)
+    return MeasureResult(None, "PARTIAL", list(levels), list(lower), None, *bounds)
 
 
 def padic_measure(target, base_spec, max_level=DEFAULT_MAX_LEVEL, bound=None):
@@ -139,6 +145,7 @@ def padic_measure(target, base_spec, max_level=DEFAULT_MAX_LEVEL, bound=None):
     three-in-a-row stabilization rule is an honest heuristic: without it
     the result is PARTIAL, never a guess.
     """
+    at_least("max_level", max_level, 0)
     q = base_spec.at_level(0).size
     X, weight = _atlas(target, base_spec, "measures")
     w0 = weight(0)
@@ -209,6 +216,7 @@ def series(target, base_spec, kind="tilde", terms=DEFAULT_TERMS,
     singular locus, both over the same divisor."""
     if kind not in ("tilde", "p", "q"):
         raise ValueError(f"unknown series kind {kind!r}")
+    at_least("terms", terms, 1)
     if kind != "tilde" and base_spec.at_level(0).int_modulus is None:
         raise UnsupportedStack(
             "lift-certified series need an unramified prime ring"
@@ -375,9 +383,10 @@ def q_coefficient_check(X, base_spec, level, max_level=DEFAULT_MAX_LEVEL,
     Returns (lhs, rhs MeasureResult scaled, ok).  The kept points are the
     truncation image of X at levels `level`..`max_level` less what lies
     above the level-`level` points of the singular locus; raises when
-    level > max_level, the Q series is not exact or the tree leaves a kept
-    point open.
+    level < 0 or level > max_level, the Q series is not exact or the tree
+    leaves a kept point open.
     """
+    at_least("level", level, 0)
     if level > max_level:
         raise ValueError(f"level {level} exceeds max_level {max_level}")
     tbl = series(X, base_spec, "q", terms=level + 2, slack=slack, bound=bound)

@@ -24,8 +24,9 @@ from __future__ import annotations
 import itertools
 import operator
 from enum import Enum
+from math import gcd
 
-from .rings import BoundExceeded, RingElement, p_valuation, power, record, size_limit
+from .rings import BoundExceeded, RingElement, at_least, p_valuation, power, record, size_limit
 from .syntax import _ExprParser
 
 DEFAULT_SLACK = 2
@@ -540,6 +541,7 @@ def enumerate_points_lifted(X, p, n, bound=None):
     lexicographically.  Raises BoundExceeded when a level holds more than
     `bound` points.
     """
+    at_least("n", n, 0)
     limit = size_limit(bound, p**X.n_vars, "level-0 enumeration")
     lifter = LiftAnalyzer(X.generators, X.n_vars, p)
     frontier = lifter.residue_points()
@@ -796,6 +798,7 @@ def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK):
     """Certify whether a point of X over Z/p^(n+1) is a truncation of a
     Z_p-point, by the rescaled-ball tree (`BallTree.verdict`): UNKNOWN
     when the tree leaves the point's ball open within `slack` levels."""
+    at_least("n", n, 0)
     verdict = BallTree(X.generators, X.n_vars, p).verdict(point, n, slack)
     return {True: LiftStatus.CERTIFIED_LIFTABLE,
             False: LiftStatus.CERTIFIED_NOT}.get(verdict, LiftStatus.UNKNOWN)
@@ -811,12 +814,12 @@ class BallTree:
     and counts of Weil restrictions (generator t in omega-slot slots[t]).
 
     A ball c + p^d Z_p^N is rescaled to Z_p^N by x = c + p^d u.  Its state
-    is the generators restricted to it, h_i(u) = f_i(c + p^d u), each
-    divided by its p-content.  What lies below a ball depends only on its
-    state, so states are memoised.  When counting, condition i asks
-    h_i = 0 mod p^(e_i) and is kept mod p^(e_i); it is dropped once the
-    content reaches e_i.  For the image, conditions are exact (e_i None)
-    and only a generator that vanishes identically is dropped.
+    is the generators restricted to it, h_i(u) = f_i(c + p^d u), in one
+    normal form (`_state`): primitive, signed, and with no repeat up to a
+    unit.  What lies below a ball depends only on its state, so states are
+    memoised.  When counting, condition i asks h_i = 0 mod p^(e_i) and is
+    kept mod p^(e_i); it is dropped once the content reaches e_i.  For the
+    image, conditions are exact (e_i None).
 
     A state's residue zeros u0 in F_p^N are its sub-balls at the next
     depth.  Where rank J(u0) over F_p equals the number g <= N of
@@ -830,16 +833,12 @@ class BallTree:
     """
 
     def __init__(self, gens, n_vars, p, slots=None, e=1):
-        gens = tuple(gens)
-        # a generator repeated in its slot cuts nothing more, but would
-        # leave every residue zero's Jacobian short of full rank
-        kept = dict.fromkeys(zip(gens, slots or (0,) * len(gens)))
-        self.gens = tuple(g for g, _ in kept)
-        self.slots = tuple(s for _, s in kept)
+        self.gens = tuple(gens)
+        self.slots = tuple(slots or (0,) * len(self.gens))
         self.n_vars = n_vars
         self.p = p
         self.e = e
-        self._root = self._state(self.gens, itertools.repeat(None))
+        self._root = self._state((g, None) for g in self.gens)
         self._zeros = {}
         self._searches = {}
         self._children = {}
@@ -848,22 +847,25 @@ class BallTree:
 
     # -- states ------------------------------------------------------------------
 
-    def _condition(self, h, e):
-        """(h / p^c, e - c) for h of p-content c, reduced mod p^(e - c);
-        None when the condition always holds.  e None is an exact one."""
-        if not h.terms:
-            return None
-        p = self.p
-        c = min(p_valuation(a, p) for a in h.terms.values())
-        if e is None:
-            return MultiPoly(h.variables, {x: a // p**c for x, a in h.terms.items()}), None
-        if c >= e:
-            return None
-        m = p ** (e - c)
-        return MultiPoly(h.variables, {x: a // p**c % m for x, a in h.terms.items()}), e - c
-
-    def _state(self, polys, exponents):
-        return tuple(filter(None, map(self._condition, polys, exponents)))
+    def _state(self, conditions):
+        """The state of conditions (h, e), e None for an exact one: each h
+        divided by the gcd of its coefficients (p-content c times a unit),
+        signed so that its largest exponent vector has a positive
+        coefficient, kept mod p^(e - c) when counted and dropped once
+        c >= e.  A repeat up to a unit has the same zeros, so it goes: left
+        in, it would keep every Jacobian short of full rank."""
+        p, kept = self.p, []
+        for h, e in conditions:
+            if not h.terms:
+                continue
+            g = gcd(*h.terms.values())
+            c = p_valuation(g, p)
+            if e is not None and c >= e:
+                continue
+            g = g if h.terms[max(h.terms)] > 0 else -g
+            h = MultiPoly(h.variables, {x: a // g for x, a in h.terms.items()})
+            kept.append((h, None) if e is None else (h.reduce_coeffs(p ** (e - c)), e - c))
+        return tuple(dict.fromkeys(kept))
 
     def _residue_zeros(self, state):
         """{u0: smooth} over the common zeros u0 in F_p^N of a state, in
@@ -900,9 +902,8 @@ class BallTree:
             variables = state[0][0].variables
             mapping = {v: MultiPoly.variable(variables, v) * p + a
                        for v, a in zip(variables, u0)}
-            self._children[key] = tuple(filter(None, (
-                self._condition(h.substitute(mapping, e and p**e), e)
-                for h, e in state)))
+            self._children[key] = self._state(
+                (h.substitute(mapping, e and p**e), e) for h, e in state)
         return self._children[key]
 
     def _walk(self, bound, top=None):
@@ -957,7 +958,7 @@ class BallTree:
         for k in range(n + 1):
             q, s = divmod(k + 1, e)
             m = q + (s > 0)
-            root = self._state(self.gens, [q + (i < s) for i in self.slots])
+            root = self._state(zip(self.gens, [q + (i < s) for i in self.slots]))
             top = max((c for _, c in root), default=0)
             fibre = nv // w * (w * (m - q) - s)
             count = p ** (nv * (m - top)) * self._count(root, 0, self._walk(bound)) // p**fibre

@@ -50,6 +50,12 @@ def size_limit(bound, size=0, what=""):
     return limit
 
 
+def at_least(name, value, least):
+    """Refuse an argument below its least value, naming both."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # value records
 

@@ -12,7 +12,7 @@ structure polynomials).
 from __future__ import annotations
 
 from .polyscheme import MultiPoly
-from .rings import BoundExceeded, is_prime
+from .rings import BoundExceeded, at_least, is_prime
 
 DEFAULT_LENGTH_BOUND = 5
 
@@ -173,8 +173,7 @@ def structure_polynomials(p, length):
     BoundExceeded when length is over DEFAULT_LENGTH_BOUND and ValueError
     for a length below 1 or a non-prime p.
     """
-    if length < 1:
-        raise ValueError(f"Witt length must be at least 1, got {length}")
+    at_least("Witt length", length, 1)
     if length > DEFAULT_LENGTH_BOUND:
         raise BoundExceeded(f"length {length} exceeds bound {DEFAULT_LENGTH_BOUND}")
     key = (p, length)

@@ -375,6 +375,30 @@ def test_criterion_8_determinism(capsys):
         ["specialize", "--project", DEMO, "--formula", "xy_t", "--primes", "3,5",
          "--expect", "2*(1-1/q)", "--max-level", "3"],
     ]
+    # image walks at every slack, with and without a bound; formula
+    # measures whose atoms the tree certifies; a ramified count
+    commands += [
+        ["series", "--project", DEMO, "--target", target, "--ring", ring, "--kind", kind,
+         "--slack", slack, *bound]
+        for target, ring in (("cusp", "p5n0"), ("xy3", "p3n0"), ("X_conic", "p5n0"))
+        for kind in "pq"
+        for slack, bound in (("0", []), ("1", ["--bound", "40"]), ("2", []))
+    ]
+    commands += [
+        ["measure", "--project", DEMO, "--ring", "p3n0", "--set", "xy_t"],
+        ["measure", "--project", DEMO, "--ring", "p5n0", "--target", "X_conic",
+         "--set", "x == 0 && y - 1 == 0"],
+        ["measure", "--project", DEMO, "--ring", "p3n0", "--target", "cusp",
+         "--set", "y^2 - x^3 == 0"],
+        ["count", "--project", DEMO, "--target", "cusp", "--ring", "ram3"],
+        # atoms that restate a target generator up to a unit
+        ["measure", "--project", DEMO, "--ring", "p5n0", "--target", "X_conic",
+         "--set", "1 - x^2 - y^2 == 0"],
+        ["measure", "--project", DEMO, "--ring", "p3n0", "--target", "X_conic",
+         "--set", "2*x^2 + 2*y^2 - 2 == 0"],
+        ["measure", "--project", DEMO, "--ring", "p5n0", "--target", "xy3",
+         "--set", "3 - x*y == 0"],
+    ]
     assert len(pinned) == len(commands)
     first_pass = []
     for argv in commands:

@@ -28,6 +28,8 @@ from padicstacks.polyscheme import (
     count_points,
     enumerate_points,
     enumerate_points_lifted,
+    hensel_liftable,
+    level_counts,
     parse_poly,
     singular_locus,
     tau_point,
@@ -191,6 +193,66 @@ def test_image_walk_answers_wherever_the_count_walk_does(case, slack, bound):
         assert not counted and str(exc).endswith(f" exceeds bound {bound}")
 
 
+@st.composite
+def unit_multiple_systems(draw):
+    """One or two generators in x, y, each drawn as in plane_curves, over
+    p in {2, 3, 5} at a level n <= 3 with slack 0..2, and an integer u
+    that is a unit at p."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    code = st.integers(0, 3 * len(UNITS) * len(PLANE_MONOMIALS) - 1)
+    gens = []
+    for codes in draw(st.lists(st.lists(code, min_size=1, max_size=4), min_size=1, max_size=2)):
+        terms = {}
+        for c in codes:
+            c, e = divmod(c, len(PLANE_MONOMIALS))
+            k, u = divmod(c, len(UNITS))
+            terms[PLANE_MONOMIALS[e]] = UNITS[u] * p**k
+        gens.append(MultiPoly(("x", "y"), terms))
+    u = draw(st.sampled_from([u for u in (-1, 1, -2, 2, -3, 3, 7) if u % p]))
+    return tuple(gens), p, draw(st.integers(0, 3)), draw(st.integers(0, 2)), u
+
+
+@settings(max_examples=80)
+@given(unit_multiple_systems())
+def test_unit_multiples_walk_as_one(case):
+    # a condition that repeats another up to a unit cuts nothing more:
+    # (f, u f) and (u f) walk as (f), and (f, g, u g) as (f, g), with the
+    # same counts, image rows and verdicts, and every state the image walks
+    # memoise is in the normal form (a fixed point of `_state`; a counted
+    # condition, reduced mod p^e, need not be one).  Brute enumeration
+    # gives the counts.  The brute image (the truncations of the deepest
+    # level the brute budget allows) holds every certified point; it bounds
+    # the image only from above, and often stays above the certified-or-open
+    # count, so it is no upper oracle.
+    gens, p, n, slack, u = case
+    f, g = gens[0], gens[-1]
+    variants = [(f, u * f), (u * f,)] if len(gens) == 1 else [(f, g, u * g)]
+    X = AffineScheme("battery", ("x", "y"), gens, 2 - len(gens))
+    base = BallTree(gens, 2, p)
+    counts = base.level_counts(n)
+    rows = base.image_levels(n, slack)
+    level = max(k for k, count in enumerate(counts) if count <= 300)
+    points = enumerate_points_lifted(X, p, level)
+    verdicts = [base.verdict(pt, level, slack) for pt in points]
+    for system in variants:
+        tree = BallTree(system, 2, p)
+        assert tree.level_counts(n) == counts, system
+        assert tree.image_levels(n, slack) == rows, system
+        assert [tree.verdict(pt, level, slack) for pt in points] == verdicts, system
+        for state, _, _ in tree._images:
+            assert tree._state(state) == state
+    for k, count in enumerate(counts):
+        if p ** (2 * (k + 1)) <= 4096:
+            assert count == sum(1 for _ in enumerate_points(X, make_ring(p, n=k)))
+    deep = max(d for d in range(8) if p ** (2 * (d + 1)) <= 4096)
+    lifted = brute_image(X, p, deep, deep)
+    for k, (certified, _) in enumerate(rows[:min(3, deep + 1)]):
+        image = {tuple(c % p ** (k + 1) for c in pt) for pt in lifted}
+        assert certified <= len(image)
+        if k == level:
+            assert all(pt in image for pt, verdict in zip(points, verdicts) if verdict)
+
+
 def cusp_tau_image_oracle(p, n):
     """Every Z_p-point of y^2 = x^3 is (t^2, t^3); its truncation only
     depends on t mod p^(n+1), so the image is enumerable exactly."""
@@ -257,6 +319,62 @@ def test_measure_partial_when_not_stabilized():
     res = padic_measure(hyperbola(3), make_ring(3), max_level=1)
     assert res.status == "PARTIAL"
     assert res.value is None
+
+
+@pytest.mark.parametrize("call, name, least, value", [
+    (lambda: q_coefficient_check(CONIC, make_ring(5), -1, max_level=3), "level", 0, -1),
+    (lambda: q_coefficient_check(CONIC, make_ring(5), -2, max_level=3), "level", 0, -2),
+    (lambda: tau_image_profile(CONIC, 5, -1), "n", 0, -1),
+    (lambda: tau_image_count(CONIC, 5, -1), "n", 0, -1),
+    (lambda: enumerate_points_lifted(CONIC, 5, -1), "n", 0, -1),
+    (lambda: hensel_liftable(CONIC, (0, 1), 5, -1), "n", 0, -1),
+    (lambda: series(CONIC, make_ring(5), "tilde", terms=0), "terms", 1, 0),
+    (lambda: series(CONIC, make_ring(5), "p", terms=0), "terms", 1, 0),
+    (lambda: padic_measure(CONIC, make_ring(5), max_level=-1), "max_level", 0, -1),
+    (lambda: measure_formula("x == 0", CONIC, 1, make_ring(5), max_level=-1), "max_level", 0, -1),
+], ids=["q_check", "q_check_below", "tau_image_profile", "tau_image_count", "lifted_points",
+        "hensel_liftable", "tilde_series", "p_series", "padic_measure", "measure_formula"])
+def test_library_refuses_a_level_that_does_not_exist(monkeypatch, call, name, least, value):
+    # refused naming the argument and its value, before any walk
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(BallTree, "_residue_zeros", no_walk)
+    monkeypatch.setattr(LiftAnalyzer, "residue_points", no_walk)
+    monkeypatch.setattr(measures, "level_counts", no_walk)
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {value}$"):
+        call()
+
+
+def test_level_counts_of_no_level_is_empty():
+    # the tilde series of one term asks for the counts of levels 0..-1
+    assert level_counts(CONIC, make_ring(5), -1) == []
+    assert series(CONIC, make_ring(5), "tilde", terms=1).coefficients == [1]
+
+
+def test_stabilize_is_the_one_verdict():
+    # a run of three equal lower values ending at the last level, with the
+    # upper values equal to them there when given; the bounds are kept
+    # only when upper ones are given, and a PARTIAL keeps them too
+    f = Fraction
+    levels = [0, 1, 2, 3]
+    lower = [f(1), f(1, 2), f(1, 2), f(1, 2)]
+    got = _stabilize(levels, lower)
+    assert (got.status, got.value, got.stabilized_at, got.lower, got.upper) == (
+        "STABILIZED", f(1, 2), 1, None, None)
+    got = _stabilize(levels, lower, [f(2), f(1, 2), f(1, 2), f(1, 2)])
+    assert (got.status, got.value, got.stabilized_at) == ("STABILIZED", f(1, 2), 1)
+    assert (got.lower, got.upper) == (lower, [f(2), f(1, 2), f(1, 2), f(1, 2)])
+    got = _stabilize(levels, lower, [f(1), f(1, 2), f(1), f(1, 2)])
+    assert (got.status, got.value, got.stabilized_at, got.counts) == ("PARTIAL", None, None, lower)
+    assert (got.lower, got.upper) == (lower, [f(1), f(1, 2), f(1), f(1, 2)])
+    assert _stabilize(levels[1:], lower[1:]).status == "STABILIZED"
+    assert _stabilize(levels[2:], lower[2:]).status == "PARTIAL"
+    assert padic_measure(CONIC, make_ring(5), 2).lower is None
+    # three equal lower values, demoted by the open points above them
+    result = measure_formula("ord(x) == 40", A1, 1, make_ring(3), max_level=2)
+    assert (result.status, result.counts, result.lower, result.upper) == (
+        "PARTIAL", [0, 0, 0], [0, 0, 0], [f(1, 3), f(1, 9), f(1, 27)])
 
 
 @pytest.mark.parametrize("bound", [3, 24, 99, 100, 499, 500, None])

@@ -762,12 +762,14 @@ def repeated_generator(draw):
 @settings(max_examples=60)
 @given(repeated_generator())
 def test_repeated_generator_walks_as_one(case):
-    # (f, f) cuts out what f does: the repeat is dropped, so its residue
-    # zeros are smooth where f's are and the walks close the same balls
+    # (f, f) cuts out what f does: the repeat is dropped from every state,
+    # so its residue zeros are smooth where f's are and the walks close the
+    # same balls
     X, p, n, slack = case
     (f,) = X.generators
     once, twice = BallTree((f,), X.n_vars, p), BallTree((f, f), X.n_vars, p)
-    assert twice.gens == (f,) and twice.slots == (0,)
+    for e in (None, *range(1, n + 2)):
+        assert twice._state([(f, e), (f, e)]) == once._state([(f, e)])
     assert twice.level_counts(n) == once.level_counts(n)
     assert twice.image_levels(n, slack) == once.image_levels(n, slack)
     for pt in enumerate_points_lifted(X, p, n):
@@ -777,7 +779,7 @@ def test_repeated_generator_walks_as_one(case):
 def test_repeated_generator_in_its_slot_is_dropped_once():
     # the Weil restriction of (f, f) over a ramified ring repeats each
     # slot's component in the same slot; the same polynomial in two slots
-    # is two conditions and stays
+    # is two conditions where the slots' exponents differ, and stays
     ram3 = make_ring(3, 2, (-3, 0))
     f = P("x^2 + y^2 - 1")
     top = ram3.at_level(2)
@@ -785,11 +787,33 @@ def test_repeated_generator_in_its_slot_is_dropped_once():
     slots = [0, 1]
     once = BallTree(gens, 4, 3, slots, 2)
     twice = BallTree(gens + gens, 4, 3, slots + slots, 2)
-    assert (twice.gens, twice.slots) == (once.gens, once.slots) == (tuple(gens), (0, 1))
+    for k in range(3):
+        q, s = divmod(k + 1, 2)
+        exponents = [q + (i < s) for i in slots]
+        assert twice._state(zip(twice.gens, exponents * 2)) == once._state(zip(gens, exponents))
     assert twice.level_counts(2) == once.level_counts(2) == level_counts(
         AffineScheme("conic", V2, (f,), 1), ram3, 2)
     assert level_counts(AffineScheme("conic2", V2, (f, f), 1), ram3, 2) == once.level_counts(2)
-    assert BallTree((f, f), 2, 3, (0, 1), 2).gens == (f, f)
+    both = BallTree((f, f), 2, 3, (0, 1), 2)
+    assert len(both._state(zip(both.gens, [2, 1]))) == 2
+
+
+def test_repeat_that_appears_below_the_root_is_dropped_there():
+    # f and g = f - 9y^2 are two conditions mod 27 at the root, so no
+    # residue zero is smooth there; on the ball (3u, 3v) both are
+    # 3u^2 - v mod 9, one condition whose zeros are smooth, while on
+    # (1 + 3u, 1 + 3v) they still differ by 6
+    f = P("y - x^2")
+    g = f - 9 * P("y^2")
+    tree = BallTree((f, g), 2, 3)
+    root = tree._state([(f, 3), (g, 3)])
+    assert len(root) == 2 and not any(tree._residue_zeros(root).values())
+    assert tree._child(root, (0, 0)) == ((P("3*x^2 + 8*y"), 2),)
+    assert all(tree._residue_zeros(tree._child(root, (0, 0))).values())
+    assert len(tree._child(root, (1, 1))) == 2
+    X = AffineScheme("fg", V2, (f, g), 0)
+    assert tree.level_counts(3) == [
+        sum(1 for _ in enumerate_points(X, make_ring(3, n=k))) for k in range(4)]
 
 
 def test_analyzer_compiles_jacobian_only_when_lifting(monkeypatch):

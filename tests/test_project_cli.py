@@ -1,5 +1,6 @@
 import pathlib
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -620,6 +621,26 @@ def test_cli_conic_cut_by_its_own_equation_stabilizes(capsys):
         "status = STABILIZED",
         "stabilized_at = 0",
         "measure = 4/5",
+    ]
+
+
+@pytest.mark.parametrize("ring, text, value", [
+    ("p5n0", "1 - x^2 - y^2 == 0", "4/5"),
+    ("p3n0", "2*x^2 + 2*y^2 - 2 == 0", "4/3"),
+])
+def test_cli_conic_cut_by_a_unit_multiple_of_its_equation_stabilizes(capsys, ring, text, value):
+    # the folded atom is the conic's generator times a unit: the tree
+    # walks the pair as one condition, and answers at once
+    start = time.perf_counter()
+    code, out = run(capsys, "measure", "--project", DEMO, "--ring", ring,
+                    "--target", "X_conic", "--set", text)
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert out.splitlines()[-8:] == [
+        *(f"level[{n}] = {value} .. {value}" for n in range(5)),
+        "status = STABILIZED",
+        "stabilized_at = 0",
+        f"measure = {value}",
     ]
 
 
