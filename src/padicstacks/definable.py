@@ -9,8 +9,8 @@ t stands for the uniformizer of whatever ring the formula is interpreted
 in.
 
 Truncation semantics: at level n the valuation of a vanishing value is
-only known to be >= n+1, so atoms evaluate in three-valued logic and every
-point lands in certain-true, certain-false or undetermined.  Measures are
+only known to be >= n+1, so atoms evaluate in three-valued logic: every
+point reads True or False for certain, or None (undetermined).  Measures are
 sandwiched between the certain set and certain-plus-undetermined; on top
 of that, an undetermined point whose only open atoms assert exact
 vanishing can be settled by a lift certificate (a true solution nearby
@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from enum import Enum
 from fractions import Fraction
 
 from .measures import DEFAULT_MAX_LEVEL, _stabilize
@@ -57,34 +56,28 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-class TV(Enum):
-    TRUE = "true"
-    FALSE = "false"
-    UNKNOWN = "unknown"
-
-
 def _tv_not(a):
-    if a is TV.TRUE:
-        return TV.FALSE
-    if a is TV.FALSE:
-        return TV.TRUE
-    return TV.UNKNOWN
+    if a is True:
+        return False
+    if a is False:
+        return True
+    return None
 
 
 def _tv_and(a, b):
-    if a is TV.FALSE or b is TV.FALSE:
-        return TV.FALSE
-    if a is TV.TRUE and b is TV.TRUE:
-        return TV.TRUE
-    return TV.UNKNOWN
+    if a is False or b is False:
+        return False
+    if a is True and b is True:
+        return True
+    return None
 
 
 def _tv_or(a, b):
-    if a is TV.TRUE or b is TV.TRUE:
-        return TV.TRUE
-    if a is TV.FALSE and b is TV.FALSE:
-        return TV.FALSE
-    return TV.UNKNOWN
+    if a is True or b is True:
+        return True
+    if a is False and b is False:
+        return False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -425,26 +418,26 @@ def _cmp_intervals(lhs, op, rhs):
     c, d = rhs
     if op == "<":
         if b < c:
-            return TV.TRUE
+            return True
         if a >= d:
-            return TV.FALSE
-        return TV.UNKNOWN
+            return False
+        return None
     if op == "<=":
         if b <= c:
-            return TV.TRUE
+            return True
         if a > d:
-            return TV.FALSE
-        return TV.UNKNOWN
+            return False
+        return None
     if op == ">":
         return _cmp_intervals(rhs, "<", lhs)
     if op == ">=":
         return _cmp_intervals(rhs, "<=", lhs)
     if op == "==":
         if a == b and c == d and a == c:
-            return TV.TRUE
+            return True
         if b < c or d < a:
-            return TV.FALSE
-        return TV.UNKNOWN
+            return False
+        return None
     if op == "!=":
         return _tv_not(_cmp_intervals(lhs, "==", rhs))
     raise ValueError(f"unknown comparison {op!r}")
@@ -540,10 +533,10 @@ def _compile(formula, spec):
             def cong(args):
                 lo, hi = read(args)
                 if lo is INFINITY:
-                    return TV.FALSE  # infinite valuation satisfies no congruence
+                    return False  # infinite valuation satisfies no congruence
                 if lo == hi:
-                    return TV.TRUE if lo % modulus == residue else TV.FALSE
-                return TV.UNKNOWN
+                    return lo % modulus == residue
+                return None
 
             return cong
         if isinstance(node, ResAtom):
@@ -552,8 +545,8 @@ def _compile(formula, spec):
             def res(args):
                 a, b = left(args), right(args)
                 if a is None or b is None:
-                    return TV.UNKNOWN
-                return TV.TRUE if (a == b) != negated else TV.FALSE
+                    return None
+                return (a == b) != negated
 
             return res
         raise TypeError(f"not an atom: {node!r}")
@@ -562,7 +555,7 @@ def _compile(formula, spec):
         if isinstance(node, (And, Or)):
             left, right = node_evaluator(node.left), node_evaluator(node.right)
             stop, combine = (
-                (TV.FALSE, _tv_and) if isinstance(node, And) else (TV.TRUE, _tv_or)
+                (False, _tv_and) if isinstance(node, And) else (True, _tv_or)
             )
 
             def junction(args, overrides):
@@ -608,10 +601,10 @@ def eval_formula(formula, target, spec, bound=None):
     here; see measure_formula for the upgraded counting)."""
     evaluate, _ = _compile(formula, spec)
     t = spec.uniformizer_coordinate()
-    points = {TV.TRUE: [], TV.FALSE: [], TV.UNKNOWN: []}
+    points = {True: [], False: [], None: []}
     for point in enumerate_points(target, spec, bound):
         points[evaluate(point + (t,), None)].append(point)
-    return EvalResult(spec.n, points[TV.TRUE], points[TV.FALSE], points[TV.UNKNOWN])
+    return EvalResult(spec.n, points[True], points[False], points[None])
 
 
 # ---------------------------------------------------------------------------
@@ -644,34 +637,34 @@ class _UpgradeOracle:
         return self._trees[atoms].verdict(point, n, self.slack)
 
     def settle(self, evaluate, exact_atoms, point, args, n):
-        """TV.TRUE / TV.FALSE / TV.UNKNOWN for 'point lies in the level-n
+        """True / False / None (undetermined) for 'point lies in the level-n
         truncation of the defined set', given the formula compiled for the
         level-n ring and its arguments at the point."""
         verdicts = {
             i: self._verdict(exact_atoms, (i,), point, n)
             for i, (_, read) in enumerate(exact_atoms)
-            if read(args) is TV.UNKNOWN
+            if read(args) is None
         }
         # refute what can be refuted one atom at a time (valid for every
         # lift of the point, so the override is sound in any polarity)
-        overrides = {i: TV.FALSE for i, v in verdicts.items() if v is False}
-        tv = evaluate(args, overrides) if overrides else TV.UNKNOWN
-        if tv is TV.FALSE:
-            return TV.FALSE
+        overrides = {i: v for i, v in verdicts.items() if v is False}
+        tv = evaluate(args, overrides) if overrides else None
+        if tv is False:
+            return False
         # optimistic pass: the atoms left open read true, and a true formula
         # is certain once they and the target lift jointly (the target
         # alone when every open atom was refuted)
         live = tuple(i for i in verdicts if i not in overrides)
         if live:
-            overrides.update(dict.fromkeys(live, TV.TRUE))
+            overrides.update(dict.fromkeys(live, True))
             tv = evaluate(args, overrides)
-        if tv is not TV.TRUE:
-            return TV.UNKNOWN
+        if tv is not True:
+            return None
         joint = (
             verdicts[live[0]] if len(live) == 1
             else self._verdict(exact_atoms, live, point, n)
         )
-        return TV.TRUE if joint else TV.UNKNOWN
+        return True if joint else None
 
 
 def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
@@ -731,22 +724,22 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
                 if any(g(child) for g in gens):
                     continue
                 args = child + (t,)
-                tv = TV.TRUE if read_true else evaluate(args, None)
-                if tv is TV.FALSE:
+                tv = True if read_true else evaluate(args, None)
+                if tv is False:
                     continue
-                if tv is TV.TRUE and not gens:
+                if tv is True and not gens:
                     wholesale += 1
                     continue
-                if tv is TV.UNKNOWN and upgrades is not None:
+                if tv is None and upgrades is not None:
                     tally[upgrades.settle(evaluate, exact_atoms, child, args, n)] += 1
                 else:
                     tally[tv] += 1
                 if n < max_level:
-                    deeper.append((child, tv is TV.TRUE))
+                    deeper.append((child, tv is True))
         frontier = deeper
         denom = q ** ((n + 1) * d)
-        lower.append(Fraction(wholesale + tally[TV.TRUE], denom))
-        upper.append(Fraction(wholesale + tally[TV.TRUE] + tally[TV.UNKNOWN], denom))
+        lower.append(Fraction(wholesale + tally[True], denom))
+        upper.append(Fraction(wholesale + tally[True] + tally[None], denom))
     return _stabilize(levels, lower, upper)
 
 
@@ -803,11 +796,13 @@ def specialize_primes(formula, target, d, primes, expression,
     each against a single rational expression in q (at q = p).
 
     PARTIAL measures propagate as INCONCLUSIVE, never as a match.  Every
-    refusal (a non-prime, a prime declared bad, an expression undefined at
-    q = p) comes before any measure runs."""
+    refusal (a non-prime, a prime listed twice, a prime declared bad, an
+    expression undefined at q = p) comes before any measure runs."""
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+        if primes.count(p) > 1:
+            raise ValueError(f"prime {p} is listed twice")
     expect = (
         parse_q_expression(expression) if isinstance(expression, str) else expression
     )

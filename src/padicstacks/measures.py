@@ -140,10 +140,11 @@ def _stabilize(levels, lower, upper=None):
 def padic_measure(target, base_spec, max_level=DEFAULT_MAX_LEVEL, bound=None):
     """Measure of the full target (scheme or special-group quotient stack).
 
-    Level-n counts use all R_n-points; the convergence of that sequence to
-    the measure is what licenses skipping lift certification here, and the
-    three-in-a-row stabilization rule is an honest heuristic: without it
-    the result is PARTIAL, never a guess.
+    Level-n counts use all R_n-points, with no lift certification.
+    STABILIZED means three equal normalized values in a row, not a proof
+    of the limit: the cusp y^2 = x^3 over Z_5 reads STABILIZED 9/5 at
+    the default depth, while its measure is 5/6.  Without such a run the
+    result is PARTIAL.
     """
     at_least("max_level", max_level, 0)
     q = base_spec.at_level(0).size

@@ -815,11 +815,11 @@ class BallTree:
 
     A ball c + p^d Z_p^N is rescaled to Z_p^N by x = c + p^d u.  Its state
     is the generators restricted to it, h_i(u) = f_i(c + p^d u), in one
-    normal form (`_state`): primitive, signed, and with no repeat up to a
-    unit.  What lies below a ball depends only on its state, so states are
-    memoised.  When counting, condition i asks h_i = 0 mod p^(e_i) and is
-    kept mod p^(e_i); it is dropped once the content reaches e_i.  For the
-    image, conditions are exact (e_i None).
+    normal form (`_state`): primitive, with a fixed leading unit, and
+    with no repeat up to a unit.  What lies below a ball depends only on
+    its state, so states are memoised.  When counting, condition i asks
+    h_i = 0 mod p^(e_i) and is kept mod p^(e_i); it is dropped once the
+    content reaches e_i.  For the image, conditions are exact (e_i None).
 
     A state's residue zeros u0 in F_p^N are its sub-balls at the next
     depth.  Where rank J(u0) over F_p equals the number g <= N of
@@ -848,23 +848,29 @@ class BallTree:
     # -- states ------------------------------------------------------------------
 
     def _state(self, conditions):
-        """The state of conditions (h, e), e None for an exact one: each h
-        divided by the gcd of its coefficients (p-content c times a unit),
-        signed so that its largest exponent vector has a positive
-        coefficient, kept mod p^(e - c) when counted and dropped once
-        c >= e.  A repeat up to a unit has the same zeros, so it goes: left
-        in, it would keep every Jacobian short of full rank."""
+        """The state of conditions (h, e), e None for an exact one, with
+        p-content c.  An exact h is divided by the gcd of its coefficients
+        and signed so that its largest exponent vector has a positive
+        coefficient.  A counted h is dropped once c >= e, else divided by
+        p^c and scaled mod p^(e - c) so that its largest exponent vector
+        with a coefficient prime to p has coefficient 1.  A repeat up to a
+        unit has the same zeros, so it goes: left in, it would keep every
+        Jacobian short of full rank."""
         p, kept = self.p, []
         for h, e in conditions:
             if not h.terms:
                 continue
             g = gcd(*h.terms.values())
             c = p_valuation(g, p)
-            if e is not None and c >= e:
-                continue
-            g = g if h.terms[max(h.terms)] > 0 else -g
-            h = MultiPoly(h.variables, {x: a // g for x, a in h.terms.items()})
-            kept.append((h, None) if e is None else (h.reduce_coeffs(p ** (e - c)), e - c))
+            if e is None:
+                g = g if h.terms[max(h.terms)] > 0 else -g
+                kept.append((MultiPoly(h.variables, {x: a // g for x, a in h.terms.items()}), e))
+            elif c < e:
+                m, pc = p ** (e - c), p**c
+                lead = max(x for x, a in h.terms.items() if a // pc % p)
+                unit = pow(h.terms[lead] // pc, -1, m)
+                h = MultiPoly(h.variables, {x: a // pc * unit for x, a in h.terms.items()})
+                kept.append((h.reduce_coeffs(m), e - c))
         return tuple(dict.fromkeys(kept))
 
     def _residue_zeros(self, state):

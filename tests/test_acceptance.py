@@ -399,6 +399,40 @@ def test_criterion_8_determinism(capsys):
         ["measure", "--project", DEMO, "--ring", "p5n0", "--target", "xy3",
          "--set", "3 - x*y == 0"],
     ]
+    # formula measures over every comparison, congruences, ac/red, the
+    # connectives and t-only atoms, and specialize verdicts
+    commands += [
+        ["measure", "--project", DEMO, "--ring", ring, "--target", target, "--set", text,
+         *extra]
+        for ring, target, text, extra in (
+            ("p3n0", "A1", "ord(x) < 2", ()),
+            ("p5n0", "A1", "ord(x) != 0", ()),
+            ("ram3", "A1", "ord(x) <= 1", ()),
+            ("p3n0", "A1", "ord(x) > 0", ()),
+            ("p5n0", "A1", "ord(x) == 1", ()),
+            ("p3n0", "A1", "ord(x) mod 3 == 1", ()),
+            ("ram3", "A1", "ac(x)^2 == 1", ()),
+            ("p5n0", "A1", "red(x) == 2", ()),
+            ("p3n0", "A1", "!(ord(x) >= 1) || ac(x) == 2", ()),
+            ("p5n0", "A1", "ord(t - 5) mod 2 == 0 && ord(x) >= 1", ()),
+            ("p3n0", "A1", "ord(t^2 - 3) > 1 || ord(x) == 0", ()),
+            ("p3n0", "A2", "ord(x) <= ord(y) + 1", ()),
+            ("p5n0", "A2", "ac(x) + red(y) == 1", ()),
+            ("ram3", "X_conic", "ord(x - y) > 0 || ac(y) == 1", ()),
+            ("p3n0", "X_conic", "ord(x) >= 1", ()),
+            ("p5n0", "A2", "x - y == 0 && x*y - 1 == 0", ("--dim", "0")),
+        )
+    ]
+    commands += [
+        ["specialize", "--project", DEMO, "--formula", "ord_ge_1", "--primes", "3,5,7",
+         "--expect", "1/q"],
+        ["specialize", "--project", DEMO, "--formula", "even_ord_unit", "--primes", "3,5",
+         "--expect", "1/q"],
+        ["specialize", "--project", DEMO, "--formula", "xy_t", "--primes", "5,7",
+         "--expect", "2*(1-1/q)", "--max-level", "3"],
+        ["specialize", "--project", DEMO, "--formula", "ord_ge_1", "--primes", "3,5",
+         "--expect", "1/q", "--bound", "40"],
+    ]
     assert len(pinned) == len(commands)
     first_pass = []
     for argv in commands:

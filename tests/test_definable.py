@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -5,7 +7,6 @@ import pytest
 
 from padicstacks import definable
 from padicstacks.definable import (
-    TV,
     And,
     FormulaSyntaxError,
     Not,
@@ -21,10 +22,6 @@ from padicstacks.definable import (
     RRed,
     ResAtom,
     SpecializationMap,
-    _cmp_intervals,
-    _tv_and,
-    _tv_not,
-    _tv_or,
     eval_formula,
     measure_formula,
     parse_formula,
@@ -359,6 +356,7 @@ def test_specialize_bad_prime_rejected():
 @pytest.mark.parametrize("primes, expression, bad_primes, message", [
     ((5, 2), "1/q", (2,), "^prime 2 is declared bad for this formula$"),
     ((5, 3), "1/(q-3)", (), "^expression undefined at q=3$"),
+    ((3, 5, 3), "1/q", (), "^prime 3 is listed twice$"),
 ])
 def test_specialize_refuses_before_any_measure(monkeypatch, primes, expression,
                                                bad_primes, message):
@@ -371,6 +369,63 @@ def test_specialize_refuses_before_any_measure(monkeypatch, primes, expression,
 
 # ---------------------------------------------------------------------------
 # compiled evaluation and the ball walk against the per-point interpreter
+#
+# The interpreter's three-valued logic is its own: truth tables for the
+# connectives, and a comparison of valuation intervals written from its
+# definition.  None is undetermined.
+
+T, F, U = True, False, None
+_NOT = {T: F, F: T, U: U}
+_AND = {(T, T): T, (T, F): F, (T, U): U,
+        (F, T): F, (F, F): F, (F, U): F,
+        (U, T): U, (U, F): F, (U, U): U}
+_OR = {(T, T): T, (T, F): T, (T, U): T,
+       (F, T): T, (F, F): F, (F, U): U,
+       (U, T): T, (U, F): U, (U, U): U}
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
+def _interval_values(interval, top):
+    """The valuations an interval (lo, hi) allows, hi possibly INFINITY.
+    An unbounded interval lists its integers up to `top` and INFINITY."""
+    lo, hi = interval
+    if hi is not INFINITY:
+        return list(range(lo, hi + 1))
+    return [INFINITY] if lo is INFINITY else [*range(lo, top + 1), INFINITY]
+
+
+def _compare(lhs, op, rhs):
+    """lhs op rhs on valuation intervals: True when the relation holds for
+    every pair of values the intervals allow, False when it holds for none,
+    else None.  An integer past every finite endpoint relates to the other
+    allowed values as `top` does, and two such integers relate as `top`
+    and INFINITY or as `top` and itself, so `top` stands for all of them."""
+    top = max((v for v in (*lhs, *rhs) if v is not INFINITY), default=0) + 1
+    holds = {_RELATIONS[op](a, b) for a in _interval_values(lhs, top)
+             for b in _interval_values(rhs, top)}
+    return holds.pop() if len(holds) == 1 else None
+
+
+def test_three_valued_logic_matches_its_definitions():
+    # a truth value allows one boolean, or both when undetermined; a
+    # connective is decided when every choice of allowed booleans agrees
+    allows = {T: (True,), F: (False,), U: (True, False)}
+
+    def kleene(op, *values):
+        results = {op(*choice) for choice in itertools.product(*map(allows.get, values))}
+        return results.pop() if len(results) == 1 else None
+
+    for a in (T, F, U):
+        assert definable._tv_not(a) is _NOT[a] is kleene(operator.not_, a)
+        for b in (T, F, U):
+            assert definable._tv_and(a, b) is _AND[a, b] is kleene(lambda x, y: x and y, a, b)
+            assert definable._tv_or(a, b) is _OR[a, b] is kleene(lambda x, y: x or y, a, b)
+    ends = (0, 1, 2, 3, INFINITY)
+    intervals = [(lo, hi) for lo in ends for hi in ends if lo <= hi]
+    for lhs, rhs in itertools.product(intervals, repeat=2):
+        for op in _RELATIONS:
+            assert definable._cmp_intervals(lhs, op, rhs) is _compare(lhs, op, rhs), (lhs, op, rhs)
 
 
 class _Interpreter:
@@ -448,8 +503,8 @@ class _Interpreter:
         if isinstance(node, PolyEq):
             lo, hi = self.ord_interval(node.poly)
             if lo is INFINITY:
-                return TV.TRUE
-            return TV.FALSE if lo == hi else TV.UNKNOWN
+                return True
+            return False if lo == hi else None
         if isinstance(node, OrdAtom):
             lhs = self.ord_interval(node.poly)
             if node.rhs[0] == "inf":
@@ -459,28 +514,28 @@ class _Interpreter:
             else:
                 lo, hi = self.ord_interval(node.rhs[1])
                 rhs = (lo + node.rhs[2], hi + node.rhs[2])
-            return _cmp_intervals(lhs, node.op, rhs)
+            return _compare(lhs, node.op, rhs)
         if isinstance(node, OrdCong):
             lo, hi = self.ord_interval(node.poly)
             if lo is INFINITY:
-                return TV.FALSE
+                return False
             if lo == hi:
-                return TV.TRUE if lo % node.modulus == node.residue else TV.FALSE
-            return TV.UNKNOWN
+                return lo % node.modulus == node.residue
+            return None
         a, b = self.res(node.left), self.res(node.right)
         if a is None or b is None:
-            return TV.UNKNOWN
-        return TV.TRUE if (a == b) != node.negated else TV.FALSE
+            return None
+        return (a == b) != node.negated
 
     def eval(self, node, overrides=None):
         if isinstance(node, And):
             a = self.eval(node.left, overrides)
-            return TV.FALSE if a is TV.FALSE else _tv_and(a, self.eval(node.right, overrides))
+            return False if a is False else _AND[a, self.eval(node.right, overrides)]
         if isinstance(node, Or):
             a = self.eval(node.left, overrides)
-            return TV.TRUE if a is TV.TRUE else _tv_or(a, self.eval(node.right, overrides))
+            return True if a is True else _OR[a, self.eval(node.right, overrides)]
         if isinstance(node, Not):
-            return _tv_not(self.eval(node.inner, overrides))
+            return _NOT[self.eval(node.inner, overrides)]
         return self.atom(node, overrides)
 
     def open_exactness_atoms(self, node, out):
@@ -492,7 +547,7 @@ class _Interpreter:
         elif isinstance(node, PolyEq) or (
             isinstance(node, OrdAtom) and node.rhs[0] == "inf" and node.op in ("==", ">=")
         ):
-            if self.atom(node, None) is TV.UNKNOWN:
+            if self.atom(node, None) is None:
                 out.setdefault(node, node.poly)
 
 
@@ -549,46 +604,46 @@ class _ReferenceOracle:
     def _target_liftable(self, point, n):
         status = self._analyzer([]).status(point, n, self.slack)
         if status is LiftStatus.CERTIFIED_LIFTABLE:
-            return TV.TRUE
+            return True
         if status is LiftStatus.CERTIFIED_NOT:
-            return TV.FALSE
-        return TV.UNKNOWN
+            return False
+        return None
 
     def settle_reference(self, formula, ctx, point, n):
         open_atoms = {}
         ctx.open_exactness_atoms(formula, open_atoms)
         if not open_atoms:
-            return TV.UNKNOWN
+            return None
         atoms = list(open_atoms)
         overrides = {}
         for atom in atoms:
             status = self._analyzer([open_atoms[atom]]).status(point, n, self.slack)
             if status is LiftStatus.CERTIFIED_NOT:
-                overrides[atom] = TV.FALSE
-        if overrides and ctx.eval(formula, overrides) is TV.FALSE:
-            return TV.FALSE
+                overrides[atom] = False
+        if overrides and ctx.eval(formula, overrides) is False:
+            return False
         live = [a for a in atoms if a not in overrides]
         if live:
             optimistic = dict(overrides)
-            optimistic.update((atom, TV.TRUE) for atom in live)
-            if ctx.eval(formula, optimistic) is TV.TRUE:
+            optimistic.update((atom, True) for atom in live)
+            if ctx.eval(formula, optimistic) is True:
                 status = self._analyzer([open_atoms[a] for a in live]).status(
                     point, n, self.slack)
                 if status is LiftStatus.CERTIFIED_LIFTABLE:
-                    return TV.TRUE
-        elif overrides and self._target_liftable(point, n) is TV.TRUE:
-            if ctx.eval(formula, overrides) is TV.TRUE:
-                return TV.TRUE
-        return TV.UNKNOWN
+                    return True
+        elif overrides and self._target_liftable(point, n) is True:
+            if ctx.eval(formula, overrides) is True:
+                return True
+        return None
 
 
 def _reference_classes(formula, target, spec, oracle=None):
     ctx = _Interpreter(spec)
-    classes = {TV.TRUE: [], TV.FALSE: [], TV.UNKNOWN: []}
+    classes = {True: [], False: [], None: []}
     for point in enumerate_points(target, spec):
         ctx.set_point(point)
         tv = ctx.eval(formula)
-        if tv is TV.UNKNOWN and oracle is not None:
+        if tv is None and oracle is not None:
             tv = oracle.settle_reference(formula, ctx, point, spec.n)
         classes[tv].append(point)
     return classes
@@ -609,8 +664,8 @@ def _reference_measure(formula, target, base_spec, max_level, engine=LiftAnalyze
     for n in levels:
         classes = _reference_classes(formula, target, base_spec.at_level(n), oracle)
         denom = q ** ((n + 1) * d)
-        lower.append(Fraction(len(classes[TV.TRUE]), denom))
-        upper.append(Fraction(len(classes[TV.TRUE]) + len(classes[TV.UNKNOWN]), denom))
+        lower.append(Fraction(len(classes[True]), denom))
+        upper.append(Fraction(len(classes[True]) + len(classes[None]), denom))
     status = _stabilize(levels, lower).status
     if status == "STABILIZED" and upper[-STABLE_RUN:] != lower[-STABLE_RUN:]:
         status = "PARTIAL"
@@ -752,7 +807,7 @@ def test_compiled_evaluation_matches_interpreter(seed, name):
         res = eval_formula(formula, target, ring)
         want = _reference_classes(formula, target, ring)
         assert (res.certain_true, res.certain_false, res.undetermined) == (
-            want[TV.TRUE], want[TV.FALSE], want[TV.UNKNOWN]), text
+            want[True], want[False], want[None]), text
         if k % 2 == 0 or ring.int_modulus is not None:  # upgrades run on Z/p^(n+1)
             for measured in (target, _CURVES[k % 2]):
                 _assert_walk_matches_pointwise(text, measured, base, max_level)

@@ -217,10 +217,11 @@ def unit_multiple_systems(draw):
 def test_unit_multiples_walk_as_one(case):
     # a condition that repeats another up to a unit cuts nothing more:
     # (f, u f) and (u f) walk as (f), and (f, g, u g) as (f, g), with the
-    # same counts, image rows and verdicts, and every state the image walks
-    # memoise is in the normal form (a fixed point of `_state`; a counted
-    # condition, reduced mod p^e, need not be one).  Brute enumeration
-    # gives the counts.  The brute image (the truncations of the deepest
+    # same counts, image rows and verdicts, and every state the walks
+    # memoise is in the normal form (a fixed point of `_state`).  Counted
+    # to level n, u f + p^(n+1) g is a unit multiple of f mod every
+    # precision, so (f, u f + p^(n+1) g) counts through the same states
+    # as (f).  Brute enumeration gives the counts.  The brute image (the truncations of the deepest
     # level the brute budget allows) holds every certified point; it bounds
     # the image only from above, and often stays above the certified-or-open
     # count, so it is no upper oracle.
@@ -241,6 +242,11 @@ def test_unit_multiples_walk_as_one(case):
         assert [tree.verdict(pt, level, slack) for pt in points] == verdicts, system
         for state, _, _ in tree._images:
             assert tree._state(state) == state
+        for state in tree._counts:
+            assert tree._state(state) == state
+    once, near = BallTree((f,), 2, p), BallTree((f, u * f + p ** (n + 1) * g), 2, p)
+    assert near.level_counts(n) == once.level_counts(n)
+    assert near._counts == once._counts
     for k, count in enumerate(counts):
         if p ** (2 * (k + 1)) <= 4096:
             assert count == sum(1 for _ in enumerate_points(X, make_ring(p, n=k)))

@@ -801,16 +801,35 @@ def test_repeated_generator_in_its_slot_is_dropped_once():
 def test_repeat_that_appears_below_the_root_is_dropped_there():
     # f and g = f - 9y^2 are two conditions mod 27 at the root, so no
     # residue zero is smooth there; on the ball (3u, 3v) both are
-    # 3u^2 - v mod 9, one condition whose zeros are smooth, while on
-    # (1 + 3u, 1 + 3v) they still differ by 6
+    # 3u^2 - v mod 9, one condition whose zeros are smooth (scaled by -1/8
+    # mod 9 to 6u^2 + v), while on (1 + 3u, 1 + 3v) they still differ by 6
     f = P("y - x^2")
     g = f - 9 * P("y^2")
     tree = BallTree((f, g), 2, 3)
     root = tree._state([(f, 3), (g, 3)])
     assert len(root) == 2 and not any(tree._residue_zeros(root).values())
-    assert tree._child(root, (0, 0)) == ((P("3*x^2 + 8*y"), 2),)
+    assert tree._child(root, (0, 0)) == ((P("6*x^2 + y"), 2),)
     assert all(tree._residue_zeros(tree._child(root, (0, 0))).values())
     assert len(tree._child(root, (1, 1))) == 2
+    X = AffineScheme("fg", V2, (f, g), 0)
+    assert tree.level_counts(3) == [
+        sum(1 for _ in enumerate_points(X, make_ring(3, n=k))) for k in range(4)]
+
+
+def test_unit_multiples_mod_their_precision_merge():
+    # y - x^2 and g = y - x^2 + 9x^3 are two conditions mod 27 at the
+    # root, and unit multiples of each other mod 9 on the ball (3u, 3v).
+    # A normal form by sign alone misses that: it keeps g's root as
+    # 9x^3 + 26x^2 + y, whose child 6u^2 + v is -(3u^2 + 8v) mod 9.
+    # Scaled to coefficient 1 on the largest exponent vector prime to 3,
+    # the two merge into one condition whose zeros are smooth
+    f = P("y - x^2")
+    g = f + 9 * P("x^3")
+    tree = BallTree((f, g), 2, 3)
+    root = tree._state([(f, 3), (g, 3)])
+    assert len(root) == 2 and not any(tree._residue_zeros(root).values())
+    child = tree._child(root, (0, 0))
+    assert len(child) == 1 and all(tree._residue_zeros(child).values())
     X = AffineScheme("fg", V2, (f, g), 0)
     assert tree.level_counts(3) == [
         sum(1 for _ in enumerate_points(X, make_ring(3, n=k))) for k in range(4)]

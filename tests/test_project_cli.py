@@ -1,10 +1,14 @@
+import hashlib
 import pathlib
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import cli_sweep
 from padicstacks.cli import main
 from padicstacks.project import ProjectError, load_project
 from padicstacks.stacks import QuotientStack, SpecialGroup
@@ -401,6 +405,8 @@ def test_cli_greenberg_refuses_length_before_counting(capsys, monkeypatch):
          "digit expansion needs an unramified prime ring"),
         (["count", "--project", DEMO, "--target", "nope", "--ring", "p3n0"],
          "no scheme or stack named 'nope'"),
+        (["specialize", "--project", DEMO, "--formula", "ord_ge_1", "--primes", "3,3",
+          "--expect", "1/q"], "prime 3 is listed twice"),
     ],
 )
 def test_cli_bad_input_exits_2(capsys, argv, message):
@@ -757,3 +763,21 @@ def test_cli_galois_ring_brute_measure(tmp_path, capsys):
                     "--target", "X_conic", "--max-level", "1")
     assert code == 0
     assert "level[0] = 8/9\nlevel[1] = 8/9\n" in out
+
+
+def test_cli_sweep_smoke(capsys):
+    # the refactor sweep: at least 300 distinct commands, each run as given
+    # and with a bound; its first lines digest what the CLI prints here
+    commands = cli_sweep.commands()
+    assert len(commands) >= 300 and len({tuple(c) for c in commands}) == len(commands)
+    assert sum("--bound" in c for c in commands) >= 150
+    done = subprocess.run([sys.executable, cli_sweep.__file__, "--limit", "3"],
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3 and done.stderr == ""
+    for line, argv in zip(lines, commands):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        digest = hashlib.sha256(f"{captured.out}\0{captured.err}".encode()).hexdigest()[:16]
+        shown = " ".join("demo.project" if a == cli_sweep.DEMO else a for a in argv)
+        assert line == f"{digest} {code} {shown}"
