@@ -8,7 +8,6 @@ from .definable import (
     EvalResult,
     FormulaSyntaxError,
     PrimeVerdict,
-    SpecializationMap,
     eval_formula,
     measure_formula,
     parse_formula,

@@ -16,16 +16,22 @@ of that, an undetermined point whose only open atoms assert exact
 vanishing can be settled by a lift certificate (a true solution nearby
 with the same truncation), which is what lets sets cut out by equations
 reach a stabilized measure; each open atom gets one certificate, and the
-atoms left open after refutation at most one more, jointly.  A measure
+atoms left open after refutation at most one more, jointly.  A refuted
+atom reads false at every lift, so its negation is settled too.  A measure
 walks balls rather than points: a level-n point read true or false reads
 the same at every deeper point reducing to it, so a ball read false is
 dropped, a ball read true is not read again (on a target without
 generators it counts wholesale), and only undetermined balls are read at
 the next level.
 
+Each condition parses to one syntax tree.  Exact vanishing has one atom,
+ord(f) == INFINITY, which f == 0, f == g (with f - g) and ord(f) >=
+INFINITY also parse to; every != and ord(f) < INFINITY parse to the
+negation of the matching ==.
+
 A formula is compiled once per ring into readers: each polynomial is
-compiled by the ring, the ord of a polynomial in t alone on an unramified
-ring is decided at compile time, and f == 0 reads as ord(f) == INFINITY.
+compiled by the ring, and the ord of the zero polynomial, and of a
+polynomial in t alone on an unramified ring, is decided at compile time.
 A point then only runs those readers on the point plus the uniformizer.
 """
 
@@ -106,16 +112,11 @@ class Not(Formula):
 
 
 @record(frozen=True)
-class PolyEq(Formula):
-    """Valuation-sort equality f = 0 (exact, not level-n vanishing)."""
-
-    poly: MultiPoly
-
-
-@record(frozen=True)
 class OrdAtom(Formula):
-    """ord(poly) OP rhs; rhs is ('const', c), ('inf',) or
-    ('ord', poly, offset)."""
+    """ord(poly) OP rhs, OP one of == < <= > >=; rhs is ('const', c), c an
+    integer or INFINITY, or ('ord', poly, offset).  The exact-vanishing
+    atom f = 0 is OrdAtom(f, '==', ('const', INFINITY)), whichever way the
+    formula spells it."""
 
     poly: MultiPoly
     op: str
@@ -179,7 +180,6 @@ class ResAtom(Formula):
 
     left: ResExpr
     right: ResExpr
-    negated: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +197,13 @@ class ResAtom(Formula):
 #
 # a side containing ac/red is residue-sort; otherwise it is a valuation
 # polynomial and the comparison must be an (in)equality against another
-# valuation polynomial (normalized to f - g = 0).
+# valuation polynomial.  Each condition has one tree: f == g and
+# ord(f - g) >= INFINITY read as ord(f - g) == INFINITY, and every != (of
+# either sort) and ord(f) < INFINITY as the negation of the matching ==.
 
 
 _CMP_TOKENS = ("==", "!=", "<=", ">=", "<", ">")
+_AT_INFINITY = ("const", INFINITY)  # the rhs of the exact-vanishing atom
 _FORMULA_SYMBOLS = ("&&", "||", "!", "+", "-", "*", "/", "^", "(", ")") + _CMP_TOKENS
 
 
@@ -263,13 +266,10 @@ class _FormulaParser(_PolyParser):
                 f"only == and != compare non-ord expressions, found {op!r}", op_pos
             )
         right = self.expr()
-        lres = isinstance(left, ResExpr)
-        rres = isinstance(right, ResExpr)
-        if lres or rres:
-            left = _coerce_res(left, op_pos)
-            right = _coerce_res(right, op_pos)
-            return ResAtom(left, right, negated=(op_kind == "!="))
-        node = PolyEq(left - right)
+        if isinstance(left, ResExpr) or isinstance(right, ResExpr):
+            node = ResAtom(_coerce_res(left, op_pos), _coerce_res(right, op_pos))
+        else:
+            node = OrdAtom(left - right, "==", _AT_INFINITY)
         return Not(node) if op_kind == "!=" else node
 
     def ord_atom(self):
@@ -289,13 +289,17 @@ class _FormulaParser(_PolyParser):
         if op_kind not in _CMP_TOKENS:
             raise FormulaSyntaxError(f"expected a comparison, found {op!r}", op_pos)
         rhs = self.ord_rhs()
+        if rhs == _AT_INFINITY:  # no valuation lies above INFINITY
+            op_kind = {">=": "==", "<": "!="}.get(op_kind, op_kind)
+        if op_kind == "!=":
+            return Not(OrdAtom(poly, "==", rhs))
         return OrdAtom(poly, op_kind, rhs)
 
     def ord_rhs(self):
         kind, value, pos = self.peek()
         if kind == "name" and value == "INFINITY":
             self.take()
-            return ("inf",)
+            return _AT_INFINITY
         if kind == "name" and value == "ord":
             self.take()
             poly = self.poly_arg()
@@ -382,33 +386,6 @@ def parse_formula(text, variables):
 
 
 # ---------------------------------------------------------------------------
-# specialization
-
-
-@record(frozen=True)
-class SpecializationMap:
-    """Interpretation of the uniformizer symbol at one prime/ring family.
-
-    Sends sum a_i t^i to sum a_i omega^i, which is a ring homomorphism on
-    integer polynomial constants."""
-
-    base_spec: LocalRingSpec
-
-    @property
-    def prime(self):
-        return self.base_spec.p
-
-    def fold_poly(self, poly, target_vars):
-        """Substitute the integer uniformizer p for t (unramified case),
-        producing an integer polynomial over the target variables."""
-        mapping = {
-            v: MultiPoly.variable(target_vars, v) for v in poly.variables if v != "t"
-        }
-        mapping["t"] = MultiPoly.constant(target_vars, self.prime)
-        return poly.substitute(mapping)
-
-
-# ---------------------------------------------------------------------------
 # three-valued evaluation
 
 
@@ -438,8 +415,6 @@ def _cmp_intervals(lhs, op, rhs):
         if b < c or d < a:
             return False
         return None
-    if op == "!=":
-        return _tv_not(_cmp_intervals(lhs, "==", rhs))
     raise ValueError(f"unknown comparison {op!r}")
 
 
@@ -464,7 +439,10 @@ def _compile(formula, spec):
     def ord_reader(poly, shift=0):
         """args -> interval (lo, hi) holding ord(poly) + shift; hi may be
         INFINITY.  A polynomial in t alone on an unramified ring is the
-        exact integer it becomes at t = p, so its interval is fixed."""
+        exact integer it becomes at t = p, so its interval is fixed, and
+        so is the zero polynomial's on every ring."""
+        if poly.is_zero():
+            return lambda args: (INFINITY, INFINITY)
         if spec.e == 1 and "t" in poly.variables:
             t_idx = poly.variables.index("t")
             if not any(k for expo in poly.terms for i, k in enumerate(expo) if i != t_idx):
@@ -518,14 +496,12 @@ def _compile(formula, spec):
 
     def atom_reader(node):
         """args -> truth value of one atom at the point."""
-        if isinstance(node, PolyEq):
-            return atom_reader(OrdAtom(node.poly, "==", ("inf",)))
         if isinstance(node, OrdAtom):
             lhs, op, kind = ord_reader(node.poly), node.op, node.rhs[0]
             if kind == "ord":
                 rhs = ord_reader(node.rhs[1], node.rhs[2])
                 return lambda args: _cmp_intervals(lhs(args), op, rhs(args))
-            c = INFINITY if kind == "inf" else node.rhs[1]
+            c = node.rhs[1]
             return lambda args: _cmp_intervals(lhs(args), op, (c, c))
         if isinstance(node, OrdCong):
             read, modulus, residue = ord_reader(node.poly), node.modulus, node.residue
@@ -540,13 +516,13 @@ def _compile(formula, spec):
 
             return cong
         if isinstance(node, ResAtom):
-            left, right, negated = res_reader(node.left), res_reader(node.right), node.negated
+            left, right = res_reader(node.left), res_reader(node.right)
 
             def res(args):
                 a, b = left(args), right(args)
                 if a is None or b is None:
                     return None
-                return (a == b) != negated
+                return a == b
 
             return res
         raise TypeError(f"not an atom: {node!r}")
@@ -567,9 +543,7 @@ def _compile(formula, spec):
             inner = node_evaluator(node.inner)
             return lambda args, overrides: _tv_not(inner(args, overrides))
         read = atom_reader(node)
-        if not (isinstance(node, PolyEq) or (
-            isinstance(node, OrdAtom) and node.rhs[0] == "inf" and node.op in ("==", ">=")
-        )):
+        if not (isinstance(node, OrdAtom) and node.op == "==" and node.rhs == _AT_INFINITY):
             return lambda args, overrides: read(args)
         pos = positions.setdefault(node, len(positions))
         if pos == len(exact_atoms):  # the atom's first occurrence
@@ -620,19 +594,22 @@ class _UpgradeOracle:
     exact_atoms list names it at every level, and the ball tree of a
     joint system is cached by the positions of its atoms."""
 
-    def __init__(self, target, tmap, slack):
+    def __init__(self, target, p, slack):
         self.target = target
-        self.tmap = tmap
+        self.p = p
         self.slack = slack
         self._trees = {}
 
     def _verdict(self, exact_atoms, atoms, point, n):
-        """The point's verdict on the target cut by the atoms at `atoms`."""
+        """The point's verdict on the target cut by the atoms at `atoms`,
+        their polynomials read over Z_p with the uniformizer t = p."""
         if atoms not in self._trees:
             variables = self.target.variables
-            folded = [self.tmap.fold_poly(exact_atoms[i][0], variables) for i in atoms]
+            at_p = {v: MultiPoly.variable(variables, v) for v in variables}
+            at_p["t"] = MultiPoly.constant(variables, self.p)
+            folded = tuple(exact_atoms[i][0].substitute(at_p) for i in atoms)
             self._trees[atoms] = BallTree(
-                self.target.generators + tuple(folded), len(variables), self.tmap.prime
+                self.target.generators + folded, len(variables), self.p
             )
         return self._trees[atoms].verdict(point, n, self.slack)
 
@@ -688,6 +665,7 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     read per level."""
     at_least("dimension", d, 0)
     at_least("max_level", max_level, 0)
+    at_least("slack", slack, 0)
     if isinstance(formula, str):
         formula = parse_formula(formula, target.variables)
     root = base_spec.at_level(0)
@@ -695,7 +673,7 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     n_vars = len(target.variables)
     fanout = q**n_vars
     upgrades = (
-        _UpgradeOracle(target, SpecializationMap(root), slack)
+        _UpgradeOracle(target, root.p, slack)
         if root.int_modulus is not None
         else None
     )
@@ -797,7 +775,9 @@ def specialize_primes(formula, target, d, primes, expression,
 
     PARTIAL measures propagate as INCONCLUSIVE, never as a match.  Every
     refusal (a non-prime, a prime listed twice, a prime declared bad, an
-    expression undefined at q = p) comes before any measure runs."""
+    expression undefined at q = p, a negative slack) comes before any
+    measure runs."""
+    at_least("slack", slack, 0)
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")

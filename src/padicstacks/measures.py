@@ -90,6 +90,7 @@ class TauImageProfile:
 def tau_image_profile(X, p, n, slack=DEFAULT_SLACK, bound=None):
     """The level-n profile; `refuted` is the rest of the count walk's total."""
     at_least("n", n, 0)
+    at_least("slack", slack, 0)
     tree = BallTree(X.generators, X.n_vars, p)
     total = tree.level_counts(n, bound)[-1]
     certified, unknown = tree.image_levels(n, slack, bound)[-1]
@@ -218,6 +219,7 @@ def series(target, base_spec, kind="tilde", terms=DEFAULT_TERMS,
     if kind not in ("tilde", "p", "q"):
         raise ValueError(f"unknown series kind {kind!r}")
     at_least("terms", terms, 1)
+    at_least("slack", slack, 0)
     if kind != "tilde" and base_spec.at_level(0).int_modulus is None:
         raise UnsupportedStack(
             "lift-certified series need an unramified prime ring"
@@ -388,6 +390,7 @@ def q_coefficient_check(X, base_spec, level, max_level=DEFAULT_MAX_LEVEL,
     leaves a kept point open.
     """
     at_least("level", level, 0)
+    at_least("slack", slack, 0)
     if level > max_level:
         raise ValueError(f"level {level} exceeds max_level {max_level}")
     tbl = series(X, base_spec, "q", terms=level + 2, slack=slack, bound=bound)

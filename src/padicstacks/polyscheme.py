@@ -26,7 +26,7 @@ import operator
 from enum import Enum
 from math import gcd
 
-from .rings import BoundExceeded, RingElement, at_least, p_valuation, power, record, size_limit
+from .rings import BoundExceeded, RingElement, at_least, is_prime, p_valuation, power, record, size_limit
 from .syntax import _ExprParser
 
 DEFAULT_SLACK = 2
@@ -685,6 +685,8 @@ class LiftAnalyzer:
     """
 
     def __init__(self, gens, n_vars, p):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.gens = tuple(gens)
         self.n_vars = n_vars
         self.p = p
@@ -799,6 +801,7 @@ def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK):
     Z_p-point, by the rescaled-ball tree (`BallTree.verdict`): UNKNOWN
     when the tree leaves the point's ball open within `slack` levels."""
     at_least("n", n, 0)
+    at_least("slack", slack, 0)
     verdict = BallTree(X.generators, X.n_vars, p).verdict(point, n, slack)
     return {True: LiftStatus.CERTIFIED_LIFTABLE,
             False: LiftStatus.CERTIFIED_NOT}.get(verdict, LiftStatus.UNKNOWN)
@@ -833,6 +836,8 @@ class BallTree:
     """
 
     def __init__(self, gens, n_vars, p, slots=None, e=1):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.gens = tuple(gens)
         self.slots = tuple(slots or (0,) * len(self.gens))
         self.n_vars = n_vars

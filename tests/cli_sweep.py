@@ -32,7 +32,8 @@ STACKS = ("BS3", "BGm", "BGL2", "pm1_mod_Z2", "A1_mod_Gm")
 BOUND = ("--bound", "40")
 
 # (target, formula text, extra flags): every comparison, congruences,
-# ac/red, the connectives, t-only atoms and exact-vanishing atoms
+# ac/red, the connectives, t-only atoms, exact-vanishing atoms and the
+# spellings of one condition that parse to one tree
 FORMULAS = (
     ("A1", "ord(x) < 2", ()),
     ("A1", "ord(x) <= 1", ()),
@@ -48,6 +49,11 @@ FORMULAS = (
     ("A1", "ord(t^2 - 3) > 1 || ord(x) == 0", ()),
     ("A1", "x^2 - t == 0", ("--dim", "0")),
     ("A1", "ord(x) == INFINITY", ("--dim", "0")),
+    ("A1", "x^2 - 5 != 0", ()),
+    ("A1", "ord(x^2 - 5) != INFINITY", ()),
+    ("A1", "ord(x^2 - 5) < INFINITY", ()),
+    ("A1", "ac(x) != 1", ()),
+    ("A1", "x - x == 0", ("--dim", "1")),
     ("A2", "ord(x) <= ord(y) + 1", ()),
     ("A2", "ac(x) + red(y) == 1", ()),
     ("A2", "x - y == 0 && x*y - 1 == 0", ("--dim", "0")),

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from padicstacks.definable import (
     Or,
     OrdAtom,
     OrdCong,
-    PolyEq,
     RAc,
     RAdd,
     RConst,
@@ -21,7 +21,6 @@ from padicstacks.definable import (
     RNeg,
     RRed,
     ResAtom,
-    SpecializationMap,
     eval_formula,
     measure_formula,
     parse_formula,
@@ -35,6 +34,7 @@ from padicstacks.polyscheme import (
     BallTree,
     LiftAnalyzer,
     LiftStatus,
+    MultiPoly,
     enumerate_points,
     tau_point,
 )
@@ -69,14 +69,14 @@ def test_parse_conjunction_and_congruence():
 def test_parse_infinity_atom():
     f = parse_formula("ord(x*y - t) == INFINITY", ("x", "y"))
     assert isinstance(f, OrdAtom)
-    assert f.rhs == ("inf",)
+    assert f.op == "==" and f.rhs == ("const", INFINITY)
 
 
 def test_parse_val_equality_and_ord_comparison():
     f = parse_formula("x*y - 3 == 0", ("x", "y"))
-    assert isinstance(f, PolyEq)
+    assert f == OrdAtom(f.poly, "==", ("const", INFINITY))
     g = parse_formula("x != 0", ("x",))
-    assert isinstance(g, Not) and isinstance(g.inner, PolyEq)
+    assert g == Not(OrdAtom(g.inner.poly, "==", ("const", INFINITY)))
     h = parse_formula("ord(x) <= ord(y) + 2", ("x", "y"))
     assert h.rhs[0] == "ord" and h.rhs[2] == 2
 
@@ -105,6 +105,56 @@ def test_target_variable_t_is_rejected():
 def test_parse_negation_and_parens():
     f = parse_formula("!(ord(x) >= 1) || ac(x) == 2", ("x",))
     assert isinstance(f.left, Not)
+
+
+# spellings of one condition over polynomials f and g: the first group
+# asserts f = g exactly, the second its negation
+_SPELLINGS = (
+    ("{f} == {g}", "{f} - ({g}) == 0", "ord({f} - ({g})) == INFINITY",
+     "ord({f} - ({g})) >= INFINITY"),
+    ("{f} != {g}", "!({f} == {g})", "ord({f} - ({g})) != INFINITY",
+     "ord({f} - ({g})) < INFINITY"),
+)
+
+
+def test_equivalent_spellings_parse_to_one_tree():
+    variables = ("x", "y")
+    for f, g in itertools.product(_POLYS, repeat=2):
+        exact = OrdAtom(parse_formula(f"{f} - ({g}) == 0", variables).poly, "==",
+                        ("const", INFINITY))
+        for group, want in zip(_SPELLINGS, (exact, Not(exact))):
+            for spelling in group:
+                text = spelling.format(f=f, g=g)
+                assert parse_formula(text, variables) == want, text
+    eq = parse_formula("ac(x) == red(y) + 1", variables)
+    assert isinstance(eq, ResAtom)
+    assert parse_formula("ac(x) != red(y) + 1", variables) == Not(eq)
+    assert parse_formula("ord(x) != ord(y) - 1", variables) == Not(
+        parse_formula("ord(x) == ord(y) - 1", variables))
+
+
+def test_equivalent_spellings_measure_alike():
+    # one tree, so one measure on every ring family, upgrades included: a
+    # negated exact atom spelled through ord is certified as f != g is
+    for _, ring, max_level in _BATTERY_RINGS:
+        base = ring.at_level(0)
+        for f, g in (("x*y - t", "x - 1"), ("x^2 - y", "y - 2"), ("3*x", "x + 3")):
+            for group in _SPELLINGS:
+                got = {(tuple(m.lower), tuple(m.upper), m.status)
+                       for m in (measure_formula(spelling.format(f=f, g=g), A2, 2, base,
+                                                 max_level=max_level)
+                                 for spelling in group)}
+                assert len(got) == 1, (f, g, group, ring)
+
+
+def test_zero_polynomial_has_infinite_ord_on_every_ring():
+    # t - t and x - x read ord = INFINITY exactly, not only on Z_p
+    for ring in (make_ring(3, e=2, eisenstein=(-3, 0)), make_ring(2, r=2), make_ring(3)):
+        for text, value in (("x - x == 0", 1), ("t - t == 0", 1), ("x - x != 0", 0),
+                            ("ord(x - x) mod 2 == 0", 0), ("ord(x - x) >= ord(x) + 5", 1)):
+            m = measure_formula(text, A1, 1, ring, max_level=3)
+            assert (m.status, m.value, m.lower, m.upper) == (
+                "STABILIZED", value, [value] * 4, [value] * 4), (text, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +238,13 @@ def test_ramified_evaluation():
     assert len(res.certain_true) == (3 - 1) * 3 ** 0  # 3 * unit digits at slot 2
 
 
-def test_specialization_map_is_multiplicative_on_constants():
-    sm = SpecializationMap(make_ring(5, n=3))
-    spec4 = make_ring(5, n=3)
-    from padicstacks.polyscheme import parse_poly
-
-    f = parse_poly("t^2 + 2*t + 3", ("x", "t"))
-    g = parse_poly("t - 1", ("x", "t"))
-    folded_prod = sm.fold_poly(f * g, ("x",))
-    prod_folded = sm.fold_poly(f, ("x",)) * sm.fold_poly(g, ("x",))
-    assert folded_prod == prod_folded
+def test_uniformizer_reads_as_p_in_certificates():
+    # (t^2 + 2t + 3)(t - 1) is 38 * 4 = 152 at t = 5: the one point of
+    # x = 152 is certified at every level only if the certificate reads
+    # the product at t = p, as it reads the integer
+    for text in ("x - (t^2 + 2*t + 3)*(t - 1) == 0", "x - 152 == 0"):
+        m = measure_formula(text, A1, 0, make_ring(5), max_level=3)
+        assert (m.status, m.value, m.lower, m.upper) == ("STABILIZED", 1, [1] * 4, [1] * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +472,10 @@ def test_three_valued_logic_matches_its_definitions():
     intervals = [(lo, hi) for lo in ends for hi in ends if lo <= hi]
     for lhs, rhs in itertools.product(intervals, repeat=2):
         for op in _RELATIONS:
-            assert definable._cmp_intervals(lhs, op, rhs) is _compare(lhs, op, rhs), (lhs, op, rhs)
+            # != parses to the negation of ==, so it is checked as that
+            got = (_NOT[definable._cmp_intervals(lhs, "==", rhs)] if op == "!="
+                   else definable._cmp_intervals(lhs, op, rhs))
+            assert got is _compare(lhs, op, rhs), (lhs, op, rhs)
 
 
 class _Interpreter:
@@ -468,6 +518,8 @@ class _Interpreter:
         return g
 
     def ord_interval(self, poly):
+        if not poly.terms:
+            return (INFINITY, INFINITY)
         g = self._exact_int_value(poly)
         if g is not None:
             v = p_valuation(g, self.spec.p)
@@ -500,16 +552,9 @@ class _Interpreter:
     def atom(self, node, overrides):
         if overrides and node in overrides:
             return overrides[node]
-        if isinstance(node, PolyEq):
-            lo, hi = self.ord_interval(node.poly)
-            if lo is INFINITY:
-                return True
-            return False if lo == hi else None
         if isinstance(node, OrdAtom):
             lhs = self.ord_interval(node.poly)
-            if node.rhs[0] == "inf":
-                rhs = (INFINITY, INFINITY)
-            elif node.rhs[0] == "const":
+            if node.rhs[0] == "const":
                 rhs = (node.rhs[1], node.rhs[1])
             else:
                 lo, hi = self.ord_interval(node.rhs[1])
@@ -525,7 +570,7 @@ class _Interpreter:
         a, b = self.res(node.left), self.res(node.right)
         if a is None or b is None:
             return None
-        return (a == b) != node.negated
+        return a == b
 
     def eval(self, node, overrides=None):
         if isinstance(node, And):
@@ -544,9 +589,7 @@ class _Interpreter:
             self.open_exactness_atoms(node.right, out)
         elif isinstance(node, Not):
             self.open_exactness_atoms(node.inner, out)
-        elif isinstance(node, PolyEq) or (
-            isinstance(node, OrdAtom) and node.rhs[0] == "inf" and node.op in ("==", ">=")
-        ):
+        elif isinstance(node, OrdAtom) and node.op == "==" and node.rhs == ("const", INFINITY):
             if self.atom(node, None) is None:
                 out.setdefault(node, node.poly)
 
@@ -580,14 +623,24 @@ class _CheckedTree:
         return _STATUS[verdict]
 
 
+def _fold_t(poly, variables, p):
+    """A formula polynomial over variables + ('t',) read at t = p, term by
+    term."""
+    assert poly.variables == variables + ("t",)
+    terms = Counter()
+    for expo, c in poly.terms.items():
+        terms[expo[:-1]] += c * p ** expo[-1]
+    return MultiPoly(variables, terms)
+
+
 class _ReferenceOracle:
     """The upgrade oracle's three passes as they ran on the interpreter,
     with its own certificate engines (LiftAnalyzer unless given), one per
-    joint system of folded atom polynomials."""
+    joint system of atom polynomials read at t = p."""
 
-    def __init__(self, target, tmap, slack, engine=LiftAnalyzer):
+    def __init__(self, target, p, slack, engine=LiftAnalyzer):
         self.target = target
-        self.tmap = tmap
+        self.p = p
         self.slack = slack
         self.engine = engine
         self._analyzers = {}
@@ -595,10 +648,9 @@ class _ReferenceOracle:
     def _analyzer(self, atom_polys):
         key = tuple(atom_polys)
         if key not in self._analyzers:
-            folded = [self.tmap.fold_poly(q, self.target.variables) for q in atom_polys]
+            folded = [_fold_t(q, self.target.variables, self.p) for q in atom_polys]
             self._analyzers[key] = self.engine(
-                list(self.target.generators) + folded, len(self.target.variables),
-                self.tmap.prime)
+                list(self.target.generators) + folded, len(self.target.variables), self.p)
         return self._analyzers[key]
 
     def _target_liftable(self, point, n):
@@ -653,7 +705,7 @@ def _reference_measure(formula, target, base_spec, max_level, engine=LiftAnalyze
     """(lower, upper, status) of measure_formula with d the number of
     target variables, read point by point over every level's ring."""
     oracle = (
-        _ReferenceOracle(target, SpecializationMap(base_spec), DEFAULT_SLACK, engine)
+        _ReferenceOracle(target, base_spec.p, DEFAULT_SLACK, engine)
         if base_spec.int_modulus is not None
         else None
     )
@@ -761,10 +813,16 @@ def test_battery_formulas_cover_every_atom_kind():
     atoms = [atom for seed in range(len(_BATTERY_RINGS))
              for text, variables in _battery_formulas(seed)
              for atom in _atoms(parse_formula(text, variables))]
-    kinds = {type(a).__name__ + (f":{a.rhs[0]}" if isinstance(a, OrdAtom) else "")
-             for a in atoms}
-    assert kinds == {"OrdAtom:const", "OrdAtom:inf", "OrdAtom:ord", "OrdCong",
-                     "PolyEq", "ResAtom"}
+
+    def kind(atom):
+        if not isinstance(atom, OrdAtom):
+            return type(atom).__name__
+        if (atom.op, atom.rhs) == ("==", ("const", INFINITY)):
+            return "exact"
+        return f"OrdAtom:{atom.rhs[0]}"
+
+    assert {kind(a) for a in atoms} == {"OrdAtom:const", "OrdAtom:ord", "exact", "OrdCong",
+                                        "ResAtom"}
     for t_poly in _T_POLYS:
         assert any(f"ord({t_poly})" in text for text in texts), t_poly
 

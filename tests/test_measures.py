@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicstacks import measures
-from padicstacks.definable import measure_formula
+from padicstacks.definable import measure_formula, specialize_primes
 from padicstacks.measures import (
     FitNotFound,
     RationalFunction,
@@ -338,8 +338,17 @@ def test_measure_partial_when_not_stabilized():
     (lambda: series(CONIC, make_ring(5), "p", terms=0), "terms", 1, 0),
     (lambda: padic_measure(CONIC, make_ring(5), max_level=-1), "max_level", 0, -1),
     (lambda: measure_formula("x == 0", CONIC, 1, make_ring(5), max_level=-1), "max_level", 0, -1),
+    (lambda: hensel_liftable(CONIC, (0, 1), 5, 1, slack=-1), "slack", 0, -1),
+    (lambda: tau_image_profile(CONIC, 5, 1, slack=-1), "slack", 0, -1),
+    (lambda: tau_image_count(CONIC, 5, 1, slack=-2), "slack", 0, -2),
+    (lambda: series(CONIC, make_ring(5), "p", 3, slack=-1), "slack", 0, -1),
+    (lambda: q_coefficient_check(CONIC, make_ring(5), 0, 2, slack=-3), "slack", 0, -3),
+    (lambda: measure_formula("x == 0", CONIC, 1, make_ring(5), slack=-1), "slack", 0, -1),
+    (lambda: specialize_primes("x == 0", CONIC, 1, (3, 5), "1", slack=-1), "slack", 0, -1),
 ], ids=["q_check", "q_check_below", "tau_image_profile", "tau_image_count", "lifted_points",
-        "hensel_liftable", "tilde_series", "p_series", "padic_measure", "measure_formula"])
+        "hensel_liftable", "tilde_series", "p_series", "padic_measure", "measure_formula",
+        "hensel_liftable_slack", "tau_image_profile_slack", "tau_image_count_slack",
+        "p_series_slack", "q_check_slack", "measure_formula_slack", "specialize_slack"])
 def test_library_refuses_a_level_that_does_not_exist(monkeypatch, call, name, least, value):
     # refused naming the argument and its value, before any walk
     def no_walk(*args):
@@ -350,6 +359,24 @@ def test_library_refuses_a_level_that_does_not_exist(monkeypatch, call, name, le
     monkeypatch.setattr(measures, "level_counts", no_walk)
     with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {value}$"):
         call()
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_library_refuses_a_p_that_is_not_prime(monkeypatch, p):
+    # refused before any walk: at p = 1 the content loop of BallTree._state
+    # never ended, and the lifted listing answered [(0, 0)]
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(BallTree, "_state", no_walk)
+    monkeypatch.setattr(LiftAnalyzer, "residue_points", no_walk)
+    for call in (lambda: BallTree(CONIC.generators, CONIC.n_vars, p),
+                 lambda: LiftAnalyzer(CONIC.generators, CONIC.n_vars, p),
+                 lambda: hensel_liftable(CONIC, (0, 1), p, 1),
+                 lambda: tau_image_profile(CONIC, p, 1),
+                 lambda: enumerate_points_lifted(CONIC, p, 1)):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            call()
 
 
 def test_level_counts_of_no_level_is_empty():

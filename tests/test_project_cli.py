@@ -650,6 +650,21 @@ def test_cli_conic_cut_by_a_unit_multiple_of_its_equation_stabilizes(capsys, rin
     ]
 
 
+def test_cli_negation_spelled_through_ord_reports_as_the_equation_does(capsys):
+    # the three spellings parse to one tree, so the points where x^2 - 5
+    # vanishes mod 5 are certified off the set in each: level 0 reads
+    # 1/1 .. 1/1, not 4/5 .. 1/1
+    reports = set()
+    for text in ("x^2 - 5 != 0", "ord(x^2 - 5) != INFINITY", "ord(x^2 - 5) < INFINITY"):
+        code, out = run(capsys, "measure", "--project", DEMO, "--ring", "p5n0",
+                        "--target", "A1", "--max-level", "3", "--set", text)
+        lines = out.splitlines()
+        assert (code, lines[3]) == (0, f"formula = (inline) {text}")
+        reports.add("\n".join(lines[:3] + lines[4:]))
+    assert len(reports) == 1
+    assert "level[0] = 1/1 .. 1/1\n" in reports.pop()
+
+
 def test_cli_strict_partial(capsys):
     code, out = run(
         capsys,

@@ -8,7 +8,6 @@ from padicstacks.definable import (
     And,
     Or,
     OrdAtom,
-    PolyEq,
     RAdd,
     RConst,
     ResAtom,
@@ -19,14 +18,15 @@ from padicstacks.definable import (
 from padicstacks.measures import MeasureResult, SeriesTable, TauImageProfile
 from padicstacks.polyscheme import AffineScheme, parse_poly
 from padicstacks.project import FormulaEntry, ProjectFile
-from padicstacks.rings import make_ring, record
+from padicstacks.rings import INFINITY, make_ring, record
 from padicstacks.stacks import SpecialGroup, UnsupportedStack
 
 X = parse_poly("x", ("x",))
+X_IS_0 = OrdAtom(X, "==", ("const", INFINITY))
 
 
 def test_equal_fields_in_different_classes_are_not_equal():
-    a, b = PolyEq(X), OrdAtom(X, ">=", ("const", 1))
+    a, b = X_IS_0, OrdAtom(X, ">=", ("const", 1))
     assert And(a, b) == And(a, b) and Or(a, b) == Or(a, b)
     assert And(a, b) != Or(a, b)
     one, two = RConst(1), RConst(2)
@@ -35,16 +35,16 @@ def test_equal_fields_in_different_classes_are_not_equal():
 
 
 def test_frozen_records_hash_by_fields_and_refuse_assignment():
-    a = And(PolyEq(X), PolyEq(X))
-    b = And(PolyEq(X), PolyEq(X))
+    a = And(X_IS_0, OrdAtom(X, "==", ("const", INFINITY)))
+    b = And(OrdAtom(X, "==", ("const", INFINITY)), X_IS_0)
     assert a is not b and hash(a) == hash(b) and len({a, b}) == 1
     with pytest.raises(AttributeError):
-        a.left = PolyEq(X)
+        a.left = X_IS_0
     with pytest.raises(AttributeError):
         del a.left
     with pytest.raises(AttributeError):
         SpecialGroup("Gm").k = 2
-    assert a.left == PolyEq(X)
+    assert a.left == X_IS_0
 
 
 def test_plain_records_are_unhashable_and_mutable():
@@ -56,8 +56,8 @@ def test_plain_records_are_unhashable_and_mutable():
 
 
 def test_construction_by_position_and_keyword():
-    assert ResAtom(RConst(1), RConst(2)) == ResAtom(right=RConst(2), left=RConst(1), negated=False)
-    assert ResAtom(RConst(1), RConst(2), True).negated is True
+    assert ResAtom(RConst(1), RConst(2)) == ResAtom(right=RConst(2), left=RConst(1))
+    assert OrdAtom(X, "==", ("const", 1)) == OrdAtom(X, rhs=("const", 1), op="==")
     with pytest.raises(TypeError, match="missing .*'right'"):
         ResAtom(RConst(1))
     with pytest.raises(TypeError, match="unexpected .*'middle'"):
@@ -65,11 +65,10 @@ def test_construction_by_position_and_keyword():
     with pytest.raises(TypeError, match="multiple values for .*'left'"):
         ResAtom(RConst(1), RConst(2), left=RConst(3))
     with pytest.raises(TypeError, match="takes .*3"):
-        ResAtom(RConst(1), RConst(2), False, True)
+        OrdAtom(X, "==", ("const", 1), True)
 
 
 def test_defaults():
-    assert ResAtom(RConst(1), RConst(2)).negated is False
     assert SpecialGroup("Gm").k == 1
     m = MeasureResult(1, "STABILIZED", [0], [1])
     assert (m.stabilized_at, m.lower, m.upper) == (None, None, None)
@@ -102,7 +101,8 @@ def test_post_init_normalises_and_validates():
 def test_repr():
     assert repr(RConst(3)) == "RConst(value=3)"
     assert repr(ResAtom(RConst(1), RConst(2))) == (
-        "ResAtom(left=RConst(value=1), right=RConst(value=2), negated=False)")
+        "ResAtom(left=RConst(value=1), right=RConst(value=2))")
+    assert repr(X_IS_0) == "OrdAtom(poly=MultiPoly('x'), op='==', rhs=('const', INFINITY))"
     assert repr(SpecialGroup("Gm")) == "SpecialGroup(kind='Gm', k=1)"
 
 
