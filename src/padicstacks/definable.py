@@ -20,9 +20,11 @@ atoms left open after refutation at most one more, jointly.  A refuted
 atom reads false at every lift, so its negation is settled too.  A measure
 walks balls rather than points: a level-n point read true or false reads
 the same at every deeper point reducing to it, so a ball read false is
-dropped, a ball read true is not read again (on a target without
-generators it counts wholesale), and only undetermined balls are read at
-the next level.
+dropped.  A ball whose count below follows in closed form is closed and
+not read again: a true ball on a target without generators, and, on
+Z/p^(n+1), a ball on which the target and the open exact atoms are smooth
+and decide the formula (Hensel's lemma; see `_closed_fibre`).  Only the
+other balls are read at the next level.
 
 Each condition parses to one syntax tree.  Exact vanishing has one atom,
 ord(f) == INFINITY, which f == 0, f == g (with f - g) and ord(f) >=
@@ -47,8 +49,10 @@ from .polyscheme import (
     DEFAULT_SLACK,
     BallTree,
     MultiPoly,
+    _jacobian,
     _PolyParser,
     enumerate_points,
+    full_rank,
 )
 from .rings import INFINITY, LocalRingSpec, at_least, is_prime, p_valuation, record, size_limit
 from .syntax import _ExprParser
@@ -385,6 +389,29 @@ def parse_formula(text, variables):
     return parser.end(parser.formula())
 
 
+def _polys(node):
+    """Every polynomial that a formula or residue expression reads."""
+    for value in vars(node).values() if isinstance(node, (Formula, ResExpr)) else node:
+        if isinstance(value, MultiPoly):
+            yield value
+        elif isinstance(value, (Formula, ResExpr, tuple)):
+            yield from _polys(value)
+
+
+def _over(formula, target):
+    """The formula as a tree over the target's variables: text is parsed
+    over them, and a tree whose polynomials are over other variables is
+    refused (its readers would take the target's coordinates by position)."""
+    if isinstance(formula, str):
+        return parse_formula(formula, target.variables)
+    want = tuple(target.variables) + ("t",)
+    for poly in _polys(formula):
+        if poly.variables != want:
+            raise ValueError(f"formula over {poly.variables} does not fit a target "
+                             f"over {want}")
+    return formula
+
+
 # ---------------------------------------------------------------------------
 # three-valued evaluation
 
@@ -573,7 +600,7 @@ def eval_formula(formula, target, spec, bound=None):
     Pointwise three-valued semantics: atoms whose truth is not determined
     by the visible digits come back undetermined (no lift certificates
     here; see measure_formula for the upgraded counting)."""
-    evaluate, _ = _compile(formula, spec)
+    evaluate, _ = _compile(_over(formula, target), spec)
     t = spec.uniformizer_coordinate()
     points = {True: [], False: [], None: []}
     for point in enumerate_points(target, spec, bound):
@@ -588,30 +615,49 @@ def eval_formula(formula, target, spec, bound=None):
 class _UpgradeOracle:
     """Settles undetermined points whose open atoms all assert exact
     vanishing, by certifying (or refuting) a true solution of the joint
-    system target-generators + open polynomials over the point.
+    system target-generators + open polynomials over the point, and finds
+    the points where that system is smooth.
 
     An oracle serves one formula, so an atom's position in the compiled
-    exact_atoms list names it at every level, and the ball tree of a
-    joint system is cached by the positions of its atoms."""
+    exact_atoms list names it at every level: its polynomial read at t = p,
+    the ball tree of a joint system (by the positions of its atoms) and the
+    smoothness of a system at a residue point are cached."""
 
     def __init__(self, target, p, slack):
         self.target = target
         self.p = p
         self.slack = slack
+        self._folded = {}
         self._trees = {}
+        self._smooth = {}
 
-    def _verdict(self, exact_atoms, atoms, point, n):
-        """The point's verdict on the target cut by the atoms at `atoms`,
-        their polynomials read over Z_p with the uniformizer t = p."""
-        if atoms not in self._trees:
+    def _fold(self, exact_atoms, i):
+        """The polynomial of the atom at position i over Z_p, with t = p."""
+        if i not in self._folded:
             variables = self.target.variables
             at_p = {v: MultiPoly.variable(variables, v) for v in variables}
             at_p["t"] = MultiPoly.constant(variables, self.p)
-            folded = tuple(exact_atoms[i][0].substitute(at_p) for i in atoms)
+            self._folded[i] = exact_atoms[i][0].substitute(at_p)
+        return self._folded[i]
+
+    def _verdict(self, exact_atoms, atoms, point, n):
+        """The point's verdict on the target cut by the atoms at `atoms`."""
+        if atoms not in self._trees:
+            folded = tuple(self._fold(exact_atoms, i) for i in atoms)
             self._trees[atoms] = BallTree(
-                self.target.generators + folded, len(variables), self.p
+                self.target.generators + folded, len(self.target.variables), self.p
             )
         return self._trees[atoms].verdict(point, n, self.slack)
+
+    def smooth(self, exact_atoms, atoms, point):
+        """Whether the Jacobian of the target's generators and the atoms at
+        `atoms` has full row rank mod p at the point."""
+        u0 = tuple(x % self.p for x in point)
+        if (atoms, u0) not in self._smooth:
+            polys = self.target.generators + tuple(self._fold(exact_atoms, i) for i in atoms)
+            rows = [[d.eval_int(u0, self.p) for d in row] for row in _jacobian(polys)]
+            self._smooth[atoms, u0] = full_rank(rows, len(u0), self.p)
+        return self._smooth[atoms, u0]
 
     def settle(self, evaluate, exact_atoms, point, args, n):
         """True / False / None (undetermined) for 'point lies in the level-n
@@ -644,6 +690,32 @@ class _UpgradeOracle:
         return True if joint else None
 
 
+def _closed_fibre(tv, evaluate, exact_atoms, args, child, n_gens, q, upgrades):
+    """q^(N - g) when the ball of a kept level-n point (reading tv) is
+    closed: it holds q^((N - g) r) points r levels down that the walk
+    would keep, and each reads true.  Else None.
+
+    E is the exact atoms that read undetermined (none when tv is True), S
+    the target's generators and E's polynomials at t = p, and g = |S|.  The
+    ball is closed when S is empty and tv is True, or, on Z/p^(n+1), when
+    (a) the Jacobian of S has rank g mod p at the point, (b) the formula
+    reads true with E overridden true, and (c) false with any one atom of
+    E overridden false.  By Hensel's lemma p^((N - g) r) points of S lie
+    r levels down, each truncating a Z_p-point, so `settle` certifies them;
+    every other point there on the target has an atom of E false, so by
+    (c) and monotonicity it reads false."""
+    opened = () if tv else tuple(i for i, (_, read) in enumerate(exact_atoms) if read(args) is None)
+    g = n_gens + len(opened)
+    if not g:
+        return q ** len(child) if tv else None
+    if upgrades is None:
+        return None
+    if not tv and (evaluate(args, dict.fromkeys(opened, True)) is not True
+                   or any(evaluate(args, {i: False}) is not False for i in opened)):
+        return None
+    return q ** (len(child) - g) if upgrades.smooth(exact_atoms, opened, child) else None
+
+
 def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
                     slack=DEFAULT_SLACK, bound=None):
     """Measure of the subset of target points satisfying the formula,
@@ -658,16 +730,15 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     the level (a nonzero value keeps its ord, ac and red, a vanishing
     value's ord interval only shrinks, and comparisons and the Kleene
     connectives keep a decided value decided).  So a ball read false is
-    dropped, a ball read true on a target without generators counts q^N
-    sub-balls per level from then on, and only the other balls split into
-    their q^N children at the next level.  A child off the target is
-    dropped, and so is every point above it.  `bound` limits the balls
-    read per level."""
+    dropped.  A ball that `_closed_fibre` closes (Hensel's lemma) is not
+    read again: it counts fibre^r certain-true points r levels down.  Only
+    the other balls split into their q^N children at the next level.  A
+    child off the target is dropped, and so is every point above it.
+    `bound` limits the balls read per level."""
     at_least("dimension", d, 0)
     at_least("max_level", max_level, 0)
     at_least("slack", slack, 0)
-    if isinstance(formula, str):
-        formula = parse_formula(formula, target.variables)
+    formula = _over(formula, target)
     root = base_spec.at_level(0)
     q = root.size
     n_vars = len(target.variables)
@@ -679,10 +750,9 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     )
     levels = list(range(max_level + 1))
     lower, upper = [], []
-    # balls to split, each with whether it already reads true (kept only
-    # on targets with generators, whose membership is read per level)
+    # balls to split, each with whether it already reads true
     frontier = [((), False)]
-    wholesale = 0  # level-n points in balls read true, without generators
+    closed = Counter()  # fibre -> level-n points in closed balls of that fibre
     for n in levels:
         reads = len(frontier) * fanout
         size_limit(bound, reads, f"formula walk of {reads} balls at level {n}")
@@ -690,7 +760,8 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
         evaluate, exact_atoms = _compile(formula, spec)
         gens = [spec.compile(g) for g in target.generators]
         t = spec.uniformizer_coordinate()
-        wholesale *= fanout
+        for fibre in closed:
+            closed[fibre] *= fibre
         tally = Counter()
         deeper = []
         for ball, read_true in frontier:
@@ -705,8 +776,10 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
                 tv = True if read_true else evaluate(args, None)
                 if tv is False:
                     continue
-                if tv is True and not gens:
-                    wholesale += 1
+                fibre = _closed_fibre(tv, evaluate, exact_atoms, args, child, len(gens), q,
+                                      upgrades)
+                if fibre:
+                    closed[fibre] += 1
                     continue
                 if tv is None and upgrades is not None:
                     tally[upgrades.settle(evaluate, exact_atoms, child, args, n)] += 1
@@ -716,8 +789,9 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
                     deeper.append((child, tv is True))
         frontier = deeper
         denom = q ** ((n + 1) * d)
-        lower.append(Fraction(wholesale + tally[True], denom))
-        upper.append(Fraction(wholesale + tally[True] + tally[None], denom))
+        certain = sum(closed.values()) + tally[True]
+        lower.append(Fraction(certain, denom))
+        upper.append(Fraction(certain + tally[None], denom))
     return _stabilize(levels, lower, upper)
 
 
@@ -778,6 +852,7 @@ def specialize_primes(formula, target, d, primes, expression,
     expression undefined at q = p, a negative slack) comes before any
     measure runs."""
     at_least("slack", slack, 0)
+    formula = _over(formula, target)
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")

@@ -507,6 +507,16 @@ def row_reduce(aug, columns, inverse, canon):
     return pivots
 
 
+def full_rank(rows, n_cols, p):
+    """Whether the rows of an integer matrix with n_cols columns are
+    linearly independent mod p (no rows are)."""
+    if len(rows) > n_cols:
+        return False
+    aug = [list(row) + [0] for row in rows]
+    pivots = row_reduce(aug, range(n_cols), lambda a: pow(a, -1, p), lambda a: a % p)
+    return len(pivots) == len(rows)
+
+
 def _solve_mod_p(rows, rhs, p, n_vars):
     """Every solution of rows . delta = rhs over F_p, in lexicographic order.
 
@@ -802,6 +812,9 @@ def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK):
     when the tree leaves the point's ball open within `slack` levels."""
     at_least("n", n, 0)
     at_least("slack", slack, 0)
+    if len(point) != X.n_vars:
+        raise ValueError(f"point {point} has {len(point)} coordinates, "
+                         f"{X.name} has {X.n_vars} variables")
     verdict = BallTree(X.generators, X.n_vars, p).verdict(point, n, slack)
     return {True: LiftStatus.CERTIFIED_LIFTABLE,
             False: LiftStatus.CERTIFIED_NOT}.get(verdict, LiftStatus.UNKNOWN)
@@ -893,15 +906,8 @@ class BallTree:
                 jac = [[d.compile_int(p) for d in row] for row in _jacobian(polys)]
                 zeros = self._searches[polys] = {}
                 for u0 in itertools.product(range(p), repeat=nv):
-                    if any(ev(u0) for ev in evals):
-                        continue
-                    smooth = False
-                    if len(polys) <= nv:
-                        rows = [[ev(u0) for ev in row] + [0] for row in jac]
-                        pivots = row_reduce(rows, range(nv), lambda a: pow(a, -1, p),
-                                            lambda a: a % p)
-                        smooth = len(pivots) == len(polys)
-                    zeros[u0] = smooth
+                    if not any(ev(u0) for ev in evals):
+                        zeros[u0] = full_rank([[ev(u0) for ev in row] for row in jac], nv, p)
             self._zeros[state] = zeros
         return zeros
 

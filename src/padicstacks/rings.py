@@ -43,7 +43,10 @@ class BoundExceeded(RuntimeError):
 
 def size_limit(bound, size=0, what=""):
     """The limit in force (`bound`, or DEFAULT_BOUND when it is None);
-    raises BoundExceeded when `size` is over it."""
+    refuses a bound below 1 as bad input, and raises BoundExceeded when
+    `size` is over the limit."""
+    if bound is not None:
+        at_least("bound", bound, 1)
     limit = DEFAULT_BOUND if bound is None else bound
     if size > limit:
         raise BoundExceeded(f"{what} exceeds bound {limit}")

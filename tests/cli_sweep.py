@@ -32,8 +32,10 @@ STACKS = ("BS3", "BGm", "BGL2", "pm1_mod_Z2", "A1_mod_Gm")
 BOUND = ("--bound", "40")
 
 # (target, formula text, extra flags): every comparison, congruences,
-# ac/red, the connectives, t-only atoms, exact-vanishing atoms and the
-# spellings of one condition that parse to one tree
+# ac/red, the connectives, t-only atoms, exact-vanishing atoms, the
+# spellings of one condition that parse to one tree, and exact atoms whose
+# balls the measure must not close by Hensel's lemma (in a disjunction,
+# negated, beside an undetermined conjunct, through a singular point)
 FORMULAS = (
     ("A1", "ord(x) < 2", ()),
     ("A1", "ord(x) <= 1", ()),
@@ -58,6 +60,13 @@ FORMULAS = (
     ("A2", "ac(x) + red(y) == 1", ()),
     ("A2", "x - y == 0 && x*y - 1 == 0", ("--dim", "0")),
     ("A2", "ord(x*y - t) >= INFINITY", ("--dim", "1")),
+    ("A2", "x*y - t == 0 || x - y == 0", ("--dim", "1")),
+    ("A2", "x*y - t == 0 || x - y - 1 == 0", ("--dim", "1")),
+    ("A2", "!(x*y - t == 0)", ()),
+    ("A2", "x*y - t == 0 && ord(x) >= 2", ("--dim", "1")),
+    ("A2", "y^2 - x^3 == 0", ("--dim", "1")),
+    ("A2", "y^2 - x^2 - x^3 == 0", ("--dim", "1")),
+    ("cusp", "x - y == 0", ("--dim", "0")),
     ("X_conic", "x == 0 && y - 1 == 0", ("--dim", "0")),
     ("X_conic", "ord(x) >= 1", ()),
     ("X_conic", "x^2 + y^2 - 1 == 0", ()),

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -882,13 +883,36 @@ def test_ball_walk_matches_pointwise_one_level_deeper():
             _assert_walk_matches_pointwise(text, target, ring.at_level(0), max_level + 1)
 
 
+# targets with a singular point at the origin: an exact atom through it
+# has no Hensel closure there
+_CUSP, _NODE = _CURVES[1], AffineScheme.from_text("node", ("x", "y"), ("y^2 - x^2 - x^3",), 1)
+
+
 def test_joint_certificates_match_pointwise():
     # two exact-vanishing atoms stay open together, so the oracle asks one
-    # joint certificate for both (none of the battery's formulas does)
-    for text, target in (("x - y == 0 && x*y - 1 == 0", A2),
-                         ("x*y - 1 == 0 && x^2 - y == 0", A2),
-                         ("x == 0 && y - 1 == 0", _CURVES[0])):
-        for p in (3, 5):
+    # joint certificate for both (none of the battery's formulas does);
+    # then balls that must not close although the target and the atoms are
+    # smooth there: an atom of a disjunction (the formula need not read
+    # false with it false), a negated atom, and a conjunct left
+    # undetermined with the atoms true; and exact atoms through a singular
+    # point.  At p = 2, x - y, xy - 1 rescale to a dependent system that
+    # the tree leaves open where the Newton minor certifies, and at p = 5
+    # the reference's lift listing cannot confirm the tree's refutations
+    # near the origin of the cusp and node atoms.
+    cases = (("x - y == 0 && x*y - 1 == 0", A2, (3, 5)),
+             ("x*y - 1 == 0 && x^2 - y == 0", A2, (2, 3, 5)),
+             ("x == 0 && y - 1 == 0", _CURVES[0], (2, 3, 5)),
+             ("x*y - t == 0 || x - y == 0", A2, (2, 3, 5)),
+             ("x*y - t == 0 || x - y - 1 == 0", A2, (2, 3, 5)),
+             ("!(x*y - t == 0)", A2, (2, 3, 5)),
+             ("x*y - t == 0 && ord(x) >= 2", A2, (2, 3, 5)),
+             ("x - y == 0", _CUSP, (2, 3, 5)),
+             ("x - y == 0", _NODE, (2, 3, 5)),
+             ("x + y == 0 || ord(y) >= 1", _NODE, (2, 3, 5)),
+             ("y^2 - x^3 == 0", A2, (2, 3)),
+             ("y^2 - x^2 - x^3 == 0", A2, (2, 3)))
+    for text, target, primes in cases:
+        for p in primes:
             _assert_walk_matches_pointwise(text, target, spec(p, 0), 2)
     # x = y, xy = 1 is the two points (1, 1) and (-1, -1), each certified
     m = measure_formula("x - y == 0 && x*y - 1 == 0", A2, 2, spec(3, 0), max_level=2)
@@ -899,3 +923,35 @@ def test_joint_certificates_match_pointwise():
         m = measure_formula("x == 0 && y - 1 == 0", _CURVES[0], 0, spec(p, 0), max_level=4)
         assert m.lower == m.upper == [1] * 5
         assert (m.status, m.value) == ("STABILIZED", 1)
+
+
+def test_smooth_balls_close_by_hensel():
+    # every ball on xy = p closes at level 0 (the curve is smooth there),
+    # so a walk that reads at most 100 balls a level reaches level 6;
+    # reading every point of the curve, level 4 alone reads 31,250
+    m = measure_formula("ord(x*y - t) == INFINITY", A2, 1, spec(5, 0), max_level=6, bound=100)
+    assert (m.status, m.value) == ("STABILIZED", Fraction(8, 5))
+    assert m.lower == m.upper == [Fraction(8, 5)] * 7
+
+
+def test_formula_over_other_variables_is_refused(monkeypatch):
+    # readers take a point's coordinates by position, so a formula over
+    # (y,) on a target over (x, y) read x as y (ord(y) >= 1 on the line
+    # x = 1 measured 0, not 1/5), and one over (x, y) on A1 ran off the
+    # point; each is refused naming both lists, before any walk
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(definable, "_compile", no_walk)
+    line = AffineScheme.from_text("line", ("x", "y"), ("x - 1",), 1)
+    for text, variables, target in (("ord(y) >= 1", ("y",), line),
+                                    ("ord(x*y) >= 1", ("x", "y"), A1),
+                                    ("ac(y) == 1", ("y", "x"), A2)):
+        formula = parse_formula(text, variables)
+        want = re.escape(f"formula over {variables + ('t',)} does not fit a target "
+                         f"over {target.variables + ('t',)}")
+        for call in (lambda: measure_formula(formula, target, 1, spec(5, 0), max_level=2),
+                     lambda: eval_formula(formula, target, spec(5, 1)),
+                     lambda: specialize_primes(formula, target, 1, (3, 5), "1/q")):
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                call()

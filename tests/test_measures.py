@@ -379,6 +379,29 @@ def test_library_refuses_a_p_that_is_not_prime(monkeypatch, p):
             call()
 
 
+@pytest.mark.parametrize("point", [(0, 1, 5), (1,)])
+def test_hensel_liftable_refuses_a_point_of_another_length(point):
+    # both read as points of the conic's plane, and were answered CERTIFIED_NOT
+    with pytest.raises(ValueError, match=f"^point .* has {len(point)} coordinates, "
+                                         "conic has 2 variables$"):
+        hensel_liftable(CONIC, point, 5, 1)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_library_refuses_a_bound_below_one(monkeypatch, bound):
+    # bad input, as the CLI's --bound 0 is (exit 2), not an exceeded bound
+    # (BoundExceeded, exit 3); refused before any walk
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(BallTree, "_residue_zeros", no_walk)
+    for call in (lambda: count_points(CONIC, make_ring(5), bound=bound),
+                 lambda: tau_image_profile(CONIC, 5, 1, bound=bound),
+                 lambda: measure_formula("x == 0", CONIC, 1, make_ring(5), bound=bound)):
+        with pytest.raises(ValueError, match=f"^bound must be at least 1, got {bound}$"):
+            call()
+
+
 def test_level_counts_of_no_level_is_empty():
     # the tilde series of one term asks for the counts of levels 0..-1
     assert level_counts(CONIC, make_ring(5), -1) == []
