@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .definable import measure_formula, parse_formula, specialize_primes
-from .greenberg import digit_length, greenberg_transform
+from .greenberg import digit_length, digit_variables, greenberg_transform
 from .measures import (
     DEFAULT_MAX_LEVEL,
     DEFAULT_TERMS,
@@ -202,8 +202,11 @@ def _cmd_greenberg(args, project):
     lines.append(f"target = {args.target}")
     lines.append(f"p = {spec.p}")
     lines.append(f"level = {level}")
-    lines.append(f"digit_variables = {' '.join(G.scheme.variables)}")
-    lines.append(f"generators = {len(G.scheme.generators)}")
+    # read from the source: the exact components are built only to be
+    # emitted, the count reads them as functions on F_p
+    names = digit_variables(target.variables, level + 1)
+    lines.append(f"digit_variables = {' '.join(names)}")
+    lines.append(f"generators = {len(target.generators) * (level + 1)}")
     lines.append(f"expansion_points = {expansion_count}")
     lines.append(f"source_points = {source_count}")
     lines.append(

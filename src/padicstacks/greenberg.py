@@ -8,13 +8,15 @@ otherwise the digit bijection would fail.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 from .polyscheme import AffineScheme, MultiPoly
-from .rings import BoundExceeded, at_least, record, size_limit
+from .rings import BoundExceeded, at_least, is_prime, record, size_limit
 from .witt import (
     DEFAULT_LENGTH_BOUND,
+    _fold,
     int_from_witt,
     witt_add_sym,
     witt_from_int,
@@ -38,6 +40,13 @@ def expand_poly(f, p, length, names=None):
     """
     if names is None:
         names = digit_variables(f.variables, length)
+    return _expand(f, p, length, names, folded=False)
+
+
+def _expand(f, p, length, names, folded):
+    """The term loop of `expand_poly`.  With `folded` every Witt sum and
+    product runs in the ring of functions on F_p (`witt_add_sym`), so the
+    components come out as `_fold` of the exact ones."""
     var_witt = {
         v: tuple(
             MultiPoly.variable(names, f"{v}_{i}") for i in range(length)
@@ -51,7 +60,8 @@ def expand_poly(f, p, length, names=None):
         term = None
         for v, e in zip(f.variables, expo):
             for _ in range(e):
-                term = var_witt[v] if term is None else witt_mul_sym(term, var_witt[v], p)
+                term = (var_witt[v] if term is None
+                        else witt_mul_sym(term, var_witt[v], p, folded=folded))
         # Teichmuller digit coding is a bijection Z/p^L -> W_L(F_p), so the
         # constant is the Witt vector one exactly when coeff = 1 mod p^L
         if term is None or coeff % p**length != 1:
@@ -59,30 +69,17 @@ def expand_poly(f, p, length, names=None):
                 MultiPoly.constant(names, d)
                 for d in witt_from_int(coeff, p, length)
             )
-            term = const if term is None else witt_mul_sym(term, const, p)
-        acc = term if acc is None else witt_add_sym(acc, term, p)
+            term = const if term is None else witt_mul_sym(term, const, p, folded=folded)
+        acc = term if acc is None else witt_add_sym(acc, term, p, folded=folded)
     if acc is None:
         return tuple(MultiPoly.zero(names) for _ in range(length))
     return acc
 
 
-def _fold(g, p):
-    """g as a function on F_p: every exponent e >= 1 becomes
-    (e - 1) % (p - 1) + 1, exact because a^p = a on F_p; like terms
-    merge, coefficients are reduced mod p and zero terms dropped."""
-    top = max(itertools.chain.from_iterable(g.terms), default=0)
-    fold = [0] + [(e - 1) % (p - 1) + 1 for e in range(1, top + 1)]
-    folded = {}
-    for expo, coeff in g.terms.items():
-        key = tuple(map(fold.__getitem__, expo))
-        folded[key] = folded.get(key, 0) + coeff
-    return {expo: c for expo, coeff in folded.items() if (c := coeff % p)}
-
-
 def _split_level(gens, positions, p, candidates):
-    """Split the digit-level generators, folded as functions on F_p, by
-    their exponent vectors beta in the level digits at `positions`:
-    g = sum_beta digits^beta * h_beta.
+    """Split the digit-level generators, functions on F_p already folded
+    (`_fold`), by their exponent vectors beta in the level digits at
+    `positions`: g = sum_beta digits^beta * h_beta.
 
     Returns (split, table).  split[k] lists the pairs (b, h_b) of
     generator k, h_b a tuple of (coeff mod p, ((position, e), ...)) terms
@@ -93,7 +90,7 @@ def _split_level(gens, positions, p, candidates):
     split = []
     for g in gens:
         groups = {}
-        for expo, c in _fold(g, p).items():
+        for expo, c in g.terms.items():
             beta = [0] * len(positions)
             factors = []
             for pos, e in enumerate(expo):
@@ -140,31 +137,62 @@ def _surviving_digits(split, table, point, p, size):
 
 @record(frozen=True)
 class GreenbergScheme:
-    """Result of the digit expansion at a fixed prime and level.
+    """The digit expansion of `source` at the prime p and level n.
 
-    `scheme` is an affine scheme over F_p in N*(n+1) digit variables; its
-    F_p-points decode to exactly the Z/p^(n+1)-points of the source.
-    `component_gens[i]` collects the digit-i component of every source
-    generator (used for level-by-level enumeration)."""
+    Its F_p-points, N*(n+1) digits each (the n+1 digits of the first
+    source variable, then of the next), decode to exactly the
+    Z/p^(n+1)-points of the source.  Nothing is expanded when the record
+    is made.  The exact components (`scheme`, `component_gens`,
+    `emit_equations`) are built when first read; the point search reads
+    only the components as functions on F_p, built in that ring."""
 
     source: AffineScheme
     p: int
     level: int
-    scheme: AffineScheme
 
     @property
     def length(self):
         return self.level + 1
 
+    @functools.cached_property
+    def scheme(self):
+        """The exact expansion: an affine scheme over F_p in the digit
+        variables, generator k's n+1 components in a row."""
+        X, L = self.source, self.length
+        names = digit_variables(X.variables, L)
+        flat = tuple(c for f in X.generators for c in expand_poly(f, self.p, L, names))
+        return AffineScheme(f"Gr{self.level}({X.name})", names, flat,
+                            min(L * X.dim, len(names)))
+
     @property
     def component_gens(self):
+        """component_gens[i]: the exact digit-i component of every source
+        generator, in generator order."""
         L = self.length
         return tuple(self.scheme.generators[i::L] for i in range(L))
 
+    @functools.cached_property
+    def _folded_gens(self):
+        """`component_gens` as functions on F_p, each equal to `_fold` of
+        the exact component, expanded with the folded Witt laws."""
+        X, L = self.source, self.length
+        names = digit_variables(X.variables, L)
+        per_gen = [_expand(f, self.p, L, names, folded=True) for f in X.generators]
+        return tuple(tuple(comps[i] for comps in per_gen) for i in range(L))
+
     # -- digit coding --------------------------------------------------------
+
+    def _check_digits(self, point):
+        """Refuse a point that is not N*(n+1) digits in 0..p-1."""
+        size = len(self.source.variables) * self.length
+        if len(point) != size:
+            raise ValueError(f"a point of the expansion has {size} digits, got {len(point)}")
+        if any(not 0 <= d < self.p for d in point):
+            raise ValueError(f"digits lie in 0..{self.p - 1}, got {tuple(point)}")
 
     def decode_point(self, point):
         """F_p-point of the expansion -> integer point mod p^(n+1)."""
+        self._check_digits(point)
         L = self.length
         out = []
         for j in range(len(self.source.variables)):
@@ -174,6 +202,9 @@ class GreenbergScheme:
 
     def encode_point(self, zp_point):
         """Integer point mod p^(n+1) -> F_p-point of the expansion."""
+        nv = len(self.source.variables)
+        if len(zp_point) != nv:
+            raise ValueError(f"a source point has {nv} coordinates, got {len(zp_point)}")
         coords = []
         for a in zp_point:
             coords.extend(witt_from_int(a, self.p, self.length))
@@ -201,8 +232,9 @@ class GreenbergScheme:
         """The frontier search of enumerate_points: the last level's points
         in search order, or only their number when not `keep_last`.
 
-        At level i each component, folded as a function on F_p (`_fold`),
-        is split by its exponent vector beta in the N level-i digits,
+        The search reads only the components as functions on F_p
+        (`_folded_gens`), never the exact ones.  At level i each is split
+        by its exponent vector beta in the N level-i digits,
         g = sum_beta (level-i digits)^beta * h_beta(lower digits).  A
         frontier point evaluates each h_beta once;
         its p^N candidate digit tuples are then tested against the
@@ -215,7 +247,7 @@ class GreenbergScheme:
         nv = len(self.source.variables)
         candidates = list(itertools.product(range(p), repeat=nv))
         frontier = [(0,) * nv * L]
-        for i, level_gens in enumerate(self.component_gens):
+        for i, level_gens in enumerate(self._folded_gens):
             positions = [j * L + i for j in range(nv)]
             split, table = _split_level(level_gens, positions, p, candidates)
             new_frontier = []
@@ -239,8 +271,9 @@ class GreenbergScheme:
     def truncate_point(self, point, m):
         """Drop digit blocks above level m; matches reduction mod p^(m+1)
         through the digit coding."""
-        if m > self.level:
-            raise ValueError("can only truncate downward")
+        self._check_digits(point)
+        if not 0 <= m <= self.level:
+            raise ValueError(f"truncation level must lie in 0..{self.level}, got {m}")
         L = self.length
         nv = len(self.source.variables)
         out = []
@@ -269,13 +302,11 @@ def digit_length(n):
 
 
 def greenberg_transform(X, p, n):
-    """Expand every generator of X into its n+1 digit components over F_p.
-    Refuses a level as `digit_length` does."""
-    length = digit_length(n)
-    names = digit_variables(X.variables, length)
-    per_gen = [expand_poly(f, p, length, names) for f in X.generators]
-    flat = tuple(component for comps in per_gen for component in comps)
-    scheme = AffineScheme(
-        f"Gr{n}({X.name})", names, flat, min(length * X.dim, len(names))
-    )
-    return GreenbergScheme(X, p, n, scheme)
+    """The digit expansion of X at p and level n, as a `GreenbergScheme`
+    that expands nothing until it is read.  Refuses at once a level as
+    `digit_length` does, a p that is not prime and source variable names
+    that collide with the digit names."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    digit_variables(X.variables, digit_length(n))
+    return GreenbergScheme(X, p, n)

@@ -11,6 +11,9 @@ structure polynomials).
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from .polyscheme import MultiPoly
 from .rings import BoundExceeded, at_least, is_prime
 
@@ -138,8 +141,10 @@ class StructurePolys:
 
     `add_int`/`mul_int` are the unique integral solutions of the ghost
     equations; `add_modp`/`mul_modp` are their mod-p reductions, which is
-    where the law actually lives for F_p-algebra coordinates.  S_i and P_i
-    involve only x_0..x_i, y_0..y_i.
+    where the law actually lives for F_p-algebra coordinates;
+    `add_folded`/`mul_folded`, built on first use, are those as functions
+    on F_p (`_fold`), the law for coordinates that take F_p values.  S_i
+    and P_i involve only x_0..x_i, y_0..y_i.
     """
 
     def __init__(self, p, length):
@@ -161,6 +166,14 @@ class StructurePolys:
         )
         self.add_modp = tuple(s.reduce_coeffs(p) for s in self.add_int)
         self.mul_modp = tuple(s.reduce_coeffs(p) for s in self.mul_int)
+
+    @functools.cached_property
+    def add_folded(self):
+        return tuple(_fold_poly(s, self.p) for s in self.add_modp)
+
+    @functools.cached_property
+    def mul_folded(self):
+        return tuple(_fold_poly(s, self.p) for s in self.mul_modp)
 
 
 _structure_cache = {}
@@ -188,19 +201,46 @@ def structure_polynomials(p, length):
 # symbolic arithmetic (MultiPoly coordinates mod p) for digit expansions
 
 
-def _apply_law(law, a_coords, b_coords, p, polys):
+def _fold(g, p):
+    """g as a function on F_p: every exponent e >= 1 becomes
+    (e - 1) % (p - 1) + 1, exact because a^p = a on F_p; like terms
+    merge, coefficients are reduced mod p and zero terms dropped.  This is
+    reduction modulo the ideal of all d^p - d, and every exponent of the
+    result is at most p - 1, so two polynomials are the same function on
+    F_p exactly when their folds are equal."""
+    top = max(itertools.chain.from_iterable(g.terms), default=0)
+    fold = [0] + [(e - 1) % (p - 1) + 1 for e in range(1, top + 1)]
+    folded = {}
+    for expo, coeff in g.terms.items():
+        key = tuple(map(fold.__getitem__, expo))
+        folded[key] = folded.get(key, 0) + coeff
+    return {expo: c for expo, coeff in folded.items() if (c := coeff % p)}
+
+
+def _fold_poly(g, p):
+    return MultiPoly(g.variables, _fold(g, p))
+
+
+def _apply_law(law, a_coords, b_coords, p, polys, folded):
     mapping = dict(zip(polys.variables, a_coords + b_coords))
-    return tuple(s.substitute(mapping, modulus=p) for s in law)
+    out = tuple(s.substitute(mapping, modulus=p) for s in law)
+    return tuple(_fold_poly(g, p) for g in out) if folded else out
 
 
-def witt_add_sym(a_coords, b_coords, p):
+def witt_add_sym(a_coords, b_coords, p, folded=False):
+    """Witt sum of two vectors of polynomials over F_p.  With `folded`, the
+    coordinates are functions on F_p: the folded law is applied and each
+    result folded, so folded inputs give `_fold` of the exact sum."""
     polys = structure_polynomials(p, len(a_coords))
-    return _apply_law(polys.add_modp, a_coords, b_coords, p, polys)
+    law = polys.add_folded if folded else polys.add_modp
+    return _apply_law(law, a_coords, b_coords, p, polys, folded)
 
 
-def witt_mul_sym(a_coords, b_coords, p):
+def witt_mul_sym(a_coords, b_coords, p, folded=False):
+    """Witt product, as `witt_add_sym` is the sum."""
     polys = structure_polynomials(p, len(a_coords))
-    return _apply_law(polys.mul_modp, a_coords, b_coords, p, polys)
+    law = polys.mul_folded if folded else polys.mul_modp
+    return _apply_law(law, a_coords, b_coords, p, polys, folded)
 
 
 # ---------------------------------------------------------------------------

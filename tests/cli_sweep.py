@@ -108,7 +108,11 @@ def commands():
                  for ring in ((), ("--ring", "p3n0"))]
     for target in ("A1", "X_conic", "cusp"):
         base += [["greenberg", *project, "--target", target, "--ring", "p3n2", "--level", level]
-                 for level in ("0", "1")]
+                 for level in ("0", "1", "2", "3")]
+    for target in ("X_conic", "cusp"):
+        base += [["greenberg", *project, "--target", target, "--ring", "p3n2", "--level", level,
+                  "--emit-equations"]
+                 for level in ("1", "3")]
     for stack in STACKS:
         base += [["stack-count", *project, "--stack", stack, *where]
                  for where in (("--field", "q=2"), ("--field", "q=3"), ("--field", "q=4"),

@@ -130,9 +130,33 @@ def test_truncation_commutes_with_reduction():
         t = G2.truncate_point(q, 1)
         assert t in pts1
         assert G1.decode_point(t) == tuple(a % 9 for a in G2.decode_point(q))
-    # composing truncations = truncating directly
+    # composing truncations = truncating directly; a level-1 point is
+    # truncated by the level-1 expansion
     for q in G2.enumerate_points():
-        assert G2.truncate_point(G2.truncate_point(q, 1), 0)[:1] == G2.truncate_point(q, 0)[:1]
+        assert G1.truncate_point(G2.truncate_point(q, 1), 0) == G2.truncate_point(q, 0)
+
+
+def test_point_helpers_refuse_bad_input():
+    # the conic at p = 3, level 2: points of 6 digits in 0..2, source
+    # points of 2 coordinates, truncation levels 0..2
+    G = greenberg_transform(scheme("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1), 3, 2)
+    pt = G.encode_point((0, 1))
+    assert len(pt) == 6 and G.decode_point(pt) == (0, 1)
+    assert G.truncate_point(pt, 0) == (0, 1) and G.truncate_point(pt, 2) == pt
+    with pytest.raises(ValueError, match="must lie in 0..2, got -1$"):
+        G.truncate_point(pt, -1)
+    with pytest.raises(ValueError, match="must lie in 0..2, got 3$"):
+        G.truncate_point(pt, 3)
+    with pytest.raises(ValueError, match="has 6 digits, got 4$"):
+        G.decode_point(pt[:4])
+    with pytest.raises(ValueError, match="has 6 digits, got 4$"):
+        G.truncate_point(pt[:4], 1)
+    with pytest.raises(ValueError, match=r"digits lie in 0..2, got \(5, 0, 0, 0, 0, 0\)$"):
+        G.decode_point((5, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"digits lie in 0..2, got \(0, 0, -1, 0, 0, 0\)$"):
+        G.truncate_point((0, 0, -1, 0, 0, 0), 1)
+    with pytest.raises(ValueError, match="has 2 coordinates, got 1$"):
+        G.encode_point((1,))
 
 
 def test_truncation_images_of_x_squared_minus_seven():
@@ -199,26 +223,49 @@ def test_deep_components_pinned(text, p, n, sizes, digest):
     assert hashlib.sha256(text_all.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize(
-    "text, variables, p, n",
-    [
-        ("x^2 + y^2 - 1", ("x", "y"), 3, 3),
-        ("x^2 + y^2 - 1", ("x", "y"), 5, 2),
-        ("x*y - 3", ("x", "y"), 3, 3),
-        ("x^3 + y^3 + z^3", ("x", "y", "z"), 3, 1),
-        ("y^2 - x^3", ("x", "y"), 3, 3),
-        ("y^2 - x^2 - x^3", ("x", "y"), 3, 3),
-        ("y^2 - x^2 - x^3", ("x", "y"), 5, 2),
-        # coefficients that are not units; 82 = 1 and 81 = 0 mod 3^4
-        ("2*x^2 - 7*y", ("x", "y"), 3, 3),
-        ("82*x", ("x",), 3, 3),
-        ("81*x + 82*y^2 - 162", ("x", "y"), 3, 3),
-    ],
-)
+ORACLE_CASES = [
+    ("x^2 + y^2 - 1", ("x", "y"), 3, 3),
+    ("x^2 + y^2 - 1", ("x", "y"), 5, 2),
+    ("x*y - 3", ("x", "y"), 3, 3),
+    ("x^3 + y^3 + z^3", ("x", "y", "z"), 3, 1),
+    ("y^2 - x^3", ("x", "y"), 3, 3),
+    ("y^2 - x^2 - x^3", ("x", "y"), 3, 3),
+    ("y^2 - x^2 - x^3", ("x", "y"), 5, 2),
+    # coefficients that are not units; 82 = 1 and 81 = 0 mod 3^4
+    ("2*x^2 - 7*y", ("x", "y"), 3, 3),
+    ("82*x", ("x",), 3, 3),
+    ("81*x + 82*y^2 - 162", ("x", "y"), 3, 3),
+]
+
+
+@pytest.mark.parametrize("text, variables, p, n", ORACLE_CASES)
 def test_expand_poly_matches_ghost_map_oracle(text, variables, p, n):
     f = parse_poly(text, variables)
     names = digit_variables(variables, n + 1)
     assert expand_poly(f, p, n + 1, names) == ghost_expand_reference(f, p, n + 1, names)
+
+
+def assert_search_reads_folds_of_exact_components(G):
+    """The search leaves the exact components unbuilt, and each component
+    it reads is `_fold` of the exact one: the unique representative with
+    exponents below p, so the equality is exact."""
+    G.count_points()
+    G.enumerate_points()
+    assert "scheme" not in G.__dict__
+    folded = G._folded_gens
+    exact = G.component_gens
+    assert len(folded) == len(exact) == G.length
+    for fs, es in zip(folded, exact):
+        assert len(fs) == len(es) == len(G.source.generators)
+        for f, e in zip(fs, es):
+            assert f.variables == e.variables
+            assert f.terms == greenberg._fold(e, G.p)
+
+
+@pytest.mark.parametrize("text, variables, p, n", ORACLE_CASES)
+def test_folded_components_of_oracle_cases(text, variables, p, n):
+    X = scheme("X", variables, [text], len(variables) - 1)
+    assert_search_reads_folds_of_exact_components(greenberg_transform(X, p, n))
 
 
 def test_expand_poly_skips_terms_zero_mod_p_length(monkeypatch):
@@ -247,6 +294,16 @@ def test_negative_level_rejected():
     A1 = AffineScheme.affine_space("A1", ("x",))
     with pytest.raises(ValueError, match="level must be at least 0, got -1$"):
         greenberg_transform(A1, 3, -1)
+
+
+def test_transform_refuses_at_once_and_expands_nothing():
+    A1 = AffineScheme.affine_space("A1", ("x",))
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        greenberg_transform(A1, 4, 1)
+    with pytest.raises(ValueError, match="collide with digit naming"):
+        greenberg_transform(AffineScheme.affine_space("A2", ("x", "x_0")), 3, 1)
+    G = greenberg_transform(scheme("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1), 3, 3)
+    assert "scheme" not in G.__dict__ and "_folded_gens" not in G.__dict__
 
 
 def test_digit_frontier_bound():
@@ -318,10 +375,11 @@ def digit_systems(draw):
 
 
 def _outcome(run):
+    # a bound of 0 is bad input (ValueError), above it an exceeded bound
     try:
         return run()
-    except BoundExceeded as exc:
-        return str(exc)
+    except (BoundExceeded, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @settings(max_examples=120)
@@ -329,6 +387,7 @@ def _outcome(run):
 def test_specialised_search_matches_full_evaluation_and_brute(case):
     X, p, n, bound = case
     G = greenberg_transform(X, p, n)
+    assert_search_reads_folds_of_exact_components(greenberg_transform(X, p, n))
     points = _outcome(lambda: G.enumerate_points(bound))
     assert points == _outcome(lambda: full_evaluation_points(G, bound))
     assert _outcome(lambda: G.count_points(bound)) == (
@@ -360,6 +419,7 @@ FOLD_CASES = [
 def test_folded_search_matches_unfolded_oracle_and_brute(text, variables, p, n):
     X = scheme("X", variables, [text], len(variables) - 1)
     G = greenberg_transform(X, p, n)
+    assert_search_reads_folds_of_exact_components(greenberg_transform(X, p, n))
     points = G.enumerate_points()
     assert points == full_evaluation_points(G)
     assert G.count_points() == len(points)

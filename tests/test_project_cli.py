@@ -241,6 +241,43 @@ def test_cli_greenberg(capsys):
     assert "gen[0] =" in out
 
 
+class _ExactExpansion(Exception):
+    pass
+
+
+def _no_exact_expansion(*args, **kwargs):
+    raise _ExactExpansion
+
+
+@pytest.mark.parametrize(
+    "level, tail, digest",
+    [
+        ("2", ["digit_variables = x_0 x_1 x_2 y_0 y_1 y_2", "generators = 3",
+               "expansion_points = 36", "source_points = 36"],
+         "352479295daf9cc448011dcb02510651bbf3514c7b56957b12d3e97baef08dea"),
+        ("3", ["digit_variables = x_0 x_1 x_2 x_3 y_0 y_1 y_2 y_3", "generators = 4",
+               "expansion_points = 108", "source_points = 108"],
+         "fbafd2c71d42bed13089cda0a9d1de7fa3c0025ac5400d8d3c6e29436790a0bb"),
+    ],
+)
+def test_cli_greenberg_counts_without_exact_components(capsys, monkeypatch, level, tail,
+                                                        digest):
+    # the report reads the digit names and the generator count from the
+    # source and counts on the folded components, so it stays as pinned
+    # when the exact expansion cannot run; only --emit-equations reaches it
+    import padicstacks.greenberg as greenberg
+
+    monkeypatch.setattr(greenberg, "expand_poly", _no_exact_expansion)
+    argv = ["greenberg", "--project", DEMO, "--target", "X_conic", "--ring", "p3n2",
+            "--level", level]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-5:] == tail + ["counts_match = true"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    with pytest.raises(_ExactExpansion):
+        main(argv + ["--emit-equations"])
+
+
 def test_cli_singular(capsys):
     code, out = run(
         capsys,
