@@ -27,7 +27,7 @@ from .polyscheme import DEFAULT_SLACK, count_points, singular_locus
 from .project import DEFAULT_MINIMUMS, ProjectError, load_project
 from .rings import BoundExceeded, FiniteField
 from .stacks import QuotientStack, UnsupportedStack, stacky_count
-from .witt import structure_polynomials
+from .witt import check_structure_args, structure_polynomials
 
 EXIT_OK = 0
 EXIT_PROJECT = 2
@@ -234,11 +234,12 @@ def _cmd_singular(args, project):
 
 
 def _cmd_witt(args, _project):
-    sp = structure_polynomials(args.p, args.length)
+    check_structure_args(args.p, args.length)  # the laws are built only to print them
     lines = _header("witt")
     lines.append(f"p = {args.p}")
     lines.append(f"length = {args.length}")
     if args.emit_polys:
+        sp = structure_polynomials(args.p, args.length)
         for i in range(sp.length):
             for tag, poly in (("S", sp.add_modp[i]), ("P", sp.mul_modp[i])):
                 lines.append(f"{tag}_{i} = {poly.to_text()}")

@@ -300,8 +300,12 @@ class MultiPoly:
 # so a monomial product is one int addition.  Each product takes a radix
 # above every exponent of its result, so no digit can carry into the
 # next.  The radix is odd, so the low bits of a key, where a dict probes
-# first, depend on every exponent: with radix 2^w they would hold e_0
-# alone, and a large product would collide on them.
+# first, depend on every exponent: with a large radix 2^w they would hold
+# e_0 alone, and a large product would collide on them.  One kernel does
+# use radix 2^w: witt._FoldedRing, for the functions on F_p, whose digits
+# never exceed 2p - 2, so that w = (2p - 2).bit_length() is at most a few
+# bits and a fold is a shift and a mask.  There the low bits a dict probes
+# still span several digits.
 
 
 def _degree(poly):

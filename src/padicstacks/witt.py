@@ -4,17 +4,21 @@ Verschiebung/Frobenius, and the digit encoding of Z/p^L.
 The addition/multiplication laws are never taken from tables: they are
 obtained by solving the ghost equations over Z, where every division by a
 power of p must be exact (an inexact division is an implementation bug and
-aborts).  The same solver runs on integer coordinates (numeric arithmetic,
-used by the oracles) and on polynomial coordinates (producing the cached
-structure polynomials).
+aborts).  The solver runs on integers (`_ghost_solve`: numeric arithmetic,
+used by the oracles) and on polynomials held as packed dicts of
+polyscheme's packed monomials (`_ghost_solve_packed`, producing the cached
+structure polynomials).  Digit expansions apply the laws mod p, or, for
+coordinates that are functions on F_p, in F_p[d]/(d^p - d) on packed
+monomials of their own (`_FoldedRing`).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
-from .polyscheme import MultiPoly
+from .polyscheme import MultiPoly, _multiply_into, _radix, _reduce, _unpack
 from .rings import BoundExceeded, at_least, is_prime
 
 DEFAULT_LENGTH_BOUND = 5
@@ -47,29 +51,43 @@ def _exact_div_int(value, d):
     return q
 
 
-def _exact_div_poly(poly, d):
-    terms = {}
-    for expo, coeff in poly.terms.items():
-        q, rem = divmod(coeff, d)
-        if rem:
-            raise ExactDivisionError(f"inexact division by {d}")
-        terms[expo] = q
-    return MultiPoly(poly.variables, terms)
-
-
-def _ghost_solve(targets, p, exact_div):
-    """Unique coordinates with the given ghost vector.
-
-    Works over any torsion-free coefficient domain supporting -, * and
-    integer powers; exactness of each division by p^i certifies the result.
-    """
+def _ghost_solve(targets, p):
+    """Unique integer coordinates with the given ghost vector; exactness
+    of each division by p^i certifies the result."""
     coords = []
     for i, target in enumerate(targets):
         acc = target
         for j in range(i):
             acc = acc - (coords[j] ** (p ** (i - j))) * (p**j)
-        coords.append(exact_div(acc, p**i))
+        coords.append(_exact_div_int(acc, p**i))
     return tuple(coords)
+
+
+def _ghost_solve_packed(targets, p):
+    """`_ghost_solve` on polynomials held as packed dicts (polyscheme's
+    packed monomials), all in the one radix of the targets, which must lie
+    above every exponent of every power the solve forms.  Each S_j keeps
+    its chain of repeated squares S_j^(2^b) across the steps, every square
+    formed once; step i multiplies the squares picked by the bits of
+    p^(i-j) and divides by p^i coefficient by coefficient."""
+    def mul(a, b):
+        return _reduce(_multiply_into({}, a, b), None)
+
+    coords, squares = [], []
+    for i, target in enumerate(targets):
+        acc = dict(target)
+        for j, chain in enumerate(squares):
+            k = p ** (i - j)
+            while len(chain) < k.bit_length():
+                chain.append(mul(chain[-1], chain[-1]))
+            term = {0: -(p**j)}
+            for b, square in enumerate(chain):
+                if k >> b & 1:
+                    term = mul(term, square)
+            _multiply_into(acc, term, {0: 1})  # acc -= p^j S_j^(p^(i-j))
+        coords.append({k: _exact_div_int(c, p**i) for k, c in _reduce(acc, None).items()})
+        squares.append([coords[-1]])
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -79,18 +97,18 @@ def _ghost_solve(targets, p, exact_div):
 def witt_add_int(a, b, p):
     ga = ghost_components(a, p)
     gb = ghost_components(b, p)
-    return _ghost_solve([x + y for x, y in zip(ga, gb)], p, _exact_div_int)
+    return _ghost_solve([x + y for x, y in zip(ga, gb)], p)
 
 
 def witt_mul_int(a, b, p):
     ga = ghost_components(a, p)
     gb = ghost_components(b, p)
-    return _ghost_solve([x * y for x, y in zip(ga, gb)], p, _exact_div_int)
+    return _ghost_solve([x * y for x, y in zip(ga, gb)], p)
 
 
 def witt_neg_int(a, p):
     ga = ghost_components(a, p)
-    return _ghost_solve([-x for x in ga], p, _exact_div_int)
+    return _ghost_solve([-x for x in ga], p)
 
 
 # mod-p coordinates: lift to Z, run the integral law, reduce.  This equals
@@ -140,11 +158,16 @@ class StructurePolys:
     """Cached addition/multiplication laws for W_L at a fixed prime.
 
     `add_int`/`mul_int` are the unique integral solutions of the ghost
-    equations; `add_modp`/`mul_modp` are their mod-p reductions, which is
-    where the law actually lives for F_p-algebra coordinates;
-    `add_folded`/`mul_folded`, built on first use, are those as functions
-    on F_p (`_fold`), the law for coordinates that take F_p values.  S_i
-    and P_i involve only x_0..x_i, y_0..y_i.
+    equations, solved on packed dicts (`_ghost_solve_packed`) in one odd
+    radix above p^(L-1): S_j is weighted-homogeneous of degree p^j with
+    x_k, y_k of weight p^k, and P_j so in x and in y apart, so no
+    exponent of any power S_j^(p^(i-j)) or ghost component exceeds
+    p^(L-1).  Each component is unpacked once.  `add_modp`/`mul_modp` are
+    their mod-p reductions, which is where the law actually lives for
+    F_p-algebra coordinates; `add_folded`/`mul_folded`, built on first
+    use, are those as functions on F_p (`_fold` term dicts), the law for
+    coordinates that take F_p values.  S_i and P_i involve only
+    x_0..x_i, y_0..y_i.
     """
 
     def __init__(self, p, length):
@@ -154,45 +177,54 @@ class StructurePolys:
             f"y_{i}" for i in range(length)
         )
         self.variables = names
-        xs = [MultiPoly.variable(names, f"x_{i}") for i in range(length)]
-        ys = [MultiPoly.variable(names, f"y_{i}") for i in range(length)]
-        gx = ghost_components(xs, p)
-        gy = ghost_components(ys, p)
-        self.add_int = _ghost_solve(
-            [a + b for a, b in zip(gx, gy)], p, _exact_div_poly
-        )
-        self.mul_int = _ghost_solve(
-            [a * b for a, b in zip(gx, gy)], p, _exact_div_poly
-        )
+        radix = _radix(p ** (length - 1))
+
+        def ghost(first):  # packed ghost components of variables first, first+1, ...
+            return [{p ** (i - j) * radix ** (first + j): p**j for j in range(i + 1)}
+                    for i in range(length)]
+
+        def solve(targets):
+            coords = _ghost_solve_packed(targets, p)
+            return tuple(MultiPoly(names, _unpack(c, len(names), radix)) for c in coords)
+
+        gx, gy = ghost(0), ghost(length)
+        self.add_int = solve([{**a, **b} for a, b in zip(gx, gy)])
+        self.mul_int = solve([_multiply_into({}, a, b) for a, b in zip(gx, gy)])
         self.add_modp = tuple(s.reduce_coeffs(p) for s in self.add_int)
         self.mul_modp = tuple(s.reduce_coeffs(p) for s in self.mul_int)
 
     @functools.cached_property
     def add_folded(self):
-        return tuple(_fold_poly(s, self.p) for s in self.add_modp)
+        return tuple(_fold(s, self.p) for s in self.add_modp)
 
     @functools.cached_property
     def mul_folded(self):
-        return tuple(_fold_poly(s, self.p) for s in self.mul_modp)
+        return tuple(_fold(s, self.p) for s in self.mul_modp)
 
 
 _structure_cache = {}
 
 
-def structure_polynomials(p, length):
-    """Structure polynomials for (p, length), computed once and cached.
-
-    The cache is write-once/read-many; results are safe to share.  Raises
-    BoundExceeded when length is over DEFAULT_LENGTH_BOUND and ValueError
-    for a length below 1 or a non-prime p.
-    """
+def check_structure_args(p, length):
+    """Refuse what `structure_polynomials` refuses, building nothing:
+    ValueError for a length below 1, BoundExceeded for a length over
+    DEFAULT_LENGTH_BOUND, ValueError for a non-prime p, in that order."""
     at_least("Witt length", length, 1)
     if length > DEFAULT_LENGTH_BOUND:
         raise BoundExceeded(f"length {length} exceeds bound {DEFAULT_LENGTH_BOUND}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def structure_polynomials(p, length):
+    """Structure polynomials for (p, length), computed once and cached.
+
+    The cache is write-once/read-many; results are safe to share.  Refuses
+    as `check_structure_args` does.
+    """
+    check_structure_args(p, length)
     key = (p, length)
     if key not in _structure_cache:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         _structure_cache[key] = StructurePolys(p, length)
     return _structure_cache[key]
 
@@ -217,20 +249,102 @@ def _fold(g, p):
     return {expo: c for expo, coeff in folded.items() if (c := coeff % p)}
 
 
-def _fold_poly(g, p):
-    return MultiPoly(g.variables, _fold(g, p))
+class _FoldedRing:
+    """F_p[d_0, ..., d_(n-1)]/(d_i^p - d_i), the functions on F_p^n, on
+    packed monomials in radix 2^w with w = (2p - 2).bit_length().  Folded
+    exponents are at most p - 1, so a product of two monomials has every
+    digit at most 2p - 2 < 2^w and carries nothing.  `mul` then maps every
+    digit e >= p to e - (p - 1), as `_fold` does, in one expression:
+    adding 2^(w-1) - p to each digit sets its top bit exactly when
+    e >= p, and 2^(w-1) >= p keeps the sum inside the digit."""
+
+    def __init__(self, p, n):
+        self.p, self.n = p, n
+        self.w = w = (2 * p - 2).bit_length()
+        ones = sum(1 << (w * i) for i in range(n))
+        self.offset = ones * ((1 << (w - 1)) - p)
+        self.tops = ones << (w - 1)
+
+    def pack(self, poly):
+        """`_fold` of poly, packed."""
+        weights = [1 << (self.w * i) for i in range(self.n)]
+        return {sum(map(operator.mul, expo, weights)): c
+                for expo, c in _fold(poly, self.p).items()}
+
+    def unpack(self, packed):
+        mask = (1 << self.w) - 1
+        shifts = [self.w * i for i in range(self.n)]
+        return {tuple((k >> s) & mask for s in shifts): c for k, c in packed.items()}
+
+    def mul(self, a, b):
+        """a*b: the product loop of `polyscheme._multiply_into`, with
+        each key folded and the result reduced mod p."""
+        q, offset, tops, shift = self.p - 1, self.offset, self.tops, self.w - 1
+        out = {}
+        get = out.get
+        b = b.items()
+        for k1, c1 in a.items():
+            for k2, c2 in b:
+                k = k1 + k2
+                k -= q * (((k + offset) & tops) >> shift)
+                out[k] = get(k, 0) + c1 * c2
+        p = self.p
+        return {k: r for k, c in out.items() if (r := c % p)}
 
 
 def _apply_law(law, a_coords, b_coords, p, polys, folded):
-    mapping = dict(zip(polys.variables, a_coords + b_coords))
-    out = tuple(s.substitute(mapping, modulus=p) for s in law)
-    return tuple(_fold_poly(g, p) for g in out) if folded else out
+    """The Witt law `law` at the coordinates a, b, substituted mod p.  A
+    folded law, a tuple of `_fold` term dicts, runs in `_FoldedRing`: the
+    images are packed once, and each power of an image and each product
+    a^alpha, b^beta of them is formed once.  A component, grouped by its
+    exponents alpha in a, is the sum over alpha of
+    a^alpha * (sum_beta c b^beta), one product per alpha, and is unpacked
+    once."""
+    images = a_coords + b_coords
+    if not folded:
+        mapping = dict(zip(polys.variables, images))
+        return tuple(s.substitute(mapping, modulus=p) for s in law)
+    names = images[0].variables
+    if any(img.variables != names for img in images):
+        raise ValueError("polynomials over different variable lists")
+    ring = _FoldedRing(p, len(names))
+    L = len(a_coords)
+    powers = [[{0: 1}, ring.pack(img)] for img in images]  # powers[j][e] = image_j^e
+    memos = ({}, {})
+
+    def product(expo, half):  # a^expo (half 0) or b^expo (half 1)
+        memo = memos[half]
+        if expo not in memo:
+            value = None
+            for pw, e in zip(powers[half * L:], expo):
+                if e:
+                    while len(pw) <= e:
+                        pw.append(ring.mul(pw[-1], pw[1]))
+                    value = pw[e] if value is None else ring.mul(value, pw[e])
+            memo[expo] = {0: 1} if value is None else value
+        return memo[expo]
+
+    out = []
+    for component in law:
+        groups = {}
+        for expo, c in component.items():
+            groups.setdefault(expo[:L], []).append((expo[L:], c))
+        acc = {}
+        for alpha, terms in groups.items():
+            inner = {}
+            for beta, c in terms:
+                for k, v in product(beta, 1).items():
+                    inner[k] = inner.get(k, 0) + c * v
+            for k, v in ring.mul(product(alpha, 0), inner).items():
+                acc[k] = acc.get(k, 0) + v
+        out.append(MultiPoly(names, ring.unpack(_reduce(acc, p))))
+    return tuple(out)
 
 
 def witt_add_sym(a_coords, b_coords, p, folded=False):
     """Witt sum of two vectors of polynomials over F_p.  With `folded`, the
-    coordinates are functions on F_p: the folded law is applied and each
-    result folded, so folded inputs give `_fold` of the exact sum."""
+    coordinates are taken as functions on F_p: the folded law runs in
+    `_FoldedRing`, so the result is `_fold` of the exact sum."""
     polys = structure_polynomials(p, len(a_coords))
     law = polys.add_folded if folded else polys.add_modp
     return _apply_law(law, a_coords, b_coords, p, polys, folded)

@@ -118,7 +118,8 @@ def commands():
                  for where in (("--field", "q=2"), ("--field", "q=3"), ("--field", "q=4"),
                                ("--field", "q=5"), ("--ring", "p3n0"), ("--ring", "ram3"))]
     swept = [bounded for argv in base for bounded in (argv, argv + list(BOUND))]
-    swept += [["witt", "--p", p, "--length", length, "--emit-polys"]
+    swept += [["witt", "--p", p, "--length", length, *emit]
+              for emit in (("--emit-polys",), ())
               for p in ("2", "3") for length in ("1", "2", "3")]
     return swept
 

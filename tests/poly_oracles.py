@@ -1,7 +1,8 @@
 """Reference polynomial arithmetic for the tests: products on exponent
 tuples, substitution without constant folding, and Greenberg digit
-components from the ghost map over Z.  None of it calls the product
-kernel of MultiPoly, so the kernel is never checked only by itself.
+components and the Witt structure laws from the ghost map over Z.  None
+of it calls the product kernel of MultiPoly or Witt's packed solver, so
+no kernel is checked only by itself.
 
 Also a reference for the verdicts of BallTree's image walk that shares
 none of its memo: a breadth-first search over the states below a ball,
@@ -50,6 +51,33 @@ def substitute_reference(f, mapping, modulus=None):
                     t = t.reduce_coeffs(modulus)
         acc = acc + t
     return acc.reduce_coeffs(modulus) if modulus else acc
+
+
+def structure_reference(p, length):
+    """The Witt laws over Z, (S_0, ...) and (P_0, ...), solved from the
+    ghost equations w_i(S) = w_i(x) + w_i(y) and w_i(P) = w_i(x) w_i(y)
+    one step at a time: p^i S_i = w_i(x) + w_i(y) - sum_(j<i) p^j
+    S_j^(p^(i-j)), every power taken afresh by pow_reference."""
+    names = tuple(f"x_{i}" for i in range(length)) + tuple(f"y_{i}" for i in range(length))
+    xs = [MultiPoly.variable(names, f"x_{i}") for i in range(length)]
+    ys = [MultiPoly.variable(names, f"y_{i}") for i in range(length)]
+
+    def ghost(coords, i):
+        return sum((pow_reference(coords[j], p ** (i - j)) * p**j for j in range(i + 1)),
+                   MultiPoly(names))
+
+    def solve(target):
+        coords = []
+        for i in range(length):
+            acc = target(i)
+            for j, c in enumerate(coords):
+                acc = acc - pow_reference(c, p ** (i - j)) * p**j
+            assert all(coeff % p**i == 0 for coeff in acc.terms.values())
+            coords.append(MultiPoly(names, {e: c // p**i for e, c in acc.terms.items()}))
+        return tuple(coords)
+
+    return (solve(lambda i: ghost(xs, i) + ghost(ys, i)),
+            solve(lambda i: mul_reference(ghost(xs, i), ghost(ys, i))))
 
 
 def ghost_expand_reference(f, p, length, names):

@@ -299,6 +299,28 @@ def test_cli_witt_polys(capsys):
     assert "S_1 = x_0*y_0 + x_1 + y_1" in out or "S_1 = x_1 + y_1 + x_0*y_0" in out
 
 
+def _no_laws(*args, **kwargs):
+    raise AssertionError("structure polynomials built")
+
+
+def test_cli_witt_builds_laws_only_to_emit_them(capsys, monkeypatch):
+    # without --emit-polys the report prints no law, so it builds none;
+    # building the laws for p = 7, length 4 did not finish in 300 s on a
+    # 2-core Xeon
+    import padicstacks.witt as witt
+
+    monkeypatch.setattr(witt, "_structure_cache", {})
+    monkeypatch.setattr(witt, "StructurePolys", _no_laws)
+    code, out = run(capsys, "witt", "--p", "7", "--length", "4")
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "p = 7", "length = 4", "emit_polys = false (pass --emit-polys for the laws)"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cd3794fe87156645613f73bf3c601be28a8d7a7ce860c9fb7302a4696a90c691")
+    with pytest.raises(AssertionError, match="structure polynomials built"):
+        main(["witt", "--p", "7", "--length", "4", "--emit-polys"])
+
+
 def test_cli_specialize(capsys):
     code, out = run(
         capsys,

@@ -6,7 +6,10 @@ import pytest
 from padicstacks.polyscheme import MultiPoly, parse_poly
 from padicstacks.rings import BoundExceeded
 from padicstacks.witt import (
+    StructurePolys,
     WittVector,
+    _fold,
+    _FoldedRing,
     frobenius_modp,
     ghost_components,
     int_from_witt,
@@ -23,6 +26,7 @@ from padicstacks.witt import (
     witt_neg_int,
     witt_scalar_modp,
 )
+from poly_oracles import mul_reference, structure_reference
 
 
 def all_vectors(p, L):
@@ -106,6 +110,24 @@ def test_structure_polys_agree_with_numeric_law():
             expected = witt_mul_int(a, b, p)
             for i in range(L):
                 assert sp.mul_int[i].eval_int(env, 10**9) % 10**9 == expected[i] % 10**9
+
+
+STRUCTURE_CASES = [(2, L) for L in range(1, 6)] + [(3, L) for L in range(1, 5)] + [
+    (p, L) for p in (5, 7) for L in range(1, 4)]
+
+
+@pytest.mark.parametrize("p, length", STRUCTURE_CASES)
+def test_structure_polys_match_reference_solve(p, length):
+    # a fresh solve, not the cache, against a reference that shares no
+    # code with the packed solver
+    sp = StructurePolys(p, length)
+    add, mul = structure_reference(p, length)
+    assert sp.add_int == add
+    assert sp.mul_int == mul
+    assert sp.add_modp == tuple(s.reduce_coeffs(p) for s in add)
+    assert sp.mul_modp == tuple(s.reduce_coeffs(p) for s in mul)
+    assert sp.add_folded == tuple(_fold(s, p) for s in sp.add_modp)
+    assert sp.mul_folded == tuple(_fold(s, p) for s in sp.mul_modp)
 
 
 def test_structure_poly_length_bound():
@@ -231,3 +253,84 @@ def test_symbolic_matches_numeric():
             env = av + bv
             assert tuple(s.eval_int(env, p) for s in s_sym) == witt_add_modp(av, bv, p)
             assert tuple(s.eval_int(env, p) for s in m_sym) == witt_mul_modp(av, bv, p)
+
+
+# ---------------------------------------------------------------------------
+# the folded kernel: F_p[d]/(d^p - d) on packed monomials
+
+
+def _digit_tuples(p, n, rng, count):
+    """Exponent tuples with digits in 0..2p-2: each of p-1, p and 2p-2 in
+    every position, then random ones."""
+    edges = [tuple([e] * n) for e in (0, p - 1, p, 2 * p - 2)]
+    edges += [tuple((p - 1, p, 2 * p - 2)[(i + k) % 3] for i in range(n)) for k in range(3)]
+    return edges + [tuple(rng.randint(0, 2 * p - 2) for _ in range(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+def test_packed_fold_matches_fold(p):
+    # the product of two folded monomials whose exponents sum to digits in
+    # 0..2p-2 is folded by one expression; mutants that must fail: the
+    # threshold moved to e > p (offset digit 2^(w-1) - p - 1), and w one
+    # bit short ((2p - 2).bit_length() - 1)
+    rng = random.Random(4200 + p)
+    n = 5
+    ring = _FoldedRing(p, n)
+    names = tuple(f"d_{i}" for i in range(n))
+
+    def key(expo):
+        return sum(e << (ring.w * i) for i, e in enumerate(expo))
+
+    for expo in _digit_tuples(p, n, rng, 200):
+        low = tuple(min(e, p - 1) for e in expo)
+        high = tuple(e - d for e, d in zip(expo, low))
+        expected = _fold(MultiPoly(names, {expo: 1}), p)
+        assert ring.unpack(ring.mul({key(low): 1}, {key(high): 1})) == expected, expo
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+def test_packed_product_matches_fold_of_product(p):
+    rng = random.Random(4300 + p)
+    n = 4
+    ring = _FoldedRing(p, n)
+    names = tuple(f"d_{i}" for i in range(n))
+
+    def folded_poly():
+        return MultiPoly(names, {tuple(rng.randint(0, p - 1) for _ in range(n)):
+                                 rng.randint(1, p - 1) for _ in range(rng.randint(1, 4))})
+
+    for _ in range(40):
+        a, b = folded_poly(), folded_poly()
+        product = ring.unpack(ring.mul(ring.pack(a), ring.pack(b)))
+        assert product == _fold(mul_reference(a, b), p)
+
+
+def _random_folded_vector(rng, names, p, length):
+    """Coordinates as functions on F_p: random folded polynomials, with
+    zeros and constants among them."""
+    coords = []
+    for _ in range(length):
+        kind = rng.random()
+        if kind < 0.15:
+            coords.append(MultiPoly(names))
+        elif kind < 0.3:
+            coords.append(MultiPoly.constant(names, rng.randint(1, p - 1)))
+        else:
+            terms = {tuple(rng.randint(0, p - 1) if rng.random() < 0.5 else 0 for _ in names):
+                     rng.randint(1, p - 1) for _ in range(rng.randint(1, 3))}
+            coords.append(MultiPoly(names, terms))
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_folded_operations_are_folds_of_exact_ones(p):
+    rng = random.Random(4400 + p)
+    names = ("a_0", "a_1", "b_0")
+    for length in (1, 2, 3):
+        for _ in range(12 if p < 7 else 4):
+            a = _random_folded_vector(rng, names, p, length)
+            b = _random_folded_vector(rng, names, p, length)
+            for op in (witt_add_sym, witt_mul_sym):
+                exact = op(a, b, p)
+                folded = op(a, b, p, folded=True)
+                assert folded == tuple(MultiPoly(names, _fold(g, p)) for g in exact)
