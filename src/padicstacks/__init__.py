@@ -46,7 +46,6 @@ from .rings import (
     INFINITY,
     BoundExceeded,
     FFElement,
-    FiniteField,
     LocalRingSpec,
     NotInvertible,
     RingConstructionError,

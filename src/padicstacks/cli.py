@@ -25,7 +25,7 @@ from .measures import (
 )
 from .polyscheme import DEFAULT_SLACK, count_points, singular_locus
 from .project import DEFAULT_MINIMUMS, ProjectError, load_project
-from .rings import BoundExceeded, FiniteField
+from .rings import BoundExceeded, is_prime, make_ring
 from .stacks import QuotientStack, UnsupportedStack, stacky_count
 from .witt import check_structure_args, structure_polynomials
 
@@ -68,19 +68,21 @@ def _parse_field(text):
     q = int(text)
     if q < 2:
         raise ProjectError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q and q % p != 0:
-        p += 1
-    if q % p != 0:
-        p = q
-    r = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
-        r += 1
-    if qq != 1:
-        raise ProjectError(f"{q} is not a prime power")
-    return FiniteField(p, r)
+    for r in range(q.bit_length(), 0, -1):
+        p = _integer_root(q, r)
+        if p**r == q and is_prime(p):
+            return make_ring(p, r=r)
+    raise ProjectError(f"{q} is not a prime power")
+
+
+def _integer_root(q, r):
+    """The largest integer p with p^r <= q, by Newton's method from above."""
+    p = 1 << -(-q.bit_length() // r)
+    while True:
+        below = ((r - 1) * p + q // p ** (r - 1)) // r
+        if below >= p:
+            return p
+        p = below
 
 
 # ---------------------------------------------------------------------------

@@ -765,10 +765,11 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
         tally = Counter()
         deeper = []
         for ball, read_true in frontier:
-            children = (
-                itertools.product(*map(spec.coordinates_above, ball))
-                if n else itertools.product(spec.coordinates(), repeat=n_vars)
-            )
+            if n:
+                children = itertools.product(*map(spec.coordinates_above, ball))
+            else:  # a target without variables lists no ring
+                roots = spec.coordinates(bound) if n_vars else ()
+                children = itertools.product(roots, repeat=n_vars)
             for child in children:
                 if any(g(child) for g in gens):
                     continue

@@ -7,9 +7,8 @@ and every truncation level.
 
 The ring decides how a point coordinate is stored (`coordinates()` and
 `compile(poly)` in rings.py): points over Z/p^(n+1) are tuples of plain
-integers in 0..p^(n+1)-1; over ramified and Galois rings they are tuples
-of RingElements, and over every finite field, prime fields included,
-tuples of FFElements.
+integers in 0..p^(n+1)-1, and over ramified and Galois rings tuples of
+RingElements.  F_q is the Galois ring make_ring(p, r=r) at level 0.
 
 `BallTree` counts points on every ring (`level_counts`, on the Weil
 restriction to Z_p) by a memoised walk over rescaled balls, and over
@@ -441,9 +440,8 @@ class AffineScheme:
 # ---------------------------------------------------------------------------
 # enumeration over finite rings
 #
-# A "ring" argument is a LocalRingSpec or a FiniteField: it has .size, and
-# it owns its point coordinates through .coordinates() and .compile(poly)
-# (see rings.py).
+# A "ring" argument is a LocalRingSpec: it owns its point coordinates
+# through .coordinates() and .compile(poly) (see rings.py).
 
 
 def enumerate_points(X, ring, bound=None):
@@ -452,7 +450,8 @@ def enumerate_points(X, ring, bound=None):
     total = ring.size**X.n_vars
     size_limit(bound, total, f"enumeration of {total} tuples")
     evals = [ring.compile(g) for g in X.generators]
-    for point in itertools.product(ring.coordinates(), repeat=X.n_vars):
+    coords = ring.coordinates(bound) if X.n_vars else ()  # no variables: list no ring
+    for point in itertools.product(coords, repeat=X.n_vars):
         for ev in evals:
             if ev(point):
                 break
@@ -566,12 +565,12 @@ def enumerate_points_lifted(X, p, n, bound=None):
 
 
 def level_counts(X, ring, n, bound=None):
-    """[|X(R_k)| for k = 0..n], R_k the ring's family at level k (a finite
-    field is its Galois ring at level 0): `BallTree.level_counts` on X's
-    Weil restriction, in the coordinates of the min(e, n+1) omega-slots
-    that occur mod p.  Refuses when the residue search p^(N r min(e, n+1))
-    or the count at some level k <= n exceeds the bound; a target without
-    generators is counted in closed form and never refused."""
+    """[|X(R_k)| for k = 0..n], R_k the ring's family at level k:
+    `BallTree.level_counts` on X's Weil restriction, in the coordinates of
+    the min(e, n+1) omega-slots that occur mod p.  Refuses when the residue
+    search p^(N r min(e, n+1)) or the count at some level k <= n exceeds
+    the bound; a target without generators is counted in closed form and
+    never refused."""
     top = ring.at_level(max(n, 0))  # n = -1 asks for no level
     p, e, r = top.p, top.e, top.r
     if not X.generators:

@@ -1,5 +1,6 @@
-"""Exact arithmetic in truncated local rings R/(omega^(n+1)) and finite
-fields F_(p^N).
+"""Exact arithmetic in truncated local rings R/(omega^(n+1)) and in their
+residue fields F_(p^r).  Points are listed on rings only: F_q is the
+Galois ring make_ring(p, r=r) at level 0.
 
 A ring spec is either unramified (omega = p, coefficients a Galois ring)
 or Eisenstein-ramified: Z[omega]/(E(omega), omega^(n+1)) with E monic of
@@ -209,17 +210,33 @@ def power(x, k, mul, one):
 
 
 def is_prime(n):
+    """Deterministic Miller-Rabin test.  The prime bases 2..41 decide every
+    n below 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015).
+    A multiple of a base is decided by division at any size; any other n
+    from that limit on is refused."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    limit = 3_317_044_064_679_887_385_961_981
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    if n >= limit:
+        raise ValueError(f"primality is decided only below {limit}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -338,9 +355,8 @@ def _power_rows(modpoly, count):
 
 
 class FiniteField:
-    """F_(p^N) as coefficient vectors modulo a monic irreducible polynomial."""
-
-    n = 0  # a finite field is its Galois ring at level 0 (at_level)
+    """F_(p^N) as coefficient vectors modulo a monic irreducible polynomial:
+    the residue field of a ring, where ac, red and residue values live."""
 
     def __init__(self, p, degree=1, modulus=None):
         if not is_prime(p):
@@ -359,23 +375,6 @@ class FiniteField:
                 raise RingConstructionError("reducible residue modulus")
         self.modulus = modulus
         self.size = p**degree
-
-    def at_level(self, n):
-        """The Galois ring with this residue field, truncated at level n."""
-        return LocalRingSpec(self.p, n=n, r=self.degree, residue_modulus=self.modulus)
-
-    def coordinates(self):
-        """Point coordinates: every FFElement, in elements() order."""
-        return list(self.elements())
-
-    def compile(self, poly):
-        """Evaluator point-tuple -> FFElement for an integer polynomial.  On
-        a prime field it runs compile_int on the elements' integer values
-        instead of FFElement arithmetic."""
-        if self.degree == 1:
-            ev = poly.compile_int(self.p)
-            return lambda point: FFElement(self, (ev([c.coeffs[0] for c in point]),))
-        return lambda point: poly.eval_elements(point, self.from_int)
 
     def element(self, coeffs):
         if isinstance(coeffs, int):
@@ -569,12 +568,12 @@ class LocalRingSpec:
     # ints on Z/p^(n+1), RingElements on every other ring.  An evaluator's
     # value is truthy exactly when it is nonzero, as on ints.
 
-    def coordinates(self):
+    def coordinates(self, bound=None):
         """Point coordinates in enumeration order: the ints 0..p^(n+1)-1 on
-        Z/p^(n+1), else every RingElement in elements() order."""
+        Z/p^(n+1), else every RingElement in elements(bound) order."""
         if self.int_modulus is not None:
             return range(self.int_modulus)
-        return list(self.elements())
+        return list(self.elements(bound))
 
     def coordinates_above(self, c):
         """The coordinates that reduce to the level-(n-1) coordinate c, in

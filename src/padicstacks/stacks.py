@@ -2,12 +2,12 @@
 picks the recipe from the group.
 
 Finite constant groups go through twisted sectors with Frobenius descent:
-over F_q (or the residue field of a level-0 ring) the weighted count is
-(1/|G|) * sum over g of the fixed points of Frobenius twisted by g,
-living in the degree-ord(g) extension.  The special groups G_a, G_m,
-GL_k (k <= 3) admit only trivial torsors, so their quotients count as
-|X(R)| / |G(R)|, with |X(R)| from `count_points` and closed-form group
-sizes.
+over a level-0 ring with residue field F_q the weighted count is (1/|G|)
+* sum over g of the fixed points of Frobenius twisted by g, listed on
+F_(q^d) = make_ring(p, r=r*d), d = ord(g), with the action and Frobenius
+(v^q) compiled by that ring.  The special groups G_a, G_m, GL_k (k <= 3)
+admit only trivial torsors, so their quotients count as |X(R)| / |G(R)|,
+with |X(R)| from `count_points` and closed-form group sizes.
 
 Finite constant groups over truncated rings of positive level would need
 twisted sectors over Galois rings; that case is refused, not approximated.
@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .polyscheme import MultiPoly, count_points, enumerate_points
-from .rings import FiniteField, record
+from .rings import make_ring, record
 
 
 class UnsupportedStack(ValueError):
@@ -185,9 +185,9 @@ class SpecialGroup:
         return (1,) if self.kind == "Gm" else (0,)
 
     def size_over(self, ring):
-        """|G(R_n)| from the closed forms; `ring` is a LocalRingSpec or a
-        FiniteField (its Galois ring at level 0)."""
-        q, n = ring.at_level(0).size, ring.n
+        """|G(R_n)| from the closed forms, for a ring R_n at level n with
+        residue field F_q."""
+        q, n = ring.residue_field.size, ring.n
         if self.kind == "Ga":
             return q ** (n + 1)
         if self.kind == "Gm":
@@ -271,25 +271,23 @@ class GroupAction:
 
     # -- applying the action --------------------------------------------------
 
-    def apply_finite_field(self, g, point, fld):
-        """g . point for points over a finite field (FFElement tuples)."""
-        return tuple(
-            q.eval_elements(point, fld.from_int) for q in self.polys[g]
-        )
+    def apply_finite_field(self, g, point, ring):
+        """g . point for a point over a ring, through `ring.compile`."""
+        return tuple(ring.compile(q)(point) for q in self.polys[g])
 
-    def check_compatibility(self, fld, bound=None):
-        """g.(h.x) == (gh).x on every enumerated point over a probe field."""
+    def check_compatibility(self, ring, bound=None):
+        """g.(h.x) == (gh).x on every enumerated point over a probe ring."""
         if self.is_special:
             raise UnsupportedStack("compatibility probe is for finite groups")
-        pts = list(enumerate_points(self.scheme, fld, bound))
+        pts = list(enumerate_points(self.scheme, ring, bound))
         for g in self.group.labels:
             for h in self.group.labels:
                 gh = self.group.mult[(g, h)]
                 for x in pts:
                     lhs = self.apply_finite_field(
-                        g, self.apply_finite_field(h, x, fld), fld
+                        g, self.apply_finite_field(h, x, ring), ring
                     )
-                    if lhs != self.apply_finite_field(gh, x, fld):
+                    if lhs != self.apply_finite_field(gh, x, ring):
                         return False
         return True
 
@@ -323,50 +321,55 @@ class QuotientStack:
 # twisted-sector counting for finite constant groups over F_q
 
 
-def _twisted_points(action, fld, g, ext, bound):
-    """Yield the x in X(ext) with Frob_q(x) = g^(-1) . x, as tuples of
-    ext elements; ext is F_(q^d) with d = ord(g)."""
-    q = fld.size
+def _twisted_points(action, ring, g, ext, bound):
+    """Yield the x in X(ext) with Frob_q(x) = g^(-1) . x, as point tuples
+    of ext; ext is F_(q^d) with d = ord(g)."""
+    names = action.scheme.variables
+    frob = [ext.compile(MultiPoly.variable(names, v) ** ring.size) for v in names]
     ginv = action.group.inverse[g]
     for x in enumerate_points(action.scheme, ext, bound):
-        if tuple(c**q for c in x) == action.apply_finite_field(ginv, x, ext):
+        if tuple(ev(x) for ev in frob) == action.apply_finite_field(ginv, x, ext):
             yield x
 
 
-def _sector_field(action, fld, g):
-    """F_(q^d) with d = ord(g), the field of g's twisted sector."""
-    return FiniteField(fld.p, fld.degree * action.group.element_order(g))
+def _sector_field(action, ring, g):
+    """F_(q^d) = make_ring(p, r=r*d) with d = ord(g), the field of g's
+    twisted sector; refuses a ring of positive level."""
+    if ring.n:
+        raise UnsupportedStack("finite constant groups over positive-level rings are unsupported")
+    return make_ring(ring.p, r=ring.r * action.group.element_order(g))
 
 
-def twisted_sector_count(action, fld, g, bound=None):
+def twisted_sector_count(action, ring, g, bound=None):
     """|{x in X(F_(q^d)) : Frob_q(x) = g^(-1) . x}| with d = ord(g)."""
-    ext = _sector_field(action, fld, g)
-    return sum(1 for _ in _twisted_points(action, fld, g, ext, bound))
+    ext = _sector_field(action, ring, g)
+    return sum(1 for _ in _twisted_points(action, ring, g, ext, bound))
 
 
-def stacky_count_finite(action, fld, bound=None):
-    """Weighted number of F_q-points of [X/G] for finite constant G."""
+def stacky_count_finite(action, ring, bound=None):
+    """Weighted number of F_q-points of [X/G] for finite constant G, over a
+    level-0 ring with residue field F_q."""
     if action.is_special:
         raise UnsupportedStack("use stacky_count_special for special groups")
     group = action.group
     total = 0
     for g in group.labels:
-        total += twisted_sector_count(action, fld, g, bound)
+        total += twisted_sector_count(action, ring, g, bound)
     return Fraction(total, group.order)
 
 
-def groupoid_classes_finite(action, fld, bound=None):
+def groupoid_classes_finite(action, ring, bound=None):
     """Isomorphism classes of the F_q-point groupoid of [X/G].
 
     Objects are twisted pairs (g, x); h carries (g, x) to (h g h^-1, h.x).
     Returns a list of (representative, class_size, automorphism_order).
     """
     group = action.group
-    ext = {g: _sector_field(action, fld, g) for g in group.labels}
+    ext = {g: _sector_field(action, ring, g) for g in group.labels}
     objects = []
     for g in group.labels:
         objects.extend(
-            (g, x) for x in _twisted_points(action, fld, g, ext[g], bound)
+            (g, x) for x in _twisted_points(action, ring, g, ext[g], bound)
         )
 
     def act(h, obj):
@@ -392,21 +395,23 @@ def groupoid_classes_finite(action, fld, bound=None):
     return classes
 
 
-def fiber_decomposition_check(action, fld, bound=None):
+def fiber_decomposition_check(action, ring, bound=None):
     """Check the fiber-counting law #p^(-1)(y) = #F_y(k) * #{y} for the
-    atlas map X(F_q) -> pi_0([X/G](F_q)), class by class.
+    atlas map X(F_q) -> pi_0([X/G](F_q)), class by class, with X(F_q)
+    listed on the identity sector's field.
 
     Returns (per-class list of (lhs, rhs, ok), aggregate bool).
     """
     group = action.group
-    classes = groupoid_classes_finite(action, fld, bound)
-    base_pts = list(enumerate_points(action.scheme, fld, bound))
+    classes = groupoid_classes_finite(action, ring, bound)
+    base = _sector_field(action, ring, group.identity)
+    base_pts = list(enumerate_points(action.scheme, base, bound))
     results = []
     for (g, x), _size, aut in classes:
         if g == group.identity:
             # u maps to this class iff some h sends (e, x) to (e, u); h
             # conjugates e to e, so that is u lying in the orbit of x
-            orbit = {action.apply_finite_field(h, x, fld) for h in group.labels}
+            orbit = {action.apply_finite_field(h, x, base) for h in group.labels}
             preimage = sum(1 for u in base_pts if u in orbit)
             fiber_points = group.order
         else:
@@ -441,14 +446,8 @@ def weighted_subset_count(aut_orders):
 
 
 def stacky_count(stack, ring, bound=None):
-    """Weighted count of a quotient stack over a finite field or a
-    truncated ring."""
+    """Weighted count of a quotient stack over a truncated ring; finite
+    constant groups take level-0 rings only."""
     if isinstance(stack.group, SpecialGroup):
         return stacky_count_special(stack, ring, bound)
-    if not isinstance(ring, FiniteField):
-        if ring.n > 0:
-            raise UnsupportedStack(
-                "finite constant groups over positive-level rings are unsupported"
-            )
-        ring = ring.residue_field
     return stacky_count_finite(stack.action, ring, bound)

@@ -115,8 +115,8 @@ def commands():
                  for level in ("1", "3")]
     for stack in STACKS:
         base += [["stack-count", *project, "--stack", stack, *where]
-                 for where in (("--field", "q=2"), ("--field", "q=3"), ("--field", "q=4"),
-                               ("--field", "q=5"), ("--ring", "p3n0"), ("--ring", "ram3"))]
+                 for where in (*(("--field", f"q={q}") for q in (2, 3, 4, 5, 7, 8, 9, 25, 27)),
+                               ("--ring", "p3n0"), ("--ring", "ram3"))]
     swept = [bounded for argv in base for bounded in (argv, argv + list(BOUND))]
     swept += [["witt", "--p", p, "--length", length, *emit]
               for emit in (("--emit-polys",), ())

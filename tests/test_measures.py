@@ -34,7 +34,7 @@ from padicstacks.polyscheme import (
     singular_locus,
     tau_point,
 )
-from padicstacks.rings import BoundExceeded, FiniteField, make_ring
+from padicstacks.rings import BoundExceeded, make_ring
 from padicstacks.stacks import GroupAction, QuotientStack, SpecialGroup, UnsupportedStack
 
 A1 = AffineScheme.affine_space("A1", ("x",))
@@ -821,27 +821,21 @@ def test_q_check_is_the_image_less_the_singular_centres(name):
 
 
 @pytest.mark.parametrize("p, k", [(3, 2), (5, 1)])
-def test_finite_field_reads_as_its_galois_ring_family(p, k):
-    # a finite field is its Galois ring at level 0 on every path: each call
-    # answers, or refuses, as on make_ring with the same residue modulus
-    field = FiniteField(p, k)
-    ring = make_ring(p, r=k, residue_modulus=field.modulus)
-    calls = (
-        lambda R: padic_measure(CUSP, R, 3),
-        lambda R: padic_measure(BGm(), R, 2),
-        lambda R: measure_formula("ord(x) >= 1", A1, 1, R, 2),
-        lambda R: series(CUSP, R, "p", 4),
-        lambda R: series(CUSP, R, "q", 4),
-        lambda R: q_coefficient_check(CUSP, R, 0, 3),
+def test_field_as_galois_ring_at_level_0(p, k):
+    # F_q is make_ring(p, r=k) at level 0: the measures answer on it, and
+    # the lift-certified series and Q check refuse it unless k = 1
+    ring, q = make_ring(p, r=k), p**k
+    assert padic_measure(CUSP, ring, 3).levels == [0, 1, 2, 3]
+    assert padic_measure(BGm(), ring, 2).value == Fraction(1, q - 1)
+    assert measure_formula("ord(x) >= 1", A1, 1, ring, 2).value == Fraction(1, q)
+    certified = (
+        lambda: series(CUSP, ring, "p", 4).coefficients,
+        lambda: series(CUSP, ring, "q", 4).coefficients,
+        lambda: q_coefficient_check(CUSP, ring, 0, 3),
     )
-
-    def outcome(call, R):
-        try:
-            return call(R)
-        except UnsupportedStack as exc:
-            return f"refused: {exc}"
-
-    results = [outcome(call, field) for call in calls]
-    assert results == [outcome(call, ring) for call in calls]
-    refused = [isinstance(r, str) for r in results]
-    assert refused == [False, False, False, k > 1, k > 1, k > 1]
+    if k > 1:
+        for call in certified:
+            with pytest.raises(UnsupportedStack, match="unramified prime ring"):
+                call()
+    else:
+        assert [call() for call in certified] == [[1, 5, 21, 103], [0, 4, 20, 102], (4, 4, True)]

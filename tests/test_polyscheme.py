@@ -27,7 +27,7 @@ from padicstacks.polyscheme import (
     tau_point,
     _solve_mod_p,
 )
-from padicstacks.rings import FiniteField, make_ring
+from padicstacks.rings import make_ring
 from padicstacks.syntax import PolyParseError
 from poly_oracles import (
     image_levels_reference,
@@ -529,6 +529,7 @@ def test_count_tree_matches_listing_brute_and_greenberg(case):
 
 # rings of every kind, each at level 0: ramified (e = 2, 3, 4, p = 2
 # included), Galois (r = 2, 3), mixed (e = r = 2), prime, and finite fields
+# (FIELDS: Galois rings drawn at level 0 only)
 BATTERY_RINGS = {
     "ram3": make_ring(3, 2, (-3, 0)),
     "ram2": make_ring(2, 2, (2, 2)),
@@ -540,9 +541,10 @@ BATTERY_RINGS = {
     "ram2gr4": make_ring(2, 2, (2, 2), r=2),
     "z5": make_ring(5),
     "z2": make_ring(2),
-    "f4": FiniteField(2, 2),
-    "f9": FiniteField(3, 2),
+    "f4": make_ring(2, r=2),
+    "f9": make_ring(3, r=2),
 }
+FIELDS = ("f4", "f9")
 
 
 def brute_refuses(X, ring, bound):
@@ -554,13 +556,13 @@ def brute_refuses(X, ring, bound):
 
 
 @st.composite
-def ring_systems(draw, ring):
+def ring_systems(draw, ring, field=False):
     """1-2 variables and 0-2 generators of degree <= 3 with coefficients
     in -12..12, a level n with q^(N(n+1)) <= 20,000 tuples over the ring
-    (0 on a finite field) and a bound."""
+    (0 when `field`) and a bound."""
     nv = draw(st.integers(1, 2))
     top = max(k for k in range(8) if ring.size ** (nv * (k + 1)) <= 20_000)
-    n = 0 if isinstance(ring, FiniteField) else draw(st.integers(0, top))
+    n = 0 if field else draw(st.integers(0, top))
     variables = V2[:nv]
     monomials = [e for e in itertools.product(range(4), repeat=nv) if sum(e) <= 3]
     term = st.tuples(st.sampled_from(monomials), st.integers(-12, 12))
@@ -577,15 +579,15 @@ def test_level_counts_match_brute_on_every_ring(name, data):
     # the tree on the Weil restriction against brute enumeration over the
     # ring's own elements, which shares no counting code with it
     ring = BATTERY_RINGS[name]
-    X, n, bound = data.draw(ring_systems(ring))
+    X, n, bound = data.draw(ring_systems(ring, name in FIELDS))
     counts = level_counts(X, ring, n)
-    rings = [ring] if isinstance(ring, FiniteField) else [ring.at_level(k) for k in range(n + 1)]
+    rings = [ring.at_level(k) for k in range(n + 1)]
     assert counts == [sum(1 for _ in enumerate_points(X, r)) for r in rings]
     assert all(type(c) is int for c in counts)
     assert count_points(X, rings[-1]) == counts[-1]
     # the refusal rule: the residue search q^(N min(e, n+1)) or a count
     # over the bound, never where brute enumeration answers
-    search = ring.size ** (X.n_vars * min(ring.at_level(0).e, n + 1))
+    search = ring.size ** (X.n_vars * min(ring.e, n + 1))
     refuses = bool(X.generators) and max(search, *counts) > bound
     try:
         assert level_counts(X, ring, n, bound) == counts
@@ -602,7 +604,7 @@ def test_element_ring_counts_pinned():
     assert count_points(cusp(), ram3.at_level(5)) == 2673
     assert count_points(conic(), ram3.at_level(5)) == 972
     pt = AffineScheme("pt", (), (), 0)
-    for ring in (gr9, ram3.at_level(3), FiniteField(3, 2)):
+    for ring in (gr9, ram3.at_level(3)):  # gr9 is F_9
         assert count_points(pt, ring) == 1
         assert count_points(singular_locus(pt), ring) == 0
 

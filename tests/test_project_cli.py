@@ -1,4 +1,5 @@
 import hashlib
+import os
 import pathlib
 import re
 import subprocess
@@ -855,3 +856,37 @@ def test_cli_sweep_smoke(capsys):
         digest = hashlib.sha256(f"{captured.out}\0{captured.err}".encode()).hexdigest()[:16]
         shown = " ".join("demo.project" if a == cli_sweep.DEMO else a for a in argv)
         assert line == f"{digest} {code} {shown}"
+
+
+# ---------------------------------------------------------------------------
+# primes past trial division
+
+M61 = 2**61 - 1  # a Mersenne prime
+
+
+def _cli_child(*argv):
+    """(exit code, stdout, stderr) of the CLI in a child process, which is
+    killed after 15 s: trial division up to the square root of 2^61 - 1
+    takes minutes, and must fail this test rather than hang the suite."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "padicstacks.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=15)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_mersenne_prime_commands_answer():
+    code, out, _ = _cli_child("witt", "--p", str(M61), "--length", "1")
+    assert code == 0 and f"p = {M61}" in out
+    code, _, err = _cli_child("witt", "--p", str(M61 + 2), "--length", "1")
+    assert (code, err) == (2, f"error: {M61 + 2} is not prime\n")
+    code, _, err = _cli_child("specialize", "--project", DEMO, "--formula", "ord_ge_1",
+                              "--primes", str(M61), "--expect", "1/q")
+    assert (code, err) == (3, f"error: formula walk of {M61} balls at level 0 exceeds bound 4000000\n")
+    code, out, _ = _cli_child("stack-count", "--project", DEMO, "--stack", "BS3",
+                              "--field", f"q={M61}")
+    assert code == 0 and out.endswith(f"field = q={M61}\ncount = 1/1\n")
+    # past the proven range of the Miller-Rabin bases, a prime is refused
+    code, _, err = _cli_child("witt", "--p", str(2**89 - 1), "--length", "1")
+    assert (code, err) == (2, f"error: primality is decided only below "
+                              f"3317044064679887385961981, got {2**89 - 1}\n")

@@ -1,10 +1,13 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from padicstacks import rings
 from padicstacks.polyscheme import AffineScheme, MultiPoly, enumerate_points, parse_poly
-from padicstacks.rings import BoundExceeded, FiniteField, make_ring
+from padicstacks.project import load_project
+from padicstacks.rings import BoundExceeded, FiniteField, LocalRingSpec, make_ring
 from padicstacks.stacks import (
     FiniteGroupData,
     GroupAction,
@@ -25,6 +28,11 @@ from padicstacks.stacks import (
 )
 from stack_oracles import (
     count_invertible_matrices,
+    ff_apply,
+    ff_fiber_check,
+    ff_groupoid_classes,
+    ff_points,
+    ff_stacky_count,
     group_elements,
     orbit_classes_special,
     special_orbits,
@@ -98,19 +106,19 @@ def test_classifying_stack_mass_formula():
         for q in (5, 7):
             if q % group.order == 0:
                 continue
-            fld = FiniteField(q)
+            fld = make_ring(q)
             assert stacky_count_finite(trivial_action(group), fld) == 1, (name, q)
 
 
 def test_trivial_group_on_point():
-    fld = FiniteField(5)
+    fld = make_ring(5)
     assert stacky_count_finite(trivial_action(cyclic_group(1)), fld) == 1
 
 
 def test_free_negation_action_q5():
     # X = {x^2 = 1}, Z/2 acting by x -> -x: one orbit, no automorphisms
     act = negation_action(cyclic_group(2), ["x^2 - 1"])
-    fld = FiniteField(5)
+    fld = make_ring(5)
     assert twisted_sector_count(act, fld, "g0") == 2
     assert twisted_sector_count(act, fld, "g1") == 0
     assert stacky_count_finite(act, fld) == 1
@@ -122,28 +130,24 @@ def test_twisted_sector_with_no_rational_points():
     # X = {x^2 = -1} over F_3 is empty, but the twisted sector sees the
     # conjugate pair in F_9; the stack still has one point
     act = negation_action(cyclic_group(2), ["x^2 + 1"])
-    fld = FiniteField(3)
+    fld = make_ring(3)
     assert twisted_sector_count(act, fld, "g0") == 0
     assert twisted_sector_count(act, fld, "g1") == 2
     assert stacky_count_finite(act, fld) == 1
 
 
-def burnside_stable_orbits(action, fld):
+def burnside_stable_orbits(action, ring):
     """Descent oracle for free actions: Frobenius-stable G-orbits inside
-    X over the degree-exponent extension."""
+    X over the degree-exponent extension, on FFElement arithmetic."""
     group = action.group
-    ext = FiniteField(fld.p, fld.degree * group.exponent())
-    pts = list(enumerate_points(action.scheme, ext))
-    q = fld.size
+    ext = FiniteField(ring.p, ring.r * group.exponent())
+    q = ring.size
     orbits = []
     seen = set()
-    for x in pts:
+    for x in ff_points(action.scheme, ext):
         if x in seen:
             continue
-        orbit = {
-            tuple(p.eval_elements(x, ext.from_int) for p in action.polys[g])
-            for g in group.labels
-        }
+        orbit = {ff_apply(action, g, x, ext) for g in group.labels}
         # freeness of the action on the algebraic closure probe
         assert len(orbit) == group.order
         seen |= orbit
@@ -157,9 +161,9 @@ def burnside_stable_orbits(action, fld):
 
 def test_free_action_collapse_against_burnside_oracle():
     cases = [
-        (negation_action(cyclic_group(2), ["x^2 - 1"]), FiniteField(5)),
-        (negation_action(cyclic_group(2), ["x^2 + 1"]), FiniteField(3)),
-        (negation_action(cyclic_group(2), ["x^2 - 2"]), FiniteField(5)),
+        (negation_action(cyclic_group(2), ["x^2 - 1"]), make_ring(5)),
+        (negation_action(cyclic_group(2), ["x^2 + 1"]), make_ring(3)),
+        (negation_action(cyclic_group(2), ["x^2 - 2"]), make_ring(5)),
     ]
     for act, fld in cases:
         assert stacky_count_finite(act, fld) == burnside_stable_orbits(act, fld)
@@ -169,10 +173,10 @@ def test_groupoid_classes_recompose_the_count():
     # compatibility with the weighted-count formula: recompute the total
     # from orbit/automorphism data
     for act, fld in [
-        (trivial_action(GROUP_ZOO["S3"]), FiniteField(5)),
-        (negation_action(cyclic_group(2), ["x^2 - 1"]), FiniteField(5)),
-        (negation_action(cyclic_group(2), ["x^2 + 1"]), FiniteField(3)),
-        (trivial_action(GROUP_ZOO["Klein"]), FiniteField(7)),
+        (trivial_action(GROUP_ZOO["S3"]), make_ring(5)),
+        (negation_action(cyclic_group(2), ["x^2 - 1"]), make_ring(5)),
+        (negation_action(cyclic_group(2), ["x^2 + 1"]), make_ring(3)),
+        (trivial_action(GROUP_ZOO["Klein"]), make_ring(7)),
     ]:
         classes = groupoid_classes_finite(act, fld)
         recomposed = weighted_subset_count(aut for _, _, aut in classes)
@@ -185,14 +189,14 @@ def test_groupoid_classes_recompose_the_count():
 
 def test_fiber_check_trivial_group():
     act = trivial_action(cyclic_group(1), AffineScheme.from_text("c", ("x", "y"), ["x^2 + y^2 - 1"], 1))
-    results, ok = fiber_decomposition_check(act, FiniteField(5))
+    results, ok = fiber_decomposition_check(act, make_ring(5))
     assert ok
     assert all(lhs == 1 for lhs, _, _ in results)
 
 
 def test_fiber_check_free_action():
     act = negation_action(cyclic_group(2), ["x^2 - 1"])
-    results, ok = fiber_decomposition_check(act, FiniteField(5))
+    results, ok = fiber_decomposition_check(act, make_ring(5))
     assert ok
     trivial_sector = [r for r in results if r[0] > 0]
     assert trivial_sector == [(2, Fraction(2), True)]
@@ -200,7 +204,7 @@ def test_fiber_check_free_action():
 
 def test_fiber_check_classifying_stack():
     act = trivial_action(cyclic_group(2))
-    results, ok = fiber_decomposition_check(act, FiniteField(5))
+    results, ok = fiber_decomposition_check(act, make_ring(5))
     assert ok
     assert (1, Fraction(1), True) in results
 
@@ -210,18 +214,18 @@ def test_fiber_check_classifying_stack():
 
 
 def test_special_group_sizes():
-    f5 = FiniteField(5)
+    f5 = make_ring(5)
     assert SpecialGroup("Gm").size_over(f5) == 4
     assert SpecialGroup("Ga").size_over(f5) == 5
     R1 = make_ring(5, n=1)
     assert SpecialGroup("Gm").size_over(R1) == 20
     assert SpecialGroup("Ga").size_over(R1) == 25
-    assert SpecialGroup("GL", 2).size_over(FiniteField(3)) == 48
+    assert SpecialGroup("GL", 2).size_over(make_ring(3)) == 48
     assert SpecialGroup("GL", 2).size_over(make_ring(3, n=1)) == 48 * 3**4
 
 
 def test_gl2_f3_by_enumeration():
-    assert count_invertible_matrices(2, FiniteField(3)) == 48
+    assert count_invertible_matrices(2, make_ring(3)) == 48
 
 
 def test_special_group_elements_bound():
@@ -236,14 +240,14 @@ def test_special_group_elements_bound():
 
 def test_point_mod_gm():
     act = GroupAction(SpecialGroup("Gm"), POINT)
-    assert stacky_count_special(act, FiniteField(5)) == Fraction(1, 4)
+    assert stacky_count_special(act, make_ring(5)) == Fraction(1, 4)
     assert stacky_count_special(act, make_ring(5, n=1)) == Fraction(1, 20)
-    assert stacky_count_special(act, FiniteField(3)) == Fraction(1, 2)
+    assert stacky_count_special(act, make_ring(3)) == Fraction(1, 2)
 
 
 def test_point_mod_gl2():
     act = GroupAction(SpecialGroup("GL", 2), POINT)
-    assert stacky_count_special(act, FiniteField(3)) == Fraction(1, 48)
+    assert stacky_count_special(act, make_ring(3)) == Fraction(1, 48)
 
 
 def test_conic_mod_gm_over_prime_ring_counts_by_lifting():
@@ -251,7 +255,7 @@ def test_conic_mod_gm_over_prime_ring_counts_by_lifting():
     conic = AffineScheme.from_text("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1)
     stack = QuotientStack("conic_mod_Gm", GroupAction(SpecialGroup("Gm"), conic))
     # every residue point of the conic is smooth, so each has 5^5 lifts
-    residue = len(list(enumerate_points(conic, FiniteField(5))))
+    residue = len(list(enumerate_points(conic, make_ring(5))))
     closed_form = Fraction(residue * 5**5, 5**6 - 5**5)  # |conic| / |G_m|
     assert stacky_count_special(stack, make_ring(5, n=5)) == closed_form == 1
     assert stacky_count(stack, make_ring(5, n=5)) == 1
@@ -314,7 +318,7 @@ def test_action_needs_one_substitution_per_variable():
 
 def test_compatibility_probe():
     act = negation_action(cyclic_group(2), ["x^2 - 1"])
-    assert act.check_compatibility(FiniteField(5))
+    assert act.check_compatibility(make_ring(5))
     # a non-homomorphic assignment: both non-identity elements of Z/4 * ...
     z4 = cyclic_group(4)
     x = MultiPoly.variable(("x",), "x")
@@ -322,7 +326,7 @@ def test_compatibility_probe():
     broken = GroupAction(
         z4, scheme, {"g0": (x,), "g1": (-x,), "g2": (x,), "g3": (x,)}
     )
-    assert not broken.check_compatibility(FiniteField(5))
+    assert not broken.check_compatibility(make_ring(5))
 
 
 def test_compatibility_probe_refuses_special_group_before_enumerating():
@@ -331,7 +335,7 @@ def test_compatibility_probe_refuses_special_group_before_enumerating():
     conic = AffineScheme.from_text("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1)
     act = GroupAction(SpecialGroup("Gm"), conic)
     with pytest.raises(UnsupportedStack, match="finite groups"):
-        act.check_compatibility(FiniteField(5), bound=3)
+        act.check_compatibility(make_ring(5), bound=3)
 
 
 def test_finite_group_positive_level_unsupported():
@@ -339,6 +343,87 @@ def test_finite_group_positive_level_unsupported():
     assert stacky_count(stack, make_ring(5, n=0)) == 1
     with pytest.raises(UnsupportedStack):
         stacky_count(stack, make_ring(5, n=1))
+
+
+DEMO = load_project(str(Path(__file__).resolve().parent / "data" / "demo.project"))
+DEMO_FINITE_STACKS = ("BS3", "pm1_mod_Z2")
+
+
+def _as_ff(x, ring, g, group):
+    """A sector point of the library, read as FFElements of F_(q^ord(g))."""
+    ext = make_ring(ring.p, r=ring.r * group.element_order(g))
+    return tuple(ext.residue(c) for c in x)
+
+
+# q = 2, 3, 4, 5, 7, 8, 9, 25, 27
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                  (5, 2), (3, 3)])
+@pytest.mark.parametrize("name", DEMO_FINITE_STACKS)
+def test_twisted_sectors_match_the_finite_field_oracle(name, p, r):
+    # the library lists and evaluates on level-0 rings through their
+    # compile; the oracle on FFElements with eval_elements and c**q
+    action = DEMO.stack(name).action
+    group = action.group
+    assert not action.is_special
+    ring, fld = make_ring(p, r=r), FiniteField(p, r)
+    assert stacky_count_finite(action, ring) == ff_stacky_count(action, fld)
+    got = [((g, _as_ff(x, ring, g, group)), size, aut)
+           for (g, x), size, aut in groupoid_classes_finite(action, ring)]
+    assert got == ff_groupoid_classes(action, fld)
+    assert fiber_decomposition_check(action, ring) == ff_fiber_check(action, fld)
+    assert action.check_compatibility(ring)
+
+
+def test_prime_field_points_are_ints():
+    # over F_p the level-0 coordinates are plain ints; the action and
+    # Frobenius are the ring's compiled polynomials, never c**q on a value
+    stack = DEMO.stack("pm1_mod_Z2")
+    assert stacky_count(stack, DEMO.ring("p3n0")) == 1
+    classes = groupoid_classes_finite(stack.action, make_ring(3))
+    assert classes == [(("e", (1,)), 2, 1)]
+    assert stack.action.apply_finite_field("s", (1,), make_ring(3)) == (2,)
+
+
+def test_ramified_level_0_ring_is_its_residue_field():
+    ram3 = DEMO.ring("ram3")
+    for name in DEMO_FINITE_STACKS:
+        stack = DEMO.stack(name)
+        assert stacky_count(stack, ram3.at_level(0)) == stacky_count(stack, make_ring(3))
+        with pytest.raises(UnsupportedStack, match="positive-level"):
+            stacky_count(stack, ram3)
+
+
+def test_fiber_check_on_a_field_with_another_modulus():
+    # X(F_q) and the identity sector are listed on one field, whatever
+    # residue modulus the given ring was built with
+    action = DEMO.stack("pm1_mod_Z2").action
+    other = make_ring(3, r=2, residue_modulus=(2, 1, 1))
+    assert other != make_ring(3, r=2)
+    assert fiber_decomposition_check(action, other) == ([(2, Fraction(2), True)], True)
+
+
+def test_stack_on_a_point_lists_no_ring(monkeypatch):
+    # BS3 lives on pt: over q = 1000003 its order-3 sector's field has
+    # about 10^18 elements, and none of them is needed
+    def refuse(self, bound=None):
+        raise AssertionError("a scheme without variables listed its ring")
+
+    monkeypatch.setattr(LocalRingSpec, "elements", refuse)
+    monkeypatch.setattr(FiniteField, "elements", refuse)
+    assert stacky_count(DEMO.stack("BS3"), make_ring(1000003)) == 1
+    assert stacky_count(DEMO.stack("BS3"), make_ring(3, r=4)) == 1
+    assert list(enumerate_points(POINT, make_ring(2, r=61))) == [()]
+
+
+def test_listing_honours_the_callers_bound(monkeypatch):
+    # the listing inside enumerate_points is held to the caller's bound,
+    # not to the default one
+    monkeypatch.setattr(rings, "DEFAULT_BOUND", 10)
+    A1 = AffineScheme.affine_space("A1", ("x",))
+    for ring in (make_ring(5, r=2), make_ring(5, n=1)):
+        assert len(list(enumerate_points(A1, ring, bound=30))) == 25
+        with pytest.raises(BoundExceeded, match="bound 10$"):
+            list(enumerate_points(A1, ring))
 
 
 def gm_orbit_data(action, spec):
