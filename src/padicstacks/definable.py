@@ -23,8 +23,9 @@ the same at every deeper point reducing to it, so a ball read false is
 dropped.  A ball whose count below follows in closed form is closed and
 not read again: a true ball on a target without generators, and, on
 Z/p^(n+1), a ball on which the target and the open exact atoms are smooth
-and decide the formula (Hensel's lemma; see `_closed_fibre`).  Only the
-other balls are read at the next level.
+and decide the formula (Hensel's lemma).  One reader, `_KeptPoints`,
+decides each kept point: it closes the ball or settles the point.  Only
+the other balls are read at the next level.
 
 Each condition parses to one syntax tree.  Exact vanishing has one atom,
 ord(f) == INFINITY, which f == 0, f == g (with f - g) and ord(f) >=
@@ -454,7 +455,7 @@ def _compile(formula, spec):
 
     exact_atoms lists (polynomial, reader args -> truth value) for each
     structurally distinct atom that asserts exact vanishing, in formula
-    order; the upgrade oracle reads it.  evaluate(args, overrides) is the
+    order; `_KeptPoints` reads it.  evaluate(args, overrides) is the
     truth value at args = point + (uniformizer coordinate,), where an
     exact-vanishing atom whose list position is a key of the overrides
     dict reads its value from there instead of from the point.  Point
@@ -612,108 +613,102 @@ def eval_formula(formula, target, spec, bound=None):
 # measures of definable sets
 
 
-class _UpgradeOracle:
-    """Settles undetermined points whose open atoms all assert exact
-    vanishing, by certifying (or refuting) a true solution of the joint
-    system target-generators + open polynomials over the point, and finds
-    the points where that system is smooth.
+class _KeptPoints:
+    """Decides each point that the walk of `measure_formula` keeps: it
+    closes the point's ball, or settles the point's truth.
 
-    An oracle serves one formula, so an atom's position in the compiled
-    exact_atoms list names it at every level: its polynomial read at t = p,
-    the ball tree of a joint system (by the positions of its atoms) and the
-    smoothness of a system at a residue point are cached."""
+    Let E be the exact atoms that read undetermined at a level-n point
+    (none when it reads True), S the target's generators and E's
+    polynomials at t = p, and g = |S|.  The ball is closed when S is empty
+    and the point reads True, or, on Z/p^(n+1), when (a) the Jacobian of S
+    has rank g mod p at the point, (b) the formula reads true with E
+    overridden true, and (c) false with any one atom of E overridden
+    false.  By Hensel's lemma p^((N - g) r) points of S lie r levels down,
+    each truncating a Z_p-point, so each reads true; every other point
+    there on the target has an atom of E false, so by (c) and monotonicity
+    it reads false.  Otherwise, on Z/p^(n+1), each atom of E gets one lift
+    certificate, and the atoms left open after refutation at most one
+    more, jointly with the target; on other rings the point stays
+    undetermined.
 
-    def __init__(self, target, p, slack):
+    An atom's position in the compiled exact_atoms list names it at every
+    level, so its polynomial at t = p, a system's ball tree and Jacobian
+    (by its atoms' positions) and the system's rank at a residue point are
+    cached."""
+
+    def __init__(self, target, root, slack):
         self.target = target
-        self.p = p
         self.slack = slack
+        self.p = root.p
+        self.q = root.size
+        self.certified = root.int_modulus is not None
         self._folded = {}
         self._trees = {}
+        self._jacobians = {}
         self._smooth = {}
 
-    def _fold(self, exact_atoms, i):
-        """The polynomial of the atom at position i over Z_p, with t = p."""
-        if i not in self._folded:
-            variables = self.target.variables
-            at_p = {v: MultiPoly.variable(variables, v) for v in variables}
-            at_p["t"] = MultiPoly.constant(variables, self.p)
+    def _system(self, exact_atoms, atoms):
+        """The target's generators and the atoms at `atoms`, at t = p."""
+        variables = self.target.variables
+        at_p = {v: MultiPoly.variable(variables, v) for v in variables}
+        at_p["t"] = MultiPoly.constant(variables, self.p)
+        for i in set(atoms) - self._folded.keys():
             self._folded[i] = exact_atoms[i][0].substitute(at_p)
-        return self._folded[i]
+        return self.target.generators + tuple(self._folded[i] for i in atoms)
 
     def _verdict(self, exact_atoms, atoms, point, n):
-        """The point's verdict on the target cut by the atoms at `atoms`."""
+        """The point's verdict on the system of `atoms`."""
         if atoms not in self._trees:
-            folded = tuple(self._fold(exact_atoms, i) for i in atoms)
-            self._trees[atoms] = BallTree(
-                self.target.generators + folded, len(self.target.variables), self.p
-            )
+            self._trees[atoms] = BallTree(self._system(exact_atoms, atoms), len(point), self.p)
         return self._trees[atoms].verdict(point, n, self.slack)
 
-    def smooth(self, exact_atoms, atoms, point):
-        """Whether the Jacobian of the target's generators and the atoms at
-        `atoms` has full row rank mod p at the point."""
+    def _closes(self, exact_atoms, atoms, point):
+        """Whether the system of `atoms` is smooth of rank g mod p at the
+        point, which then closes its ball of fibre q^(N - g)."""
         u0 = tuple(x % self.p for x in point)
         if (atoms, u0) not in self._smooth:
-            polys = self.target.generators + tuple(self._fold(exact_atoms, i) for i in atoms)
-            rows = [[d.eval_int(u0, self.p) for d in row] for row in _jacobian(polys)]
+            if atoms not in self._jacobians:
+                self._jacobians[atoms] = _jacobian(self._system(exact_atoms, atoms))
+            rows = [[d.eval_int(u0, self.p) for d in row] for row in self._jacobians[atoms]]
             self._smooth[atoms, u0] = full_rank(rows, len(u0), self.p)
         return self._smooth[atoms, u0]
 
-    def settle(self, evaluate, exact_atoms, point, args, n):
-        """True / False / None (undetermined) for 'point lies in the level-n
-        truncation of the defined set', given the formula compiled for the
-        level-n ring and its arguments at the point."""
-        verdicts = {
-            i: self._verdict(exact_atoms, (i,), point, n)
-            for i, (_, read) in enumerate(exact_atoms)
-            if read(args) is None
-        }
-        # refute what can be refuted one atom at a time (valid for every
-        # lift of the point, so the override is sound in any polarity)
-        overrides = {i: v for i, v in verdicts.items() if v is False}
-        tv = evaluate(args, overrides) if overrides else None
-        if tv is False:
-            return False
-        # optimistic pass: the atoms left open read true, and a true formula
-        # is certain once they and the target lift jointly (the target
-        # alone when every open atom was refuted)
-        live = tuple(i for i in verdicts if i not in overrides)
-        if live:
-            overrides.update(dict.fromkeys(live, True))
-            tv = evaluate(args, overrides)
-        if tv is not True:
-            return None
-        joint = (
-            verdicts[live[0]] if len(live) == 1
-            else self._verdict(exact_atoms, live, point, n)
-        )
-        return True if joint else None
+    def read(self, tv, evaluate, exact_atoms, point, args, n):
+        """(fibre, None) when the ball of the level-n point, which reads tv
+        (True or None), is closed; else (None, the point's truth)."""
+        opened = () if tv else tuple(i for i, (_, read) in enumerate(exact_atoms)
+                                     if read(args) is None)
+        g = len(self.target.generators) + len(opened)
+        if tv and (not g or self.certified and self._closes(exact_atoms, (), point)):
+            return self.q ** (len(point) - g), None
+        if tv or not self.certified:
+            return None, tv
+        # the formula at the point, by override set; with no override the
+        # point reads tv, which is None here
+        answers = {frozenset(): None}
 
+        def value(overrides):
+            key = frozenset(overrides.items())
+            if key not in answers:
+                answers[key] = evaluate(args, overrides)
+            return answers[key]
 
-def _closed_fibre(tv, evaluate, exact_atoms, args, child, n_gens, q, upgrades):
-    """q^(N - g) when the ball of a kept level-n point (reading tv) is
-    closed: it holds q^((N - g) r) points r levels down that the walk
-    would keep, and each reads true.  Else None.
-
-    E is the exact atoms that read undetermined (none when tv is True), S
-    the target's generators and E's polynomials at t = p, and g = |S|.  The
-    ball is closed when S is empty and tv is True, or, on Z/p^(n+1), when
-    (a) the Jacobian of S has rank g mod p at the point, (b) the formula
-    reads true with E overridden true, and (c) false with any one atom of
-    E overridden false.  By Hensel's lemma p^((N - g) r) points of S lie
-    r levels down, each truncating a Z_p-point, so `settle` certifies them;
-    every other point there on the target has an atom of E false, so by
-    (c) and monotonicity it reads false."""
-    opened = () if tv else tuple(i for i, (_, read) in enumerate(exact_atoms) if read(args) is None)
-    g = n_gens + len(opened)
-    if not g:
-        return q ** len(child) if tv else None
-    if upgrades is None:
-        return None
-    if not tv and (evaluate(args, dict.fromkeys(opened, True)) is not True
-                   or any(evaluate(args, {i: False}) is not False for i in opened)):
-        return None
-    return q ** (len(child) - g) if upgrades.smooth(exact_atoms, opened, child) else None
+        if (value(dict.fromkeys(opened, True)) is True
+                and all(value({i: False}) is False for i in opened)
+                and self._closes(exact_atoms, opened, point)):
+            return self.q ** (len(point) - g), None
+        verdicts = {i: self._verdict(exact_atoms, (i,), point, n) for i in opened}
+        # a refuted atom is false at every lift of the point, so its override
+        # is sound in any polarity; the atoms left open then read true, and a
+        # true formula is certain once they and the target lift jointly (the
+        # target alone when every open atom was refuted)
+        live = tuple(i for i in opened if verdicts[i] is not False)
+        if value({i: False for i in opened if i not in live}) is False:
+            return None, False
+        if value({i: i in live for i in opened}) is not True:
+            return None, None
+        joint = verdicts[live[0]] if len(live) == 1 else self._verdict(exact_atoms, live, point, n)
+        return None, joint or None
 
 
 def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
@@ -730,11 +725,12 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     the level (a nonzero value keeps its ord, ac and red, a vanishing
     value's ord interval only shrinks, and comparisons and the Kleene
     connectives keep a decided value decided).  So a ball read false is
-    dropped.  A ball that `_closed_fibre` closes (Hensel's lemma) is not
-    read again: it counts fibre^r certain-true points r levels down.  Only
-    the other balls split into their q^N children at the next level.  A
-    child off the target is dropped, and so is every point above it.
-    `bound` limits the balls read per level."""
+    dropped.  Every other ball goes to one reader, `_KeptPoints`, which
+    closes it (Hensel's lemma) or returns its point's settled truth.  A
+    closed ball is not read again: it counts fibre^r certain-true points r
+    levels down.  Only the other balls split into their q^N children at
+    the next level.  A child off the target is dropped, and so is every
+    point above it.  `bound` limits the balls read per level."""
     at_least("dimension", d, 0)
     at_least("max_level", max_level, 0)
     at_least("slack", slack, 0)
@@ -743,11 +739,7 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     q = root.size
     n_vars = len(target.variables)
     fanout = q**n_vars
-    upgrades = (
-        _UpgradeOracle(target, root.p, slack)
-        if root.int_modulus is not None
-        else None
-    )
+    reader = _KeptPoints(target, root, slack)
     levels = list(range(max_level + 1))
     lower, upper = [], []
     # balls to split, each with whether it already reads true
@@ -777,15 +769,11 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
                 tv = True if read_true else evaluate(args, None)
                 if tv is False:
                     continue
-                fibre = _closed_fibre(tv, evaluate, exact_atoms, args, child, len(gens), q,
-                                      upgrades)
+                fibre, truth = reader.read(tv, evaluate, exact_atoms, child, args, n)
                 if fibre:
                     closed[fibre] += 1
                     continue
-                if tv is None and upgrades is not None:
-                    tally[upgrades.settle(evaluate, exact_atoms, child, args, n)] += 1
-                else:
-                    tally[tv] += 1
+                tally[truth] += 1
                 if n < max_level:
                     deeper.append((child, tv is True))
         frontier = deeper

@@ -150,6 +150,13 @@ class GreenbergScheme:
     p: int
     level: int
 
+    def __post_init__(self):
+        """Refuse a level as `digit_length` does, a p that is not prime and
+        source variable names that collide with the digit names."""
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        digit_variables(self.source.variables, digit_length(self.level))
+
     @property
     def length(self):
         return self.level + 1
@@ -303,10 +310,6 @@ def digit_length(n):
 
 def greenberg_transform(X, p, n):
     """The digit expansion of X at p and level n, as a `GreenbergScheme`
-    that expands nothing until it is read.  Refuses at once a level as
-    `digit_length` does, a p that is not prime and source variable names
-    that collide with the digit names."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    digit_variables(X.variables, digit_length(n))
+    that expands nothing until it is read (and refuses what the record
+    refuses)."""
     return GreenbergScheme(X, p, n)

@@ -24,7 +24,7 @@ All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 import itertools
-from operator import add, mod, neg, sub
+from operator import add, mod, mul, neg, sub
 
 DEFAULT_BOUND = 4_000_000
 
@@ -195,18 +195,20 @@ def p_valuation(c, p):
 
 
 def power(x, k, mul, one):
-    """x^k for an integer k >= 0 by square-and-multiply: `one` times the
-    squares x, x^2, x^4, ... picked by the bits of k, low bit first.  The
-    base is squared only while bits of k remain, so x^k takes
-    bit_length(k) - 1 squarings and one product per set bit."""
-    result = one
+    """x^k for an integer k >= 0 by square-and-multiply: the product of the
+    squares x, x^2, x^4, ... picked by the bits of k, low bit first, and
+    `one` when k = 0.  The base is squared only while bits of k remain and
+    the first square picked starts the product, so x^k takes
+    bit_length(k) - 1 squarings and one product per set bit after the
+    first: x^1 takes none and x^2 one."""
+    result = None
     while k:
         if k & 1:
-            result = mul(result, x)
+            result = x if result is None else mul(result, x)
         k >>= 1
         if k:
             x = mul(x, x)
-    return result
+    return one if result is None else result
 
 
 def is_prime(n):
@@ -587,23 +589,25 @@ class LocalRingSpec:
         """Evaluator point-tuple -> coordinate value for an integer
         polynomial, compiled once for this ring.  On element rings each
         nonzero coefficient is embedded once and each monomial is a run of
-        RingElement products, started at its first variable when the
+        RingElement products over its (variable, exponent) factors, each
+        raised by `power`, started at its first factor when the
         coefficient is 1; the sum starts at the first term."""
         if self.int_modulus is not None:
             return poly.compile_int(self.int_modulus)
         zero, one = self.zero(), self.one()
-        terms = []  # (coefficient, or None when it is 1, variable indices)
+        terms = []  # (coefficient, or None when it is 1, (variable, exponent) factors)
         for expo, c in sorted(poly.terms.items()):
             coeff = self.from_int(c)
             if coeff:
-                factors = tuple(i for i, k in enumerate(expo) for _ in range(k))
+                factors = tuple((i, k) for i, k in enumerate(expo) if k)
                 terms.append((None if factors and coeff == one else coeff, factors))
 
         def ev(point):
             acc = None
             for t, factors in terms:
-                for i in factors:
-                    t = point[i] if t is None else t * point[i]
+                for i, k in factors:
+                    x = point[i] if k == 1 else power(point[i], k, mul, one)
+                    t = x if t is None else t * x
                 acc = t if acc is None else acc + t
             return zero if acc is None else acc
 

@@ -8,12 +8,13 @@ Every command runs as given and again with a small `--bound`, so refusals
 are swept along with reports.  A change that must keep every report
 byte-identical runs the sweep on both trees and compares:
 
-    python tests/cli_sweep.py --root OLD_CHECKOUT > old.txt
-    python tests/cli_sweep.py --root NEW_CHECKOUT > new.txt
-    diff old.txt new.txt
+    python tests/cli_sweep.py --against OLD_CHECKOUT
 
 Options: `--root DIR` imports padicstacks from DIR/src (default: the
-checkout holding this file); `--limit N` runs only the first N commands.
+checkout holding this file); `--limit N` runs only the first N commands;
+`--against DIR` runs this file's sweep for the root and for DIR, each in a
+child process, prints the two lines (`-` DIR, `+` root) of every command
+whose lines differ, and exits 1 if any differ.
 """
 
 import argparse
@@ -22,6 +23,7 @@ import hashlib
 import io
 import pathlib
 import shlex
+import subprocess
 import sys
 
 DEMO = str(pathlib.Path(__file__).resolve().parent / "data" / "demo.project")
@@ -135,12 +137,33 @@ def run(main, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def against(root, other, limit):
+    """Run the sweep for `root` and for `other` in two child processes and
+    print the lines of every command whose lines differ; 1 if any do."""
+    extra = [] if limit is None else ["--limit", str(limit)]
+    children = [subprocess.Popen([sys.executable, __file__, "--root", tree, *extra],
+                                 stdout=subprocess.PIPE, text=True)
+                for tree in (other, root)]
+    old, new = (child.communicate()[0].splitlines() for child in children)
+    if any(child.returncode for child in children) or len(old) != len(new):
+        print("a sweep did not finish", file=sys.stderr)
+        return 2
+    differ = [(a, b) for a, b in zip(old, new) if a != b]
+    for a, b in differ:
+        print(f"- {a}\n+ {b}")
+    return 1 if differ else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=str(pathlib.Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ is imported")
     parser.add_argument("--limit", type=int, default=None, help="run only the first N commands")
+    parser.add_argument("--against", metavar="DIR",
+                        help="compare the sweep for --root with the one for DIR")
     args = parser.parse_args(argv)
+    if args.against:
+        return against(args.root, args.against, args.limit)
     sys.dont_write_bytecode = True  # leave no __pycache__ in the swept tree
     sys.path.insert(0, str(pathlib.Path(args.root) / "src"))
     from padicstacks.cli import main as cli_main

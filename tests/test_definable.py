@@ -934,6 +934,40 @@ def test_smooth_balls_close_by_hensel():
     assert m.lower == m.upper == [Fraction(8, 5)] * 7
 
 
+def test_kept_points_ask_each_question_once(monkeypatch):
+    # points whose balls close (the first formula), settle (the second) and
+    # stay open (the cusp atom): each joint system's Jacobian is built once,
+    # and no point is evaluated twice under one set of overrides
+    jacobians, evaluations = Counter(), Counter()
+    real_jacobian, real_compile = definable._jacobian, definable._compile
+
+    def jacobian(polys):
+        jacobians[tuple(polys)] += 1
+        return real_jacobian(polys)
+
+    def compile_counted(formula, ring):
+        evaluate, exact_atoms = real_compile(formula, ring)
+
+        def counted(args, overrides):
+            evaluations[ring.n, args, frozenset((overrides or {}).items())] += 1
+            return evaluate(args, overrides)
+
+        return counted, exact_atoms
+
+    monkeypatch.setattr(definable, "_jacobian", jacobian)
+    monkeypatch.setattr(definable, "_compile", compile_counted)
+    for text, d, checked in (("x*y - t == 0 || x - y == 0", 1, True),
+                             ("x - y == 0 && x*y - 1 == 0", 0, True),
+                             ("y^2 - x^3 == 0", 1, False)):
+        jacobians.clear()
+        evaluations.clear()
+        measure_formula(text, A2, d, spec(3, 0), max_level=3)
+        assert jacobians and max(jacobians.values()) == 1, text
+        assert evaluations and max(evaluations.values()) == 1, text
+        if checked:  # the reference refuses the cusp atom at level 3
+            _assert_walk_matches_pointwise(text, A2, spec(3, 0), 3)
+
+
 def test_formula_over_other_variables_is_refused(monkeypatch):
     # readers take a point's coordinates by position, so a formula over
     # (y,) on a target over (x, y) read x as y (ord(y) >= 1 on the line

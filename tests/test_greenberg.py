@@ -306,6 +306,19 @@ def test_transform_refuses_at_once_and_expands_nothing():
     assert "scheme" not in G.__dict__ and "_folded_gens" not in G.__dict__
 
 
+@pytest.mark.parametrize("variables, p, n", [(("x",), 2, 9), (("x",), 3, -1), (("x",), 4, 1),
+                                           (("x",), 1, 1), (("x", "x_0"), 3, 1)])
+def test_record_refuses_what_the_transform_refuses(variables, p, n):
+    # the record built directly once took level -1 (enumerate_points
+    # answered [()] and count_points died on an unbound local)
+    X = AffineScheme.from_text("X", variables, ["x^2 - 1"], len(variables) - 1)
+    with pytest.raises((ValueError, BoundExceeded)) as want:
+        greenberg_transform(X, p, n)
+    with pytest.raises(type(want.value)) as got:
+        greenberg.GreenbergScheme(X, p, n)
+    assert str(got.value) == str(want.value)
+
+
 def test_digit_frontier_bound():
     # the level-0 digit frontier of A2 over F_3 holds 9 points
     G = greenberg_transform(AffineScheme.affine_space("A2", ("x", "y")), 3, 0)

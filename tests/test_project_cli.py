@@ -11,8 +11,16 @@ import pytest
 
 import cli_sweep
 from padicstacks.cli import main
+from padicstacks.polyscheme import AffineScheme, parse_poly
 from padicstacks.project import ProjectError, load_project
-from padicstacks.stacks import QuotientStack, SpecialGroup
+from padicstacks.rings import FiniteField, RingConstructionError, make_ring
+from padicstacks.stacks import (
+    FiniteGroupData,
+    GroupAction,
+    GroupDataError,
+    QuotientStack,
+    SpecialGroup,
+)
 
 DEMO = str(pathlib.Path(__file__).parent / "data" / "demo.project")
 
@@ -513,6 +521,65 @@ def test_malformed_project_section_exits_2(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+A1_SCHEME = AffineScheme.affine_space("A1", ("x",))
+NOT_ASSOCIATIVE = ["e a b".split(), "a e a".split(), "b a e".split()]
+
+
+@pytest.mark.parametrize(
+    "text, message, call, error",
+    [pytest.param("[ring q]\np = 3\ne = 0\n", "ramification index must be >= 1",
+                  lambda: make_ring(3, e=0), RingConstructionError, id="ring-e"),
+     pytest.param("[ring q]\np = 3\nn = -1\n", "level must be >= 0",
+                  lambda: make_ring(3, n=-1), RingConstructionError, id="ring-n"),
+     pytest.param("[ring q]\np = 3\nr = 0\n", "residue degree must be >= 1",
+                  lambda: make_ring(3, r=0), RingConstructionError, id="ring-r"),
+     pytest.param("[ring q]\np = 3\ne = 2\n",
+                  "Eisenstein coefficients c_0..c_(e-1) required when e > 1",
+                  lambda: make_ring(3, e=2), RingConstructionError, id="ring-eisenstein"),
+     pytest.param("[ring q]\np = 3\nr = 2\nresidue_modulus = 1, 1\n",
+                  "modulus must be monic of the stated degree",
+                  lambda: FiniteField(3, 2, (1, 1)), RingConstructionError,
+                  id="field-modulus"),
+     pytest.param("[group G]\nelements = e, e\ntable =\n    e e\n    e e\n",
+                  "duplicate element labels",
+                  lambda: FiniteGroupData(["e", "e"], [["e", "e"], ["e", "e"]]),
+                  GroupDataError, id="group-duplicate"),
+     pytest.param("[group G]\nelements = e, s\ntable =\n    e s\n    s\n",
+                  "table row of wrong length",
+                  lambda: FiniteGroupData(["e", "s"], [["e", "s"], ["s"]]),
+                  GroupDataError, id="group-short-row"),
+     pytest.param("[group G]\nelements = e, s\ntable =\n    e s\n    s u\n",
+                  "table entry 'u' is not an element",
+                  lambda: FiniteGroupData(["e", "s"], [["e", "s"], ["s", "u"]]),
+                  GroupDataError, id="group-unknown-entry"),
+     pytest.param("[group G]\nelements = e, a, b\ntable =\n    e a b\n    a e a\n    b a e\n",
+                  "multiplication is not associative",
+                  lambda: FiniteGroupData(["e", "a", "b"], NOT_ASSOCIATIVE),
+                  GroupDataError, id="group-not-associative"),
+     pytest.param("[group Gm]\nspecial = Gm\n\n[action a]\ngroup = Gm\nscheme = A1\n"
+                  "polys = 2*lam*x\n", "identity coordinates must act trivially",
+                  lambda: GroupAction(SpecialGroup("Gm"), A1_SCHEME,
+                                      (parse_poly("2*lam*x", ("x", "lam")),)),
+                  ValueError, id="action-identity-moves"),
+     pytest.param(None, "special action polynomials must use scheme + group coordinates",
+                  lambda: GroupAction(SpecialGroup("Gm"), A1_SCHEME, (parse_poly("x", ("x",)),)),
+                  ValueError, id="action-variables")],
+)
+def test_construction_refusals(tmp_path, capsys, text, message, call, error):
+    # each refusal of a ring, field, group or action constructor: from a
+    # project file it exits 2 naming the section, and from the library it
+    # raises its own type (a special action read from a project file always
+    # uses the scheme and group coordinates, so that check is library-only)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+    if text is not None:
+        bad = tmp_path / "bad.project"
+        bad.write_text(PRELUDE + text)
+        assert main(["count", "--project", str(bad), "--target", "A1", "--ring", "r"]) == 2
+        section = re.findall(r"^\[(.*)\]$", text, re.M)[-1]  # the snippet's last
+        assert capsys.readouterr().err == f"error: [{section}] {message}\n"
+
+
 FINITE_GROUP = "series of finite-group quotients at positive level are unsupported"
 PRIME_RING = "lift-certified series need an unramified prime ring"
 
@@ -856,6 +923,11 @@ def test_cli_sweep_smoke(capsys):
         digest = hashlib.sha256(f"{captured.out}\0{captured.err}".encode()).hexdigest()[:16]
         shown = " ".join("demo.project" if a == cli_sweep.DEMO else a for a in argv)
         assert line == f"{digest} {code} {shown}"
+    # a checkout swept against itself differs nowhere
+    checkout = str(pathlib.Path(cli_sweep.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, cli_sweep.__file__, "--limit", "3",
+                           "--against", checkout], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 # ---------------------------------------------------------------------------

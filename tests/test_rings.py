@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -360,6 +361,37 @@ def test_element_coordinates_compile_to_eval_elements():
             assert spec.valuation(c) == c.ord()
             assert spec.ac(c) == c.ac()
             assert spec.residue(c) == c.residue()
+
+
+def test_compiled_monomials_raise_by_square_and_multiply(monkeypatch):
+    # x^k compiled for an element ring is x ** k, at a cost of no product for
+    # x^1 and one for x^2, and no more products than the run of k - 1 it
+    # once was; x^1000003 over F_(1000003^2) once took seconds to evaluate
+    big = make_ring(1000003, r=2)
+    f = big.compile(padicstacks.parse_poly("x^1000003", ("x",)))
+    for digits in ((3, 5), (1000002, 7), (0, 1)):
+        x = big.element([digits])
+        started = time.perf_counter()
+        assert f((x,)) == x**1000003
+        assert time.perf_counter() - started < 0.5
+    ring = make_ring(3, r=2, n=1)
+    x = ring.element([(1, 2), (0, 1)])
+    products = []
+    real_mul = ring._mul
+
+    def counted(u, v):
+        products.append(1)
+        return real_mul(u, v)
+
+    monkeypatch.setattr(ring, "_mul", counted)
+    for k in range(1, 9):
+        f = ring.compile(padicstacks.parse_poly(f"x^{k}", ("x",)))
+        products.clear()
+        value = f((x,))
+        cost = len(products)
+        products.clear()
+        assert value == x**k and cost == len(products), k
+        assert cost == k.bit_length() + bin(k).count("1") - 2 <= k - 1, k
 
 
 def test_at_level_moves_both_ways():
