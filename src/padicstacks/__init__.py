@@ -31,13 +31,10 @@ from .polyscheme import (
     AffineScheme,
     LiftStatus,
     MultiPoly,
-    count_points,
     enumerate_points,
     enumerate_points_lifted,
-    hensel_liftable,
     jacobian,
     jacobian_minors,
-    level_counts,
     parse_poly,
     singular_locus,
 )
@@ -68,6 +65,7 @@ from .stacks import (
     weighted_subset_count,
 )
 from .syntax import PolyParseError
+from .tree import count_points, hensel_liftable, level_counts
 from .witt import (
     StructurePolys,
     WittVector,

@@ -23,10 +23,11 @@ from .measures import (
     rational_fit,
     series,
 )
-from .polyscheme import DEFAULT_SLACK, count_points, singular_locus
+from .polyscheme import DEFAULT_SLACK, singular_locus
 from .project import DEFAULT_MINIMUMS, ProjectError, load_project
 from .rings import BoundExceeded, is_prime, make_ring
 from .stacks import QuotientStack, UnsupportedStack, stacky_count
+from .tree import count_points
 from .witt import check_structure_args, structure_polynomials
 
 EXIT_OK = 0

@@ -48,7 +48,6 @@ from fractions import Fraction
 from .measures import DEFAULT_MAX_LEVEL, _stabilize
 from .polyscheme import (
     DEFAULT_SLACK,
-    BallTree,
     MultiPoly,
     _jacobian,
     _PolyParser,
@@ -57,6 +56,7 @@ from .polyscheme import (
 )
 from .rings import INFINITY, LocalRingSpec, at_least, is_prime, p_valuation, record, size_limit
 from .syntax import _ExprParser
+from .tree import BallTree
 
 
 class FormulaSyntaxError(ValueError):

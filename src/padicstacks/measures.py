@@ -20,16 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyscheme import (
-    DEFAULT_SLACK,
-    BallTree,
-    enumerate_points_lifted,
-    level_counts,
-    row_reduce,
-    singular_locus,
-)
+from .polyscheme import DEFAULT_SLACK, enumerate_points_lifted, row_reduce, singular_locus
 from .rings import at_least, record
 from .stacks import QuotientStack, SpecialGroup, UnsupportedStack
+from .tree import BallTree, level_counts
 
 STABLE_RUN = 3
 DEFAULT_MAX_LEVEL = 6

@@ -112,6 +112,14 @@ def _split_list(text, sep=","):
     return [part.strip() for part in text.split(sep) if part.strip()]
 
 
+def _known(raw, keys):
+    """Refuse a key that the section's loader does not read, such as a
+    misspelled one, which would otherwise be dropped without a word."""
+    for key in raw:
+        if key not in keys:
+            raise ProjectError(f"unknown key {key!r}")
+
+
 def _int(raw, key, default=None):
     if key not in raw:
         if default is None:
@@ -128,6 +136,7 @@ def _int(raw, key, default=None):
 
 
 def _load_ring(name, raw, project):
+    _known(raw, ("p", "e", "n", "r", "eisenstein", "residue_modulus"))
     p = _int(raw, "p")
     e = _int(raw, "e", 1)
     n = _int(raw, "n", 0)
@@ -142,6 +151,7 @@ def _load_ring(name, raw, project):
 
 
 def _load_scheme(name, raw, project):
+    _known(raw, ("vars", "gens", "dim"))
     if "vars" not in raw:
         raise ProjectError("is missing 'vars'")
     variables = tuple(_split_list(raw["vars"]))
@@ -156,6 +166,7 @@ def _load_scheme(name, raw, project):
 
 def _load_group(name, raw, project):
     if "special" in raw:
+        _known(raw, ("special",))
         tag = raw["special"].strip()
         if tag in ("Ga", "Gm"):
             return SpecialGroup(tag)
@@ -164,6 +175,7 @@ def _load_group(name, raw, project):
         raise ProjectError(f"unknown special tag {tag!r}")
     if "elements" not in raw or "table" not in raw:
         raise ProjectError("needs 'elements' and 'table'")
+    _known(raw, ("elements", "table"))
     labels = _split_list(raw["elements"])
     rows = [line.split() for line in raw["table"].splitlines() if line.strip()]
     return FiniteGroupData(labels, rows)
@@ -180,6 +192,7 @@ def _load_action(name, raw, project):
         raise ProjectError(f"references unknown scheme {sname!r}")
     group, scheme = project.groups[gname], project.schemes[sname]
     if isinstance(group, SpecialGroup):
+        _known(raw, ("group", "scheme", "polys"))
         if "polys" not in raw:
             return GroupAction(group, scheme)
         names = scheme.variables + group.coordinate_names()
@@ -188,6 +201,7 @@ def _load_action(name, raw, project):
         ))
     # an omitted element is refused, except the identity; with no element
     # given the action is trivial
+    _known(raw, ("group", "scheme") + group.labels)
     polys = {
         label: tuple(parse_poly(tx, scheme.variables) for tx in _split_list(raw[label]))
         for label in group.labels
@@ -198,6 +212,7 @@ def _load_action(name, raw, project):
 
 def _load_stack(name, raw, project):
     if "action" in raw:
+        _known(raw, ("action",))
         aname = raw["action"].strip()
         if aname not in project.actions:
             raise ProjectError(f"references unknown action {aname!r}")
@@ -208,6 +223,7 @@ def _load_stack(name, raw, project):
 
 
 def _load_formula(name, raw, project):
+    _known(raw, ("target", "text", "dim", "bad_primes"))
     for key in ("target", "text"):
         if key not in raw:
             raise ProjectError(f"is missing {key!r}")
@@ -277,6 +293,7 @@ def load_project(path):
             with _section(f"{kind} {name}"):
                 table[name] = load(name, raw, project)
     with _section("defaults"):
+        _known(defaults, DEFAULT_MINIMUMS)
         for key, least in DEFAULT_MINIMUMS.items():
             if key in defaults:
                 project.defaults[key] = _int(defaults, key)

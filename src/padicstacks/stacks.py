@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polyscheme import MultiPoly, count_points, enumerate_points
+from .polyscheme import MultiPoly, enumerate_points
 from .rings import make_ring, record
+from .tree import count_points
 
 
 class UnsupportedStack(ValueError):
@@ -45,6 +46,9 @@ class FiniteGroupData:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise GroupDataError("duplicate element labels")
+        table = list(table)
+        if len(table) != n:
+            raise GroupDataError(f"table has {len(table)} rows for {n} elements")
         self.mult = {}
         for a, row in zip(self.labels, table):
             row = tuple(row)

@@ -1,0 +1,185 @@
+"""Mutation checks: small faults planted in the library, each of which named
+tests must catch.
+
+An entry of MUTANTS gives a file of the checkout, an exact text that must
+occur in it once, its replacement, and the tests that must fail once the
+text is replaced.  Each entry runs on a temporary copy of the checkout's
+src/, tests/ and perfbench/ (which some tests read), never on the
+checkout itself, and prints one line:
+
+    KILLED    every named test failed
+    SURVIVED  some named test passed; they are listed
+    STALE     the old text does not occur exactly once: the code has moved
+              on, and the entry must be rewritten or dropped
+    BROKEN    the named tests did not run to a verdict (a collection or
+              usage error, or no verdict within TIMEOUT_S)
+
+    python tests/mutants.py            # every entry
+    python tests/mutants.py NAME ...   # only these entries
+
+Exits 1 unless every entry run is KILLED.
+"""
+
+import argparse
+import collections
+import contextlib
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TIMEOUT_S = 900
+
+Mutant = collections.namedtuple("Mutant", "name path old new tests")
+
+TREE = "src/padicstacks/tree.py"
+KEPT = "src/padicstacks/definable.py"
+POLY = "tests/test_polyscheme.py"
+MEAS = "tests/test_measures.py"
+DEFN = "tests/test_definable.py"
+CLI = "tests/test_project_cli.py"
+
+MUTANTS = (
+    # BallTree: the closed forms and the state's normal form
+    Mutant("image-fibre-power", TREE,
+           "certified[r] += fiber ** (r - 1)", "certified[r] += fiber ** r",
+           (f"{POLY}::test_image_walk_matches_frontier_search_reference",
+            f"{MEAS}::test_unit_multiples_walk_as_one")),
+    Mutant("count-precision-dropped", TREE,
+           "closed = p ** (nv * (m - 1) - sum(e - 1 for _, e in state))",
+           "closed = p ** (nv * (m - 1))",
+           (f"{POLY}::test_count_xy3_mod9",
+            f"{POLY}::test_lifted_counts_match_brute",
+            f"{MEAS}::test_unit_multiples_walk_as_one")),
+    Mutant("state-unit-not-scaled", TREE,
+           "unit = pow(h.terms[lead] // pc, -1, m)", "unit = 1",
+           (f"{MEAS}::test_unit_multiples_walk_as_one",)),
+    Mutant("state-no-sign-step", TREE,
+           "                g = g if h.terms[max(h.terms)] > 0 else -g\n", "",
+           (f"{MEAS}::test_unit_multiples_walk_as_one",
+            f"{CLI}::test_cli_conic_cut_by_a_unit_multiple_of_its_equation_stabilizes")),
+    Mutant("state-keeps-repeats", TREE,
+           "return tuple(dict.fromkeys(kept))", "return tuple(kept)",
+           (f"{MEAS}::test_unit_multiples_walk_as_one",
+            f"{POLY}::test_repeated_generator_walks_as_one",
+            f"{POLY}::test_repeated_generator_in_its_slot_is_dropped_once",
+            f"{POLY}::test_repeat_that_appears_below_the_root_is_dropped_there")),
+    # BallTree._image: a ball's own lookahead decides it
+    Mutant("lookahead-ignores-certified", TREE,
+           "here = True if c else None if o else False", "here = None if o else False",
+           (f"{POLY}::test_image_walk_matches_frontier_search_reference",
+            f"{MEAS}::test_p_series_bounded_by_its_image_walk")),
+    Mutant("lookahead-empty-on-certified-only", TREE,
+           "here = True if c else None if o else False", "here = True if c else False",
+           (f"{POLY}::test_image_walk_matches_frontier_search_reference",
+            f"{POLY}::test_hensel_cusp_unknown_at_small_slack")),
+    Mutant("lookahead-one-level-short", TREE,
+           "while here is None and r < slack:", "while here is None and r < slack - 1:",
+           (f"{POLY}::test_image_walk_matches_frontier_search_reference",
+            f"{POLY}::test_hensel_cusp_unknown_at_small_slack")),
+    # _KeptPoints: a kept ball closes by Hensel's lemma only when it may
+    Mutant("kept-no-false-override-guard", KEPT,
+           "                and all(value({i: False}) is False for i in opened)\n", "",
+           (f"{DEFN}::test_joint_certificates_match_pointwise",)),
+    Mutant("kept-no-rank-check", KEPT,
+           "\n                and self._closes(exact_atoms, opened, point)):", "):",
+           (f"{DEFN}::test_joint_certificates_match_pointwise",
+            f"{DEFN}::test_smooth_balls_close_by_hensel")),
+    Mutant("kept-fibre-full", KEPT,
+           "            return self.q ** (len(point) - g), None\n        verdicts",
+           "            return self.q ** len(point), None\n        verdicts",
+           (f"{DEFN}::test_smooth_balls_close_by_hensel",)),
+    # input checks
+    Mutant("group-rows-unchecked", "src/padicstacks/stacks.py",
+           "        if len(table) != n:\n", "        if False:\n",
+           (f"{CLI}::test_construction_refusals[group-missing-row]",
+            f"{CLI}::test_construction_refusals[group-extra-row]")),
+    Mutant("project-keys-unchecked", "src/padicstacks/project.py",
+           "        if key not in keys:\n", "        if False:\n",
+           (f"{CLI}::test_malformed_project_section_exits_2[scheme-unknown-key]",
+            f"{CLI}::test_malformed_project_section_exits_2[defaults-unknown-key]")),
+)
+
+
+@contextlib.contextmanager
+def mutated_copy(mutant, root=ROOT):
+    """A temporary copy of root's src/, tests/ and perfbench/ with the
+    mutant planted, or None when its old text does not occur once."""
+    source = (root / mutant.path).read_text()
+    if source.count(mutant.old) != 1:
+        yield None
+        return
+    with tempfile.TemporaryDirectory(prefix="padicstacks-mutant-") as tmp:
+        copy = pathlib.Path(tmp)
+        for part in ("src", "tests", "perfbench"):
+            shutil.copytree(root / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(root / "pyproject.toml", copy)
+        (copy / mutant.path).write_text(source.replace(mutant.old, mutant.new))
+        yield copy
+
+
+def pytest_run(copy, tests):
+    """(exit code, [(classname, name, failed)]) of pytest on the named
+    tests of a copy, from its JUnit report; (None, []) past TIMEOUT_S."""
+    report = copy / "report.xml"
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               f"--junitxml={report}", *tests],
+                              cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, []
+    cases = ET.parse(report).iter("testcase") if report.exists() else ()
+    return done.returncode, [(case.get("classname"), case.get("name"),
+                              any(c.tag in ("failure", "error") for c in case))
+                             for case in cases]
+
+
+def failed(test, results):
+    """Whether a test, named as pytest names it (path::function, with or
+    without its parameters), failed in one of its runs."""
+    path, *rest = test.split("::")
+    cls, name = ".".join([path.removesuffix(".py").replace("/", "."), *rest[:-1]]), rest[-1]
+    return any(bad for c, n, bad in results
+               if c == cls and (n == name or n.startswith(name + "[")))
+
+
+def run(mutant, root=ROOT):
+    """(status, detail) of one entry."""
+    with mutated_copy(mutant, root) as copy:
+        if copy is None:
+            return "STALE", f"the old text does not occur once in {mutant.path}"
+        code, results = pytest_run(copy, mutant.tests)
+    if code not in (0, 1):
+        return "BROKEN", f"pytest exit {code}" if code is not None else "timed out"
+    missed = [t for t in mutant.tests if not failed(t, results)]
+    if missed:
+        return "SURVIVED", "passed: " + ", ".join(missed)
+    return "KILLED", f"{sum(bad for *_, bad in results)} of {len(results)} test runs failed"
+
+
+def main(argv=None):
+    names = [m.name for m in MUTANTS]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"entries to run (default: all): {', '.join(names)}")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - set(names)
+    if unknown:
+        parser.error(f"no entry named {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    statuses = []
+    for mutant in chosen:
+        status, detail = run(mutant)
+        statuses.append(status)
+        print(f"{status:8} {mutant.name}: {detail}", flush=True)
+    return 0 if set(statuses) <= {"KILLED"} else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,7 +32,6 @@ from padicstacks.measures import STABLE_RUN, _stabilize
 from padicstacks.polyscheme import (
     DEFAULT_SLACK,
     AffineScheme,
-    BallTree,
     LiftAnalyzer,
     LiftStatus,
     MultiPoly,
@@ -40,6 +39,7 @@ from padicstacks.polyscheme import (
     tau_point,
 )
 from padicstacks.rings import INFINITY, BoundExceeded, make_ring, p_valuation
+from padicstacks.tree import BallTree
 
 A1 = AffineScheme.affine_space("A1", ("x",))
 A2 = AffineScheme.affine_space("A2", ("x", "y"))

@@ -21,21 +21,18 @@ from padicstacks.measures import (
 )
 from padicstacks.polyscheme import (
     AffineScheme,
-    BallTree,
     LiftAnalyzer,
     LiftStatus,
     MultiPoly,
-    count_points,
     enumerate_points,
     enumerate_points_lifted,
-    hensel_liftable,
-    level_counts,
     parse_poly,
     singular_locus,
     tau_point,
 )
 from padicstacks.rings import BoundExceeded, make_ring
 from padicstacks.stacks import GroupAction, QuotientStack, SpecialGroup, UnsupportedStack
+from padicstacks.tree import BallTree, count_points, hensel_liftable, level_counts
 
 A1 = AffineScheme.affine_space("A1", ("x",))
 A2 = AffineScheme.affine_space("A2", ("x", "y"))

@@ -1,27 +1,25 @@
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicstacks import polyscheme
+from padicstacks import polyscheme, tree
 from padicstacks.greenberg import digit_variables, greenberg_transform
 from padicstacks.polyscheme import (
     DEFAULT_SLACK,
     AffineScheme,
-    BallTree,
     BoundExceeded,
     LiftAnalyzer,
     LiftStatus,
     MultiPoly,
-    count_points,
     enumerate_points,
     enumerate_points_lifted,
-    hensel_liftable,
     jacobian,
     jacobian_minors,
-    level_counts,
     parse_poly,
     singular_locus,
     tau_point,
@@ -29,6 +27,7 @@ from padicstacks.polyscheme import (
 )
 from padicstacks.rings import make_ring
 from padicstacks.syntax import PolyParseError
+from padicstacks.tree import BallTree, count_points, hensel_liftable, level_counts, weil_restriction
 from poly_oracles import (
     image_levels_reference,
     mul_reference,
@@ -785,7 +784,7 @@ def test_repeated_generator_in_its_slot_is_dropped_once():
     ram3 = make_ring(3, 2, (-3, 0))
     f = P("x^2 + y^2 - 1")
     top = ram3.at_level(2)
-    gens = polyscheme.weil_restriction([f], top, 2)
+    gens = weil_restriction([f], top, 2)
     slots = [0, 1]
     once = BallTree(gens, 4, 3, slots, 2)
     twice = BallTree(gens + gens, 4, 3, slots + slots, 2)
@@ -950,3 +949,23 @@ def test_hensel_minor_route_ignores_declared_dimension():
     # still certifies each point, whatever dimension is declared.
     X = AffineScheme.from_text("line", ("x", "y", "z"), ["x", "y"], 2)
     assert hensel_liftable(X, (0, 0, 1), 3, 1) is LiftStatus.CERTIFIED_LIFTABLE
+
+
+def test_the_references_never_import_the_tree():
+    # brute enumeration, lifting and LiftAnalyzer's certificates are what
+    # the tree is checked against, so they must not run on it: polyscheme
+    # imports nothing from tree, and tree binds none of them; nor does it
+    # bind the two names that tests patch on polyscheme to watch the tree
+    source = ast.parse(pathlib.Path(polyscheme.__file__).read_text())
+    for node in ast.walk(source):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [part for a in node.names for part in a.name.split(".")]
+        else:
+            continue
+        assert "tree" not in parts, ast.unparse(node)
+    assert not {"enumerate_points", "enumerate_points_lifted", "LiftAnalyzer"} & vars(tree).keys()
+    assert not {"CERT_FRONTIER_BOUND", "_det"} & vars(tree).keys()
+    for name in ("BallTree", "count_points", "level_counts", "weil_restriction", "hensel_liftable"):
+        assert getattr(tree, name).__module__ == "padicstacks.tree" and not hasattr(polyscheme, name)

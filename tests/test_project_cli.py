@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import cli_sweep
+import mutants
 from padicstacks.cli import main
 from padicstacks.polyscheme import AffineScheme, parse_poly
 from padicstacks.project import ProjectError, load_project
@@ -510,7 +511,29 @@ PRELUDE = ("[ring r]\np = 3\n\n[scheme A1]\nvars = x\n\n"
                   "[formula f] references unknown target 'B'", id="formula-unknown-target"),
      pytest.param("[rings r2]\np = 3\n",
                   "section [rings r2] is not 'defaults' or '<kind> <name>' with kind in "
-                  "['action', 'formula', 'group', 'ring', 'scheme', 'stack']", id="bad-header")],
+                  "['action', 'formula', 'group', 'ring', 'scheme', 'stack']", id="bad-header"),
+     # a key no loader reads, misspelled or misplaced, is refused, not dropped
+     pytest.param("[ring q]\np = 3\nlevel = 2\n", "[ring q] unknown key 'level'",
+                  id="ring-unknown-key"),
+     pytest.param("[scheme conic]\nvars = x, y\ngen = x^2 + y^2 - 1\n",
+                  "[scheme conic] unknown key 'gen'", id="scheme-unknown-key"),
+     pytest.param("[group G]\nelements = e\ntable = e\norder = 1\n",
+                  "[group G] unknown key 'order'", id="group-unknown-key"),
+     pytest.param("[group G]\nspecial = Gm\ntable = e\n", "[group G] unknown key 'table'",
+                  id="special-group-unknown-key"),
+     pytest.param("[action a]\ngroup = Z2\nscheme = A1\nt = -x\n",
+                  "[action a] unknown key 't'", id="action-unknown-label"),
+     pytest.param("[group Gm]\nspecial = Gm\n\n[action a]\ngroup = Gm\nscheme = A1\n"
+                  "poly = lam*x\n", "[action a] unknown key 'poly'",
+                  id="special-action-unknown-key"),
+     pytest.param("[action a]\ngroup = Z2\nscheme = A1\n\n[stack X]\naction = a\n"
+                  "scheme = A1\n", "[stack X] unknown key 'scheme'", id="stack-unknown-key"),
+     pytest.param("[stack X]\ngroup = Z2\nscheme = A1\ns = -x\nt = x\n",
+                  "[stack X] unknown key 't'", id="inline-stack-unknown-label"),
+     pytest.param("[formula f]\ntarget = A1\ntext = ord(x) >= 1\nbad_prime = 2\n",
+                  "[formula f] unknown key 'bad_prime'", id="formula-unknown-key"),
+     pytest.param("[defaults]\nmax_levle = 2\n", "[defaults] unknown key 'max_levle'",
+                  id="defaults-unknown-key")],
 )
 def test_malformed_project_section_exits_2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.project"
@@ -556,6 +579,14 @@ NOT_ASSOCIATIVE = ["e a b".split(), "a e a".split(), "b a e".split()]
                   "multiplication is not associative",
                   lambda: FiniteGroupData(["e", "a", "b"], NOT_ASSOCIATIVE),
                   GroupDataError, id="group-not-associative"),
+     pytest.param("[group G]\nelements = e, a, b\ntable =\n    e a b\n    a b e\n",
+                  "table has 2 rows for 3 elements",
+                  lambda: FiniteGroupData(["e", "a", "b"], [["e", "a", "b"], ["a", "b", "e"]]),
+                  GroupDataError, id="group-missing-row"),
+     pytest.param("[group G]\nelements = e, s\ntable =\n    e s\n    s e\n    e s\n",
+                  "table has 3 rows for 2 elements",
+                  lambda: FiniteGroupData(["e", "s"], [["e", "s"], ["s", "e"], ["e", "s"]]),
+                  GroupDataError, id="group-extra-row"),
      pytest.param("[group Gm]\nspecial = Gm\n\n[action a]\ngroup = Gm\nscheme = A1\n"
                   "polys = 2*lam*x\n", "identity coordinates must act trivially",
                   lambda: GroupAction(SpecialGroup("Gm"), A1_SCHEME,
@@ -928,6 +959,21 @@ def test_cli_sweep_smoke(capsys):
     done = subprocess.run([sys.executable, cli_sweep.__file__, "--limit", "3",
                            "--against", checkout], capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+def test_mutants_smoke(capsys):
+    # every entry of the mutant table still finds its text; one cheap entry
+    # is killed, the same fault survives tests that do not see it, and an
+    # entry whose text is gone is stale
+    for entry in mutants.MUTANTS:
+        source = (mutants.ROOT / entry.path).read_text()
+        assert source.count(entry.old) == 1 and entry.tests, entry.name
+    assert mutants.main(["group-rows-unchecked"]) == 0
+    assert capsys.readouterr().out == "KILLED   group-rows-unchecked: 2 of 2 test runs failed\n"
+    entry = next(m for m in mutants.MUTANTS if m.name == "group-rows-unchecked")
+    blind = entry._replace(tests=(f"{mutants.CLI}::test_construction_refusals[group-duplicate]",))
+    assert mutants.run(blind) == ("SURVIVED", f"passed: {blind.tests[0]}")
+    assert mutants.run(entry._replace(old="no such text"))[0] == "STALE"
 
 
 # ---------------------------------------------------------------------------
