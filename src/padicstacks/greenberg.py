@@ -16,7 +16,7 @@ from .polyscheme import AffineScheme, MultiPoly
 from .rings import BoundExceeded, at_least, is_prime, record, size_limit
 from .witt import (
     DEFAULT_LENGTH_BOUND,
-    _fold,
+    _FoldedRing,
     int_from_witt,
     witt_add_sym,
     witt_from_int,
@@ -45,12 +45,13 @@ def expand_poly(f, p, length, names=None):
 
 def _expand(f, p, length, names, folded):
     """The term loop of `expand_poly`.  With `folded` every Witt sum and
-    product runs in the ring of functions on F_p (`witt_add_sym`), so the
-    components come out as `_fold` of the exact ones."""
+    product runs on packed dicts of `_FoldedRing`, the functions on F_p:
+    digit variable i is {1 << w*i: 1}, a constant digit d is {0: d} ({} for
+    0), and only the final components, `_fold` of the exact ones, unpack."""
+    ring = _FoldedRing(p, len(names)) if folded else None
     var_witt = {
-        v: tuple(
-            MultiPoly.variable(names, f"{v}_{i}") for i in range(length)
-        )
+        v: tuple({1 << ring.w * names.index(f"{v}_{i}"): 1} if ring
+                 else MultiPoly.variable(names, f"{v}_{i}") for i in range(length))
         for v in f.variables
     }
     acc = None
@@ -61,19 +62,17 @@ def _expand(f, p, length, names, folded):
         for v, e in zip(f.variables, expo):
             for _ in range(e):
                 term = (var_witt[v] if term is None
-                        else witt_mul_sym(term, var_witt[v], p, folded=folded))
+                        else witt_mul_sym(term, var_witt[v], p, folded=ring))
         # Teichmuller digit coding is a bijection Z/p^L -> W_L(F_p), so the
         # constant is the Witt vector one exactly when coeff = 1 mod p^L
         if term is None or coeff % p**length != 1:
-            const = tuple(
-                MultiPoly.constant(names, d)
-                for d in witt_from_int(coeff, p, length)
-            )
-            term = const if term is None else witt_mul_sym(term, const, p, folded=folded)
-        acc = term if acc is None else witt_add_sym(acc, term, p, folded=folded)
+            const = tuple(({0: d} if d else {}) if ring else MultiPoly.constant(names, d)
+                          for d in witt_from_int(coeff, p, length))
+            term = const if term is None else witt_mul_sym(term, const, p, folded=ring)
+        acc = term if acc is None else witt_add_sym(acc, term, p, folded=ring)
     if acc is None:
         return tuple(MultiPoly.zero(names) for _ in range(length))
-    return acc
+    return acc if ring is None else tuple(MultiPoly(names, ring.unpack(c)) for c in acc)
 
 
 def _split_level(gens, positions, p, candidates):

@@ -299,9 +299,9 @@ class MultiPoly:
 # first, depend on every exponent: with a large radix 2^w they would hold
 # e_0 alone, and a large product would collide on them.  One kernel does
 # use radix 2^w: witt._FoldedRing, for the functions on F_p, whose digits
-# never exceed 2p - 2, so that w = (2p - 2).bit_length() is at most a few
-# bits and a fold is a shift and a mask.  There the low bits a dict probes
-# still span several digits.
+# never exceed 2p - 2, so that a fold is a shift and a mask and the low bits
+# still span several digits; the digit expansion keeps its Witt vectors in
+# that form.  A Witt law's keys share halves: `_unpack_halves` decodes them.
 
 
 def _degree(poly):
@@ -328,6 +328,17 @@ def _unpack(packed, n, radix):
             expo.append(e)
         terms[tuple(expo)] = coeff
     return terms
+
+
+def _unpack_halves(packed, n, radix):
+    """`_unpack` for keys that share their halves, as a Witt law's do: each
+    key splits once into its low n - n // 2 and high n // 2 digits, and
+    each distinct half is decoded once, by `_unpack`."""
+    low = n - n // 2
+    cut = radix**low
+    lows = {b: e for e, b in _unpack({k % cut: k % cut for k in packed}, low, radix).items()}
+    highs = {a: e for e, a in _unpack({k // cut: k // cut for k in packed}, n - low, radix).items()}
+    return {lows[k % cut] + highs[k // cut]: c for k, c in packed.items()}
 
 
 def _multiply_into(out, a, b):

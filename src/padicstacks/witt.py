@@ -4,12 +4,12 @@ Verschiebung/Frobenius, and the digit encoding of Z/p^L.
 The addition/multiplication laws are never taken from tables: they are
 obtained by solving the ghost equations over Z, where every division by a
 power of p must be exact (an inexact division is an implementation bug and
-aborts).  The solver runs on integers (`_ghost_solve`: numeric arithmetic,
-used by the oracles) and on polynomials held as packed dicts of
-polyscheme's packed monomials (`_ghost_solve_packed`, producing the cached
-structure polynomials).  Digit expansions apply the laws mod p, or, for
-coordinates that are functions on F_p, in F_p[d]/(d^p - d) on packed
-monomials of their own (`_FoldedRing`).
+aborts).  The solver runs on integers (`_ghost_solve`) and on packed dicts
+of polyscheme's packed monomials (`_ghost_solve_packed`, for the cached
+structure polynomials).  Digit expansions apply the laws mod p, or, to
+coordinates that are functions on F_p, in F_p[d]/(d^p - d) on Witt vectors
+of that ring's packed dicts (`_FoldedRing`).  `WittVector` over F_p
+computes in Z/p^L through the Teichmuller digits.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import itertools
 import operator
 
-from .polyscheme import MultiPoly, _multiply_into, _radix, _reduce, _unpack
+from .polyscheme import MultiPoly, _multiply_into, _radix, _reduce, _unpack, _unpack_halves
 from .rings import BoundExceeded, at_least, is_prime
 
 DEFAULT_LENGTH_BOUND = 5
@@ -111,31 +111,6 @@ def witt_neg_int(a, p):
     return _ghost_solve([-x for x in ga], p)
 
 
-# mod-p coordinates: lift to Z, run the integral law, reduce.  This equals
-# evaluating the mod-p structure polynomials, since evaluation commutes with
-# reduction.
-
-
-def witt_add_modp(a, b, p):
-    return tuple(c % p for c in witt_add_int(a, b, p))
-
-
-def witt_mul_modp(a, b, p):
-    return tuple(c % p for c in witt_mul_int(a, b, p))
-
-
-def witt_neg_modp(a, p):
-    return tuple(c % p for c in witt_neg_int(a, p))
-
-
-def witt_scalar_modp(k, a, p):
-    """k-fold Witt sum of a vector over F_p."""
-    acc = (0,) * len(a)
-    for _ in range(k % p ** len(a)):
-        acc = witt_add_modp(acc, a, p)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Verschiebung and Frobenius (coordinates over an F_p-algebra)
 
@@ -162,12 +137,12 @@ class StructurePolys:
     radix above p^(L-1): S_j is weighted-homogeneous of degree p^j with
     x_k, y_k of weight p^k, and P_j so in x and in y apart, so no
     exponent of any power S_j^(p^(i-j)) or ghost component exceeds
-    p^(L-1).  Each component is unpacked once.  `add_modp`/`mul_modp` are
-    their mod-p reductions, which is where the law actually lives for
-    F_p-algebra coordinates; `add_folded`/`mul_folded`, built on first
-    use, are those as functions on F_p (`_fold` term dicts), the law for
-    coordinates that take F_p values.  S_i and P_i involve only
-    x_0..x_i, y_0..y_i.
+    p^(L-1).  Each component is unpacked once (`_unpack_halves`).
+    `add_modp`/`mul_modp` are their mod-p reductions, the law for
+    F_p-algebra coordinates; `add_folded`/`mul_folded` are those as
+    functions on F_p (`_fold` term dicts), the law for coordinates that
+    take F_p values, kept only as `add_groups`/`mul_groups`, grouped by
+    `_group` on first use.  S_i and P_i involve only x_0..x_i, y_0..y_i.
     """
 
     def __init__(self, p, length):
@@ -185,7 +160,7 @@ class StructurePolys:
 
         def solve(targets):
             coords = _ghost_solve_packed(targets, p)
-            return tuple(MultiPoly(names, _unpack(c, len(names), radix)) for c in coords)
+            return tuple(MultiPoly(names, _unpack_halves(c, len(names), radix)) for c in coords)
 
         gx, gy = ghost(0), ghost(length)
         self.add_int = solve([{**a, **b} for a, b in zip(gx, gy)])
@@ -193,13 +168,21 @@ class StructurePolys:
         self.add_modp = tuple(s.reduce_coeffs(p) for s in self.add_int)
         self.mul_modp = tuple(s.reduce_coeffs(p) for s in self.mul_int)
 
-    @functools.cached_property
+    @property
     def add_folded(self):
         return tuple(_fold(s, self.p) for s in self.add_modp)
 
-    @functools.cached_property
+    @property
     def mul_folded(self):
         return tuple(_fold(s, self.p) for s in self.mul_modp)
+
+    @functools.cached_property
+    def add_groups(self):
+        return _group(self.add_folded, self.length)
+
+    @functools.cached_property
+    def mul_groups(self):
+        return _group(self.mul_folded, self.length)
 
 
 _structure_cache = {}
@@ -265,16 +248,8 @@ class _FoldedRing:
         self.offset = ones * ((1 << (w - 1)) - p)
         self.tops = ones << (w - 1)
 
-    def pack(self, poly):
-        """`_fold` of poly, packed."""
-        weights = [1 << (self.w * i) for i in range(self.n)]
-        return {sum(map(operator.mul, expo, weights)): c
-                for expo, c in _fold(poly, self.p).items()}
-
     def unpack(self, packed):
-        mask = (1 << self.w) - 1
-        shifts = [self.w * i for i in range(self.n)]
-        return {tuple((k >> s) & mask for s in shifts): c for k, c in packed.items()}
+        return _unpack(packed, self.n, 1 << self.w)
 
     def mul(self, a, b):
         """a*b: the product loop of `polyscheme._multiply_into`, with
@@ -292,24 +267,18 @@ class _FoldedRing:
         return {k: r for k, c in out.items() if (r := c % p)}
 
 
-def _apply_law(law, a_coords, b_coords, p, polys, folded):
-    """The Witt law `law` at the coordinates a, b, substituted mod p.  A
-    folded law, a tuple of `_fold` term dicts, runs in `_FoldedRing`: the
-    images are packed once, and each power of an image and each product
-    a^alpha, b^beta of them is formed once.  A component, grouped by its
-    exponents alpha in a, is the sum over alpha of
-    a^alpha * (sum_beta c b^beta), one product per alpha, and is unpacked
-    once."""
+def _apply_law(law, a_coords, b_coords, p, polys, ring):
+    """The Witt law `law` at the coordinates a, b, substituted mod p.  With
+    a `_FoldedRing`, coordinates and result are its packed dicts and `law`
+    is grouped by `_group`: a component is the sum over alpha of
+    a^alpha * (sum_beta c b^beta), one product per alpha, and each power
+    of a coordinate and each a^alpha, b^beta is formed once."""
     images = a_coords + b_coords
-    if not folded:
+    if ring is None:
         mapping = dict(zip(polys.variables, images))
         return tuple(s.substitute(mapping, modulus=p) for s in law)
-    names = images[0].variables
-    if any(img.variables != names for img in images):
-        raise ValueError("polynomials over different variable lists")
-    ring = _FoldedRing(p, len(names))
     L = len(a_coords)
-    powers = [[{0: 1}, ring.pack(img)] for img in images]  # powers[j][e] = image_j^e
+    powers = [[{0: 1}, img] for img in images]  # powers[j][e] = image_j^e
     memos = ({}, {})
 
     def product(expo, half):  # a^expo (half 0) or b^expo (half 1)
@@ -326,34 +295,43 @@ def _apply_law(law, a_coords, b_coords, p, polys, folded):
 
     out = []
     for component in law:
-        groups = {}
-        for expo, c in component.items():
-            groups.setdefault(expo[:L], []).append((expo[L:], c))
         acc = {}
-        for alpha, terms in groups.items():
+        for alpha, terms in component.items():
             inner = {}
             for beta, c in terms:
                 for k, v in product(beta, 1).items():
                     inner[k] = inner.get(k, 0) + c * v
             for k, v in ring.mul(product(alpha, 0), inner).items():
                 acc[k] = acc.get(k, 0) + v
-        out.append(MultiPoly(names, ring.unpack(_reduce(acc, p))))
+        out.append(_reduce(acc, p))
     return tuple(out)
 
 
-def witt_add_sym(a_coords, b_coords, p, folded=False):
-    """Witt sum of two vectors of polynomials over F_p.  With `folded`, the
-    coordinates are taken as functions on F_p: the folded law runs in
-    `_FoldedRing`, so the result is `_fold` of the exact sum."""
+def _group(law, L):
+    """Each component of a folded law as {alpha: [(beta, c), ...]}, its
+    terms grouped by their exponents alpha in x."""
+    out = []
+    for component in law:
+        groups = {}
+        for expo, c in component.items():
+            groups.setdefault(expo[:L], []).append((expo[L:], c))
+        out.append(groups)
+    return tuple(out)
+
+
+def witt_add_sym(a_coords, b_coords, p, folded=None):
+    """Witt sum of two vectors of polynomials over F_p.  With `folded`, a
+    `_FoldedRing`, coordinates and result are its packed dicts, functions
+    on F_p, and the result is the fold of the exact sum."""
     polys = structure_polynomials(p, len(a_coords))
-    law = polys.add_folded if folded else polys.add_modp
+    law = polys.add_groups if folded else polys.add_modp
     return _apply_law(law, a_coords, b_coords, p, polys, folded)
 
 
-def witt_mul_sym(a_coords, b_coords, p, folded=False):
+def witt_mul_sym(a_coords, b_coords, p, folded=None):
     """Witt product, as `witt_add_sym` is the sum."""
     polys = structure_polynomials(p, len(a_coords))
-    law = polys.mul_folded if folded else polys.mul_modp
+    law = polys.mul_groups if folded else polys.mul_modp
     return _apply_law(law, a_coords, b_coords, p, polys, folded)
 
 
@@ -428,19 +406,26 @@ class WittVector:
         if (self.p, self.base, self.length) != (other.p, other.base, other.length):
             raise ValueError("mismatched Witt vectors")
 
+    def _apply(self, int_law, op, *others):
+        """`int_law` on integer coordinates; over F_p, `op` in Z/p^L through
+        the Teichmuller isomorphism Z/p^L = W_L(F_p), where solving the ghost
+        equations (the tests' reference) costs about p^(L-1) log p bits."""
+        for other in others:
+            self._check(other)
+        vectors = (self,) + others
+        if self.base == "Z":
+            return WittVector(self.p, int_law(*(v.coords for v in vectors), self.p), "Z")
+        value = op(*(int_from_witt(v.coords, self.p) for v in vectors))
+        return WittVector(self.p, witt_from_int(value, self.p, self.length))
+
     def __add__(self, other):
-        self._check(other)
-        fn = witt_add_int if self.base == "Z" else witt_add_modp
-        return WittVector(self.p, fn(self.coords, other.coords, self.p), self.base)
+        return self._apply(witt_add_int, operator.add, other)
 
     def __mul__(self, other):
-        self._check(other)
-        fn = witt_mul_int if self.base == "Z" else witt_mul_modp
-        return WittVector(self.p, fn(self.coords, other.coords, self.p), self.base)
+        return self._apply(witt_mul_int, operator.mul, other)
 
     def __neg__(self):
-        fn = witt_neg_int if self.base == "Z" else witt_neg_modp
-        return WittVector(self.p, fn(self.coords, self.p), self.base)
+        return self._apply(witt_neg_int, operator.neg)
 
     def __sub__(self, other):
         return self + (-other)

@@ -38,10 +38,13 @@ Mutant = collections.namedtuple("Mutant", "name path old new tests")
 
 TREE = "src/padicstacks/tree.py"
 KEPT = "src/padicstacks/definable.py"
+WITT = "src/padicstacks/witt.py"
 POLY = "tests/test_polyscheme.py"
 MEAS = "tests/test_measures.py"
 DEFN = "tests/test_definable.py"
 CLI = "tests/test_project_cli.py"
+WITTS = "tests/test_witt.py"
+GREEN = "tests/test_greenberg.py"
 
 MUTANTS = (
     # BallTree: the closed forms and the state's normal form
@@ -57,7 +60,8 @@ MUTANTS = (
             f"{MEAS}::test_unit_multiples_walk_as_one")),
     Mutant("state-unit-not-scaled", TREE,
            "unit = pow(h.terms[lead] // pc, -1, m)", "unit = 1",
-           (f"{MEAS}::test_unit_multiples_walk_as_one",)),
+           (f"{MEAS}::test_unit_multiples_walk_as_one",
+            f"{POLY}::test_counted_unit_multiples_share_one_state")),
     Mutant("state-no-sign-step", TREE,
            "                g = g if h.terms[max(h.terms)] > 0 else -g\n", "",
            (f"{MEAS}::test_unit_multiples_walk_as_one",
@@ -84,7 +88,8 @@ MUTANTS = (
     # _KeptPoints: a kept ball closes by Hensel's lemma only when it may
     Mutant("kept-no-false-override-guard", KEPT,
            "                and all(value({i: False}) is False for i in opened)\n", "",
-           (f"{DEFN}::test_joint_certificates_match_pointwise",)),
+           (f"{DEFN}::test_joint_certificates_match_pointwise",
+            f"{DEFN}::test_ball_with_an_undetermined_disjunct_stays_open")),
     Mutant("kept-no-rank-check", KEPT,
            "\n                and self._closes(exact_atoms, opened, point)):", "):",
            (f"{DEFN}::test_joint_certificates_match_pointwise",
@@ -93,6 +98,35 @@ MUTANTS = (
            "            return self.q ** (len(point) - g), None\n        verdicts",
            "            return self.q ** len(point), None\n        verdicts",
            (f"{DEFN}::test_smooth_balls_close_by_hensel",)),
+    # Witt laws: the packed ghost solve and the ring of functions on F_p
+    Mutant("fold-threshold-above-p", WITT,
+           "self.offset = ones * ((1 << (w - 1)) - p)",
+           "self.offset = ones * ((1 << (w - 1)) - p - 1)",
+           (f"{WITTS}::test_packed_fold_matches_fold",)),
+    Mutant("fold-width-one-bit-short", WITT,
+           "self.w = w = (2 * p - 2).bit_length()", "self.w = w = (2 * p - 2).bit_length() - 1",
+           (f"{WITTS}::test_packed_fold_matches_fold",)),
+    Mutant("structure-radix-one-lower", WITT,
+           "radix = _radix(p ** (length - 1))", "radix = _radix(p ** (length - 1) - 1)",
+           (f"{WITTS}::test_structure_polys_match_reference_solve",)),
+    Mutant("ghost-solve-wrong-square", WITT,
+           "term = mul(term, square)", "term = mul(term, chain[-1])",
+           (f"{WITTS}::test_structure_polys_match_reference_solve",)),
+    Mutant("law-alpha-from-b-images", WITT,
+           "for pw, e in zip(powers[half * L:], expo):", "for pw, e in zip(powers[L:], expo):",
+           (f"{WITTS}::test_folded_operations_are_folds_of_exact_ones",
+            f"{GREEN}::test_folded_expansion_is_the_fold_of_the_exact_one")),
+    # the digit expansion on packed Witt vectors
+    # (swapping the two halves outright is no fault: both laws are
+    # symmetric in x and y)
+    Mutant("law-grouped-on-wrong-half", WITT,
+           "groups.setdefault(expo[:L], [])", "groups.setdefault(expo[L:], [])",
+           (f"{WITTS}::test_folded_operations_are_folds_of_exact_ones",
+            f"{GREEN}::test_folded_expansion_is_the_fold_of_the_exact_one")),
+    Mutant("digit-variable-wrong-slot", "src/padicstacks/greenberg.py",
+           '{1 << ring.w * names.index(f"{v}_{i}"): 1}', "{1 << ring.w * i: 1}",
+           (f"{GREEN}::test_folded_expansion_is_the_fold_of_the_exact_one",
+            f"{GREEN}::test_folded_components_of_oracle_cases")),
     # input checks
     Mutant("group-rows-unchecked", "src/padicstacks/stacks.py",
            "        if len(table) != n:\n", "        if False:\n",

@@ -1,6 +1,7 @@
 """Reference polynomial arithmetic for the tests: products on exponent
 tuples, substitution without constant folding, and Greenberg digit
-components and the Witt structure laws from the ghost map over Z.  None
+components and the Witt structure laws from the ghost map over Z, and
+Witt arithmetic over F_p by the ghost equations.  None
 of it calls the product kernel of MultiPoly or Witt's packed solver, so
 no kernel is checked only by itself.
 
@@ -12,7 +13,7 @@ import operator
 
 from padicstacks.polyscheme import MultiPoly
 from padicstacks.rings import power
-from padicstacks.witt import ghost_components, witt_from_int
+from padicstacks.witt import ghost_components, witt_add_int, witt_from_int, witt_mul_int, witt_neg_int
 
 
 def mul_reference(a, b):
@@ -184,3 +185,29 @@ def verdict_reference(tree, point, n, slack, frontier_bound=50_000):
             return not any(h.eval_int(u, p ** (n + 1 - d)) for h, _ in state)
         state = tree._child(state, u0)
     return decide_reference(tree, state, slack, frontier_bound)
+
+
+# Witt arithmetic over F_p by the ghost equations: lift the digits to Z,
+# run the integral law, reduce.  This equals evaluating the mod-p structure
+# polynomials, since evaluation commutes with reduction.  WittVector
+# computes in Z/p^L instead, through the Teichmuller digit coding.
+
+
+def witt_add_modp(a, b, p):
+    return tuple(c % p for c in witt_add_int(a, b, p))
+
+
+def witt_mul_modp(a, b, p):
+    return tuple(c % p for c in witt_mul_int(a, b, p))
+
+
+def witt_neg_modp(a, p):
+    return tuple(c % p for c in witt_neg_int(a, p))
+
+
+def witt_scalar_modp(k, a, p):
+    """k-fold Witt sum of a vector over F_p, by the ghost-equation sum."""
+    acc = (0,) * len(a)
+    for _ in range(k % p ** len(a)):
+        acc = witt_add_modp(acc, a, p)
+    return acc

@@ -34,6 +34,7 @@ from padicstacks.stacks import (
     symmetric_group_3,
     weighted_subset_count,
 )
+from poly_oracles import witt_mul_modp, witt_scalar_modp
 from stack_oracles import count_invertible_matrices
 from padicstacks.witt import (
     WittVector,
@@ -42,8 +43,6 @@ from padicstacks.witt import (
     verschiebung,
     witt_add_int,
     witt_mul_int,
-    witt_mul_modp,
-    witt_scalar_modp,
 )
 
 DEMO = str(pathlib.Path(__file__).parent / "data" / "demo.project")

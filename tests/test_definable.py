@@ -925,6 +925,22 @@ def test_joint_certificates_match_pointwise():
         assert (m.status, m.value) == ("STABILIZED", 1)
 
 
+def test_ball_with_an_undetermined_disjunct_stays_open():
+    # on xy = t or ord(x - 1) >= 3, a point of the curve with x = 1 mod p
+    # reads true with the exact atom true, but not false with it false
+    # while ord(x - 1) >= 3 is undetermined, so its ball must stay open
+    # (guard (c) of `_KeptPoints`).  The image mod p^(n+1) is the curve's
+    # 2(p-1)p^n points and x = 1 mod p^min(3, n+1) with any y, less one
+    # point of the curve for each such x
+    for p in (2, 3):
+        m = measure_formula("x*y - t == 0 || ord(x - 1) >= 3", A2, 2, spec(p, 0), max_level=4)
+        for n, (lower, upper) in enumerate(zip(m.lower, m.upper)):
+            xs = p ** (n + 1 - min(3, n + 1))
+            image = Fraction(2 * (p - 1) * p**n + xs * p ** (n + 1) - xs, p ** (2 * n + 2))
+            assert lower <= image <= upper, (p, n)
+            assert n < 2 or lower == upper, (p, n)
+
+
 def test_smooth_balls_close_by_hensel():
     # every ball on xy = p closes at level 0 (the curve is smooth there),
     # so a walk that reads at most 100 balls a level reaches level 6;

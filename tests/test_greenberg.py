@@ -1,11 +1,12 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicstacks import greenberg
+from padicstacks import greenberg, witt
 from padicstacks.greenberg import (
     digit_variables,
     expand_poly,
@@ -259,13 +260,61 @@ def assert_search_reads_folds_of_exact_components(G):
         assert len(fs) == len(es) == len(G.source.generators)
         for f, e in zip(fs, es):
             assert f.variables == e.variables
-            assert f.terms == greenberg._fold(e, G.p)
+            assert f.terms == witt._fold(e, G.p)
 
 
 @pytest.mark.parametrize("text, variables, p, n", ORACLE_CASES)
 def test_folded_components_of_oracle_cases(text, variables, p, n):
     X = scheme("X", variables, [text], len(variables) - 1)
     assert_search_reads_folds_of_exact_components(greenberg_transform(X, p, n))
+
+
+def fold_battery():
+    """Seeded sources for p in {2, 3, 5, 7} and L = n + 1 <= 4 (3 at
+    p >= 5) in 1, 2 and 3 variables.  Their coefficients come from 1, -1
+    and p (Teichmuller digits with zeros), p^L + 1 (the Witt vector one),
+    p^L (the zero vector, skipped) and one of 2..p."""
+    rng = random.Random(4800)
+    cases = []
+    for p, top in ((2, 4), (3, 4), (5, 3), (7, 3)):
+        for L in range(1, top + 1):
+            for variables in (("x",), ("x", "y"), ("x", "y", "z")):
+                coeffs = [1, -1, p, p**L + 1, p**L, rng.randrange(2, p + 1)]
+                rng.shuffle(coeffs)
+                terms = []
+                for c in coeffs[:rng.randint(2, 4)]:
+                    factors = [rng.choice(variables) for _ in range(rng.randint(0, 3))]
+                    terms.append("*".join([str(c)] + factors))
+                cases.append((" + ".join(terms), variables, p, L - 1))
+    return cases
+
+
+@pytest.mark.parametrize("text, variables, p, n", fold_battery())
+def test_folded_expansion_is_the_fold_of_the_exact_one(text, variables, p, n):
+    G = greenberg_transform(scheme("X", variables, [text], len(variables) - 1), p, n)
+    for fs, es in zip(G._folded_gens, G.component_gens):
+        assert [f.terms for f in fs] == [witt._fold(e, p) for e in es]
+
+
+def test_folded_expansion_stays_packed(monkeypatch):
+    # the folded expansion builds a MultiPoly only for each final
+    # component, and each folded law is grouped once per StructurePolys,
+    # not once per Witt operation
+    monkeypatch.setattr(witt, "_structure_cache", {})
+    grouped = []
+    group = witt._group
+    monkeypatch.setattr(witt, "_group", lambda law, L: grouped.append(L) or group(law, L))
+    witt.structure_polynomials(3, 4)
+    sources = [scheme("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1),
+               scheme("pair", ("x", "y", "z"), ["x*y*z - 2*z^2 + 3", "x^2 - y + 1"], 1)]
+    built = []
+    init = MultiPoly.__init__
+    monkeypatch.setattr(MultiPoly, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    for X in sources:
+        G = greenberg_transform(X, 3, 3)
+        assert len(G._folded_gens) == 4
+    assert len(built) == 4 * (1 + 2)
+    assert grouped == [4, 4]
 
 
 def test_expand_poly_skips_terms_zero_mod_p_length(monkeypatch):
@@ -446,7 +495,7 @@ def test_fold_is_the_same_function_on_f_p(text, variables, p, n):
     # the unfolded one's value mod p at every digit tuple
     G = greenberg_transform(scheme("X", variables, [text], len(variables) - 1), p, n)
     for g in G.scheme.generators:
-        folded = MultiPoly(g.variables, greenberg._fold(g, p))
+        folded = MultiPoly(g.variables, witt._fold(g, p))
         assert all(e < p for expo in folded.terms for e in expo)
         assert all(0 <= c < p for c in folded.terms.values())
         for point in itertools.product(range(p), repeat=len(g.variables)):
@@ -458,12 +507,12 @@ def test_fold_exponents_and_like_terms():
     # at p = 3 the exponents 3, 4, 5 fold to 1, 2, 1
     x = MultiPoly.variable(("x", "y"), "x")
     y = MultiPoly.variable(("x", "y"), "y")
-    assert greenberg._fold(x**2 - x, 2) == {}
-    assert greenberg._fold(x**5 * y**2 + 3 * x * y + 1, 2) == {(0, 0): 1}
-    assert greenberg._fold(x**3 - x, 3) == {}
-    assert greenberg._fold(x**4 * y**5 - 2 * y, 3) == {(2, 1): 1, (0, 1): 1}
+    assert witt._fold(x**2 - x, 2) == {}
+    assert witt._fold(x**5 * y**2 + 3 * x * y + 1, 2) == {(0, 0): 1}
+    assert witt._fold(x**3 - x, 3) == {}
+    assert witt._fold(x**4 * y**5 - 2 * y, 3) == {(2, 1): 1, (0, 1): 1}
 
 
 def test_fold_shrinks_the_deep_conic_top_component():
     G = greenberg_transform(scheme("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1), 3, 3)
-    assert [len(greenberg._fold(g, 3)) for g in G.scheme.generators] == [3, 2, 8, 54]
+    assert [len(witt._fold(g, 3)) for g in G.scheme.generators] == [3, 2, 8, 54]

@@ -280,6 +280,24 @@ def test_packed_zero_empty_and_negative_operands():
     assert any(c < 0 for c in got.terms.values())
 
 
+def test_unpack_decodes_each_key_by_its_two_halves():
+    # _unpack splits a key into a low and a high half and decodes each half
+    # once; below, many keys share a half, every exponent 0..radix-1 occurs
+    # in some digit, and the exponent vector zero is a key
+    rng = random.Random(4900)
+    for n in range(1, 11):
+        names = tuple(f"v{i}" for i in range(n))
+        low = n - n // 2
+        shared = [tuple(rng.choice((0, 1, 7, 8)) for _ in range(n)) for _ in range(4)]
+        expos = {a[:low] + b[low:] for a in shared for b in shared}
+        expos |= {tuple(rng.randint(0, 8) for _ in range(n)) for _ in range(6)}
+        expos |= {(0,) * n, (8,) * n}
+        f = MultiPoly(names, {e: rng.choice((-3, 1, 2, 10**20)) for e in expos})
+        radix = polyscheme._radix(8)
+        assert radix == 9
+        assert polyscheme._unpack(polyscheme._pack(f, radix), n, radix) == f.terms, n
+
+
 def test_constant_images_fold_at_exponent_zero():
     # x is constant; it has exponent 0 at y^2 and at 4, where c^0 = 1
     f = P("5*y^2 + x^2*y - 7*x + 4")
@@ -834,6 +852,19 @@ def test_unit_multiples_mod_their_precision_merge():
     X = AffineScheme("fg", V2, (f, g), 0)
     assert tree.level_counts(3) == [
         sum(1 for _ in enumerate_points(X, make_ring(3, n=k))) for k in range(4)]
+
+
+def test_counted_unit_multiples_share_one_state():
+    # a counted condition is divided by its p-content and scaled so that
+    # its largest exponent vector prime to p has coefficient 1: u p^c f
+    # counted to p^e is f counted to p^(e - c), and (f, u f) is (f)
+    f = P("y - x^2 + 3*x*y")
+    for p in (3, 5):
+        tree = BallTree((f,), 2, p)
+        for u in (k for k in range(2, p**3) if k % p):
+            for c in (0, 1):
+                assert tree._state([(u * p**c * f, 3)]) == tree._state([(f, 3 - c)]), (p, u, c)
+            assert tree._state([(f, 3), (u * f, 3)]) == tree._state([(f, 3)]), (p, u)
 
 
 def test_analyzer_compiles_jacobian_only_when_lifting(monkeypatch):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from padicstacks import witt
 from padicstacks.polyscheme import MultiPoly, parse_poly
 from padicstacks.rings import BoundExceeded
 from padicstacks.witt import (
@@ -17,16 +18,20 @@ from padicstacks.witt import (
     teichmuller,
     verschiebung,
     witt_add_int,
-    witt_add_modp,
     witt_add_sym,
     witt_from_int,
     witt_mul_int,
-    witt_mul_modp,
     witt_mul_sym,
     witt_neg_int,
+)
+from poly_oracles import (
+    mul_reference,
+    structure_reference,
+    witt_add_modp,
+    witt_mul_modp,
+    witt_neg_modp,
     witt_scalar_modp,
 )
-from poly_oracles import mul_reference, structure_reference
 
 
 def all_vectors(p, L):
@@ -207,6 +212,40 @@ def test_truncation_is_ring_homomorphism():
             assert (wa * wb).truncate(M) == wa.truncate(M) * wb.truncate(M)
 
 
+def test_vector_arithmetic_over_f_p_matches_the_ghost_laws():
+    # WittVector over F_p computes in Z/p^L through the digit coding; the
+    # ghost-equation functions are its reference: exhaustive on W_3(F_2)
+    # and W_3(F_3) (so the truncation test above holds for them too), then
+    # seeded pairs up to p = 7 and length 4
+    cases = [(a, b, p) for p in (2, 3) for a in all_vectors(p, 3) for b in all_vectors(p, 3)]
+    rng = random.Random(4600)
+    for p, L in ((2, 4), (3, 4), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)):
+        for _ in range(30):
+            cases.append(tuple(tuple(rng.randrange(p) for _ in range(L)) for _ in "ab") + (p,))
+    for a, b, p in cases:
+        wa, wb = WittVector(p, a), WittVector(p, b)
+        assert (wa + wb).coords == witt_add_modp(a, b, p)
+        assert (wa * wb).coords == witt_mul_modp(a, b, p)
+        assert (-wa).coords == witt_neg_modp(a, p)
+        assert (wa - wb).coords == witt_add_modp(a, witt_neg_modp(b, p), p)
+
+
+def test_vector_arithmetic_at_a_large_prime_solves_no_ghost_equation(monkeypatch):
+    # one ghost-equation sum at p = 211, length 4 takes seconds; the
+    # vector answers as Z/p^L does, without solving one
+    monkeypatch.setattr(witt, "_ghost_solve", None)
+    p, L = 211, 4
+    m = p**L
+    rng = random.Random(4700)
+    for _ in range(20):
+        a, b = rng.randrange(m), rng.randrange(m)
+        wa, wb = WittVector(p, witt_from_int(a, p, L)), WittVector(p, witt_from_int(b, p, L))
+        assert (wa + wb).coords == witt_from_int(a + b, p, L)
+        assert (wa * wb).coords == witt_from_int(a * b, p, L)
+        assert (wa - wb).coords == witt_from_int(a - b, p, L)
+        assert int_from_witt((-wa).coords, p) == -a % m
+
+
 # ---------------------------------------------------------------------------
 # Teichmuller digits and the isomorphism with Z/p^L
 
@@ -288,6 +327,13 @@ def test_packed_fold_matches_fold(p):
         assert ring.unpack(ring.mul({key(low): 1}, {key(high): 1})) == expected, expo
 
 
+def pack(ring, poly):
+    """`_fold` of poly as a packed dict of the ring: exponent e of variable
+    i is the digit e << w*i."""
+    return {sum(e << ring.w * i for i, e in enumerate(expo)): c
+            for expo, c in _fold(poly, ring.p).items()}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
 def test_packed_product_matches_fold_of_product(p):
     rng = random.Random(4300 + p)
@@ -301,7 +347,7 @@ def test_packed_product_matches_fold_of_product(p):
 
     for _ in range(40):
         a, b = folded_poly(), folded_poly()
-        product = ring.unpack(ring.mul(ring.pack(a), ring.pack(b)))
+        product = ring.unpack(ring.mul(pack(ring, a), pack(ring, b)))
         assert product == _fold(mul_reference(a, b), p)
 
 
@@ -326,11 +372,13 @@ def _random_folded_vector(rng, names, p, length):
 def test_folded_operations_are_folds_of_exact_ones(p):
     rng = random.Random(4400 + p)
     names = ("a_0", "a_1", "b_0")
+    ring = _FoldedRing(p, len(names))
     for length in (1, 2, 3):
         for _ in range(12 if p < 7 else 4):
             a = _random_folded_vector(rng, names, p, length)
             b = _random_folded_vector(rng, names, p, length)
             for op in (witt_add_sym, witt_mul_sym):
                 exact = op(a, b, p)
-                folded = op(a, b, p, folded=True)
-                assert folded == tuple(MultiPoly(names, _fold(g, p)) for g in exact)
+                folded = op(tuple(pack(ring, g) for g in a), tuple(pack(ring, g) for g in b), p,
+                            folded=ring)
+                assert tuple(map(ring.unpack, folded)) == tuple(_fold(g, p) for g in exact)
