@@ -24,7 +24,7 @@ All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 import itertools
-from operator import add, mod, mul, neg, sub
+from operator import add, mod, neg, sub
 
 DEFAULT_BOUND = 4_000_000
 
@@ -587,29 +587,29 @@ class LocalRingSpec:
 
     def compile(self, poly):
         """Evaluator point-tuple -> coordinate value for an integer
-        polynomial, compiled once for this ring.  On element rings each
-        nonzero coefficient is embedded once and each monomial is a run of
-        RingElement products over its (variable, exponent) factors, each
-        raised by `power`, started at its first factor when the
-        coefficient is 1; the sum starts at the first term."""
+        polynomial, compiled once for this ring.  On element rings it runs
+        on the coordinates' vectors (`_operand`): a monomial is a run of
+        `_mul` products over its factors, each raised by `power`, times
+        its coefficient c mod p^K slot by slot (c*a mod each slot's
+        modulus); the terms are summed by `_add` into one RingElement."""
         if self.int_modulus is not None:
             return poly.compile_int(self.int_modulus)
-        zero, one = self.zero(), self.one()
-        terms = []  # (coefficient, or None when it is 1, (variable, exponent) factors)
-        for expo, c in sorted(poly.terms.items()):
-            coeff = self.from_int(c)
-            if coeff:
-                factors = tuple((i, k) for i, k in enumerate(expo) if k)
-                terms.append((None if factors and coeff == one else coeff, factors))
+        mods, one, mul = self._mods, self._int_vector(1), self._mul
+        terms = [(c % mods[0], tuple((i, k) for i, k in enumerate(expo) if k))
+                 for expo, c in sorted(poly.terms.items()) if c % mods[0]]
 
         def ev(point):
+            vecs = [self._operand(x) for x in point]
             acc = None
-            for t, factors in terms:
+            for c, factors in terms:
+                t = None
                 for i, k in factors:
-                    x = point[i] if k == 1 else power(point[i], k, mul, one)
-                    t = x if t is None else t * x
-                acc = t if acc is None else acc + t
-            return zero if acc is None else acc
+                    x = vecs[i] if k == 1 else power(vecs[i], k, mul, one)
+                    t = x if t is None else mul(t, x)
+                if c != 1 or t is None:
+                    t = tuple([c * a % m for a, m in zip(t or one, mods)])
+                acc = t if acc is None else self._add(acc, t)
+            return RingElement(self, acc or (0,) * len(mods))
 
         return ev
 
@@ -654,6 +654,15 @@ class LocalRingSpec:
     # Coordinate i*r + k of a vector is the Y^k coefficient of the omega^i
     # slot (module docstring).  Vectors are tuples of ints reduced by
     # _mods; every method below takes and returns canonical vectors.
+
+    def _operand(self, x):
+        """The vector of an element of this ring, or of an int, embedded;
+        an element of another ring is refused."""
+        if isinstance(x, RingElement) and (x.spec is self or x.spec == self):
+            return x.vec
+        if isinstance(x, int):
+            return self._int_vector(x)
+        raise ValueError("elements of mismatched ring specs")
 
     def _canon(self, coords):
         return tuple(map(mod, coords, self._mods))
@@ -824,19 +833,8 @@ class RingElement:
             self._digits = self.spec._read_digits(self.vec)
         return self._digits
 
-    def _operand(self, other):
-        """The vector of an operand: an int is embedded, and an element of
-        another ring is refused."""
-        if isinstance(other, int):
-            return self.spec._int_vector(other)
-        if isinstance(other, RingElement) and (
-            other.spec is self.spec or other.spec == self.spec
-        ):
-            return other.vec
-        raise ValueError("elements of mismatched ring specs")
-
     def __add__(self, other):
-        return RingElement(self.spec, self.spec._add(self.vec, self._operand(other)))
+        return RingElement(self.spec, self.spec._add(self.vec, self.spec._operand(other)))
 
     __radd__ = __add__
 
@@ -844,13 +842,13 @@ class RingElement:
         return RingElement(self.spec, self.spec._neg(self.vec))
 
     def __sub__(self, other):
-        return RingElement(self.spec, self.spec._sub(self.vec, self._operand(other)))
+        return RingElement(self.spec, self.spec._sub(self.vec, self.spec._operand(other)))
 
     def __rsub__(self, other):
-        return RingElement(self.spec, self.spec._sub(self._operand(other), self.vec))
+        return RingElement(self.spec, self.spec._sub(self.spec._operand(other), self.vec))
 
     def __mul__(self, other):
-        return RingElement(self.spec, self.spec._mul(self.vec, self._operand(other)))
+        return RingElement(self.spec, self.spec._mul(self.vec, self.spec._operand(other)))
 
     __rmul__ = __mul__
 

@@ -221,6 +221,7 @@ class GroupAction:
     def __init__(self, group, scheme, polys=None):
         self.group = group
         self.scheme = scheme
+        self._compiled = {}  # (g, ring) -> evaluators of g's polynomials
         if isinstance(group, SpecialGroup):
             self._env_vars = scheme.variables + group.coordinate_names()
             if polys is None:
@@ -276,8 +277,10 @@ class GroupAction:
     # -- applying the action --------------------------------------------------
 
     def apply_finite_field(self, g, point, ring):
-        """g . point for a point over a ring, through `ring.compile`."""
-        return tuple(ring.compile(q)(point) for q in self.polys[g])
+        """g . point for a point over a ring, by `ring.compile` once per (g, ring)."""
+        if (g, ring) not in self._compiled:
+            self._compiled[g, ring] = [ring.compile(q) for q in self.polys[g]]
+        return tuple(ev(point) for ev in self._compiled[g, ring])
 
     def check_compatibility(self, ring, bound=None):
         """g.(h.x) == (gh).x on every enumerated point over a probe ring."""

@@ -146,7 +146,10 @@ class BallTree:
     def _residue_zeros(self, state):
         """{u0: smooth} over the common zeros u0 in F_p^N of a state, in
         lexicographic order; smooth when rank J(u0) is the condition count
-        (always, with no condition left).  One search per system of
+        (always, with no condition left).  Only the coordinates that occur
+        mod p are searched, the others held at 0; each zero then takes
+        every value of those, in their places, and keeps its flag, as
+        their Jacobian columns vanish.  One search per system of
         conditions mod p, on which both depend; cached on the state too."""
         zeros = self._zeros.get(state)
         if zeros is None:
@@ -154,12 +157,17 @@ class BallTree:
             polys = tuple(h.reduce_coeffs(p) for h, _ in state)
             zeros = self._searches.get(polys)
             if zeros is None:
+                used = {j for j in range(nv) if any(x[j] for h in polys for x in h.terms)}
                 evals = [h.compile_int(p) for h in polys]
                 jac = [[d.compile_int(p) for d in row] for row in _jacobian(polys)]
                 zeros = self._searches[polys] = {}
-                for u0 in itertools.product(range(p), repeat=nv):
+                for u0 in itertools.product(*[range(p) if j in used else (0,) for j in range(nv)]):
                     if not any(ev(u0) for ev in evals):
                         zeros[u0] = full_rank([[ev(u0) for ev in row] for row in jac], nv, p)
+                if len(used) < nv:
+                    zeros = self._searches[polys] = dict(sorted(
+                        (u, smooth) for u0, smooth in zeros.items() for u in itertools.product(
+                            *[(a,) if j in used else range(p) for j, a in enumerate(u0)])))
             self._zeros[state] = zeros
         return zeros
 

@@ -384,13 +384,15 @@ def int_from_witt(digits, p):
 
 class WittVector:
     """Fixed-length Witt vector; coordinates are integers, interpreted over
-    Z ("Z" ring tag, the oracle domain) or over F_p ("Fp")."""
+    Z ("Z" ring tag, the oracle domain) or over F_p ("Fp"), p prime."""
 
     __slots__ = ("p", "coords", "base")
 
     def __init__(self, p, coords, base="Fp"):
         if base not in ("Z", "Fp"):
             raise ValueError("base must be 'Z' or 'Fp'")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.base = base
         coords = tuple(int(c) for c in coords)

@@ -45,6 +45,7 @@ DEFN = "tests/test_definable.py"
 CLI = "tests/test_project_cli.py"
 WITTS = "tests/test_witt.py"
 GREEN = "tests/test_greenberg.py"
+RINGS = "tests/test_rings.py"
 
 MUTANTS = (
     # BallTree: the closed forms and the state's normal form
@@ -72,6 +73,29 @@ MUTANTS = (
             f"{POLY}::test_repeated_generator_walks_as_one",
             f"{POLY}::test_repeated_generator_in_its_slot_is_dropped_once",
             f"{POLY}::test_repeat_that_appears_below_the_root_is_dropped_there")),
+    Mutant("image-above-fibre-full", TREE,
+           "fiber = p ** (self.n_vars - len(state))", "fiber = p ** self.n_vars",
+           (f"{MEAS}::test_q_check_is_the_image_less_the_singular_centres",)),
+    # the residue search: only the coordinates that occur mod p, each zero
+    # extended in place and in order, and rank mod p
+    Mutant("occurrence-wrong-index", TREE,
+           "any(x[j] for h in polys for x in h.terms)", "any(x[j - 1] for h in polys for x in h.terms)",
+           (f"{POLY}::test_residue_search_matches_every_tuple",)),
+    Mutant("extension-unsorted", TREE,
+           "zeros = self._searches[polys] = dict(sorted(",
+           "zeros = self._searches[polys] = dict((",
+           (f"{POLY}::test_residue_search_matches_every_tuple",
+            f"{POLY}::test_residue_search_on_weil_restrictions_matches_every_tuple")),
+    Mutant("full-rank-unreduced", "src/padicstacks/polyscheme.py",
+           "range(n_cols), lambda a: pow(a, -1, p), lambda a: a % p)",
+           "range(n_cols), lambda a: pow(a, -1, p), lambda a: a)",
+           (f"{POLY}::test_residue_search_matches_every_tuple",)),
+    # compiled polynomials on element rings
+    Mutant("coefficient-slot-unreduced", "src/padicstacks/rings.py",
+           "tuple([c * a % m for a, m in zip(t or one, mods)])",
+           "tuple([c * a for a, m in zip(t or one, mods)])",
+           (f"{RINGS}::test_compile_matches_eval_elements_and_digit_oracle",
+            f"{RINGS}::test_compiled_monomials_raise_by_square_and_multiply")),
     # BallTree._image: a ball's own lookahead decides it
     Mutant("lookahead-ignores-certified", TREE,
            "here = True if c else None if o else False", "here = None if o else False",

@@ -7,8 +7,11 @@ no kernel is checked only by itself.
 
 Also a reference for the verdicts of BallTree's image walk that shares
 none of its memo: a breadth-first search over the states below a ball,
-level by level, with an optional cap on the states of one level."""
+level by level, with an optional cap on the states of one level; and for
+its residue search, which evaluates every tuple of F_p^N and takes each
+rank by its own elimination."""
 
+import itertools
 import operator
 
 from padicstacks.polyscheme import MultiPoly
@@ -116,6 +119,38 @@ def ghost_expand_reference(f, p, length, names):
         assert all(coeff % p**i == 0 for coeff in acc.terms.values())
         coords.append(MultiPoly(names, {e: c // p**i for e, c in acc.terms.items()}))
     return tuple(coords)
+
+
+def rank_mod_p(rows, p):
+    """Rank of an integer matrix over F_p, by elimination on a copy."""
+    rows = [[a % p for a in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def residue_zeros_reference(polys, n_vars, p):
+    """BallTree._residue_zeros of a system, with no coordinate skipped:
+    {u0: smooth} over every tuple u0 of F_p^N in lexicographic order at
+    which each polynomial vanishes mod p, smooth when the Jacobian there
+    has rank mod p equal to the number of polynomials."""
+    jac = [[h.partial(v) for v in h.variables] for h in polys]
+    zeros = {}
+    for u0 in itertools.product(range(p), repeat=n_vars):
+        if not any(h.eval_int(u0, p) for h in polys):
+            rows = [[d.eval_int(u0, p) for d in row] for row in jac]
+            zeros[u0] = rank_mod_p(rows, p) == len(polys)
+    return zeros
 
 
 def decide_reference(tree, state, slack, frontier_bound=50_000):

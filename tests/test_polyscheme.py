@@ -32,6 +32,7 @@ from poly_oracles import (
     image_levels_reference,
     mul_reference,
     pow_reference,
+    residue_zeros_reference,
     substitute_reference,
     verdict_reference,
 )
@@ -1000,3 +1001,91 @@ def test_the_references_never_import_the_tree():
     assert not {"CERT_FRONTIER_BOUND", "_det"} & vars(tree).keys()
     for name in ("BallTree", "count_points", "level_counts", "weil_restriction", "hensel_liftable"):
         assert getattr(tree, name).__module__ == "padicstacks.tree" and not hasattr(polyscheme, name)
+
+
+# ---------------------------------------------------------------------------
+# the residue search, which reads only the coordinates that occur mod p,
+# against the search over every tuple of F_p^N
+
+NAMES4 = ("a", "b", "c", "d")
+
+
+def _free_sets(nv):
+    """No free coordinate; 1-3 free ones first, in the middle and last;
+    and the first with the last."""
+    sets = {(), (0, nv - 1)}
+    for k in range(1, min(3, nv) + 1):
+        for start in (0, (nv - k) // 2, nv - k):
+            sets.add(tuple(range(start, start + k)))
+    return sorted(sets)
+
+
+def _residue_system(rng, p, nv, g, free):
+    """g conditions of degree <= 2 (some squared, so singular on their
+    zeros) in which each coordinate of `free` occurs only with a
+    coefficient divisible by p; mostly with a common zero."""
+    variables = NAMES4[:nv]
+    monomials = [e for e in itertools.product(range(3), repeat=nv)
+                 if sum(e) <= 2 and not any(e[j] for j in free)]
+    point = [rng.randrange(p) for _ in range(nv)]
+    polys = []
+    for _ in range(g):
+        terms = {rng.choice(monomials): rng.randrange(-p, 2 * p) for _ in range(rng.randint(1, 4))}
+        for j in free:
+            terms[tuple(int(k == j) for k in range(nv))] = p * rng.randint(1, 3)
+        h = MultiPoly(variables, terms)
+        h = h * h if rng.random() < 0.25 else h
+        polys.append(h - h.eval_int(point, p) if rng.random() < 0.75 else h)
+    return polys
+
+
+def test_residue_search_matches_every_tuple():
+    rng = random.Random(33)
+    for p in (2, 3, 5, 7):
+        for nv in range(1, 5):
+            for g in range(4):
+                for free in _free_sets(nv):
+                    polys = _residue_system(rng, p, nv, g, free)
+                    tree = BallTree(polys, nv, p)
+                    zeros = tree._residue_zeros(tuple((h, None) for h in polys))
+                    want = residue_zeros_reference(polys, nv, p)
+                    assert list(zeros.items()) == list(want.items()), (p, free, polys)
+    # no condition: every tuple, smooth; a unit constant: no zero
+    for p, nv in ((2, 1), (3, 3), (5, 2)):
+        tree = BallTree((), nv, p)
+        every = list(itertools.product(range(p), repeat=nv))
+        assert list(tree._residue_zeros(()).items()) == [(u, True) for u in every]
+        unit = MultiPoly(NAMES4[:nv], {(0,) * nv: p + 1, (1,) + (0,) * (nv - 1): p})
+        assert tree._residue_zeros(((unit, 1),)) == {} == residue_zeros_reference([unit], nv, p)
+
+
+def test_residue_search_on_weil_restrictions_matches_every_tuple(monkeypatch):
+    # at level 0 of a ring with e > 1 only the omega^0-slot coordinates
+    # occur mod p, and states below the root free others
+    real = BallTree._residue_zeros
+    free = []
+
+    def checked(self, state):
+        zeros = real(self, state)
+        polys = [h.reduce_coeffs(self.p) for h, _ in state]
+        want = residue_zeros_reference(polys, self.n_vars, self.p)
+        assert list(zeros.items()) == list(want.items()), state
+        free.append(any(all(not x[j] for h in polys for x in h.terms)
+                        for j in range(self.n_vars)))
+        return zeros
+
+    monkeypatch.setattr(BallTree, "_residue_zeros", checked)
+    rings = (make_ring(3, 2, (-3, 0)), make_ring(5, 2, (-10, 5)),
+             make_ring(3, e=3, eisenstein=(3, 6, -3)))
+    for ring in rings:
+        for X in (conic(), cusp()):
+            for n in range(3):
+                level_counts(X, ring, n)
+    assert any(free) and not all(free)
+
+
+def test_level_counts_on_a_cubic_ramified_ring_match_brute():
+    ring = make_ring(3, e=3, eisenstein=(3, 6, -3))
+    for X in (conic(), cusp()):
+        assert level_counts(X, ring, 2) == [
+            sum(1 for _ in enumerate_points(X, ring.at_level(k))) for k in range(3)]

@@ -342,6 +342,7 @@ def test_element_coordinates_compile_to_eval_elements():
         make_ring(3, r=2, n=1),  # GR(9, 2), x-only below
         eisenstein_ring(n=1),
         make_ring(3, r=2),  # F_9, the Galois ring at level 0
+        make_ring(3, e=3, eisenstein=(3, 6, -3), n=2),
     ]
     for ring in rings:
         coords = ring.coordinates()
@@ -392,6 +393,27 @@ def test_compiled_monomials_raise_by_square_and_multiply(monkeypatch):
         products.clear()
         assert value == x**k and cost == len(products), k
         assert cost == k.bit_length() + bin(k).count("1") - 2 <= k - 1, k
+    # an integer coefficient is applied slot by slot, with no product
+    for text in ("-2*x^2", "3*x + 1", "-7"):
+        poly = padicstacks.parse_poly(text, ("x",))
+        want = poly.eval_elements((x,), ring.from_int)
+        f = ring.compile(poly)
+        products.clear()
+        assert f((x,)) == want and len(products) == text.count("^2"), text
+
+
+def test_compiled_polynomials_refuse_a_point_of_another_ring():
+    # a different p, the same family at another level, and a coordinate
+    # whose variable the polynomial does not read
+    ring = make_ring(3, e=2, eisenstein=(-3, 0), n=2)
+    f = ring.compile(padicstacks.parse_poly("x^2 + 2*x", ("x", "y")))
+    x = ring.element([1, 2, 0])
+    for other in (make_ring(5, e=2, eisenstein=(-5, 0), n=2), ring.at_level(1), ring.at_level(3)):
+        stray = other.one()
+        for point in ((stray, x), (x, stray)):
+            with pytest.raises(ValueError, match="^elements of mismatched ring specs$"):
+                f(point)
+    assert f((x, ring.element([0, 0, 1]))) == x * x + 2 * x
 
 
 def test_at_level_moves_both_ways():
@@ -618,8 +640,12 @@ def test_compile_matches_eval_elements_and_digit_oracle(spec):
     rng = random.Random(spec.size)
     oracle = _DigitOracle(spec)
     # coefficient-1 monomials, and coefficients that vanish in every ring
-    # here (810000 = 2^4 3^4 5^4), some or all of them
-    extra = ("x^3*y^2 - 5*x*y + 2", "0*x + 0", "x", "x - 3600*y + 1", "810000*x*y")
+    # here (810000 = 2^4 3^4 5^4), some or all of them; and one-term
+    # polynomials with negative coefficients, coefficients divisible by
+    # p, and constants, whose value is the coefficient applied slot by
+    # slot with no sum to reduce it
+    extra = ("x^3*y^2 - 5*x*y + 2", "0*x + 0", "x", "x - 3600*y + 1", "810000*x*y",
+             "-x", "-2*x*y^2", "6*y^3", "-10*x^2*y", "15*x", "-9", "4", "-1")
     for text in SEAM_POLYS + extra:
         f = padicstacks.parse_poly(text, ("x", "y"))
         ev = spec.compile(f)

@@ -329,6 +329,31 @@ def test_compatibility_probe():
     assert not broken.check_compatibility(make_ring(5))
 
 
+def test_actions_compile_once_per_element_and_ring(monkeypatch):
+    # g's polynomials are compiled once for each ring they act over, not
+    # at every point: the swap of A2 compiles as often over F_5 (625
+    # points in its twisted sector, over F_25) as over F_3 (81)
+    real, calls = LocalRingSpec.compile, []
+
+    def counted(self, poly):
+        calls.append(poly)
+        return real(self, poly)
+
+    monkeypatch.setattr(LocalRingSpec, "compile", counted)
+    plane = AffineScheme.affine_space("A2", ("x", "y"))
+    x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    made = []
+    for p in (3, 5):
+        action = GroupAction(cyclic_group(2), plane, {"g1": (y, x)})
+        calls.clear()
+        assert stacky_count(QuotientStack("swap", action), make_ring(p)) == p * p
+        # q(q+1)/2 orbits in each of the two sectors
+        assert len(groupoid_classes_finite(action, make_ring(p))) == p * (p + 1)
+        assert action.check_compatibility(make_ring(p))
+        made.append(len(calls))
+    assert made[0] == made[1]
+
+
 def test_compatibility_probe_refuses_special_group_before_enumerating():
     # the conic has 25 candidate tuples over F_5, over the bound of 3: the
     # refusal names the group, not the enumeration it never starts

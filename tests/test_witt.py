@@ -152,6 +152,17 @@ def test_structure_polys_reject_non_prime():
             structure_polynomials(p, 2)
 
 
+@pytest.mark.parametrize("base", ["Fp", "Z"])
+def test_witt_vectors_reject_non_prime(base):
+    # refused at construction, as structure_polynomials refuses; at p = 4
+    # the sum once raised the error class kept for the module's own bugs
+    for p in (1, 4, 9):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            WittVector(p, (1, 0), base)
+    one = WittVector(5, (1, 0), base)
+    assert one + WittVector(5, (0, 0), base) == one
+
+
 # ---------------------------------------------------------------------------
 # Verschiebung / Frobenius
 
