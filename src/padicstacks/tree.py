@@ -13,7 +13,7 @@ imports nothing from this module.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import comb, gcd
 
 from .polyscheme import DEFAULT_SLACK, LiftStatus, MultiPoly, _jacobian, full_rank
 from .rings import BoundExceeded, RingElement, at_least, is_prime, p_valuation, size_limit
@@ -76,6 +76,30 @@ def hensel_liftable(X, point, p, n, slack=DEFAULT_SLACK):
 # rescaled-ball trees (integer systems over Z_p)
 
 
+def _shift(h, u0, p, modulus):
+    """h(u0 + p v), coefficients mod `modulus` when given: what
+    `h.substitute({x_j: p x_j + u0[j]}, modulus)` returns, by one binomial
+    pass per variable on h's terms.  With a = u0[j], a term of exponent k
+    in x_j spreads into C(k, i) a^(k-i) p^i at exponent i, i = 0..k; with
+    a = 0 it only scales by p^k."""
+    terms = h.terms
+    for j, a in enumerate(u0):
+        if not a:
+            terms = {x: c * p ** x[j] for x, c in terms.items()}
+            continue
+        out = {}
+        for x, c in terms.items():
+            k = x[j]
+            head, tail = x[:j], x[j + 1:]
+            for i in range(k + 1):
+                y = head + (i,) + tail
+                out[y] = out.get(y, 0) + c * comb(k, i) * a ** (k - i) * p**i
+        terms = out
+    if modulus:
+        terms = {x: c % modulus for x, c in terms.items()}
+    return MultiPoly(h.variables, terms)
+
+
 class BallTree:
     """Counts, truncation images and single-point verdicts over Z/p^(k+1)
     from memoised walks over rescaled balls (Denef, Invent. Math. 77, 1984),
@@ -94,7 +118,9 @@ class BallTree:
     conditions, Hensel's lemma closes the sub-ball in closed form: it
     holds p^(N(m-1) - sum(e_i - 1)) zeros mod p^m, m the largest e_i, and
     p^((N-g)(r-1)) of its depth-r sub-balls hold a Z_p-zero.  Every other
-    residue zero recurses on the state h_i(u0 + p v).  Each shift has
+    residue zero recurses on the state h_i(u0 + p v), formed by one
+    binomial shift per variable (`_shift`) and checked against
+    `MultiPoly.substitute`.  Each shift has
     p-content at least 1, so a ball at depth d in a walk has a centre that
     is a zero mod p^d: the states a walk makes at one depth are at most
     the points of one level.
@@ -176,11 +202,7 @@ class BallTree:
         key = (state, u0)
         if key not in self._children:
             p = self.p
-            variables = state[0][0].variables
-            mapping = {v: MultiPoly.variable(variables, v) * p + a
-                       for v, a in zip(variables, u0)}
-            self._children[key] = self._state(
-                (h.substitute(mapping, e and p**e), e) for h, e in state)
+            self._children[key] = self._state((_shift(h, u0, p, e and p**e), e) for h, e in state)
         return self._children[key]
 
     def _walk(self, bound, top=None):

@@ -46,6 +46,7 @@ CLI = "tests/test_project_cli.py"
 WITTS = "tests/test_witt.py"
 GREEN = "tests/test_greenberg.py"
 RINGS = "tests/test_rings.py"
+STACKS = "tests/test_stacks.py"
 
 MUTANTS = (
     # BallTree: the closed forms and the state's normal form
@@ -76,6 +77,22 @@ MUTANTS = (
     Mutant("image-above-fibre-full", TREE,
            "fiber = p ** (self.n_vars - len(state))", "fiber = p ** self.n_vars",
            (f"{MEAS}::test_q_check_is_the_image_less_the_singular_centres",)),
+    # BallTree._child: a child state by binomial passes (tree._shift).
+    # (Dropping _shift's final reduction mod p^e is no fault in the walk:
+    # _state reduces mod p^(e - c) after taking out the content.)
+    Mutant("shift-binomial-off-by-one", TREE,
+           "comb(k, i) * a ** (k - i)", "comb(k - 1, i) * a ** (k - i)",
+           (f"{POLY}::test_shift_matches_substitute_battery",
+            f"{POLY}::test_lifted_counts_match_brute",
+            f"{POLY}::test_image_walk_matches_frontier_search_reference")),
+    Mutant("shift-p-power-one-up", TREE,
+           "a ** (k - i) * p**i", "a ** (k - i) * p ** (i + 1)",
+           (f"{POLY}::test_shift_matches_substitute_battery",
+            f"{POLY}::test_lifted_counts_match_brute")),
+    Mutant("shift-wrong-coordinate", TREE,
+           "for j, a in enumerate(u0):", "for j, a in enumerate(u0[1:] + u0[:1]):",
+           (f"{POLY}::test_shift_matches_substitute_battery",
+            f"{POLY}::test_lifted_counts_match_brute")),
     # the residue search: only the coordinates that occur mod p, each zero
     # extended in place and in order, and rank mod p
     Mutant("occurrence-wrong-index", TREE,
@@ -140,6 +157,11 @@ MUTANTS = (
            "for pw, e in zip(powers[half * L:], expo):", "for pw, e in zip(powers[L:], expo):",
            (f"{WITTS}::test_folded_operations_are_folds_of_exact_ones",
             f"{GREEN}::test_folded_expansion_is_the_fold_of_the_exact_one")),
+    Mutant("fold-exponent-period-p", WITT,
+           "fold = [0] + [(e - 1) % (p - 1) + 1 for e in range(1, top + 1)]",
+           "fold = [0] + [(e - 1) % p + 1 for e in range(1, top + 1)]",
+           (f"{WITTS}::test_packed_fold_matches_fold",
+            f"{GREEN}::test_folded_expansion_is_the_fold_of_the_exact_one")),
     # the digit expansion on packed Witt vectors
     # (swapping the two halves outright is no fault: both laws are
     # symmetric in x and y)
@@ -151,6 +173,10 @@ MUTANTS = (
            '{1 << ring.w * names.index(f"{v}_{i}"): 1}', "{1 << ring.w * i: 1}",
            (f"{GREEN}::test_folded_expansion_is_the_fold_of_the_exact_one",
             f"{GREEN}::test_folded_components_of_oracle_cases")),
+    # twisted sectors: Frobenius of F_q raises to q, not to p
+    Mutant("twisted-frobenius-to-p", "src/padicstacks/stacks.py",
+           "MultiPoly.variable(names, v) ** ring.size", "MultiPoly.variable(names, v) ** ring.p",
+           (f"{STACKS}::test_twisted_sector_frobenius_raises_to_q",)),
     # input checks
     Mutant("group-rows-unchecked", "src/padicstacks/stacks.py",
            "        if len(table) != n:\n", "        if False:\n",

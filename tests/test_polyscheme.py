@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import pathlib
 import random
 
@@ -319,8 +320,8 @@ def test_constant_images_fold_at_exponent_zero():
 
 
 def test_ball_shaped_substitution():
-    # BallTree._child maps x -> p*x + a and reduces mod p^e, or not at all
-    # for an exact condition (e None) and for e = 0
+    # the map of a ball's child, x -> p*x + a, reduced mod p^e, or not at
+    # all for an exact condition (e None) and for e = 0
     rng = random.Random(3)
     for p in (2, 3, 5):
         for _ in range(20):
@@ -333,6 +334,40 @@ def test_ball_shaped_substitution():
                 assert got == substitute_reference(h, mapping, modulus or None)
                 if not e:
                     assert got == h.substitute(mapping, None)
+
+
+def test_shift_matches_substitute_battery():
+    # tree._shift forms a ball's child h(u0 + p v) by binomial passes on
+    # h's terms; MultiPoly.substitute, with the map x -> p*x + a, is its
+    # reference.  Cases: 1-3 variables, degree <= 4, mixed signs,
+    # constants, u0 anywhere in [0, p)^N (zeros included), and
+    # polynomials whose shifted terms cancel: h - h(u0), which loses its
+    # constant, and (x - a) h, whose spread terms cancel across exponents
+    rng = random.Random(34)
+    names = ("x", "y", "z")
+    for p in (2, 3, 5, 7):
+        for _ in range(60):
+            variables = names[: rng.randint(1, 3)]
+            nv = len(variables)
+            h = _random_poly(rng, variables, 4, 6)
+            u0 = tuple(rng.choice((0, rng.randrange(p))) for _ in range(nv))
+            kind = rng.randrange(4)
+            if kind == 1:
+                h = h - sum(c * math.prod(map(pow, u0, x)) for x, c in h.terms.items())
+            elif kind == 2:
+                j = rng.randrange(nv)
+                h = (MultiPoly.variable(variables, variables[j]) - u0[j]) * h
+            elif kind == 3:
+                h = MultiPoly.constant(variables, rng.randint(-9, 9))
+            mapping = {v: MultiPoly.variable(variables, v) * p + a for v, a in zip(variables, u0)}
+            for modulus in (None, p, p**2, p**3):
+                got = tree._shift(h, u0, p, modulus)
+                assert got == h.substitute(mapping, modulus), (p, h, u0, modulus)
+                assert got.variables == variables
+    # the zero polynomial stays zero; u0 = 0 only scales each term by p^k
+    for modulus in (None, 9):
+        assert tree._shift(MultiPoly.zero(V2), (1, 2), 3, modulus).is_zero()
+    assert tree._shift(P("x^2*y - 2*y + 1"), (0, 0), 3, None) == P("27*x^2*y - 6*y + 1")
 
 
 def test_partial_derivatives():
@@ -866,6 +901,28 @@ def test_counted_unit_multiples_share_one_state():
             for c in (0, 1):
                 assert tree._state([(u * p**c * f, 3)]) == tree._state([(f, 3 - c)]), (p, u, c)
             assert tree._state([(f, 3), (u * f, 3)]) == tree._state([(f, 3)]), (p, u)
+
+
+def test_every_memoised_state_is_a_fixed_point_of_state():
+    # _state is a normal form: the root, each level's root, every child
+    # and every state an image walk keeps are already in it, so states
+    # that are equal as systems meet in one memo row
+    rng = random.Random(3471)
+    monomials = [e for e in itertools.product(range(4), repeat=2) if sum(e) <= 3]
+    states = 0
+    for case in range(300):
+        p = (2, 3, 5)[case % 3]
+        terms = {rng.choice(monomials): rng.choice((-1, 1)) * rng.randint(1, 2 * p)
+                 for _ in range(rng.randint(1, 4))}
+        walk = BallTree((MultiPoly(V2, terms),), 2, p)
+        walk.level_counts(3)
+        walk.image_levels(3, 2)
+        kept = {walk._root, *walk._children.values(), *walk._counts,
+                *(key[0] for key in walk._images)}
+        for state in kept:
+            assert walk._state(state) == state, (p, terms, state)
+        states += len(kept)
+    assert states > 10000
 
 
 def test_analyzer_compiles_jacobian_only_when_lifting(monkeypatch):

@@ -136,6 +136,19 @@ def test_twisted_sector_with_no_rational_points():
     assert stacky_count_finite(act, fld) == 1
 
 
+@pytest.mark.parametrize("p, r", [(2, 2), (3, 2), (2, 3), (5, 2)])
+def test_twisted_sector_frobenius_raises_to_q(p, r):
+    # the twist of A1 by x -> -x is A1 again: q points x of F_(q^2) with
+    # x^q = -x.  The demo stacks live on points of F_p, where x^p = x^q,
+    # so only a sector with points outside F_p tells the two apart
+    x = MultiPoly.variable(("x",), "x")
+    act = GroupAction(cyclic_group(2), AffineScheme.affine_space("A1", ("x",)),
+                      {"g0": (x,), "g1": (-x,)})
+    ring, q = make_ring(p, r=r), p**r
+    assert twisted_sector_count(act, ring, "g0") == twisted_sector_count(act, ring, "g1") == q
+    assert stacky_count_finite(act, ring) == q == ff_stacky_count(act, FiniteField(p, r))
+
+
 def burnside_stable_orbits(action, ring):
     """Descent oracle for free actions: Frobenius-stable G-orbits inside
     X over the degree-exponent extension, on FFElement arithmetic."""
