@@ -22,10 +22,12 @@ walks balls rather than points: a level-n point read true or false reads
 the same at every deeper point reducing to it, so a ball read false is
 dropped.  A ball whose count below follows in closed form is closed and
 not read again: a true ball on a target without generators, and, on
-Z/p^(n+1), a ball on which the target and the open exact atoms are smooth
-and decide the formula (Hensel's lemma).  One reader, `_KeptPoints`,
-decides each kept point: it closes the ball or settles the point.  Only
-the other balls are read at the next level.
+Z/p^(n+1), a ball that the ball tree of the target and the open exact
+atoms closes at its root (Hensel's lemma) and on which those atoms decide
+the formula (a true ball with no open atom, only on a target whose
+generators have no p-content).  One reader, `_KeptPoints`, decides each kept point: it
+closes the ball or settles the point, asking one cached tree per set of
+open atoms.  Only the other balls are read at the next level.
 
 Each condition parses to one syntax tree.  Exact vanishing has one atom,
 ord(f) == INFINITY, which f == 0, f == g (with f - g) and ord(f) >=
@@ -44,16 +46,10 @@ import itertools
 import operator
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from .measures import DEFAULT_MAX_LEVEL, _stabilize
-from .polyscheme import (
-    DEFAULT_SLACK,
-    MultiPoly,
-    _jacobian,
-    _PolyParser,
-    enumerate_points,
-    full_rank,
-)
+from .polyscheme import DEFAULT_SLACK, MultiPoly, _PolyParser, enumerate_points
 from .rings import INFINITY, LocalRingSpec, at_least, is_prime, p_valuation, record, size_limit
 from .syntax import _ExprParser
 from .tree import BallTree
@@ -618,23 +614,25 @@ class _KeptPoints:
     closes the point's ball, or settles the point's truth.
 
     Let E be the exact atoms that read undetermined at a level-n point
-    (none when it reads True), S the target's generators and E's
-    polynomials at t = p, and g = |S|.  The ball is closed when S is empty
-    and the point reads True, or, on Z/p^(n+1), when (a) the Jacobian of S
-    has rank g mod p at the point, (b) the formula reads true with E
-    overridden true, and (c) false with any one atom of E overridden
-    false.  By Hensel's lemma p^((N - g) r) points of S lie r levels down,
-    each truncating a Z_p-point, so each reads true; every other point
-    there on the target has an atom of E false, so by (c) and monotonicity
-    it reads false.  Otherwise, on Z/p^(n+1), each atom of E gets one lift
-    certificate, and the atoms left open after refutation at most one
-    more, jointly with the target; on other rings the point stays
+    (none when it reads True), and the system the target's generators and
+    E's polynomials at t = p.  The ball is closed when the target has no
+    generators and the point reads True, or, on Z/p^(n+1), when (a) the
+    system's ball tree closes the ball at its root (`BallTree.fibre`), (b)
+    the formula reads true with E overridden true, (c) false with any one
+    atom of E overridden false, and (d) E is not empty or no generator has
+    p-content.  Then p^((N - g) r) points r levels down truncate a
+    Z_p-point of the system, each certified true.  With E empty these are
+    all the target's points there, by (d); else the root's rows are
+    independent mod p, so the tree of the target and one atom of E refutes
+    some atom at each other point of the target there, which by (c) and
+    monotonicity reads false.  Otherwise, on Z/p^(n+1), each atom of E
+    gets one lift certificate, and the atoms left open after refutation at
+    most one more, jointly with the target; on other rings the point stays
     undetermined.
 
     An atom's position in the compiled exact_atoms list names it at every
-    level, so its polynomial at t = p, a system's ball tree and Jacobian
-    (by its atoms' positions) and the system's rank at a residue point are
-    cached."""
+    level, so its polynomial at t = p and a system's ball tree (by its
+    atoms' positions), which answers closure and certificates, are cached."""
 
     def __init__(self, target, root, slack):
         self.target = target
@@ -642,50 +640,35 @@ class _KeptPoints:
         self.p = root.p
         self.q = root.size
         self.certified = root.int_modulus is not None
+        self.primitive = all(gcd(*g.terms.values()) % self.p for g in target.generators)
         self._folded = {}
         self._trees = {}
-        self._jacobians = {}
-        self._smooth = {}
 
-    def _system(self, exact_atoms, atoms):
-        """The target's generators and the atoms at `atoms`, at t = p."""
-        variables = self.target.variables
-        at_p = {v: MultiPoly.variable(variables, v) for v in variables}
-        at_p["t"] = MultiPoly.constant(variables, self.p)
-        for i in set(atoms) - self._folded.keys():
-            self._folded[i] = exact_atoms[i][0].substitute(at_p)
-        return self.target.generators + tuple(self._folded[i] for i in atoms)
-
-    def _verdict(self, exact_atoms, atoms, point, n):
-        """The point's verdict on the system of `atoms`."""
+    def _tree(self, exact_atoms, atoms):
+        """The ball tree of the target's generators and the atoms at
+        `atoms`, at t = p."""
         if atoms not in self._trees:
-            self._trees[atoms] = BallTree(self._system(exact_atoms, atoms), len(point), self.p)
-        return self._trees[atoms].verdict(point, n, self.slack)
-
-    def _closes(self, exact_atoms, atoms, point):
-        """Whether the system of `atoms` is smooth of rank g mod p at the
-        point, which then closes its ball of fibre q^(N - g)."""
-        u0 = tuple(x % self.p for x in point)
-        if (atoms, u0) not in self._smooth:
-            if atoms not in self._jacobians:
-                self._jacobians[atoms] = _jacobian(self._system(exact_atoms, atoms))
-            rows = [[d.eval_int(u0, self.p) for d in row] for row in self._jacobians[atoms]]
-            self._smooth[atoms, u0] = full_rank(rows, len(u0), self.p)
-        return self._smooth[atoms, u0]
+            variables = self.target.variables
+            at_p = {v: MultiPoly.variable(variables, v) for v in variables}
+            at_p["t"] = MultiPoly.constant(variables, self.p)
+            for i in set(atoms) - self._folded.keys():
+                self._folded[i] = exact_atoms[i][0].substitute(at_p)
+            system = self.target.generators + tuple(self._folded[i] for i in atoms)
+            self._trees[atoms] = BallTree(system, len(variables), self.p)
+        return self._trees[atoms]
 
     def read(self, tv, evaluate, exact_atoms, point, args, n):
         """(fibre, None) when the ball of the level-n point, which reads tv
         (True or None), is closed; else (None, the point's truth)."""
+        if not self.certified:
+            if tv and not self.target.generators:
+                return self.q ** len(point), None
+            return None, tv
         opened = () if tv else tuple(i for i, (_, read) in enumerate(exact_atoms)
                                      if read(args) is None)
-        g = len(self.target.generators) + len(opened)
-        if tv and (not g or self.certified and self._closes(exact_atoms, (), point)):
-            return self.q ** (len(point) - g), None
-        if tv or not self.certified:
-            return None, tv
         # the formula at the point, by override set; with no override the
-        # point reads tv, which is None here
-        answers = {frozenset(): None}
+        # point reads tv
+        answers = {frozenset(): tv}
 
         def value(overrides):
             key = frozenset(overrides.items())
@@ -693,11 +676,15 @@ class _KeptPoints:
                 answers[key] = evaluate(args, overrides)
             return answers[key]
 
-        if (value(dict.fromkeys(opened, True)) is True
-                and all(value({i: False}) is False for i in opened)
-                and self._closes(exact_atoms, opened, point)):
-            return self.q ** (len(point) - g), None
-        verdicts = {i: self._verdict(exact_atoms, (i,), point, n) for i in opened}
+        if (value(dict.fromkeys(opened, True)) is True and (opened or self.primitive)
+                and all(value({i: False}) is False for i in opened)):
+            fibre = self._tree(exact_atoms, opened).fibre(point, n)
+            if fibre:
+                return fibre, None
+        if tv:
+            return None, tv
+        verdicts = {i: self._tree(exact_atoms, (i,)).verdict(point, n, self.slack)
+                    for i in opened}
         # a refuted atom is false at every lift of the point, so its override
         # is sound in any polarity; the atoms left open then read true, and a
         # true formula is certain once they and the target lift jointly (the
@@ -707,7 +694,8 @@ class _KeptPoints:
             return None, False
         if value({i: i in live for i in opened}) is not True:
             return None, None
-        joint = verdicts[live[0]] if len(live) == 1 else self._verdict(exact_atoms, live, point, n)
+        joint = (verdicts[live[0]] if len(live) == 1
+                 else self._tree(exact_atoms, live).verdict(point, n, self.slack))
         return None, joint or None
 
 

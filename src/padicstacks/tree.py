@@ -123,7 +123,8 @@ class BallTree:
     `MultiPoly.substitute`.  Each shift has
     p-content at least 1, so a ball at depth d in a walk has a centre that
     is a zero mod p^d: the states a walk makes at one depth are at most
-    the points of one level.
+    the points of one level.  `fibre` asks that closure of the root
+    alone, at one point: it is how a formula measure closes a ball.
     """
 
     def __init__(self, gens, n_vars, p, slots=None, e=1):
@@ -320,12 +321,22 @@ class BallTree:
             if smooth is None:
                 return [(0, 0)] * (depth + 1)
             if smooth:
-                m = p ** (n + 1 - d)
-                lifts = not any([h.eval_int(u, m) for h, _ in state])
-                fiber = p ** (self.n_vars - len(state))
-                return [(lifts * fiber**r, 0) for r in range(depth + 1)]
+                fiber = self._lifts(state, u, p ** (n + 1 - d))
+                return [(fiber and fiber**r, 0) for r in range(depth + 1)]
             state = self._child(state, u0)
         return self._image(state, depth, slack, self._walk(None, n + 1 + depth))
+
+    def _lifts(self, state, u, m):
+        """At a smooth residue zero of a state's g conditions, p^(N - g) when
+        they vanish at u mod m (Hensel's lemma), else 0."""
+        vanish = not any([h.eval_int(u, m) for h, _ in state])
+        return vanish * self.p ** (self.n_vars - len(state))
+
+    def fibre(self, point, n):
+        """p^(N - g) when the root's g conditions have rank g mod p at a
+        level-n point and vanish there mod p^(n+1), else None."""
+        smooth = self._residue_zeros(self._root).get(tuple([x % self.p for x in point]))
+        return smooth and self._lifts(self._root, point, self.p ** (n + 1)) or None
 
     def verdict(self, point, n, slack=DEFAULT_SLACK):
         """Whether a level-n point truncates a Z_p-point: True, False, or

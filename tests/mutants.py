@@ -74,9 +74,12 @@ MUTANTS = (
             f"{POLY}::test_repeated_generator_walks_as_one",
             f"{POLY}::test_repeated_generator_in_its_slot_is_dropped_once",
             f"{POLY}::test_repeat_that_appears_below_the_root_is_dropped_there")),
-    Mutant("image-above-fibre-full", TREE,
-           "fiber = p ** (self.n_vars - len(state))", "fiber = p ** self.n_vars",
-           (f"{MEAS}::test_q_check_is_the_image_less_the_singular_centres",)),
+    # the Hensel fibre of image_above and fibre, taken in one place (_lifts)
+    Mutant("fibre-full", TREE,
+           "vanish * self.p ** (self.n_vars - len(state))", "vanish * self.p ** self.n_vars",
+           (f"{MEAS}::test_q_check_is_the_image_less_the_singular_centres",
+            f"{POLY}::test_fibre_matches_raw_rank_and_brute_lifts",
+            f"{DEFN}::test_smooth_balls_close_by_hensel")),
     # BallTree._child: a child state by binomial passes (tree._shift).
     # (Dropping _shift's final reduction mod p^e is no fault in the walk:
     # _state reduces mod p^(e - c) after taking out the content.)
@@ -126,19 +129,24 @@ MUTANTS = (
            "while here is None and r < slack:", "while here is None and r < slack - 1:",
            (f"{POLY}::test_image_walk_matches_frontier_search_reference",
             f"{POLY}::test_hensel_cusp_unknown_at_small_slack")),
-    # _KeptPoints: a kept ball closes by Hensel's lemma only when it may
+    # formula measures close a kept ball by Hensel's lemma only when they
+    # may: _KeptPoints' guards (b), (c) and p-content, and BallTree.fibre's (a)
     Mutant("kept-no-false-override-guard", KEPT,
-           "                and all(value({i: False}) is False for i in opened)\n", "",
+           "\n                and all(value({i: False}) is False for i in opened)):", "):",
            (f"{DEFN}::test_joint_certificates_match_pointwise",
             f"{DEFN}::test_ball_with_an_undetermined_disjunct_stays_open")),
-    Mutant("kept-no-rank-check", KEPT,
-           "\n                and self._closes(exact_atoms, opened, point)):", "):",
-           (f"{DEFN}::test_joint_certificates_match_pointwise",
-            f"{DEFN}::test_smooth_balls_close_by_hensel")),
-    Mutant("kept-fibre-full", KEPT,
-           "            return self.q ** (len(point) - g), None\n        verdicts",
-           "            return self.q ** len(point), None\n        verdicts",
-           (f"{DEFN}::test_smooth_balls_close_by_hensel",)),
+    Mutant("kept-true-on-p-content", KEPT,
+           " and (opened or self.primitive)\n", "\n",
+           (f"{DEFN}::test_non_reduced_balls_close_by_hensel",)),
+    Mutant("fibre-no-rank-check", TREE,
+           "return smooth and self._lifts(", "return smooth is not None and self._lifts(",
+           (f"{POLY}::test_fibre_matches_raw_rank_and_brute_lifts",
+            f"{DEFN}::test_joint_certificates_match_pointwise")),
+    Mutant("fibre-no-vanishing-check", TREE,
+           "self._lifts(self._root, point, self.p ** (n + 1)) or None",
+           "self.p ** (self.n_vars - len(self._root))",
+           (f"{POLY}::test_fibre_matches_raw_rank_and_brute_lifts",
+            f"{DEFN}::test_non_reduced_balls_close_by_hensel")),
     # Witt laws: the packed ghost solve and the ring of functions on F_p
     Mutant("fold-threshold-above-p", WITT,
            "self.offset = ones * ((1 << (w - 1)) - p)",
@@ -161,6 +169,16 @@ MUTANTS = (
            "fold = [0] + [(e - 1) % (p - 1) + 1 for e in range(1, top + 1)]",
            "fold = [0] + [(e - 1) % p + 1 for e in range(1, top + 1)]",
            (f"{WITTS}::test_packed_fold_matches_fold",
+            f"{GREEN}::test_folded_expansion_is_the_fold_of_the_exact_one")),
+    Mutant("fold-exponent-mod-p-minus-1", WITT,
+           "fold = [0] + [(e - 1) % (p - 1) + 1 for e in range(1, top + 1)]",
+           "fold = [0] + [e % (p - 1) for e in range(1, top + 1)]",
+           (f"{WITTS}::test_packed_fold_matches_fold",
+            f"{GREEN}::test_folded_expansion_is_the_fold_of_the_exact_one")),
+    Mutant("folded-product-on-add-law", WITT,
+           "law = polys.mul_groups if folded else polys.mul_modp",
+           "law = polys.add_groups if folded else polys.mul_modp",
+           (f"{WITTS}::test_folded_operations_are_folds_of_exact_ones",
             f"{GREEN}::test_folded_expansion_is_the_fold_of_the_exact_one")),
     # the digit expansion on packed Witt vectors
     # (swapping the two halves outright is no fault: both laws are

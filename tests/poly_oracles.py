@@ -7,9 +7,10 @@ no kernel is checked only by itself.
 
 Also a reference for the verdicts of BallTree's image walk that shares
 none of its memo: a breadth-first search over the states below a ball,
-level by level, with an optional cap on the states of one level; and for
+level by level, with an optional cap on the states of one level; for
 its residue search, which evaluates every tuple of F_p^N and takes each
-rank by its own elimination."""
+rank by its own elimination; and for its closure at the root
+(`BallTree.fibre`), by the rank of the system's own Jacobian."""
 
 import itertools
 import operator
@@ -137,6 +138,16 @@ def rank_mod_p(rows, p):
                 rows[i] = [(a - f * b) % p for a, b in zip(row, rows[rank])]
         rank += 1
     return rank
+
+
+def full_rank_reference(polys, point, p):
+    """Whether a system has rank len(polys) mod p at a point, by the rank
+    of its own Jacobian there: no row is divided by its content and no
+    repeat is dropped.  Where it has and the rows vanish at a level-n
+    point, Hensel's lemma gives p^(N - len(polys)) zeros above it one
+    level down."""
+    rows = [[h.partial(v).eval_int(point, p) for v in h.variables] for h in polys]
+    return rank_mod_p(rows, p) == len(polys)
 
 
 def residue_zeros_reference(polys, n_vars, p):

@@ -950,16 +950,56 @@ def test_smooth_balls_close_by_hensel():
     assert m.lower == m.upper == [Fraction(8, 5)] * 7
 
 
+def test_non_reduced_balls_close_by_hensel():
+    # the ball tree's normal form drops a row's content and a repeat up to
+    # a unit, so a target generator repeated as an exact atom (with or
+    # without p-content) and an atom with p-content close their balls where
+    # the reduced system is smooth; each walk reads as the pointwise
+    # reference does.  At level 1, t*x == 0 && ord(x) < 2 reads true with
+    # its atom true and false with it false at every x = p k, k a unit,
+    # where the atom is open; but the atom's primitive part x does not
+    # vanish there mod p^2, so no such ball closes.  A point read true
+    # counts every point of the target below it, with no certificate: on
+    # 5x = 0 over Z/25 that is every x = 0 mod 5, where the root state x
+    # has one zero, so at p = 5 such a ball stays open (at p = 2, 3 the
+    # content 5 is a unit and it closes); with an open atom x == 0 the
+    # ball closes, as the tree refutes the atom at the target's other points
+    xy5 = AffineScheme.from_text("xy5", ("x", "y"), ("x*y - 5",), 1)
+    X5 = AffineScheme.from_text("X5", ("x",), ("5*x",), 1)
+    C5 = AffineScheme.from_text("C5", ("x", "y"), ("5*(x^2 + y^2 - 1)",), 1)
+    for text, target, primes in (("5*(x^2 + y^2 - 1) == 0", _CURVES[0], (3, 5)),
+                                 ("x^2 + y^2 - 1 == 0", _CURVES[0], (3, 5)),
+                                 ("t*x == 0", A1, (2, 3, 5)),
+                                 ("t*x == 0 && ord(x) < 2", A1, (2, 3, 5)),
+                                 ("!(2*x^2 + 3*x*y + 9*x^2*y^2 == 0) && 3*(x*y - 5) == 0",
+                                  xy5, (5,)),
+                                 ("ord(x) >= 0", X5, (2, 3, 5)),
+                                 ("ord(x) >= 0", C5, (3, 5)),
+                                 ("x == 0", X5, (2, 3, 5)),
+                                 ("x == 0", C5, (3, 5))):
+        for p in primes:
+            _assert_walk_matches_pointwise(text, target, spec(p, 0), 2)
+    # ord(t x) >= 1 leaves every x open at level 0: the ball of 0 closes
+    # with fibre 1, and the others are refuted, read once more and dropped
+    for p in (2, 3, 5):
+        m = measure_formula("t*x == 0", A1, 0, spec(p, 0), max_level=4, bound=p * (p - 1))
+        assert m.lower == m.upper == [1] * 5 and (m.status, m.value) == ("STABILIZED", 1)
+    # a repeated generator's balls close at level 0, so reading at most 40
+    # balls a level is enough
+    m = measure_formula("x^2 + y^2 - 1 == 0", _CURVES[0], 1, spec(5, 0), max_level=3, bound=40)
+    assert (m.status, m.value) == ("STABILIZED", Fraction(4, 5))
+
+
 def test_kept_points_ask_each_question_once(monkeypatch):
     # points whose balls close (the first formula), settle (the second) and
-    # stay open (the cusp atom): each joint system's Jacobian is built once,
+    # stay open (the cusp atom): each atom set's ball tree is built once,
     # and no point is evaluated twice under one set of overrides
-    jacobians, evaluations = Counter(), Counter()
-    real_jacobian, real_compile = definable._jacobian, definable._compile
+    trees, evaluations = Counter(), Counter()
+    real_compile = definable._compile
 
-    def jacobian(polys):
-        jacobians[tuple(polys)] += 1
-        return real_jacobian(polys)
+    def tree(gens, n_vars, p):
+        trees[tuple(gens)] += 1
+        return BallTree(gens, n_vars, p)
 
     def compile_counted(formula, ring):
         evaluate, exact_atoms = real_compile(formula, ring)
@@ -970,15 +1010,15 @@ def test_kept_points_ask_each_question_once(monkeypatch):
 
         return counted, exact_atoms
 
-    monkeypatch.setattr(definable, "_jacobian", jacobian)
+    monkeypatch.setattr(definable, "BallTree", tree)
     monkeypatch.setattr(definable, "_compile", compile_counted)
     for text, d, checked in (("x*y - t == 0 || x - y == 0", 1, True),
                              ("x - y == 0 && x*y - 1 == 0", 0, True),
                              ("y^2 - x^3 == 0", 1, False)):
-        jacobians.clear()
+        trees.clear()
         evaluations.clear()
         measure_formula(text, A2, d, spec(3, 0), max_level=3)
-        assert jacobians and max(jacobians.values()) == 1, text
+        assert trees and max(trees.values()) == 1, text
         assert evaluations and max(evaluations.values()) == 1, text
         if checked:  # the reference refuses the cusp atom at level 3
             _assert_walk_matches_pointwise(text, A2, spec(3, 0), 3)

@@ -30,6 +30,7 @@ from padicstacks.rings import make_ring
 from padicstacks.syntax import PolyParseError
 from padicstacks.tree import BallTree, count_points, hensel_liftable, level_counts, weil_restriction
 from poly_oracles import (
+    full_rank_reference,
     image_levels_reference,
     mul_reference,
     pow_reference,
@@ -1139,6 +1140,62 @@ def test_residue_search_on_weil_restrictions_matches_every_tuple(monkeypatch):
             for n in range(3):
                 level_counts(X, ring, n)
     assert any(free) and not all(free)
+
+
+def _fibre_systems(rng, p):
+    """Systems of 1-3 nonconstant rows in x, y of degree <= 2, most
+    through a common point mod p^2; and from each, the system with a row of
+    p-content, a unit repeat (f, u f) and a zero row."""
+    for _ in range(6):
+        point = (rng.randrange(p), rng.randrange(p))
+        rows, size = [], rng.randint(1, 3)
+        while len(rows) < size:
+            h = _random_poly(rng, V2, 2, 4)
+            if h.is_constant():
+                continue
+            rows.append(h - h.eval_int(point, p**2) if rng.random() < 0.8 else h)
+        u = rng.choice([k for k in range(2, p**2) if k % p])
+        yield rows
+        yield [p * rows[0]] + rows[1:]
+        yield [rows[0], rows[0] * u]
+        yield rows + [MultiPoly(V2)]
+
+
+def _primitive(h):
+    return MultiPoly(h.variables, {x: c // math.gcd(*h.terms.values()) for x, c in h.terms.items()})
+
+
+def test_fibre_matches_raw_rank_and_brute_lifts():
+    # BallTree.fibre closes a level-n point's ball at the root: where the
+    # raw system has full rank mod p it must, with fibre p^(N - g); and
+    # wherever it does, the rows' primitive parts have exactly F and F^2
+    # zeros above the point one and two levels down, and the image walk
+    # certifies as many
+    rng = random.Random(35)
+    beyond = 0
+    for p in (2, 3, 5):
+        for rows in _fibre_systems(rng, p):
+            tree = BallTree(rows, 2, p)
+            prims = [_primitive(h) for h in rows if h.terms]
+            for n in (0, 1):
+                m = p ** (n + 1)
+                for pt in itertools.product(range(m), repeat=2):
+                    fibre = tree.fibre(pt, n)
+                    zero = not any(h.eval_int(pt, m) for h in rows)
+                    if zero and full_rank_reference(rows, pt, p):
+                        assert fibre == p ** (2 - len(rows)), (p, rows, pt, n)
+                    elif fibre:
+                        beyond += 1
+                    if fibre is None:
+                        continue
+                    assert zero, (p, rows, pt, n)
+                    above = [sum(1 for v in itertools.product(range(p**k), repeat=2)
+                                 if not any(h.eval_int([a + m * b for a, b in zip(pt, v)],
+                                                       m * p**k) for h in prims))
+                             for k in (1, 2)]
+                    assert above == [fibre, fibre**2], (p, rows, pt, n)
+                    assert tree.image_above(pt, n, 2, 0) == [(1, 0), (fibre, 0), (fibre**2, 0)]
+    assert beyond > 0
 
 
 def test_level_counts_on_a_cubic_ramified_ring_match_brute():
