@@ -13,21 +13,20 @@ only known to be >= n+1, so atoms evaluate in three-valued logic: every
 point reads True or False for certain, or None (undetermined).  Measures are
 sandwiched between the certain set and certain-plus-undetermined; on top
 of that, an undetermined point whose only open atoms assert exact
-vanishing can be settled by a lift certificate (a true solution nearby
+vanishing can be settled by lift certificates (a true solution nearby
 with the same truncation), which is what lets sets cut out by equations
-reach a stabilized measure; each open atom gets one certificate, and the
-atoms left open after refutation at most one more, jointly.  A refuted
-atom reads false at every lift, so its negation is settled too.  A measure
-walks balls rather than points: a level-n point read true or false reads
-the same at every deeper point reducing to it, so a ball read false is
-dropped.  A ball whose count below follows in closed form is closed and
-not read again: a true ball on a target without generators, and, on
-Z/p^(n+1), a ball that the ball tree of the target and the open exact
-atoms closes at its root (Hensel's lemma) and on which those atoms decide
-the formula (a true ball with no open atom, only on a target whose
-generators have no p-content).  One reader, `_KeptPoints`, decides each kept point: it
-closes the ball or settles the point, asking one cached tree per set of
-open atoms.  Only the other balls are read at the next level.
+reach a stabilized measure.  A refuted atom reads false at every lift,
+so its negation is settled too.  A measure walks balls rather than
+points: a level-n point read true or false reads the same at every
+deeper point reducing to it, so a ball read false is dropped, and so is
+one settled false, as its refuted atoms stay refuted below it.  A ball
+whose count below follows in closed form is closed and not read again:
+a true ball on a target without generators, and, on Z/p^(n+1), a ball
+that the ball tree of the target and the open exact atoms closes at its
+root (Hensel's lemma) and on which those atoms decide the formula.  One
+reader, `_KeptPoints`, decides each kept point: it closes the ball or
+settles the point, asking one cached tree per set of open atoms.  Only
+the other balls are read at the next level.
 
 Each condition parses to one syntax tree.  Exact vanishing has one atom,
 ord(f) == INFINITY, which f == 0, f == g (with f - g) and ord(f) >=
@@ -628,7 +627,9 @@ class _KeptPoints:
     monotonicity reads false.  Otherwise, on Z/p^(n+1), each atom of E
     gets one lift certificate, and the atoms left open after refutation at
     most one more, jointly with the target; on other rings the point stays
-    undetermined.
+    undetermined.  A point settles false when the formula reads false with
+    its refuted atoms false; as its ball holds no Z_p-zero of the target
+    and such an atom, every point below reads or settles false.
 
     An atom's position in the compiled exact_atoms list names it at every
     level, so its polynomial at t = p and a system's ball tree (by its
@@ -714,11 +715,11 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
     value's ord interval only shrinks, and comparisons and the Kleene
     connectives keep a decided value decided).  So a ball read false is
     dropped.  Every other ball goes to one reader, `_KeptPoints`, which
-    closes it (Hensel's lemma) or returns its point's settled truth.  A
-    closed ball is not read again: it counts fibre^r certain-true points r
-    levels down.  Only the other balls split into their q^N children at
-    the next level.  A child off the target is dropped, and so is every
-    point above it.  `bound` limits the balls read per level."""
+    closes it (Hensel's lemma) or settles its point; a closed ball counts
+    fibre^r certain-true points r levels down, and a ball settled false is
+    dropped.  Only the other balls split into their q^N children at the
+    next level.  A child off the target is dropped, and so is every point
+    above it.  `bound` limits the balls read per level."""
     at_least("dimension", d, 0)
     at_least("max_level", max_level, 0)
     at_least("slack", slack, 0)
@@ -762,7 +763,7 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
                     closed[fibre] += 1
                     continue
                 tally[truth] += 1
-                if n < max_level:
+                if n < max_level and truth is not False:
                     deeper.append((child, tv is True))
         frontier = deeper
         denom = q ** ((n + 1) * d)

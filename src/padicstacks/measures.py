@@ -373,37 +373,41 @@ def rational_fit(coeffs):
 
 def q_coefficient_check(X, base_spec, level, max_level=DEFAULT_MAX_LEVEL,
                   slack=DEFAULT_SLACK, bound=None):
-    """Compare the level-`level` Q coefficient against q^((level+1)d) times
+    """Compare the level-`level` Q coefficient against p^((level+1)d) times
     the measure of the points whose level-`level` truncation avoids the
     singular locus.
 
-    Returns (lhs, rhs MeasureResult scaled, ok).  The kept points are the
-    truncation image of X at levels `level`..`max_level` less what lies
-    above the level-`level` points of the singular locus; raises when
-    level < 0 or level > max_level, the Q series is not exact or the tree
-    leaves a kept point open.
+    Returns (lhs, rhs MeasureResult scaled, ok).  One tree on the scheme X
+    gives X's part of the Q coefficient (its image through `level`) and the
+    kept points: its image at levels `level`..`max_level` less what lies
+    above the level-`level` points of the singular locus.  Raises on a
+    stack, when level < 0 or level > max_level, the Q series is not exact
+    (before any walk past `level`) or the tree leaves a kept point open.
     """
     at_least("level", level, 0)
     at_least("slack", slack, 0)
     if level > max_level:
         raise ValueError(f"level {level} exceeds max_level {max_level}")
-    tbl = series(X, base_spec, "q", terms=level + 2, slack=slack, bound=bound)
-    if not tbl.exact:
+    if isinstance(X, QuotientStack):
+        raise UnsupportedStack("Q coefficient checks need a scheme target")
+    sing = singular_locus(X)
+    tbl = series(sing, base_spec, "p", terms=level + 2, slack=slack, bound=bound)
+    p, d = base_spec.p, X.dim  # the series refused every ring but Z/p^(n+1)
+    tree = BallTree(X.generators, X.n_vars, p)
+    rows = tree.image_levels(level, slack, bound)
+    if not tbl.exact or any(u for _, u in rows):
         raise UnsupportedStack("unresolved lift certificates in the Q series")
-    q = base_spec.at_level(0).size
-    d = X.dim
-    lhs = tbl.coefficients[level + 1]
-    tree = BallTree(X.generators, X.n_vars, base_spec.p)
+    lhs = rows[level][0] - tbl.coefficients[level + 1]
     kept = tree.image_levels(max_level, slack, bound)[level:]
-    for centre in enumerate_points_lifted(singular_locus(X), base_spec.p, level, bound):
+    for centre in enumerate_points_lifted(sing, p, level, bound):
         above = tree.image_above(centre, level, max_level - level, slack)
         kept = [(c - a, u - b) for (c, u), (a, b) in zip(kept, above)]
     if any(u for _, u in kept):
         raise UnsupportedStack("unresolved lift certificate")
     levels = list(range(level, max_level + 1))
-    counts = [Fraction(c, q ** ((ell + 1) * d)) for ell, (c, _) in zip(levels, kept)]
+    counts = [Fraction(c, p ** ((ell + 1) * d)) for ell, (c, _) in zip(levels, kept)]
     result = _stabilize(levels, counts)
     if result.status != "STABILIZED":
         return lhs, result, False
-    rhs = result.value * q ** ((level + 1) * d)
+    rhs = result.value * p ** ((level + 1) * d)
     return lhs, rhs, lhs == rhs

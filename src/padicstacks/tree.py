@@ -310,33 +310,30 @@ class BallTree:
 
     def image_above(self, point, n, depth, slack):
         """image_levels over the level-(n+r) points above a level-n point,
-        r = 0..depth, walking down its digits.  At the first smooth residue
-        zero Hensel's lemma decides: the point's ball holds a zero when the
-        rescaled system vanishes there, and then p^((N-g)r) sub-balls do."""
+        r = 0..depth, walking down its digits.  Hensel's step (`_lifts`) at
+        the first smooth residue zero decides: p^((N-g)r) sub-balls, or none."""
         p, state = self.p, self._root
         for d in range(n + 1):
             u = [x // p**d for x in point]
-            u0 = tuple([x % p for x in u])
-            smooth = self._residue_zeros(state).get(u0)
-            if smooth is None:
-                return [(0, 0)] * (depth + 1)
-            if smooth:
-                fiber = self._lifts(state, u, p ** (n + 1 - d))
-                return [(fiber and fiber**r, 0) for r in range(depth + 1)]
-            state = self._child(state, u0)
+            fiber = self._lifts(state, u, p ** (n + 1 - d))
+            if fiber is not False:  # off the residue zeros (None) as with no lift (0)
+                return [(fiber and fiber**r or 0, 0) for r in range(depth + 1)]
+            state = self._child(state, tuple([x % p for x in u]))
         return self._image(state, depth, slack, self._walk(None, n + 1 + depth))
 
     def _lifts(self, state, u, m):
-        """At a smooth residue zero of a state's g conditions, p^(N - g) when
-        they vanish at u mod m (Hensel's lemma), else 0."""
+        """Hensel's step at u: None off the state's residue zeros, False at a
+        singular one, else p^(N - g) if its g conditions vanish at u mod m, or 0."""
+        smooth = self._residue_zeros(state).get(tuple([x % self.p for x in u]))
+        if not smooth:
+            return smooth
         vanish = not any([h.eval_int(u, m) for h, _ in state])
         return vanish * self.p ** (self.n_vars - len(state))
 
     def fibre(self, point, n):
         """p^(N - g) when the root's g conditions have rank g mod p at a
         level-n point and vanish there mod p^(n+1), else None."""
-        smooth = self._residue_zeros(self._root).get(tuple([x % self.p for x in point]))
-        return smooth and self._lifts(self._root, point, self.p ** (n + 1)) or None
+        return self._lifts(self._root, point, self.p ** (n + 1)) or None
 
     def verdict(self, point, n, slack=DEFAULT_SLACK):
         """Whether a level-n point truncates a Z_p-point: True, False, or

@@ -38,6 +38,7 @@ Mutant = collections.namedtuple("Mutant", "name path old new tests")
 
 TREE = "src/padicstacks/tree.py"
 KEPT = "src/padicstacks/definable.py"
+MEASURES = "src/padicstacks/measures.py"
 WITT = "src/padicstacks/witt.py"
 POLY = "tests/test_polyscheme.py"
 MEAS = "tests/test_measures.py"
@@ -74,7 +75,8 @@ MUTANTS = (
             f"{POLY}::test_repeated_generator_walks_as_one",
             f"{POLY}::test_repeated_generator_in_its_slot_is_dropped_once",
             f"{POLY}::test_repeat_that_appears_below_the_root_is_dropped_there")),
-    # the Hensel fibre of image_above and fibre, taken in one place (_lifts)
+    # Hensel's step of image_above and fibre, taken in one place (_lifts):
+    # the residue-zero lookup, the rank test, the vanishing test, the fibre
     Mutant("fibre-full", TREE,
            "vanish * self.p ** (self.n_vars - len(state))", "vanish * self.p ** self.n_vars",
            (f"{MEAS}::test_q_check_is_the_image_less_the_singular_centres",
@@ -139,14 +141,36 @@ MUTANTS = (
            " and (opened or self.primitive)\n", "\n",
            (f"{DEFN}::test_non_reduced_balls_close_by_hensel",)),
     Mutant("fibre-no-rank-check", TREE,
-           "return smooth and self._lifts(", "return smooth is not None and self._lifts(",
+           "        if not smooth:\n            return smooth\n",
+           "        if smooth is None:\n            return smooth\n",
            (f"{POLY}::test_fibre_matches_raw_rank_and_brute_lifts",
             f"{DEFN}::test_joint_certificates_match_pointwise")),
     Mutant("fibre-no-vanishing-check", TREE,
-           "self._lifts(self._root, point, self.p ** (n + 1)) or None",
-           "self.p ** (self.n_vars - len(self._root))",
+           "vanish = not any([h.eval_int(u, m) for h, _ in state])", "vanish = True",
            (f"{POLY}::test_fibre_matches_raw_rank_and_brute_lifts",
             f"{DEFN}::test_non_reduced_balls_close_by_hensel")),
+    # a ball whose point settles false leaves the formula walk
+    Mutant("walk-keeps-settled-false", KEPT,
+           "if n < max_level and truth is not False:", "if n < max_level:",
+           (f"{DEFN}::test_non_reduced_balls_close_by_hensel",
+            f"{DEFN}::test_balls_settled_false_leave_the_walk",
+            f"{CLI}::test_cli_formula_walk_drops_balls_settled_false")),
+    # the Q check: X's part of the coefficient, X's exactness through
+    # `level` and the kept counts, all from one tree on X
+    Mutant("q-check-no-singular-part", MEASURES,
+           "lhs = rows[level][0] - tbl.coefficients[level + 1]", "lhs = Fraction(rows[level][0])",
+           (f"{MEAS}::test_q_coefficient_identity_on_battery",
+            f"{MEAS}::test_q_check_is_the_image_less_the_singular_centres",
+            f"{MEAS}::test_q_check_bounded_outcomes_are_pinned")),
+    Mutant("q-check-ignores-open-rows-of-x", MEASURES,
+           "if not tbl.exact or any(u for _, u in rows):", "if not tbl.exact:",
+           (f"{MEAS}::test_q_coefficient_check_refuses_inexact_q_series",
+            f"{MEAS}::test_q_check_bounded_outcomes_are_pinned")),
+    Mutant("q-check-kept-from-the-level-walk", MEASURES,
+           "kept = tree.image_levels(max_level, slack, bound)[level:]", "kept = rows[level:]",
+           (f"{MEAS}::test_q_coefficient_identity_on_battery",
+            f"{MEAS}::test_q_check_is_the_image_less_the_singular_centres",
+            f"{MEAS}::test_q_check_bounded_outcomes_are_pinned")),
     # Witt laws: the packed ghost solve and the ring of functions on F_p
     Mutant("fold-threshold-above-p", WITT,
            "self.offset = ones * ((1 << (w - 1)) - p)",

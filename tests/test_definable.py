@@ -980,14 +980,49 @@ def test_non_reduced_balls_close_by_hensel():
         for p in primes:
             _assert_walk_matches_pointwise(text, target, spec(p, 0), 2)
     # ord(t x) >= 1 leaves every x open at level 0: the ball of 0 closes
-    # with fibre 1, and the others are refuted, read once more and dropped
+    # with fibre 1, and at the others the tree refutes the atom, so they
+    # settle false and leave the walk; only the p balls of level 0 are read
     for p in (2, 3, 5):
-        m = measure_formula("t*x == 0", A1, 0, spec(p, 0), max_level=4, bound=p * (p - 1))
+        m = measure_formula("t*x == 0", A1, 0, spec(p, 0), max_level=4, bound=p)
         assert m.lower == m.upper == [1] * 5 and (m.status, m.value) == ("STABILIZED", 1)
     # a repeated generator's balls close at level 0, so reading at most 40
     # balls a level is enough
     m = measure_formula("x^2 + y^2 - 1 == 0", _CURVES[0], 1, spec(5, 0), max_level=3, bound=40)
     assert (m.status, m.value) == ("STABILIZED", Fraction(4, 5))
+
+
+def test_balls_settled_false_leave_the_walk(monkeypatch):
+    # a point settles false when the formula reads false with its refuted
+    # exact atoms read false; the tree finds no Z_p-zero of the target and
+    # such an atom in the ball, so at every point below the atom reads
+    # false or is refuted again, no ball closes, and the point reads or
+    # settles false.  The walk reads no child of such a ball, and its
+    # per-level bounds are still those of reading every point
+    settled, read = set(), []
+    original = definable._KeptPoints.read
+
+    def recorded(self, tv, evaluate, exact_atoms, point, args, n):
+        fibre, truth = original(self, tv, evaluate, exact_atoms, point, args, n)
+        read.append((n, point))
+        if not fibre and truth is False:
+            settled.add((n, point))
+        return fibre, truth
+
+    monkeypatch.setattr(definable._KeptPoints, "read", recorded)
+    for text, target, primes, max_level in (
+            ("t*x == 0", A1, (2, 3, 5), 3),
+            ("x*y - t == 0 && ord(x) >= 2", A2, (2, 3), 3),
+            ("x*y - t == 0 && ord(x) >= 2", A2, (5,), 2),
+            ("y^2 - x^3 == 0", A2, (2,), 3),
+            ("y^2 - x^3 == 0", A2, (3,), 2),
+            ("x - y == 0", _CUSP, (2, 3, 5), 3)):
+        for p in primes:
+            settled.clear()
+            read.clear()
+            _assert_walk_matches_pointwise(text, target, spec(p, 0), max_level)
+            assert settled, (text, p)
+            assert not any((n - 1, tuple(x % p**n for x in point)) in settled
+                           for n, point in read if n), (text, p)
 
 
 def test_kept_points_ask_each_question_once(monkeypatch):

@@ -1,4 +1,6 @@
 import itertools
+import pathlib
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from padicstacks.polyscheme import (
     singular_locus,
     tau_point,
 )
+from padicstacks.project import load_project
 from padicstacks.rings import BoundExceeded, make_ring
 from padicstacks.stacks import GroupAction, QuotientStack, SpecialGroup, UnsupportedStack
 from padicstacks.tree import BallTree, count_points, hensel_liftable, level_counts
@@ -765,6 +768,132 @@ def test_q_coefficient_check_refuses_an_open_kept_ball(monkeypatch):
     monkeypatch.setattr(BallTree, "image_above", one_open_ball_fewer)
     with pytest.raises(UnsupportedStack, match="^unresolved lift certificate$"):
         q_coefficient_check(CUSP, make_ring(3), 0, 2)
+
+
+@pytest.mark.parametrize("name", ["BS3", "BGm", "A1_mod_Gm"])
+def test_q_coefficient_check_refuses_a_stack_before_any_walk(monkeypatch, name):
+    # the check compares a scheme's Q coefficient with its own image: each
+    # demo stack kind (finite-group, special-group, with a point or a line
+    # for atlas) is refused by name, with no series, locus or tree made
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("walked before the refusal")
+
+    stack = load_project(pathlib.Path(__file__).parent / "data" / "demo.project").stack(name)
+    for attr in ("series", "singular_locus", "BallTree"):
+        monkeypatch.setattr(measures, attr, must_not_run)
+    with pytest.raises(UnsupportedStack, match="^Q coefficient checks need a scheme target$"):
+        q_coefficient_check(stack, make_ring(5), 0, 2)
+
+
+def test_q_check_walks_x_with_one_tree(monkeypatch):
+    # one tree on X gives X's part of the Q coefficient, its exactness, the
+    # kept counts and the walks above the singular centres; Sing X's P
+    # series walks one tree on Sing X; the singular locus is made once
+    trees, loci = Counter(), []
+    real_tree, real_locus = measures.BallTree, measures.singular_locus
+
+    def tree(gens, *args):
+        trees[tuple(gens)] += 1
+        return real_tree(gens, *args)
+
+    monkeypatch.setattr(measures, "BallTree", tree)
+    monkeypatch.setattr(measures, "singular_locus", lambda X: loci.append(X) or real_locus(X))
+    for X in (CUSP, NODE, CONIC, hyperbola(5), A1):
+        trees.clear()
+        loci.clear()
+        assert q_coefficient_check(X, make_ring(3), 1, max_level=3)[2], X.name
+        assert loci == [X]
+        assert trees == {tuple(X.generators): 1, tuple(real_locus(X).generators): 1}, X.name
+
+
+def test_image_rows_through_a_level_begin_a_deeper_walk():
+    # the Q check reads X's rows through `level`, then walks the same tree
+    # to `max_level`: that walk's first rows are the shallower walk's, and
+    # all its rows are those of a fresh tree
+    rng = random.Random(36)
+    for p in (2, 3, 5):
+        for _ in range(6):
+            f = MultiPoly(("x", "y"), {(rng.randint(0, 3), rng.randint(0, 2)): rng.randint(-4, 4)
+                                       for _ in range(rng.randint(2, 4))})
+            for slack in (0, 1, 2):
+                level = rng.randint(0, 2)
+                max_level = level + rng.randint(0, 2)
+                tree = BallTree((f,), 2, p)
+                rows = tree.image_levels(level, slack)
+                deeper = tree.image_levels(max_level, slack)
+                assert deeper[:level + 1] == rows, (f, p, slack, level)
+                assert deeper == BallTree((f,), 2, p).image_levels(max_level, slack), (f, p)
+
+
+# the Q check's outcomes as they were when it read X's part of the Q
+# coefficient from series(X, "q") and walked X again for the kept counts:
+# scheme, p, level, max_level: the outcome at slack 0 | at slack 2, each
+# "lhs rhs ok", "lhs PARTIAL" or "inexact" (an inexact Q series); every
+# bound from the p^N tuples of the residue search up answers the same,
+# and a lower one refuses that search first
+Q_CHECK_TABLE = """
+    cusp 3 0 1: 2 PARTIAL | 2 PARTIAL
+    cusp 3 1 3: inexact | 6 6 True
+    cusp 3 2 4: inexact | 19 18 False
+    cusp 5 0 1: 4 PARTIAL | 4 PARTIAL
+    cusp 5 1 3: inexact | 20 20 True
+    cusp 5 2 4: inexact | 102 100 False
+    node 3 0 1: 1 PARTIAL | 1 PARTIAL
+    node 3 1 3: 7 7 True | 7 7 True
+    node 3 2 4: 25 25 True | 25 25 True
+    node 5 0 1: 3 PARTIAL | 3 PARTIAL
+    node 5 1 3: 23 23 True | 23 23 True
+    node 5 2 4: 123 123 True | 123 123 True
+    conic 3 0 1: 4 PARTIAL | 4 PARTIAL
+    conic 3 1 3: 12 12 True | 12 12 True
+    conic 3 2 4: 36 36 True | 36 36 True
+    conic 5 0 1: 4 PARTIAL | 4 PARTIAL
+    conic 5 1 3: 20 20 True | 20 20 True
+    conic 5 2 4: 100 100 True | 100 100 True
+    xy3 3 0 1: inexact | 4 PARTIAL
+    xy3 3 1 3: inexact | 12 12 True
+    xy3 3 2 4: inexact | 36 36 True
+    xy3 5 0 1: 4 PARTIAL | 4 PARTIAL
+    xy3 5 1 3: 20 20 True | 20 20 True
+    xy3 5 2 4: 100 100 True | 100 100 True
+    xy5 3 0 1: 2 PARTIAL | 2 PARTIAL
+    xy5 3 1 3: 6 6 True | 6 6 True
+    xy5 3 2 4: 18 18 True | 18 18 True
+    xy5 5 0 1: inexact | 8 PARTIAL
+    xy5 5 1 3: inexact | 40 40 True
+    xy5 5 2 4: inexact | 200 200 True
+    A1 3 0 1: 3 PARTIAL | 3 PARTIAL
+    A1 3 1 3: 9 9 True | 9 9 True
+    A1 3 2 4: 27 27 True | 27 27 True
+    A1 5 0 1: 5 PARTIAL | 5 PARTIAL
+    A1 5 1 3: 25 25 True | 25 25 True
+    A1 5 2 4: 125 125 True | 125 125 True
+"""
+
+
+def test_q_check_bounded_outcomes_are_pinned():
+    schemes = {"cusp": CUSP, "node": NODE, "conic": CONIC, "xy3": hyperbola(3),
+               "xy5": hyperbola(5), "A1": A1}
+
+    def outcome(*args):
+        try:
+            lhs, rhs, ok = q_coefficient_check(*args)
+        except (BoundExceeded, UnsupportedStack) as exc:
+            return "inexact" if str(exc).endswith("in the Q series") else str(exc)
+        if isinstance(rhs, measures.MeasureResult):
+            return f"{lhs} {rhs.status}"
+        return f"{lhs} {rhs} {ok}"
+
+    for line in Q_CHECK_TABLE.strip().splitlines():
+        case, pinned = line.split(":")
+        name, p, level, max_level = case.split()
+        X, p, level, max_level = schemes[name], int(p), int(level), int(max_level)
+        tuples = p**X.n_vars
+        for slack, want in zip((0, 2), pinned.split("|")):
+            for bound in (4, 9, 25):
+                refused = f"residue search of {tuples} tuples exceeds bound {bound}"
+                got = outcome(X, make_ring(p), level, max_level, slack, bound)
+                assert got == (refused if bound < tuples else want.strip()), (line, slack, bound)
 
 
 def per_centre_q_check(X, spec, level, max_level, slack=2):

@@ -770,6 +770,25 @@ def test_cli_formula_measure_bound_limits_balls_per_level(capsys):
         "formula walk of 6561 balls at level 3 exceeds bound 1000\n")
 
 
+@pytest.mark.parametrize("ring, target, text, dim, levels, verdict", [
+    ("p3n0", "A2", "y^2 - x^3 == 0", "1", ["1/1", "7/9", "20/27", "61/81"],
+     ["status = PARTIAL", "measure = PARTIAL"]),
+    ("p5n0", "cusp", "x - y == 0", "0", ["2/1"] * 4,
+     ["status = STABILIZED", "stabilized_at = 0", "measure = 2/1"]),
+])
+def test_cli_formula_walk_drops_balls_settled_false(capsys, ring, target, text, dim, levels,
+                                                    verdict):
+    # the balls whose points settle false (their atom refuted by the tree)
+    # leave the walk with their children unread, so a walk of at most 40
+    # balls a level gives the unbounded report
+    argv = ["measure", "--project", DEMO, "--ring", ring, "--target", target, "--set", text,
+            "--max-level", "3", "--dim", dim]
+    code, out = run(capsys, *argv, "--bound", "40")
+    assert (code, out) == (0, run(capsys, *argv)[1])
+    assert out.splitlines()[-4 - len(verdict):] == [
+        *(f"level[{n}] = {v} .. {v}" for n, v in enumerate(levels)), *verdict]
+
+
 def test_cli_conic_cut_by_its_own_equation_stabilizes(capsys):
     # the upgrade oracle walks the conic's generator and the folded atom,
     # the same polynomial twice, as one condition: each level-n point of
