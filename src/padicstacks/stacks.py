@@ -1,13 +1,17 @@
 """Homotopy-weighted point counts for quotient stacks [X/G]; `stacky_count`
 picks the recipe from the group.
 
-Finite constant groups go through twisted sectors with Frobenius descent:
-over a level-0 ring with residue field F_q the weighted count is (1/|G|)
-* sum over g of the fixed points of Frobenius twisted by g, listed on
-F_(q^d) = make_ring(p, r=r*d), d = ord(g), with the action and Frobenius
-(v^q) compiled by that ring.  The special groups G_a, G_m, GL_k (k <= 3)
-admit only trivial torsors, so their quotients count as |X(R)| / |G(R)|,
-with |X(R)| from `count_points` and closed-form group sizes.
+A finite constant group counts over a level-0 ring with residue field F_q
+as (1/|G|) * sum over g of its twisted sector: the x in X(F_(q^d)),
+d = ord(g), with Frob_q(x) = g^-1 . x, listed on make_ring(p, r=r*d) with
+the action and Frobenius (v^q) compiled by that ring.  h carries the
+sector of g onto that of h g h^-1, so each conjugacy class is read once,
+at its first element, times its size, and the groupoid classes there are
+the orbits of that element's centralizer.  Both need a group action that
+keeps X (`GroupAction.check_compatibility`).  The special groups G_a,
+G_m, GL_k (k <= 3) admit only trivial torsors, so their quotients count
+as |X(R)| / |G(R)|, with |X(R)| from `count_points` and closed-form group
+sizes.
 
 Finite constant groups over truncated rings of positive level would need
 twisted sectors over Galois rings; that case is refused, not approximated.
@@ -97,12 +101,12 @@ class FiniteGroupData:
     def exponent(self):
         return math.lcm(*map(self.element_order, self.labels))
 
+    def centralizer(self, g):
+        """The elements that commute with g, in label order."""
+        return tuple(h for h in self.labels if self.mult[(h, g)] == self.mult[(g, h)])
+
     def centralizer_order(self, g):
-        return sum(
-            1
-            for h in self.labels
-            if self.mult[(h, g)] == self.mult[(g, h)]
-        )
+        return len(self.centralizer(g))
 
     def conjugacy_classes(self):
         seen = set()
@@ -283,18 +287,19 @@ class GroupAction:
         return tuple(ev(point) for ev in self._compiled[g, ring])
 
     def check_compatibility(self, ring, bound=None):
-        """g.(h.x) == (gh).x on every enumerated point over a probe ring."""
+        """h.x lies on X and g.(h.x) == (gh).x, at every enumerated point x
+        of X over a probe ring."""
         if self.is_special:
             raise UnsupportedStack("compatibility probe is for finite groups")
         pts = list(enumerate_points(self.scheme, ring, bound))
+        listed = set(pts)
         for g in self.group.labels:
             for h in self.group.labels:
                 gh = self.group.mult[(g, h)]
                 for x in pts:
-                    lhs = self.apply_finite_field(
-                        g, self.apply_finite_field(h, x, ring), ring
-                    )
-                    if lhs != self.apply_finite_field(gh, x, ring):
+                    hx = self.apply_finite_field(h, x, ring)
+                    ghx = self.apply_finite_field(gh, x, ring)
+                    if hx not in listed or self.apply_finite_field(g, hx, ring) != ghx:
                         return False
         return True
 
@@ -355,13 +360,15 @@ def twisted_sector_count(action, ring, g, bound=None):
 
 def stacky_count_finite(action, ring, bound=None):
     """Weighted number of F_q-points of [X/G] for finite constant G, over a
-    level-0 ring with residue field F_q."""
+    level-0 ring with residue field F_q: (1/|G|) * sum over the conjugacy
+    classes C of |C| times the sector of C's first element.  The action
+    must be a group action that preserves X (`check_compatibility`)."""
     if action.is_special:
         raise UnsupportedStack("use stacky_count_special for special groups")
     group = action.group
     total = 0
-    for g in group.labels:
-        total += twisted_sector_count(action, ring, g, bound)
+    for cls in group.conjugacy_classes():
+        total += len(cls) * twisted_sector_count(action, ring, cls[0], bound)
     return Fraction(total, group.order)
 
 
@@ -369,36 +376,25 @@ def groupoid_classes_finite(action, ring, bound=None):
     """Isomorphism classes of the F_q-point groupoid of [X/G].
 
     Objects are twisted pairs (g, x); h carries (g, x) to (h g h^-1, h.x).
-    Returns a list of (representative, class_size, automorphism_order).
+    Every class meets the sector of the first element g of its conjugacy
+    class, in one orbit of g's centralizer, which fixes (g, x) by the h
+    with h.x = x.  Returns a list of (representative, class_size,
+    automorphism_order), the representative being the class's first pair
+    in sector-then-point order.  The action must be a group action that
+    preserves X (`check_compatibility`).
     """
     group = action.group
-    ext = {g: _sector_field(action, ring, g) for g in group.labels}
-    objects = []
-    for g in group.labels:
-        objects.extend(
-            (g, x) for x in _twisted_points(action, ring, g, ext[g], bound)
-        )
-
-    def act(h, obj):
-        g, x = obj
-        conj = group.mult[(group.mult[(h, g)], group.inverse[h])]
-        return (conj, action.apply_finite_field(h, x, ext[g]))
-
     classes = []
-    seen = set()
-    for idx, obj in enumerate(objects):
-        key = (obj[0], tuple(obj[1]))
-        if key in seen:
-            continue
-        orbit = set()
-        aut = 0
-        for h in group.labels:
-            img = act(h, obj)
-            orbit.add((img[0], tuple(img[1])))
-            if img[0] == obj[0] and tuple(img[1]) == key[1]:
-                aut += 1
-        seen |= orbit
-        classes.append((obj, len(orbit), aut))
+    for g, *_ in group.conjugacy_classes():
+        ext = _sector_field(action, ring, g)
+        centralizer = group.centralizer(g)
+        seen = set()
+        for x in _twisted_points(action, ring, g, ext, bound):
+            if x not in seen:
+                images = [action.apply_finite_field(h, x, ext) for h in centralizer]
+                seen.update(images)
+                aut = images.count(x)
+                classes.append(((g, x), group.order // aut, aut))
     return classes
 
 

@@ -275,9 +275,11 @@ class BallTree:
         exact zero; else its own slack-0 walk, untallied and one level
         deeper at a time up to `slack`, decides it at the first depth with
         a certified sub-ball (it holds one) or with none at all (it holds
-        none), and leaves it open past `slack`."""
-        key = (state, depth, slack)
-        if key not in self._images:
+        none), and leaves it open past `slack`.  Row r depends on the state
+        and slack alone, so a state's rows are made again only when deeper
+        rows are asked for."""
+        rows = self._images.get((state, slack), ())
+        if len(rows) <= depth:
             visit(depth)
             here = all(h.constant_value() == 0 for h, _ in state) or None
             r = 0
@@ -298,8 +300,8 @@ class BallTree:
                     for r, (c, o) in enumerate(below, 1):
                         certified[r] += c
                         opened[r] += o
-            self._images[key] = list(zip(certified, opened))
-        return self._images[key]
+            rows = self._images[state, slack] = list(zip(certified, opened))
+        return rows[:depth + 1]
 
     def image_levels(self, n, slack, bound=None):
         """[(certified, open) for k = 0..n]: the points of X(Z/p^(k+1)) that

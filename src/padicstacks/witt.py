@@ -340,15 +340,9 @@ def witt_mul_sym(a_coords, b_coords, p, folded=None):
 
 
 def teichmuller(c, p, precision):
-    """Multiplicative lift of c mod p to Z/p^precision (fixpoint of x->x^p)."""
-    m = p**precision
-    x = c % m
-    for _ in range(precision + 2):
-        nx = pow(x, p, m)
-        if nx == x:
-            break
-        x = nx
-    return x
+    """Multiplicative lift of c mod p to Z/p^precision: c^(p^(k-1)) mod p^k
+    is the (p-1)-th root of unity that is c mod p, or 0 when p divides c."""
+    return pow(c, p ** max(precision - 1, 0), p**precision)
 
 
 def witt_from_int(a, p, length):

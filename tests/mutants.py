@@ -39,6 +39,7 @@ Mutant = collections.namedtuple("Mutant", "name path old new tests")
 TREE = "src/padicstacks/tree.py"
 KEPT = "src/padicstacks/definable.py"
 MEASURES = "src/padicstacks/measures.py"
+STACK_SRC = "src/padicstacks/stacks.py"
 WITT = "src/padicstacks/witt.py"
 POLY = "tests/test_polyscheme.py"
 MEAS = "tests/test_measures.py"
@@ -171,6 +172,17 @@ MUTANTS = (
            (f"{MEAS}::test_q_coefficient_identity_on_battery",
             f"{MEAS}::test_q_check_is_the_image_less_the_singular_centres",
             f"{MEAS}::test_q_check_bounded_outcomes_are_pinned")),
+    # BallTree._image: a state's rows are one list per (state, slack), and
+    # a shallower ask reads its prefix
+    Mutant("image-rows-one-short", TREE,
+           "if len(rows) <= depth:", "if len(rows) < depth:",
+           (f"{MEAS}::test_image_rows_are_kept_once_per_state_and_slack",
+            f"{POLY}::test_image_walk_matches_frontier_search_reference")),
+    # Witt laws: the closed-form Teichmuller lift
+    Mutant("teichmuller-exponent-one-short", WITT,
+           "p ** max(precision - 1, 0)", "p ** max(precision - 2, 0)",
+           (f"{WITTS}::test_teichmuller_closed_form_is_the_fixpoint",
+            f"{WITTS}::test_witt_from_int_teichmuller_example")),
     # Witt laws: the packed ghost solve and the ring of functions on F_p
     Mutant("fold-threshold-above-p", WITT,
            "self.offset = ones * ((1 << (w - 1)) - p)",
@@ -216,11 +228,31 @@ MUTANTS = (
            (f"{GREEN}::test_folded_expansion_is_the_fold_of_the_exact_one",
             f"{GREEN}::test_folded_components_of_oracle_cases")),
     # twisted sectors: Frobenius of F_q raises to q, not to p
-    Mutant("twisted-frobenius-to-p", "src/padicstacks/stacks.py",
+    Mutant("twisted-frobenius-to-p", STACK_SRC,
            "MultiPoly.variable(names, v) ** ring.size", "MultiPoly.variable(names, v) ** ring.p",
            (f"{STACKS}::test_twisted_sector_frobenius_raises_to_q",)),
+    # finite-group stacks: one twisted sector per conjugacy class, weighted
+    # by the class size, and groupoid classes from the centralizer
+    Mutant("sector-class-weight-dropped", STACK_SRC,
+           "total += len(cls) * twisted_sector_count(", "total += twisted_sector_count(",
+           (f"{STACKS}::test_non_abelian_sectors_match_the_finite_field_oracle",
+            f"{STACKS}::test_finite_counts_read_one_sector_per_conjugacy_class",
+            f"{STACKS}::test_twisted_sectors_match_the_finite_field_oracle")),
+    Mutant("groupoid-size-from-centralizer-orbit", STACK_SRC,
+           "classes.append(((g, x), group.order // aut, aut))",
+           "classes.append(((g, x), len(set(images)), aut))",
+           (f"{STACKS}::test_non_abelian_sectors_match_the_finite_field_oracle",
+            f"{STACKS}::test_twisted_sectors_match_the_finite_field_oracle")),
+    Mutant("groupoid-aut-over-whole-group", STACK_SRC,
+           "centralizer = group.centralizer(g)", "centralizer = group.labels",
+           (f"{STACKS}::test_non_abelian_sectors_match_the_finite_field_oracle",
+            f"{STACKS}::test_twisted_sectors_match_the_finite_field_oracle")),
+    # the compatibility probe: an action must keep X
+    Mutant("compat-probe-ignores-preservation", STACK_SRC,
+           "if hx not in listed or ", "if ",
+           (f"{STACKS}::test_compatibility_probe_checks_that_the_action_preserves_x",)),
     # input checks
-    Mutant("group-rows-unchecked", "src/padicstacks/stacks.py",
+    Mutant("group-rows-unchecked", STACK_SRC,
            "        if len(table) != n:\n", "        if False:\n",
            (f"{CLI}::test_construction_refusals[group-missing-row]",
             f"{CLI}::test_construction_refusals[group-extra-row]")),

@@ -1,7 +1,8 @@
 """Reference polynomial arithmetic for the tests: products on exponent
 tuples, substitution without constant folding, and Greenberg digit
 components and the Witt structure laws from the ghost map over Z, and
-Witt arithmetic over F_p by the ghost equations.  None
+Witt arithmetic over F_p by the ghost equations, and the Teichmuller
+lift by its fixpoint iteration.  None
 of it calls the product kernel of MultiPoly or Witt's packed solver, so
 no kernel is checked only by itself.
 
@@ -231,6 +232,19 @@ def verdict_reference(tree, point, n, slack, frontier_bound=50_000):
             return not any(h.eval_int(u, p ** (n + 1 - d)) for h, _ in state)
         state = tree._child(state, u0)
     return decide_reference(tree, state, slack, frontier_bound)
+
+
+def teichmuller_reference(c, p, precision):
+    """The multiplicative lift of c mod p to Z/p^precision as the fixpoint
+    of x -> x^p, iterated from c."""
+    m = p**precision
+    x = c % m
+    for _ in range(precision + 2):
+        nx = pow(x, p, m)
+        if nx == x:
+            break
+        x = nx
+    return x
 
 
 # Witt arithmetic over F_p by the ghost equations: lift the digits to Z,

@@ -240,7 +240,7 @@ def test_unit_multiples_walk_as_one(case):
         assert tree.level_counts(n) == counts, system
         assert tree.image_levels(n, slack) == rows, system
         assert [tree.verdict(pt, level, slack) for pt in points] == verdicts, system
-        for state, _, _ in tree._images:
+        for state, _ in tree._images:
             assert tree._state(state) == state
         for state in tree._counts:
             assert tree._state(state) == state
@@ -823,6 +823,35 @@ def test_image_rows_through_a_level_begin_a_deeper_walk():
                 deeper = tree.image_levels(max_level, slack)
                 assert deeper[:level + 1] == rows, (f, p, slack, level)
                 assert deeper == BallTree((f,), 2, p).image_levels(max_level, slack), (f, p)
+
+
+class _CountedStores(dict):
+    """A memo that counts the values stored in it."""
+
+    stores = 0
+
+    def __setitem__(self, key, value):
+        self.stores += 1
+        super().__setitem__(key, value)
+
+
+def test_image_rows_are_kept_once_per_state_and_slack():
+    # a state's rows through depth d are the first d + 1 of its deeper
+    # rows, so the memo keeps one list per (state, slack), rebuilt when it
+    # is needed deeper: the cusp's walks to levels 2 and 5 build 331 lists
+    # and keep 247, and a shallower walk after them reads those lists and
+    # builds none
+    tree = BallTree(CUSP.generators, 2, 5)
+    tree._images = memo = _CountedStores()
+    rows = tree.image_levels(2, 2)
+    assert memo.stores == 20
+    deep = tree.image_levels(5, 2)
+    assert (memo.stores, len(memo)) == (331, 247)
+    assert all(len(key) == 2 for key in memo)
+    assert tree.image_levels(2, 2) == rows == deep[:3]
+    assert memo.stores == 331
+    # the slack-0 walk shares the lookahead's lists, and extends them
+    assert tree.image_levels(4, 0) == BallTree(CUSP.generators, 2, 5).image_levels(4, 0)
 
 
 # the Q check's outcomes as they were when it read X's part of the Q

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from padicstacks import rings
+from padicstacks import rings, stacks
 from padicstacks.polyscheme import AffineScheme, MultiPoly, enumerate_points, parse_poly
 from padicstacks.project import load_project
 from padicstacks.rings import BoundExceeded, FiniteField, LocalRingSpec, make_ring
@@ -410,6 +410,86 @@ def test_twisted_sectors_match_the_finite_field_oracle(name, p, r):
     assert got == ff_groupoid_classes(action, fld)
     assert fiber_decomposition_check(action, ring) == ff_fiber_check(action, fld)
     assert action.check_compatibility(ring)
+
+
+S3 = symmetric_group_3()
+XYZ = ("x", "y", "z")
+
+
+def s3_permuting(scheme, coords, negate_odd=False):
+    """S3 permuting three coordinates, polynomials in the scheme's variables
+    (which are the first ones): g sends coordinate i to coordinate g^(-1)(i)
+    of symmetric_group_3's one-line labels, negated for a transposition
+    when `negate_odd`."""
+    polys = {}
+    for g in S3.labels:
+        sign = -1 if negate_odd and S3.element_order(g) == 2 else 1
+        polys[g] = tuple(sign * coords[g.index(str(i))] for i in range(scheme.n_vars))
+    return GroupAction(S3, scheme, polys)
+
+
+def s3_on_xyz(negate_odd=False):
+    scheme = AffineScheme.from_text("xyz1", XYZ, ["x*y*z - 1"], 2)
+    return s3_permuting(scheme, [MultiPoly.variable(XYZ, v) for v in XYZ], negate_odd)
+
+
+def s3_on_hexagonal_conic():
+    # S3 permutes (x, y, -x - y), whose sum is 0, and keeps x^2 + x*y + y^2
+    scheme = AffineScheme.from_text("hex", ("x", "y"), ["x^2 + x*y + y^2 - 1"], 1)
+    x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    return s3_permuting(scheme, [x, y, -x - y])
+
+
+# sector sizes per conjugacy class: identity, 3-cycles, transpositions
+@pytest.mark.parametrize("make, p, sectors", [(s3_on_xyz, 2, [1, 7, 3]),
+                                              (s3_on_hexagonal_conic, 2, [3, 3, 1]),
+                                              (s3_on_hexagonal_conic, 3, [6, 6, 0])])
+def test_non_abelian_sectors_match_the_finite_field_oracle(make, p, sectors):
+    # the classes' sectors differ, so a count that reads one sector per
+    # class must weight it by the class size, and a groupoid class must
+    # be read in its conjugacy class's first sector
+    action, ring, fld = make(), make_ring(p), FiniteField(p, 1)
+    assert action.check_compatibility(ring)
+    classes = S3.conjugacy_classes()
+    assert [{twisted_sector_count(action, ring, g) for g in cls} for cls in classes] == [
+        {n} for n in sectors]
+    assert stacky_count_finite(action, ring) == ff_stacky_count(action, fld)
+    got = [((g, _as_ff(x, ring, g, S3)), size, aut)
+           for (g, x), size, aut in groupoid_classes_finite(action, ring)]
+    assert got == ff_groupoid_classes(action, fld)
+    assert fiber_decomposition_check(action, ring) == ff_fiber_check(action, fld)
+
+
+def test_finite_counts_read_one_sector_per_conjugacy_class(monkeypatch):
+    counted, listed = [], []
+    real_count, real_points = stacks.twisted_sector_count, stacks._twisted_points
+
+    def count(action, ring, g, bound=None):
+        counted.append(g)
+        return real_count(action, ring, g, bound)
+
+    def points(action, ring, g, ext, bound):
+        listed.append(g)
+        return real_points(action, ring, g, ext, bound)
+
+    monkeypatch.setattr(stacks, "twisted_sector_count", count)
+    monkeypatch.setattr(stacks, "_twisted_points", points)
+    action, ring = s3_on_xyz(), make_ring(2)
+    assert stacky_count_finite(action, ring) == Fraction(1 + 2 * 7 + 3 * 3, 6)
+    assert counted == ["012", "120", "021"]
+    listed.clear()
+    groupoid_classes_finite(action, ring)
+    assert listed == ["012", "120", "021"]
+    assert S3.centralizer("120") == ("012", "120", "201")
+    assert S3.centralizer("021") == ("012", "021")
+
+
+def test_compatibility_probe_checks_that_the_action_preserves_x():
+    # negating the transpositions composes as S3 does, but sends x*y*z = 1
+    # to x*y*z = -1: off X over F_3, and back on it over F_2, where -1 = 1
+    assert not s3_on_xyz(negate_odd=True).check_compatibility(make_ring(3))
+    assert s3_on_xyz(negate_odd=True).check_compatibility(make_ring(2))
+    assert s3_on_xyz().check_compatibility(make_ring(3))
 
 
 def test_prime_field_points_are_ints():

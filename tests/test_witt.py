@@ -27,6 +27,7 @@ from padicstacks.witt import (
 from poly_oracles import (
     mul_reference,
     structure_reference,
+    teichmuller_reference,
     witt_add_modp,
     witt_mul_modp,
     witt_neg_modp,
@@ -270,6 +271,15 @@ def test_witt_from_int_teichmuller_example():
     # tau(2) = 8 in Z/9, so 5 = 8 + 3*tau'... digits (2, 2)
     assert teichmuller(2, 3, 2) == 8
     assert witt_from_int(5, 3, 2) == (2, 2)
+
+
+def test_teichmuller_closed_form_is_the_fixpoint():
+    # c^(p^(k-1)) mod p^k against iterating x -> x^p from c, at precision 0
+    # (Z/1) and up, on c below 0, divisible by p, and far above p^k
+    for p in (2, 3, 5, 7, 211):
+        for precision in range(8):
+            for c in [*range(-2 * p, 3 * p), 10**40 + 7, -(3**50) - 1]:
+                assert teichmuller(c, p, precision) == teichmuller_reference(c, p, precision)
 
 
 def test_digit_encoding_round_trip():
