@@ -18,11 +18,17 @@ arithmetic, ==, truth and ord work on vectors alone.  The digit form (n+1
 residue-field digits, the coefficients of 1, omega, ..., omega^n) is read
 only when asked for (digits, ac, hashing, output), once per element.
 
+A ring moves along its family with at_level(n), which builds each level's
+ring once and then hands back that same object.  A ring builds its vector
+tables on first use, so Z/p^(n+1), whose coordinates are plain ints,
+never builds them.
+
 All values are immutable; every operation is a pure function.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import add, mod, neg, sub
 
@@ -512,6 +518,11 @@ class LocalRingSpec:
 
     e == 1: unramified, omega = p.  e > 1: omega is a root of the given
     Eisenstein polynomial omega^e + c_(e-1) omega^(e-1) + ... + c_0.
+
+    A ring and the rings at_level reaches from it form one family, which
+    holds one ring per level.  The vector tables (_omega_rows, _table,
+    _unit_inv) are built when an element ring first reads them, so
+    Z/p^(n+1), whose points are plain ints, never builds them.
     """
 
     def __init__(self, p, e=1, eisenstein=None, n=0, r=1, residue_modulus=None):
@@ -550,15 +561,30 @@ class LocalRingSpec:
         q, s = divmod(n + 1, e)
         self._mods = tuple(p ** (q + (i < s)) for i in range(e) for _ in range(r))
         self._omega_poly = (eisenstein if e > 1 else (-p,)) + (1,)
-        self._omega_rows = _power_rows(self._omega_poly, n + 1)
-        self._table = self._mul_table()
-        self._unit_inv = pow(self._omega_poly[0] // p, -1, self._mods[0])
+        # this ring's family: level -> its one ring, shared by every ring
+        # that at_level reaches
+        self._family = {n: self}
+
+    @functools.cached_property
+    def _omega_rows(self):
+        return _power_rows(self._omega_poly, self.n + 1)
+
+    @functools.cached_property
+    def _unit_inv(self):
+        return pow(self._omega_poly[0] // self.p, -1, self._mods[0])
 
     def at_level(self, n):
-        """The same ring family truncated at level n (either direction)."""
-        return LocalRingSpec(
-            self.p, self.e, self.eisenstein, n, self.r, self.residue_field.modulus
-        )
+        """The same ring family truncated at level n (either direction):
+        the family's one ring at that level, built on first ask, so
+        at_level(self.n) is self."""
+        ring = self._family.get(n)
+        if ring is None:
+            ring = LocalRingSpec(
+                self.p, self.e, self.eisenstein, n, self.r, self.residue_field.modulus
+            )
+            ring._family = self._family
+            self._family[n] = ring
+        return ring
 
     def truncated(self, m):
         if m > self.n:
@@ -692,7 +718,8 @@ class LocalRingSpec:
                             out[c] += xy * t
         return tuple(map(mod, out, self._mods))
 
-    def _mul_table(self):
+    @functools.cached_property
+    def _table(self):
         """table[a][b]: the nonzero (c, coefficient) pairs of basis vector a
         times basis vector b, from omega^e = -(c_0 + ... + c_(e-1)
         omega^(e-1)) and f(Y) = 0."""

@@ -40,6 +40,7 @@ TREE = "src/padicstacks/tree.py"
 KEPT = "src/padicstacks/definable.py"
 MEASURES = "src/padicstacks/measures.py"
 STACK_SRC = "src/padicstacks/stacks.py"
+RINGS_SRC = "src/padicstacks/rings.py"
 WITT = "src/padicstacks/witt.py"
 POLY = "tests/test_polyscheme.py"
 MEAS = "tests/test_measures.py"
@@ -114,11 +115,23 @@ MUTANTS = (
            "range(n_cols), lambda a: pow(a, -1, p), lambda a: a)",
            (f"{POLY}::test_residue_search_matches_every_tuple",)),
     # compiled polynomials on element rings
-    Mutant("coefficient-slot-unreduced", "src/padicstacks/rings.py",
+    Mutant("coefficient-slot-unreduced", RINGS_SRC,
            "tuple([c * a % m for a, m in zip(t or one, mods)])",
            "tuple([c * a for a, m in zip(t or one, mods)])",
            (f"{RINGS}::test_compile_matches_eval_elements_and_digit_oracle",
             f"{RINGS}::test_compiled_monomials_raise_by_square_and_multiply")),
+    # a ring family holds one ring per level, and builds its vector
+    # tables on first use
+    Mutant("at-level-memo-ignores-level", RINGS_SRC,
+           "ring = self._family.get(n)", "ring = self._family.get(next(iter(self._family)))",
+           (f"{RINGS}::test_at_level_moves_both_ways",
+            f"{RINGS}::test_a_family_holds_one_ring_per_level",
+            f"{RINGS}::test_family_rings_compute_as_rings_built_apart")),
+    Mutant("omega-rows-one-short", RINGS_SRC,
+           "_power_rows(self._omega_poly, self.n + 1)", "_power_rows(self._omega_poly, self.n)",
+           (f"{RINGS}::test_family_rings_compute_as_rings_built_apart",
+            f"{RINGS}::test_vector_arithmetic_matches_digit_oracle",
+            f"{RINGS}::test_canonical_vectors_distinct_and_round_trip")),
     # BallTree._image: a ball's own lookahead decides it
     Mutant("lookahead-ignores-certified", TREE,
            "here = True if c else None if o else False", "here = None if o else False",

@@ -427,6 +427,98 @@ def test_at_level_moves_both_ways():
         Z9().truncated(2)
 
 
+def test_a_family_holds_one_ring_per_level():
+    r = eisenstein_ring(1)
+    assert r.at_level(2) is r.at_level(2)
+    assert r.at_level(3).at_level(0).at_level(3) is r.at_level(3)
+    assert r.at_level(r.n) is r and r.truncated(r.n) is r
+    assert r.at_level(3).truncated(0) is r.at_level(0)
+    x = r.at_level(3).element([1, 2, 0, 1])
+    assert x.reduce(1).spec is r and x.reduce(2).spec is r.at_level(2)
+    # a ring built apart is equal, but of its own family
+    fresh = eisenstein_ring(2)
+    assert fresh == r.at_level(2) and fresh is not r.at_level(2)
+    assert fresh.at_level(1) is not r and hash(fresh) == hash(r.at_level(2))
+    for _ in range(2):
+        with pytest.raises(RingConstructionError, match="level must be >= 0"):
+            r.at_level(-1)
+    assert r.at_level(4).n == 4 and r.at_level(4).at_level(1) is r
+
+
+FAMILIES = [
+    make_ring(3, 2, (-3, 0)),  # ram3
+    make_ring(3, r=2),  # gr9
+    make_ring(3, e=3, eisenstein=(3, 6, -3)),
+    make_ring(3, r=2, residue_modulus=(2, 2, 1)),  # not find_irreducible's x^2 + 1
+]
+
+
+@pytest.mark.parametrize("base", FAMILIES, ids=["ram3", "gr9", "e3", "gr9-x^2+2x+2"])
+def test_family_rings_compute_as_rings_built_apart(base):
+    import random
+
+    rng = random.Random(repr(base))
+    params = dict(p=base.p, e=base.e, eisenstein=base.eisenstein, r=base.r,
+                  residue_modulus=base.residue_field.modulus)
+    up, down = make_ring(n=0, **params), make_ring(n=4, **params)
+    for n in range(5):
+        apart = make_ring(n=n, **params)
+        for ring in (up.at_level(n), down.at_level(n)):
+            assert ring == apart and ring.n == n
+            assert ([x.vec for x in itertools.islice(ring.elements(), 100)]
+                    == [x.vec for x in itertools.islice(apart.elements(), 100)])
+            for _ in range(12):
+                dx, dy = (_random_element(apart, rng).digits for _ in range(2))
+                x, y = ring.element(dx), ring.element(dy)
+                ax, ay = apart.element(dx), apart.element(dy)
+                # `+ 0` drops the digits an element was built from
+                assert (x + 0).digits == dx
+                for got, want in ((x + y, ax + ay), (x - y, ax - ay), (x * y, ax * ay)):
+                    assert got.vec == want.vec and (got + 0).digits == (want + 0).digits
+                assert x.ord() == ax.ord()
+                assert x.ac().coeffs == ax.ac().coeffs
+                assert x.residue().coeffs == ax.residue().coeffs
+                if x.ord() == 0:
+                    assert x.inv().vec == ax.inv().vec
+                for m in range(n + 1):
+                    assert x.reduce(m).spec is ring.at_level(m)
+                    assert x.reduce(m).vec == ax.reduce(m).vec
+                    assert (x.reduce(m) + 0).digits == (ax.reduce(m) + 0).digits
+
+
+def test_a_family_builds_each_level_once_and_no_int_ring_builds_tables(monkeypatch):
+    from padicstacks import measure_formula, series
+    from padicstacks.polyscheme import AffineScheme
+    from padicstacks.rings import LocalRingSpec
+    from padicstacks.tree import level_counts
+
+    built = []
+    real = LocalRingSpec.__init__
+
+    def counted(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self)
+
+    A1 = AffineScheme.affine_space("A1", ("x",))
+    conic = AffineScheme.from_text("conic", ("x", "y"), ["x^2 + y^2 - 1"], 1)
+    base = make_ring(3)
+    monkeypatch.setattr(LocalRingSpec, "__init__", counted)
+    measure_formula("ord(x) >= 1 && ac(x) == 1", A1, 1, base, max_level=4)
+    assert sorted(ring.n for ring in built) == [1, 2, 3, 4]
+    measure_formula("ord(x - 1) >= 2", A1, 1, base, max_level=4)
+    assert len(built) == 4
+    for count in (lambda ring: level_counts(conic, ring, 4),
+                  lambda ring: series(conic, ring, "p", terms=5),
+                  lambda ring: series(conic, ring, "q", terms=5)):
+        start = len(built)
+        count(make_ring(5))
+        levels = [r.n for r in built[start + 1:]]
+        assert len(levels) == len(set(levels)), levels
+    rings = [base, *built]
+    assert all(r.int_modulus is not None for r in rings)
+    assert not [r for r in rings if {"_table", "_omega_rows", "_unit_inv"} & set(vars(r))]
+
+
 # ---------------------------------------------------------------------------
 # canonical vectors against the digit round trip they replaced
 
