@@ -21,11 +21,12 @@ points: a level-n point read true or false reads the same at every
 deeper point reducing to it, so a ball read false is dropped, and so is
 one settled false, as its refuted atoms stay refuted below it.  A ball
 whose count below follows in closed form is closed and not read again:
-a true ball on a target without generators, and, on Z/p^(n+1), a ball
-that the ball tree of the target and the open exact atoms closes at its
-root (Hensel's lemma) and on which those atoms decide the formula.  One
-reader, `_KeptPoints`, decides each kept point: it closes the ball or
-settles the point, asking one cached tree per set of open atoms.  Only
+a true ball on a target without generators, on every ring and before
+any tree is asked, and, on Z/p^(n+1), a ball that the ball tree of the
+target and the open exact atoms closes at its root (Hensel's lemma) and
+on which those atoms decide the formula.  One reader, `_KeptPoints`,
+decides each kept point: it closes the ball or settles the point, asking
+one cached tree per set of open atoms, built with each atom at t = p.  Only
 the other balls are read at the next level.
 
 Each condition parses to one syntax tree.  Exact vanishing has one atom,
@@ -49,7 +50,7 @@ from math import gcd
 
 from .measures import DEFAULT_MAX_LEVEL, _stabilize
 from .polyscheme import DEFAULT_SLACK, MultiPoly, _PolyParser, enumerate_points
-from .rings import INFINITY, LocalRingSpec, at_least, is_prime, p_valuation, record, size_limit
+from .rings import INFINITY, LocalRingSpec, at_least, p_valuation, prime, record, size_limit
 from .syntax import _ExprParser
 from .tree import BallTree
 
@@ -615,11 +616,11 @@ class _KeptPoints:
     Let E be the exact atoms that read undetermined at a level-n point
     (none when it reads True), and the system the target's generators and
     E's polynomials at t = p.  The ball is closed when the target has no
-    generators and the point reads True, or, on Z/p^(n+1), when (a) the
-    system's ball tree closes the ball at its root (`BallTree.fibre`), (b)
-    the formula reads true with E overridden true, (c) false with any one
-    atom of E overridden false, and (d) E is not empty or no generator has
-    p-content.  Then p^((N - g) r) points r levels down truncate a
+    generators and the point reads True (on every ring, before any tree is
+    asked), or, on Z/p^(n+1), when (a) the system's ball tree closes the
+    ball at its root (`BallTree.fibre`), (b) the formula reads true with E
+    overridden true, (c) false with any one atom of E overridden false, and
+    (d) E is not empty or no generator has p-content.  Then p^((N - g) r) points r levels down truncate a
     Z_p-point of the system, each certified true.  With E empty these are
     all the target's points there, by (d); else the root's rows are
     independent mod p, so the tree of the target and one atom of E refutes
@@ -632,8 +633,10 @@ class _KeptPoints:
     and such an atom, every point below reads or settles false.
 
     An atom's position in the compiled exact_atoms list names it at every
-    level, so its polynomial at t = p and a system's ball tree (by its
-    atoms' positions), which answers closure and certificates, are cached."""
+    level, so a system's ball tree is cached by its atoms' positions, each
+    atom read at t = p when the tree is built.  That one tree answers
+    closure and certificates: an atom's own, and the joint one of the
+    atoms left live, which for one live atom is the atom's own tree."""
 
     def __init__(self, target, root, slack):
         self.target = target
@@ -642,28 +645,26 @@ class _KeptPoints:
         self.q = root.size
         self.certified = root.int_modulus is not None
         self.primitive = all(gcd(*g.terms.values()) % self.p for g in target.generators)
-        self._folded = {}
         self._trees = {}
 
     def _tree(self, exact_atoms, atoms):
         """The ball tree of the target's generators and the atoms at
-        `atoms`, at t = p."""
+        `atoms`, each folded at t = p."""
         if atoms not in self._trees:
             variables = self.target.variables
             at_p = {v: MultiPoly.variable(variables, v) for v in variables}
             at_p["t"] = MultiPoly.constant(variables, self.p)
-            for i in set(atoms) - self._folded.keys():
-                self._folded[i] = exact_atoms[i][0].substitute(at_p)
-            system = self.target.generators + tuple(self._folded[i] for i in atoms)
+            system = self.target.generators + tuple(exact_atoms[i][0].substitute(at_p)
+                                                    for i in atoms)
             self._trees[atoms] = BallTree(system, len(variables), self.p)
         return self._trees[atoms]
 
     def read(self, tv, evaluate, exact_atoms, point, args, n):
         """(fibre, None) when the ball of the level-n point, which reads tv
         (True or None), is closed; else (None, the point's truth)."""
+        if tv and not self.target.generators:
+            return self.q ** len(point), None
         if not self.certified:
-            if tv and not self.target.generators:
-                return self.q ** len(point), None
             return None, tv
         opened = () if tv else tuple(i for i, (_, read) in enumerate(exact_atoms)
                                      if read(args) is None)
@@ -695,9 +696,7 @@ class _KeptPoints:
             return None, False
         if value({i: i in live for i in opened}) is not True:
             return None, None
-        joint = (verdicts[live[0]] if len(live) == 1
-                 else self._tree(exact_atoms, live).verdict(point, n, self.slack))
-        return None, joint or None
+        return None, self._tree(exact_atoms, live).verdict(point, n, self.slack) or None
 
 
 def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
@@ -832,8 +831,7 @@ def specialize_primes(formula, target, d, primes, expression,
     at_least("slack", slack, 0)
     formula = _over(formula, target)
     for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        prime(p)
         if primes.count(p) > 1:
             raise ValueError(f"prime {p} is listed twice")
     expect = (

@@ -13,7 +13,7 @@ import itertools
 import math
 
 from .polyscheme import AffineScheme, MultiPoly
-from .rings import BoundExceeded, at_least, is_prime, record, size_limit
+from .rings import BoundExceeded, at_least, prime, record, size_limit
 from .witt import (
     DEFAULT_LENGTH_BOUND,
     _FoldedRing,
@@ -152,8 +152,7 @@ class GreenbergScheme:
     def __post_init__(self):
         """Refuse a level as `digit_length` does, a p that is not prime and
         source variable names that collide with the digit names."""
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        prime(self.p)
         digit_variables(self.source.variables, digit_length(self.level))
 
     @property

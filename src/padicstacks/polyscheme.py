@@ -22,7 +22,7 @@ import itertools
 import operator
 from enum import Enum
 
-from .rings import BoundExceeded, at_least, is_prime, p_valuation, power, record, size_limit
+from .rings import BoundExceeded, at_least, p_valuation, power, prime, record, size_limit
 from .syntax import _ExprParser
 
 DEFAULT_SLACK = 2
@@ -667,8 +667,7 @@ class LiftAnalyzer:
     """
 
     def __init__(self, gens, n_vars, p):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        prime(p)
         self.gens = tuple(gens)
         self.n_vars = n_vars
         self.p = p

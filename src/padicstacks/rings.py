@@ -66,6 +66,12 @@ def at_least(name, value, least):
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def prime(p):
+    """Refuse a p that is not prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 # ---------------------------------------------------------------------------
 # value records
 

@@ -227,20 +227,21 @@ class GroupAction:
         self.scheme = scheme
         self._compiled = {}  # (g, ring) -> evaluators of g's polynomials
         if isinstance(group, SpecialGroup):
-            self._env_vars = scheme.variables + group.coordinate_names()
-            if polys is None:
-                polys = tuple(
-                    MultiPoly.variable(self._env_vars, v) for v in scheme.variables
-                )
-            self.polys = tuple(polys)
+            names = scheme.variables + group.coordinate_names()
+            base = tuple(MultiPoly.variable(names, v) for v in scheme.variables)
+            self.polys = base if polys is None else tuple(polys)
             if len(self.polys) != scheme.n_vars:
                 raise ValueError("needs one polynomial per scheme variable")
             for q in self.polys:
-                if q.variables != self._env_vars:
+                if q.variables != names:
                     raise ValueError(
                         "special action polynomials must use scheme + group coordinates"
                     )
-            self._check_special_identity()
+            at_identity = dict(zip(scheme.variables, base))
+            for cname, cval in zip(group.coordinate_names(), group.identity_coords()):
+                at_identity[cname] = MultiPoly.constant(names, cval)
+            if tuple(q.substitute(at_identity) for q in self.polys) != base:
+                raise ValueError("identity coordinates must act trivially")
         else:
             base = tuple(
                 MultiPoly.variable(scheme.variables, v) for v in scheme.variables
@@ -254,29 +255,12 @@ class GroupAction:
                     raise ValueError(f"no substitution for group element {g!r}")
                 if len(self.polys[g]) != scheme.n_vars:
                     raise ValueError(f"substitution for {g!r} has wrong arity")
-            self._check_finite_identity()
+            if self.polys[group.identity] != base:
+                raise ValueError("identity element must act trivially")
 
     @property
     def is_special(self):
         return isinstance(self.group, SpecialGroup)
-
-    def _check_finite_identity(self):
-        base = tuple(
-            MultiPoly.variable(self.scheme.variables, v)
-            for v in self.scheme.variables
-        )
-        if self.polys[self.group.identity] != base:
-            raise ValueError("identity element must act trivially")
-
-    def _check_special_identity(self):
-        names = self._env_vars
-        idc = self.group.identity_coords()
-        mapping = {v: MultiPoly.variable(names, v) for v in self.scheme.variables}
-        for cname, cval in zip(self.group.coordinate_names(), idc):
-            mapping[cname] = MultiPoly.constant(names, cval)
-        for v, q in zip(self.scheme.variables, self.polys):
-            if q.substitute(mapping) != MultiPoly.variable(names, v):
-                raise ValueError("identity coordinates must act trivially")
 
     # -- applying the action --------------------------------------------------
 

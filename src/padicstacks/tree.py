@@ -16,7 +16,7 @@ import itertools
 from math import comb, gcd
 
 from .polyscheme import DEFAULT_SLACK, LiftStatus, MultiPoly, _jacobian, full_rank
-from .rings import BoundExceeded, RingElement, at_least, is_prime, p_valuation, size_limit
+from .rings import BoundExceeded, RingElement, at_least, p_valuation, prime, size_limit
 
 
 def count_points(X, ring, bound=None):
@@ -128,8 +128,7 @@ class BallTree:
     """
 
     def __init__(self, gens, n_vars, p, slots=None, e=1):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        prime(p)
         self.gens = tuple(gens)
         self.slots = tuple(slots or (0,) * len(self.gens))
         self.n_vars = n_vars
@@ -187,14 +186,15 @@ class BallTree:
                 used = {j for j in range(nv) if any(x[j] for h in polys for x in h.terms)}
                 evals = [h.compile_int(p) for h in polys]
                 jac = [[d.compile_int(p) for d in row] for row in _jacobian(polys)]
-                zeros = self._searches[polys] = {}
-                for u0 in itertools.product(*[range(p) if j in used else (0,) for j in range(nv)]):
-                    if not any(ev(u0) for ev in evals):
-                        zeros[u0] = full_rank([[ev(u0) for ev in row] for row in jac], nv, p)
+                zeros = {u0: full_rank([[ev(u0) for ev in row] for row in jac], nv, p)
+                         for u0 in itertools.product(*[range(p) if j in used else (0,)
+                                                       for j in range(nv)])
+                         if not any(ev(u0) for ev in evals)}
                 if len(used) < nv:
-                    zeros = self._searches[polys] = dict(sorted(
+                    zeros = dict(sorted(
                         (u, smooth) for u0, smooth in zeros.items() for u in itertools.product(
                             *[(a,) if j in used else range(p) for j, a in enumerate(u0)])))
+                self._searches[polys] = zeros
             self._zeros[state] = zeros
         return zeros
 
@@ -276,31 +276,31 @@ class BallTree:
         deeper at a time up to `slack`, decides it at the first depth with
         a certified sub-ball (it holds one) or with none at all (it holds
         none), and leaves it open past `slack`.  Row r depends on the state
-        and slack alone, so a state's rows are made again only when deeper
-        rows are asked for."""
-        rows = self._images.get((state, slack), ())
+        and slack alone, so each state keeps one list of rows per slack, and
+        a deeper ask appends the rows it lacks: row r >= 1 is p^((N-g)(r-1))
+        per smooth residue zero plus row r-1 of each singular child.  A
+        child may be the state itself, and its ask appends the shallower
+        rows first."""
+        rows = self._images.setdefault((state, slack), [])
         if len(rows) <= depth:
             visit(depth)
-            here = all(h.constant_value() == 0 for h, _ in state) or None
-            r = 0
-            while here is None and r < slack:
-                r += 1
-                c, o = self._image(state, r, 0, lambda depth: None)[r]
-                here = True if c else None if o else False
-            certified = [int(bool(here))] + [0] * depth
-            opened = [int(here is None)] + [0] * depth
-            if depth > 0:
-                for u0, smooth in self._residue_zeros(state).items():
-                    if smooth:
-                        fiber = self.p ** (self.n_vars - len(state))
-                        for r in range(1, depth + 1):
-                            certified[r] += fiber ** (r - 1)
-                        continue
-                    below = self._image(self._child(state, u0), depth - 1, slack, visit)
-                    for r, (c, o) in enumerate(below, 1):
-                        certified[r] += c
-                        opened[r] += o
-            rows = self._images[state, slack] = list(zip(certified, opened))
+            if not rows:
+                here = all(h.constant_value() == 0 for h, _ in state) or None
+                r = 0
+                while here is None and r < slack:
+                    r += 1
+                    c, o = self._image(state, r, 0, lambda depth: None)[r]
+                    here = True if c else None if o else False
+                rows.append((int(bool(here)), int(here is None)))
+            if depth:
+                zeros = self._residue_zeros(state)
+                below = [self._image(self._child(state, u0), depth - 1, slack, visit)
+                         for u0, smooth in zeros.items() if not smooth]
+                smooth = sum(zeros.values())
+                fiber = smooth and self.p ** (self.n_vars - len(state))
+                for r in range(len(rows), depth + 1):
+                    rows.append((smooth * fiber ** (r - 1) + sum(b[r - 1][0] for b in below),
+                                 sum(b[r - 1][1] for b in below)))
         return rows[:depth + 1]
 
     def image_levels(self, n, slack, bound=None):

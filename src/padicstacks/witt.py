@@ -19,7 +19,7 @@ import itertools
 import operator
 
 from .polyscheme import MultiPoly, _multiply_into, _radix, _reduce, _unpack, _unpack_halves
-from .rings import BoundExceeded, at_least, is_prime
+from .rings import BoundExceeded, at_least, prime
 
 DEFAULT_LENGTH_BOUND = 5
 
@@ -195,8 +195,7 @@ def check_structure_args(p, length):
     at_least("Witt length", length, 1)
     if length > DEFAULT_LENGTH_BOUND:
         raise BoundExceeded(f"length {length} exceeds bound {DEFAULT_LENGTH_BOUND}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    prime(p)
 
 
 def structure_polynomials(p, length):
@@ -385,8 +384,7 @@ class WittVector:
     def __init__(self, p, coords, base="Fp"):
         if base not in ("Z", "Fp"):
             raise ValueError("base must be 'Z' or 'Fp'")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        prime(p)
         self.p = p
         self.base = base
         coords = tuple(int(c) for c in coords)

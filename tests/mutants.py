@@ -51,10 +51,20 @@ GREEN = "tests/test_greenberg.py"
 RINGS = "tests/test_rings.py"
 STACKS = "tests/test_stacks.py"
 
+# BallTree._image's extension of a row list, from its children's rows
+_APPEND = """\
+                zeros = self._residue_zeros(state)
+                below = [self._image(self._child(state, u0), depth - 1, slack, visit)
+                         for u0, smooth in zeros.items() if not smooth]
+                smooth = sum(zeros.values())
+                fiber = smooth and self.p ** (self.n_vars - len(state))
+                for r in range(len(rows), depth + 1):
+"""
+
 MUTANTS = (
     # BallTree: the closed forms and the state's normal form
     Mutant("image-fibre-power", TREE,
-           "certified[r] += fiber ** (r - 1)", "certified[r] += fiber ** r",
+           "smooth * fiber ** (r - 1)", "smooth * fiber ** r",
            (f"{POLY}::test_image_walk_matches_frontier_search_reference",
             f"{MEAS}::test_unit_multiples_walk_as_one")),
     Mutant("count-precision-dropped", TREE,
@@ -106,8 +116,7 @@ MUTANTS = (
            "any(x[j] for h in polys for x in h.terms)", "any(x[j - 1] for h in polys for x in h.terms)",
            (f"{POLY}::test_residue_search_matches_every_tuple",)),
     Mutant("extension-unsorted", TREE,
-           "zeros = self._searches[polys] = dict(sorted(",
-           "zeros = self._searches[polys] = dict((",
+           "zeros = dict(sorted(", "zeros = dict((",
            (f"{POLY}::test_residue_search_matches_every_tuple",
             f"{POLY}::test_residue_search_on_weil_restrictions_matches_every_tuple")),
     Mutant("full-rank-unreduced", "src/padicstacks/polyscheme.py",
@@ -251,6 +260,19 @@ MUTANTS = (
            (f"{STACKS}::test_non_abelian_sectors_match_the_finite_field_oracle",
             f"{STACKS}::test_finite_counts_read_one_sector_per_conjugacy_class",
             f"{STACKS}::test_twisted_sectors_match_the_finite_field_oracle")),
+    # (the children are asked first, and a child may be the state itself,
+    # whose ask appends the shallower rows)
+    Mutant("image-rows-appended-from-stale-length", TREE,
+           _APPEND, "                start = len(rows)\n" + _APPEND.replace("len(rows)", "start"),
+           (f"{MEAS}::test_self_looping_state_appends_its_rows_in_order",)),
+    # a formula ball closes on affine space only where it reads true, and
+    # a joint certificate asks the tree of every live atom
+    Mutant("affine-closure-ignores-truth", KEPT,
+           "if tv and not self.target.generators:", "if not self.target.generators:",
+           (f"{DEFN}::test_true_balls_on_affine_space_build_no_tree",)),
+    Mutant("joint-certificate-first-atom", KEPT,
+           "self._tree(exact_atoms, live).verdict", "self._tree(exact_atoms, live[:1]).verdict",
+           (f"{DEFN}::test_joint_certificates_match_pointwise",)),
     Mutant("groupoid-size-from-centralizer-orbit", STACK_SRC,
            "classes.append(((g, x), group.order // aut, aut))",
            "classes.append(((g, x), len(set(images)), aut))",

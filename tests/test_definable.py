@@ -1059,6 +1059,31 @@ def test_kept_points_ask_each_question_once(monkeypatch):
             _assert_walk_matches_pointwise(text, A2, spec(3, 0), 3)
 
 
+def test_true_balls_on_affine_space_build_no_tree(monkeypatch):
+    # a point of a target without generators that reads true closes its
+    # ball at once, with q^N points below it a level down, on Z/p^(n+1) as
+    # on element rings: no tree is asked about it, and the walk still
+    # reads as the pointwise reference does.  Only an open exact atom
+    # builds a tree, for its atom set
+    systems = []
+    real_tree = definable.BallTree
+
+    def tree(gens, n_vars, p):
+        systems.append(tuple(gens))
+        return real_tree(gens, n_vars, p)
+
+    monkeypatch.setattr(definable, "BallTree", tree)
+    ram3 = make_ring(3, e=2, eisenstein=(-3, 0))
+    for text, target, atoms in (("ord(x) >= 1", A1, 0),
+                                ("ac(x) == 1 && ord(y) mod 2 == 0", A2, 0),
+                                ("x == 0 || ord(y) >= 1", A2, 1)):
+        for base, max_level in ((spec(5, 0), 2), (ram3, 2)):
+            systems.clear()
+            _assert_walk_matches_pointwise(text, target, base, max_level)
+            want = atoms if base.int_modulus is not None else 0
+            assert len(systems) == want and all(systems), (text, base)
+
+
 def test_formula_over_other_variables_is_refused(monkeypatch):
     # readers take a point's coordinates by position, so a formula over
     # (y,) on a target over (x, y) read x as y (ord(y) >= 1 on the line

@@ -826,32 +826,68 @@ def test_image_rows_through_a_level_begin_a_deeper_walk():
 
 
 class _CountedStores(dict):
-    """A memo that counts the values stored in it."""
+    """A memo that counts the values stored in it, and the rows appended
+    to the row lists it hands out."""
 
-    stores = 0
+    stores = rows = 0
 
     def __setitem__(self, key, value):
         self.stores += 1
         super().__setitem__(key, value)
 
+    def setdefault(self, key, default=None):
+        if key not in self:
+            self[key] = _CountedRows(self)
+        return self[key]
+
+
+class _CountedRows(list):
+    def __init__(self, memo):
+        super().__init__()
+        self.memo = memo
+
+    def append(self, row):
+        self.memo.rows += 1
+        super().append(row)
+
 
 def test_image_rows_are_kept_once_per_state_and_slack():
     # a state's rows through depth d are the first d + 1 of its deeper
-    # rows, so the memo keeps one list per (state, slack), rebuilt when it
-    # is needed deeper: the cusp's walks to levels 2 and 5 build 331 lists
-    # and keep 247, and a shallower walk after them reads those lists and
-    # builds none
+    # rows, so the memo keeps one list per (state, slack), and a deeper
+    # ask appends only the rows it lacks: the cusp's walks to levels 2 and
+    # 5 make 247 lists and 420 rows, each once, and a shallower walk after
+    # them reads those lists and makes none; each residue search is
+    # stored once
     tree = BallTree(CUSP.generators, 2, 5)
     tree._images = memo = _CountedStores()
+    tree._searches = searches = _CountedStores()
     rows = tree.image_levels(2, 2)
-    assert memo.stores == 20
+    assert (memo.stores, memo.rows) == (20, 38)
     deep = tree.image_levels(5, 2)
-    assert (memo.stores, len(memo)) == (331, 247)
+    assert (memo.stores, len(memo), memo.rows) == (247, 247, 420)
+    assert sum(map(len, memo.values())) == 420
     assert all(len(key) == 2 for key in memo)
     assert tree.image_levels(2, 2) == rows == deep[:3]
-    assert memo.stores == 331
+    assert (memo.stores, memo.rows) == (247, 420)
+    assert searches.stores == len(searches)
     # the slack-0 walk shares the lookahead's lists, and extends them
     assert tree.image_levels(4, 0) == BallTree(CUSP.generators, 2, 5).image_levels(4, 0)
+
+
+@pytest.mark.parametrize("slack", [0, 2])
+def test_self_looping_state_appends_its_rows_in_order(slack):
+    # x^2 over Z_3 in the plane walks to itself: the residue zeros (0, a)
+    # are singular, and each child is x^2 again.  Its own ask appends the
+    # shallower rows first, so appending from the length before that ask
+    # would write rows twice; 3^r of the depth-r sub-balls hold a zero
+    X = AffineScheme.from_text("x2", ("x", "y"), ["x^2"], 1)
+    want = [(3**r, 0) for r in range(7)]
+    tree = BallTree(X.generators, 2, 3)
+    for depth in range(7):
+        assert tree._image(tree._root, depth, slack, lambda depth: None) == want[:depth + 1]
+    fresh = BallTree(X.generators, 2, 3)
+    assert fresh._image(fresh._root, 6, slack, lambda depth: None) == want
+    assert tree.image_levels(5, slack) == fresh.image_levels(5, slack) == want[1:]
 
 
 # the Q check's outcomes as they were when it read X's part of the Q
