@@ -455,7 +455,14 @@ def _compile(formula, spec):
     truth value at args = point + (uniformizer coordinate,), where an
     exact-vanishing atom whose list position is a key of the overrides
     dict reads its value from there instead of from the point.  Point
-    coordinates are read only through the ring."""
+    coordinates are read only through the ring.
+
+    The readers are monotone in the level: a nonzero value keeps its ord,
+    ac and red at every deeper level, a vanishing value's ord interval
+    only shrinks, and comparisons and the Kleene connectives keep a
+    decided value decided.  So a point that the formula compiled at
+    level m reads true or false reads the same at every deeper point
+    reducing to it."""
     n, p, field = spec.n, spec.p, spec.residue_field
     exact_atoms = []
     positions = {}  # exact-vanishing atom -> its index in exact_atoms
@@ -596,12 +603,37 @@ def eval_formula(formula, target, spec, bound=None):
 
     Pointwise three-valued semantics: atoms whose truth is not determined
     by the visible digits come back undetermined (no lift certificates
-    here; see measure_formula for the upgraded counting)."""
-    evaluate, _ = _compile(_over(formula, target), spec)
+    here; see measure_formula for the upgraded counting).
+
+    A point takes its value from its coarsest truncation that reads
+    decided, as every finer one reads the same (monotonicity, see
+    `_compile`): it is read at levels m = 0, 1, ... through one memo per
+    level, keyed by the truncation (x mod p^(m+1) on Z/p^(n+1), else the
+    first m+1 digits), until a read is decided; a point still open below
+    level n is read at level n."""
+    formula = _over(formula, target)
+    ints = spec.int_modulus is not None
+    coarse = []  # per level m < n: (cut, ring, evaluate, uniformizer, memo)
+    for m in range(spec.n):
+        ring = spec.at_level(m)
+        cut = ring.int_modulus if ints else m + 1
+        read = _compile(formula, ring)[0]
+        coarse.append((cut, ring, read, ring.uniformizer_coordinate(), {}))
+    evaluate, _ = _compile(formula, spec)
     t = spec.uniformizer_coordinate()
     points = {True: [], False: [], None: []}
     for point in enumerate_points(target, spec, bound):
-        points[evaluate(point + (t,), None)].append(point)
+        for cut, ring, read, t_m, memo in coarse:
+            key = tuple([x % cut for x in point] if ints else [x.digits[:cut] for x in point])
+            if key not in memo:
+                args = key if ints else tuple(map(ring.element, key))
+                memo[key] = read(args + (t_m,), None)
+            tv = memo[key]
+            if tv is not None:
+                break
+        else:
+            tv = evaluate(point + (t,), None)
+        points[tv].append(point)
     return EvalResult(spec.n, points[True], points[False], points[None])
 
 
@@ -710,11 +742,9 @@ def measure_formula(formula, target, d, base_spec, max_level=DEFAULT_MAX_LEVEL,
 
     The points are walked as balls: a level-n point stands for every
     deeper point reducing to it, and the compiled readers are monotone in
-    the level (a nonzero value keeps its ord, ac and red, a vanishing
-    value's ord interval only shrinks, and comparisons and the Kleene
-    connectives keep a decided value decided).  So a ball read false is
-    dropped.  Every other ball goes to one reader, `_KeptPoints`, which
-    closes it (Hensel's lemma) or settles its point; a closed ball counts
+    the level (see `_compile`).  So a ball read false is dropped.  Every
+    other ball goes to one reader, `_KeptPoints`, which closes it
+    (Hensel's lemma) or settles its point; a closed ball counts
     fibre^r certain-true points r levels down, and a ball settled false is
     dropped.  Only the other balls split into their q^N children at the
     next level.  A child off the target is dropped, and so is every point

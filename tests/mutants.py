@@ -178,6 +178,23 @@ MUTANTS = (
            (f"{DEFN}::test_non_reduced_balls_close_by_hensel",
             f"{DEFN}::test_balls_settled_false_leave_the_walk",
             f"{CLI}::test_cli_formula_walk_drops_balls_settled_false")),
+    # eval_formula reads a point at its coarsest decided truncation: the
+    # memo key is the whole truncation, an open read goes one level down,
+    # and each level is read with its own uniformizer
+    Mutant("eval-key-one-digit-short", KEPT,
+           "[x % cut for x in point]", "[x % (cut // spec.p) for x in point]",
+           (f"{DEFN}::test_eval_formula_matches_interpreter_on_targets_with_generators",
+            f"{DEFN}::test_compiled_evaluation_matches_interpreter",
+            f"{DEFN}::test_eval_formula_reads_each_coarse_truncation_once")),
+    Mutant("eval-open-coarse-read-final", KEPT,
+           "            if tv is not None:\n                break\n", "            break\n",
+           (f"{DEFN}::test_eval_formula_matches_interpreter_on_targets_with_generators",
+            f"{DEFN}::test_compiled_evaluation_matches_interpreter",
+            f"{DEFN}::test_eval_formula_reads_each_coarse_truncation_once")),
+    Mutant("eval-coarse-read-level-n-uniformizer", KEPT,
+           "read(args + (t_m,), None)", "read(args + (t,), None)",
+           (f"{DEFN}::test_eval_formula_matches_interpreter_on_targets_with_generators",
+            f"{DEFN}::test_compiled_evaluation_matches_interpreter")),
     # the Q check: X's part of the coefficient, X's exactness through
     # `level` and the kept counts, all from one tree on X
     Mutant("q-check-no-singular-part", MEASURES,

@@ -808,6 +808,17 @@ def _atoms(node):
     return [node]
 
 
+_ATOM_KINDS = {"OrdAtom:const", "OrdAtom:ord", "exact", "OrdCong", "ResAtom"}
+
+
+def _atom_kind(atom):
+    if not isinstance(atom, OrdAtom):
+        return type(atom).__name__
+    if (atom.op, atom.rhs) == ("==", ("const", INFINITY)):
+        return "exact"
+    return f"OrdAtom:{atom.rhs[0]}"
+
+
 def test_battery_formulas_cover_every_atom_kind():
     texts = [text for seed in range(len(_BATTERY_RINGS))
              for text, _ in _battery_formulas(seed)]
@@ -815,15 +826,7 @@ def test_battery_formulas_cover_every_atom_kind():
              for text, variables in _battery_formulas(seed)
              for atom in _atoms(parse_formula(text, variables))]
 
-    def kind(atom):
-        if not isinstance(atom, OrdAtom):
-            return type(atom).__name__
-        if (atom.op, atom.rhs) == ("==", ("const", INFINITY)):
-            return "exact"
-        return f"OrdAtom:{atom.rhs[0]}"
-
-    assert {kind(a) for a in atoms} == {"OrdAtom:const", "OrdAtom:ord", "exact", "OrdCong",
-                                        "ResAtom"}
+    assert {_atom_kind(a) for a in atoms} == _ATOM_KINDS
     for t_poly in _T_POLYS:
         assert any(f"ord({t_poly})" in text for text in texts), t_poly
 
@@ -870,6 +873,129 @@ def test_compiled_evaluation_matches_interpreter(seed, name):
         if k % 2 == 0 or ring.int_modulus is not None:  # upgrades run on Z/p^(n+1)
             for measured in (target, _CURVES[k % 2]):
                 _assert_walk_matches_pointwise(text, measured, base, max_level)
+
+
+# the battery rings, and three rings at level 2: eval_formula reads each
+# point at its coarsest decided truncation, so level 2 has two coarser
+# levels to read first
+_EVAL_RINGS = tuple(ring for _, ring, _ in _BATTERY_RINGS) + (
+    make_ring(3, n=2), make_ring(3, e=2, eisenstein=(-3, 0), n=2), make_ring(2, r=2, n=2))
+
+
+@pytest.mark.parametrize("index", range(len(_EVAL_RINGS)))
+def test_eval_formula_matches_interpreter_on_targets_with_generators(index):
+    # the coarsest decided truncation of a point reads as the interpreter
+    # reads the point at the ring's own level, on the curves and on a
+    # generator with p-content, taken in turn; level 0 (no coarser level)
+    # included
+    ring = _EVAL_RINGS[index]
+    texts = [text for text, _ in _battery_formulas(index % len(_BATTERY_RINGS))][:7]
+    texts += ["ord(x*y - t) == INFINITY", "ac(x - y) == 1 || ord(x) mod 2 == 1"]
+    # p(xy - 1) = 0 has p-content: its points have xy = 1 one level down
+    targets = _CURVES + (AffineScheme.from_text("pxy", ("x", "y"), (f"{ring.p}*(x*y - 1)",), 1),)
+    for level in sorted({0, ring.n}):
+        spec_at = ring.at_level(level)
+        for k, text in enumerate(texts):
+            target = targets[k % len(targets)]
+            formula = parse_formula(text, target.variables)
+            res = eval_formula(formula, target, spec_at)
+            want = _reference_classes(formula, target, spec_at)
+            assert res.level == level
+            assert (res.certain_true, res.certain_false, res.undetermined) == (
+                want[True], want[False], want[None]), (text, target.name, spec_at)
+
+
+def test_eval_formula_bound_refusals_are_unchanged():
+    # the points still come from enumerate_points, which refuses them
+    f = parse_formula("ord(x*y - t) == INFINITY", ("x", "y"))
+    for ring in (make_ring(3, n=2), make_ring(3, e=2, eisenstein=(-3, 0), n=2)):
+        assert len(eval_formula(f, A2, ring, bound=729).certain_false) == 693
+        with pytest.raises(BoundExceeded, match=r"^enumeration of 729 tuples exceeds bound 728$"):
+            eval_formula(f, A2, ring, bound=728)
+        with pytest.raises(ValueError, match=r"^bound must be at least 1, got 0$"):
+            eval_formula(f, A2, ring, bound=0)
+
+
+def _counted_reads(monkeypatch):
+    """A Counter of formula reads, each a call of an evaluator that
+    definable._compile hands out, by (ring level, args, overrides)."""
+    reads = Counter()
+    real_compile = definable._compile
+
+    def compile_counted(formula, ring):
+        evaluate, exact_atoms = real_compile(formula, ring)
+
+        def counted(args, overrides):
+            reads[ring.n, args, frozenset((overrides or {}).items())] += 1
+            return evaluate(args, overrides)
+
+        return counted, exact_atoms
+
+    monkeypatch.setattr(definable, "_compile", compile_counted)
+    return reads
+
+
+def test_eval_formula_reads_each_coarse_truncation_once(monkeypatch):
+    # xy = t over A2 at level 2: the 9 level-0 truncations are read, 5 of
+    # them (xy = 0 mod t) stay open, and their 45 lifts to level 1 leave 12
+    # open, whose 108 points are read at level 2: 162 reads for 729
+    # points, on a ramified ring as on Z/3^3.  ord(t^2 xy) >= 3 is open at
+    # every point below level n, so it reads every truncation: 9 + 81 +
+    # 729, a ninth more reads than one per point
+    reads = _counted_reads(monkeypatch)
+    for ring in (make_ring(3, e=2, eisenstein=(-3, 0), n=2), make_ring(3, n=2)):
+        for text, per_level in (("ord(x*y - t) == INFINITY", {0: 9, 1: 45, 2: 108}),
+                                ("ord(t^2*x*y) >= 3", {0: 9, 1: 81, 2: 729})):
+            reads.clear()
+            res = eval_formula(text, A2, ring)
+            points = res.certain_true + res.certain_false + res.undetermined
+            assert len(points) == 729 and max(reads.values()) == 1
+            assert Counter(n for n, _, _ in reads) == per_level, (text, ring)
+
+
+def test_interpreter_reads_are_monotone_in_the_level():
+    # the premise of both formula walks, on the reference interpreter
+    # alone: a level-(n-1) point read true or false has every lift read the
+    # same at level n, for up to four atoms of each kind of the battery
+    # formulas on every battery ring (Z/5 is read at Z/25); and Kleene's
+    # connectives keep a decided value when an undetermined operand is
+    # decided
+    for a, b in itertools.product((T, F, U), repeat=2):
+        for a2, b2 in itertools.product(*((v,) if v is not U else (T, F, U) for v in (a, b))):
+            for table in (_AND, _OR):
+                assert table[a, b] is U or table[a2, b2] is table[a, b]
+    kinds = Counter()
+    for seed, (_, ring, _) in enumerate(_BATTERY_RINGS):
+        fine = ring.at_level(max(ring.n, 1))
+        coarse = fine.at_level(fine.n - 1)
+        if fine.int_modulus is not None:
+            def truncate(point, m=coarse.int_modulus):
+                return tuple(x % m for x in point)
+        else:
+            def truncate(point, m=coarse.n):
+                return tuple(x.reduce(m) for x in point)
+        atoms, per_kind = {}, Counter()  # at most four atoms of each kind
+        for text, variables in _battery_formulas(seed):
+            for atom in _atoms(parse_formula(text, variables)):
+                if atom not in atoms and per_kind[_atom_kind(atom)] < 4:
+                    per_kind[_atom_kind(atom)] += 1
+                    atoms[atom] = variables
+        for atom, variables in atoms.items():
+            target = AffineScheme.affine_space(f"A{len(variables)}", variables)
+            lo, hi = _Interpreter(coarse), _Interpreter(fine)
+            read = {}
+            for point in enumerate_points(target, coarse):
+                lo.set_point(point)
+                read[point] = lo.eval(atom)
+            decided = 0
+            for point in enumerate_points(target, fine):
+                below = read[truncate(point)]
+                if below is not None:
+                    hi.set_point(point)
+                    assert hi.eval(atom) is below, (atom, point, fine)
+                    decided += 1
+            kinds[_atom_kind(atom)] += decided > 0
+    assert set(kinds) == _ATOM_KINDS and all(kinds.values()), kinds
 
 
 def test_ball_walk_matches_pointwise_one_level_deeper():
@@ -1029,24 +1155,13 @@ def test_kept_points_ask_each_question_once(monkeypatch):
     # points whose balls close (the first formula), settle (the second) and
     # stay open (the cusp atom): each atom set's ball tree is built once,
     # and no point is evaluated twice under one set of overrides
-    trees, evaluations = Counter(), Counter()
-    real_compile = definable._compile
+    trees, evaluations = Counter(), _counted_reads(monkeypatch)
 
     def tree(gens, n_vars, p):
         trees[tuple(gens)] += 1
         return BallTree(gens, n_vars, p)
 
-    def compile_counted(formula, ring):
-        evaluate, exact_atoms = real_compile(formula, ring)
-
-        def counted(args, overrides):
-            evaluations[ring.n, args, frozenset((overrides or {}).items())] += 1
-            return evaluate(args, overrides)
-
-        return counted, exact_atoms
-
     monkeypatch.setattr(definable, "BallTree", tree)
-    monkeypatch.setattr(definable, "_compile", compile_counted)
     for text, d, checked in (("x*y - t == 0 || x - y == 0", 1, True),
                              ("x - y == 0 && x*y - 1 == 0", 0, True),
                              ("y^2 - x^3 == 0", 1, False)):
